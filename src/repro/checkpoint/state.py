@@ -6,7 +6,7 @@ sequence of small steps the experiment runner interleaves with
 reconstruction::
 
     tree = load_checkpoint(path)
-    sim = Simulator(queue=tree["clock"]["queue_kind"], ...)
+    sim = Simulator(obs=...)
     sim.restore_clock(tree["clock"])
     arm_tick_preloads(sim, tree)          # BEFORE the cluster exists
     cluster = BeowulfCluster(sim, ...)    # daemons spawn at now=T

@@ -37,7 +37,7 @@ class _NetInstruments:
     :class:`NetworkStats` once per run by the obs recorder; the live
     histogram here adds the per-frame wire-time *distribution*, which
     totals can't reconstruct.  One pre-bound ``observe`` per channel, so
-    the instrumented transmit path is a plain call.
+    recording a frame is a plain call.
     """
 
     __slots__ = ("frame_seconds", "observe_frame")
@@ -58,11 +58,8 @@ class EthernetNetwork:
     ``scenario.network.build(sim, rng=...)``; the defaults are the
     prototype's bonded dual 10 Mb/s segments.
 
-    ``obs`` takes a :class:`~repro.obs.registry.MetricsRegistry`.  Like
-    the disk's server variants, instrumentation is *slot-free*: when obs
-    is enabled :meth:`transmit` is rebound at construction to the
-    recording variant, so the plain path carries zero per-frame
-    instrumentation tests.
+    ``obs`` takes a :class:`~repro.obs.registry.MetricsRegistry`; when
+    enabled, :meth:`transmit` records each frame's wire time per channel.
     """
 
     def __init__(self, sim: Simulator, bandwidth_bps: float = 10e6,
@@ -91,9 +88,6 @@ class EthernetNetwork:
         self._obs: Optional[_NetInstruments] = None
         if obs is not None and getattr(obs, "enabled", False):
             self._obs = _NetInstruments(obs, channels)
-            # construction-time specialization: shadow the class method
-            # with the instrumented variant for this instance only
-            self.transmit = self._transmit_obs
 
     @property
     def channels(self) -> int:
@@ -136,15 +130,15 @@ class EthernetNetwork:
         """Move ``nbytes`` across one segment; generator, returns duration.
 
         Channel choice is round-robin (the prototype's channel bonding);
-        frames of one message stay on their segment.  This is the plain
-        (uninstrumented) variant; obs-enabled fabrics get
-        :meth:`_transmit_obs` bound over it at construction.
+        frames of one message stay on their segment.
         """
         if nbytes < 1:
             raise ValueError("nbytes must be >= 1")
         channel = self._next_channel
         segment = self._segments[channel]
         self._next_channel = (channel + 1) % len(self._segments)
+        observe_frame = (None if self._obs is None
+                         else self._obs.observe_frame[channel])
         start = self.sim.now
         remaining = nbytes
         yield self.sim.timeout(self.latency)
@@ -157,37 +151,8 @@ class EthernetNetwork:
                 if segment.queue_length > 0:
                     duration += float(self.rng.exponential(duration * 0.2))
                 yield self.sim.timeout(duration)
-                self.stats.frames += 1
-                self.stats.busy_time += duration
-                self.channel_frames[channel] += 1
-                self.channel_busy_time[channel] += duration
-            remaining -= payload
-        self.stats.messages += 1
-        self.stats.bytes_carried += nbytes
-        return self.sim.now - start
-
-    def _transmit_obs(self, nbytes: int):
-        """Instrumented :meth:`transmit`: identical timing/stats, plus a
-        per-frame wire-time observation through the pre-bound channel
-        instrument."""
-        if nbytes < 1:
-            raise ValueError("nbytes must be >= 1")
-        channel = self._next_channel
-        segment = self._segments[channel]
-        self._next_channel = (channel + 1) % len(self._segments)
-        observe_frame = self._obs.observe_frame[channel]
-        start = self.sim.now
-        remaining = nbytes
-        yield self.sim.timeout(self.latency)
-        while remaining > 0:
-            payload = min(remaining, self.mtu)
-            with segment.request() as req:
-                yield req
-                duration = self.frame_time(payload)
-                if segment.queue_length > 0:
-                    duration += float(self.rng.exponential(duration * 0.2))
-                yield self.sim.timeout(duration)
-                observe_frame(duration)
+                if observe_frame is not None:
+                    observe_frame(duration)
                 self.stats.frames += 1
                 self.stats.busy_time += duration
                 self.channel_frames[channel] += 1

@@ -15,7 +15,6 @@ from repro.config.scenario import (
     DiskConfig,
     DriveCacheConfig,
     DriverConfig,
-    EngineConfig,
     ExperimentConfig,
     LayoutConfig,
     NetworkConfig,
@@ -45,7 +44,6 @@ __all__ = [
     "DiskConfig",
     "DriveCacheConfig",
     "DriverConfig",
-    "EngineConfig",
     "ExperimentConfig",
     "GRID_ALIASES",
     "LayoutConfig",

@@ -33,7 +33,6 @@ from repro.disk import (DRIVE_CACHES, SCHEDULERS, SECTOR_BYTES,
 from repro.disk.volume import capacity_sectors
 from repro.kernel.params import DiskLayout, NodeParams
 from repro.registry import UnknownComponentError
-from repro.sim.core import QUEUE_KINDS
 
 
 class ConfigError(ValueError):
@@ -591,24 +590,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class EngineConfig:
-    """Simulation-engine knobs (no effect on *what* is simulated).
-
-    ``event_queue`` selects the :class:`~repro.sim.core.Simulator`'s
-    scheduling structure: the calendar queue (default, fast) or the
-    binary heap (reference fallback).  Both produce identical event
-    orderings, so this knob never changes results — only wall-clock.
-    """
-
-    event_queue: str = "calendar"
-
-    def validate(self, path: str) -> None:
-        _check(self.event_queue in QUEUE_KINDS, f"{path}.event_queue",
-               f"unknown event queue {self.event_queue!r}; "
-               f"valid kinds: {list(QUEUE_KINDS)}")
-
-
-@dataclass(frozen=True)
 class Scenario:
     """The whole stack, declaratively.  ``Scenario()`` is the paper's."""
 
@@ -620,7 +601,6 @@ class Scenario:
     pious: PiousConfig = field(default_factory=PiousConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
-    engine: EngineConfig = field(default_factory=EngineConfig)
     #: heterogeneous clusters: node id (decimal string) -> overrides of
     #: that node's config, as ``node``-rooted dotted paths (applied in
     #: insertion order), e.g. ``{"3": {"disks[0].media_error_rate": 0.1}}``
@@ -635,7 +615,6 @@ class Scenario:
         self.pious.validate("scenario.pious", nnodes=self.cluster.nnodes)
         self.workload.validate("scenario.workload")
         self.experiment.validate("scenario.experiment")
-        self.engine.validate("scenario.engine")
         for key in self.node_overrides:
             if not str(key).isdigit():
                 raise ConfigError(f"scenario.node_overrides.{key}",
@@ -661,15 +640,12 @@ class Scenario:
         return node
 
     def fingerprint(self) -> str:
-        """Stable digest of the resolved stack (the ``name`` label,
-        random seed, and engine knobs are excluded: they don't change
-        what the machinery *is* — both event queues produce identical
-        results — and analysis caches should survive relabeling or an
-        engine switch)."""
+        """Stable digest of the resolved stack (the ``name`` label and
+        random seed are excluded: they don't change what the machinery
+        *is*, and analysis caches should survive relabeling)."""
         data = self.to_dict()
         data.pop("name", None)
         data.pop("seed", None)
-        data.pop("engine", None)
         canonical = json.dumps(data, sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha1(canonical.encode()).hexdigest()[:12]
@@ -714,6 +690,9 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: Mapping, *,
                   validate: bool = True) -> "Scenario":
+        if isinstance(data, Mapping) and "engine" in data:
+            # older files carry [engine] event_queue; it never changed results
+            data = {k: v for k, v in data.items() if k != "engine"}
         scenario = _from_dict(cls, data, "scenario")
         return scenario.validate() if validate else scenario
 

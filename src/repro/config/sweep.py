@@ -42,7 +42,6 @@ GRID_ALIASES: Dict[str, str] = {
     "network_bandwidth_bps": "network.bandwidth_bps",
     "pious_stripe_kb": "pious.stripe_kb",
     "pious_nservers": "pious.nservers",
-    "event_queue": "engine.event_queue",
 }
 
 

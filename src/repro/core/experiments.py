@@ -315,8 +315,7 @@ class ExperimentRunner:
             registry = self._recorder.registry
         self.last_obs = self._recorder
         self._wall_start = perf_counter()
-        sim = Simulator(obs=registry,
-                        queue=self.scenario.engine.event_queue)
+        sim = Simulator(obs=registry)
         cluster = BeowulfCluster(sim, scenario=self.scenario, obs=registry)
         #: the most recent cluster, kept for post-experiment inspection
         #: (filesystem checks, kernel statistics)
@@ -543,7 +542,9 @@ class ExperimentRunner:
             raise CheckpointError(
                 f"checkpoint is for experiment {meta['experiment']!r}, "
                 f"not {name!r}")
-        if meta["scenario"] != self.scenario.to_dict():
+        # normalize through from_dict: older checkpoints carry retired keys
+        stored = Scenario.from_dict(meta["scenario"], validate=False)
+        if stored.to_dict() != self.scenario.to_dict():
             raise CheckpointError(
                 "checkpoint was captured under a different scenario; "
                 "construct the runner from the same one to resume")
@@ -581,8 +582,7 @@ class ExperimentRunner:
             registry = self._recorder.registry
         self.last_obs = self._recorder
         self._wall_start = perf_counter()
-        sim = Simulator(obs=registry,
-                        queue=self.scenario.engine.event_queue)
+        sim = Simulator(obs=registry)
         sim.restore_clock(tree["clock"])
         arm_tick_preloads(sim, tree)
         cluster = BeowulfCluster(sim, scenario=self.scenario, obs=registry)

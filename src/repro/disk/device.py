@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from repro.disk.request import IORequest
-from repro.disk.scheduler import CLookScheduler, supports_batching
+from repro.disk.scheduler import CLookScheduler
 from repro.disk.service import DiskServiceModel
 from repro.sim import BatchedDraws, Event, Simulator
 
@@ -115,15 +115,10 @@ class _DiskInstruments:
     """Per-device observability instruments (built only when enabled)."""
 
     __slots__ = ("queue_depth", "seek_cylinders", "service_time",
-                 "requests", "sectors_per_cylinder",
-                 "observe_queue_depth", "observe_seek", "observe_service")
+                 "requests", "observe_queue_depth", "observe_seek",
+                 "observe_service")
 
-    def __init__(self, registry, disk_name: str, discipline: str,
-                 sectors_per_cylinder: int = 1):
-        #: cached geometry constant: the server derives the target
-        #: cylinder with one floor division per serviced request
-        #: (requests are range-checked at submit, so no re-validation)
-        self.sectors_per_cylinder = sectors_per_cylinder
+    def __init__(self, registry, disk_name: str, discipline: str):
         self.queue_depth = registry.histogram(
             "disk.queue_depth",
             "queue depth sampled at each submit").child(disk_name)
@@ -137,8 +132,8 @@ class _DiskInstruments:
             "disk.scheduled_requests",
             "requests serviced, by scheduler discipline").child(discipline)
         # pre-bound hot-path entry points (histogram ``observe`` is
-        # already a bound ``list.append``): the instrumented server
-        # variant calls these without per-request attribute chains
+        # already a bound ``list.append``): the server calls these
+        # without per-request attribute chains
         self.observe_queue_depth = self.queue_depth.observe
         self.observe_seek = self.seek_cylinders.observe
         self.observe_service = self.service_time.observe
@@ -165,8 +160,7 @@ class Disk:
                  name: str = "hda",
                  cache=None,
                  media_error_rate: float = 0.0,
-                 obs=None,
-                 batch: bool = True):
+                 obs=None):
         self.sim = sim
         self.service = service or DiskServiceModel()
         # geometry is fixed for the device's lifetime; submit() range-
@@ -182,9 +176,7 @@ class Disk:
         self._obs: Optional[_DiskInstruments] = None
         if obs is not None and getattr(obs, "enabled", False):
             self._obs = _DiskInstruments(
-                obs, name, type(self.scheduler).__name__,
-                sectors_per_cylinder=(
-                    self.service.geometry.sectors_per_cylinder))
+                obs, name, type(self.scheduler).__name__)
         #: optional on-drive segment cache (see repro.disk.cache)
         self.cache = cache
         if not (0.0 <= media_error_rate < 1.0):
@@ -197,24 +189,14 @@ class Disk:
         self._head_sector = 0
         self._in_service: Optional[IORequest] = None
         self._wakeup: Optional[Event] = None
-        #: bumped on every submit; the batched server compares it against
-        #: the value captured at drain time to detect that its claimed
-        #: run went stale and must be handed back for re-ordering
+        #: bumped on every submit; the server compares it against the
+        #: value captured at drain time to detect that its claimed run
+        #: went stale and must be handed back for re-ordering
         self._epoch = 0
         #: requests drained from the scheduler but not yet (in) service —
         #: still "waiting" as far as queue-depth accounting is concerned
         self._drained = 0
-        # Construction-time specialization (the pattern of
-        # ``Simulator._run_loop`` vs ``_run_loop_instr``): pick the server
-        # variant once so the plain path pays zero instrumentation tests
-        # per request.  Disciplines lacking the drain/requeue batch API
-        # (third-party registry entries) get the scalar reference server.
-        if batch and supports_batching(self.scheduler):
-            server = (self._server_batched() if self._obs is None
-                      else self._server_batched_obs())
-        else:
-            server = self._server()
-        sim.process(server, name=f"disk:{name}")
+        sim.process(self._server(), name=f"disk:{name}")
 
     # -- public interface ------------------------------------------------
     @property
@@ -299,63 +281,30 @@ class Disk:
 
     # -- server process ----------------------------------------------------
     def _server(self):
-        # Scalar reference server: one scheduler round-trip per request.
-        # Kept verbatim as (a) the fallback for disciplines without the
-        # drain/requeue batch API and (b) the behavioural definition the
-        # batched variants are property-tested against (``batch=False``
-        # forces it).
-        sim = self.sim
-        while True:
-            request = self.scheduler.next(self._head_sector)
-            if request is None:
-                self._wakeup = sim.event()
-                yield self._wakeup
-                self._wakeup = None
-                continue
-            self._in_service = request
-            obs = self._obs
-            if obs is not None:
-                target = request.sector // obs.sectors_per_cylinder
-                obs.seek_cylinders.observe(abs(target - self.head_cylinder))
-            duration = self._service_duration(request)
-            if obs is not None:
-                obs.service_time.observe(duration)
-                obs.requests.value += 1
-            yield sim.timeout(duration)
-            self.head_cylinder = self.service.geometry.cylinder_of(
-                request.last_sector)
-            self._head_sector = request.last_sector
-            request.complete_time = sim.now
-            if (self.media_error_rate > 0.0
-                    and float(self.rng.random()) < self.media_error_rate):
-                request.failed = True
-                self.stats.media_errors += 1
-            self._account(request, duration)
-            self._in_service = None
-            request.done.succeed(request)
-
-    def _server_batched(self):
-        """Uninstrumented batched server: drain runs, vectorize, direct-fire.
+        """The device server: drain runs, vectorize, direct-fire.
 
         Per wakeup the server *claims* a run of requests via
         ``scheduler.drain`` and precomputes their seek/transfer terms in
         one numpy pass (``service_components``, head carry included).
         Rotational-latency and media-error draws stay scalar and lazy —
         they happen at each request's commit/completion point so the RNG
-        stream consumes exactly as the scalar server's does even when a
-        run is cut short.  A submission bumps ``_epoch``; the server
-        compares epochs before committing each claimed request and hands
-        any stale tail back through ``requeue`` so the discipline can
-        re-order around the newcomer — the scalar server's semantics,
-        which re-selects after every service.
+        stream consumes exactly as a one-request-per-wakeup server's
+        would even when a run is cut short.  A submission bumps
+        ``_epoch``; the server compares epochs before committing each
+        claimed request and hands any stale tail back through
+        ``requeue`` so the discipline can re-order around the newcomer —
+        the semantics of re-selecting after every service.
 
         Completions are *direct-fired*: the previous request's done
-        callbacks run from this frame at the instant the scalar path's
-        queued done event would have fired (next commit, or the idle
-        transition), skipping one event round-trip per request.  The
-        ordering is unobservable because service durations are
-        continuous random floats — nothing else is scheduled at that
-        exact timestamp (engine-equivalence property tests guard this).
+        callbacks run from this frame at the instant a queued done event
+        would have fired (next commit, or the idle transition), skipping
+        one event round-trip per request.  The ordering is unobservable
+        because service durations are continuous random floats — nothing
+        else is scheduled at that exact timestamp (the scalar test
+        oracle in ``tests/`` guards this).
+
+        With obs enabled, each serviced request also records its seek
+        distance and service time.
         """
         sim = self.sim
         scheduler = self.scheduler
@@ -369,6 +318,7 @@ class Disk:
                      and getattr(cache, "lookahead_sectors", 0) > 0)
         total_sectors = self.total_sectors
         merr = self.media_error_rate
+        obs = self._obs
         batch: list = ()
         base = transfer = None
         i = 0
@@ -401,6 +351,9 @@ class Disk:
             request = batch[i]
             self._drained -= 1
             self._in_service = request
+            if obs is not None:
+                obs.observe_seek(abs(request.sector // spc
+                                     - self.head_cylinder))
             hit = False
             if cache is not None:
                 if request.is_write:
@@ -421,6 +374,9 @@ class Disk:
                                       disk_sectors=total_sectors)
                 if lookahead:
                     duration += 0.5 * rotation
+            if obs is not None:
+                obs.observe_service(duration)
+                obs.requests.value += 1
             i += 1
             timeout = sim.timeout(duration)
             if completed is not None:
@@ -439,101 +395,13 @@ class Disk:
             self._in_service = None
             completed = request
 
-    def _server_batched_obs(self):
-        """Instrumented batched server.
-
-        Same drain/epoch/vectorize machinery as :meth:`_server_batched`,
-        plus the per-request histogram observes through the instruments'
-        pre-bound entry points.  Completions go through the normal
-        ``done.succeed`` event (no direct fire): instrumented runs count
-        processed events, and the queued event keeps those tallies — and
-        the full event sequence — identical to the scalar server's.
-        """
-        sim = self.sim
-        scheduler = self.scheduler
-        service = self.service
-        rotation = service.tables.rotation_time
-        rng = self.rng
-        stats = self.stats
-        cache = self.cache
-        lookahead = (cache is not None
-                     and getattr(cache, "lookahead_sectors", 0) > 0)
-        total_sectors = self.total_sectors
-        merr = self.media_error_rate
-        obs = self._obs
-        spc = obs.sectors_per_cylinder
-        observe_seek = obs.observe_seek
-        observe_service = obs.observe_service
-        requests_counter = obs.requests
-        batch: list = ()
-        base = transfer = None
-        i = 0
-        epoch = -1
-        while True:
-            if i >= len(batch) or epoch != self._epoch:
-                if i < len(batch):
-                    scheduler.requeue(batch[i:])
-                    self._drained -= len(batch) - i
-                batch = ()
-                i = 0
-                if not len(scheduler):
-                    self._wakeup = sim.event()
-                    yield self._wakeup
-                    self._wakeup = None
-                epoch = self._epoch
-                batch = scheduler.drain(self._head_sector, DRAIN_LIMIT)
-                self._drained += len(batch)
-                if len(batch) >= _VECTOR_MIN:
-                    base, transfer = service.service_components(
-                        batch, self.head_cylinder)
-                else:
-                    base = None
-            request = batch[i]
-            self._drained -= 1
-            self._in_service = request
-            observe_seek(abs(request.sector // spc - self.head_cylinder))
-            hit = False
-            if cache is not None:
-                if request.is_write:
-                    cache.invalidate(request.sector, request.nsectors)
-                elif cache.lookup(request.sector, request.nsectors):
-                    hit = True
-            if hit:
-                duration = (service.controller_overhead
-                            + service.transfer_time(request.nsectors))
-            elif base is not None:
-                duration = ((base[i] + float(rng.random()) * rotation)
-                            + transfer[i])
-            else:
-                duration = service.service_time(request, self.head_cylinder,
-                                                rng)
-            if cache is not None and not hit and not request.is_write:
-                cache.fill_after_read(request.sector, request.nsectors,
-                                      disk_sectors=total_sectors)
-                if lookahead:
-                    duration += 0.5 * rotation
-            observe_service(duration)
-            requests_counter.value += 1
-            i += 1
-            yield sim.timeout(duration)
-            last = request.last_sector
-            self.head_cylinder = last // spc
-            self._head_sector = last
-            request.complete_time = sim.now
-            if merr > 0.0 and float(rng.random()) < merr:
-                request.failed = True
-                stats.media_errors += 1
-            self._account(request, duration)
-            self._in_service = None
-            request.done.succeed(request)
-
     def _fire_done(self, request: IORequest) -> None:
         """Run ``request``'s completion callbacks without a queue round-trip.
 
         Equivalent to ``done.succeed(request)`` followed by the engine
         popping and firing the event at the same timestamp — inlined
         here (mirroring :meth:`Event.succeed` + ``Event._fire``) because
-        the batched server already stands at exactly the point in the
+        the server already stands at exactly the point in the
         event order where that pop would happen.
         """
         done = request.done
@@ -544,33 +412,6 @@ class Disk:
         for callback in callbacks:
             callback(done)
         done.processed = True
-
-    def _service_duration(self, request: IORequest) -> float:
-        """Mechanical service time, or electronic time on a drive-cache hit.
-
-        Reads fully contained in the on-drive cache skip seek and
-        rotation; misses fill a segment with look-ahead.  Writes are
-        write-through and invalidate overlapping segments.
-        """
-        if self.cache is None:
-            return self.service.service_time(request, self.head_cylinder,
-                                             self.rng)
-        if request.is_write:
-            self.cache.invalidate(request.sector, request.nsectors)
-            return self.service.service_time(request, self.head_cylinder,
-                                             self.rng)
-        if self.cache.lookup(request.sector, request.nsectors):
-            return (self.service.controller_overhead
-                    + self.service.transfer_time(request.nsectors))
-        duration = self.service.service_time(request, self.head_cylinder,
-                                             self.rng)
-        self.cache.fill_after_read(request.sector, request.nsectors,
-                                   disk_sectors=self.total_sectors)
-        # the look-ahead rides the same rotation; charge half a revolution
-        # (drives that read nothing ahead — e.g. NullDriveCache — don't pay)
-        if getattr(self.cache, "lookahead_sectors", 0) > 0:
-            duration += 0.5 * self.service.rotation_time
-        return duration
 
     def _account(self, request: IORequest, duration: float) -> None:
         stats = self.stats

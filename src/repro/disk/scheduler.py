@@ -14,8 +14,8 @@ Batch draining
 --------------
 
 The device drains *runs* of requests per server wakeup instead of one
-``next()`` round-trip each.  The contract, shared by every built-in
-discipline:
+``next()`` round-trip each.  Every discipline implements
+``add``/``next``/``__len__`` plus the batch pair:
 
 * ``drain(head_sector, limit)`` pops up to ``limit`` requests, exactly
   the sequence that ``limit`` successive ``next()`` calls would return
@@ -26,10 +26,8 @@ discipline:
   recent drain (a new submission invalidated the claimed run), restoring
   each request's arrival position so tie-breaks replay identically.
 
-Third-party disciplines that implement only ``add``/``next``/``__len__``
-keep working: the device checks the registry object for the batch
-methods (:func:`supports_batching`) and falls back to the scalar
-one-request-per-wakeup server.
+A third-party discipline without a cheaper closed form can implement
+``drain`` by delegating to :func:`drain_via_next`.
 """
 
 from __future__ import annotations
@@ -67,12 +65,6 @@ def drain_via_next(scheduler, head_sector: int, limit: int) -> List[IORequest]:
         batch.append(request)
         head_sector = request.last_sector
     return batch
-
-
-def supports_batching(scheduler) -> bool:
-    """True when ``scheduler`` implements the drain/requeue batch API."""
-    return (callable(getattr(scheduler, "drain", None))
-            and callable(getattr(scheduler, "requeue", None)))
 
 
 @SCHEDULERS.register("fifo")

@@ -13,7 +13,9 @@ Metric naming scheme (see ARCHITECTURE.md §10)::
 
     <layer>.<metric>{<label>}
 
-    sim.events_processed            counter, whole run
+    sim.events_processed            counter, whole run (disk completions
+                                    are fired directly by the server, so
+                                    they add no event of their own)
     sim.process_resumes{prefix}     counter per process-name prefix
     disk.service_seconds{hda0}      histogram per disk
     cache.hits{0}                   counter per node id

@@ -21,8 +21,6 @@ Quick example::
 """
 
 from repro.sim.core import (
-    EVENT_QUEUES,
-    QUEUE_KINDS,
     Event,
     Interrupt,
     Process,
@@ -31,7 +29,6 @@ from repro.sim.core import (
     Tick,
     Timeout,
 )
-from repro.sim.calqueue import CalendarSimulator
 from repro.sim.conditions import AllOf, AnyOf
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import (BatchedDraws, RandomStreams,
@@ -41,12 +38,9 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "BatchedDraws",
-    "CalendarSimulator",
-    "EVENT_QUEUES",
     "Event",
     "Interrupt",
     "Process",
-    "QUEUE_KINDS",
     "RandomStreams",
     "Resource",
     "SimulationError",

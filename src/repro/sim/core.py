@@ -1,19 +1,7 @@
 """Simulator, events, and generator-based processes.
 
-The engine schedules ``(time, priority, seq, event)`` keys and fires them
-in that total order.  Two event-queue implementations sit behind the same
-``_enqueue``/``step``/``run`` API:
-
-* ``"calendar"`` (the default) — a bucketed calendar queue
-  (:class:`~repro.sim.calqueue.CalendarSimulator`) with O(1) amortised
-  enqueue/dequeue and a batch-sorted drain loop;
-* ``"heap"`` — the classic binary heap in this module, kept as the
-  reference fallback.
-
-Both produce *identical* event orderings (property-tested), so the choice
-only affects speed.  ``Simulator(queue="heap")`` selects explicitly;
-experiment drivers thread the choice through
-``Scenario.engine.event_queue``.
+The engine keeps a binary heap of ``(time, priority, seq, event)`` keys
+and fires them in that total order.
 
 An :class:`Event` carries callbacks; a :class:`Process` wraps a generator
 and is itself an event that fires when the generator returns, so
@@ -33,12 +21,6 @@ from typing import Any, Callable, Generator, Iterable, Optional
 # scheduled at that time runs.
 URGENT = 0
 NORMAL = 1
-
-#: selectable event-queue engines, best first (``Simulator(queue=...)``)
-QUEUE_KINDS = ("calendar", "heap")
-
-#: engine name -> Simulator subclass; ``calqueue`` registers on import
-EVENT_QUEUES: dict = {}
 
 
 class SimulationError(RuntimeError):
@@ -279,38 +261,13 @@ class _SimInstruments:
 class Simulator:
     """The event loop: owns simulated time and the event queue.
 
-    ``Simulator(queue=...)`` picks the queue engine from
-    :data:`QUEUE_KINDS`: the default ``"calendar"`` resolves to
-    :class:`~repro.sim.calqueue.CalendarSimulator`; ``"heap"`` keeps the
-    binary-heap engine implemented here.  Both fire events in the
-    identical ``(time, priority, seq)`` total order.
-
     ``obs`` takes a :class:`~repro.obs.registry.MetricsRegistry`; when
     given (and enabled) the loop counts events, samples queue depth, and
     tracks wall time per simulated second.  The default is no
-    instrumentation: the hot path then pays a single ``is None`` test.
+    instrumentation.
     """
 
-    #: which engine this class implements (subclasses override)
-    queue_kind = "heap"
-
-    def __new__(cls, fail_fast: bool = True, obs=None,
-                queue: Optional[str] = None):
-        if cls is Simulator:
-            kind = queue if queue is not None else QUEUE_KINDS[0]
-            if kind != "heap":
-                engine = EVENT_QUEUES.get(kind)
-                if engine is None and kind == "calendar":
-                    from repro.sim import calqueue  # noqa: F401 (registers)
-                    engine = EVENT_QUEUES.get(kind)
-                if engine is None:
-                    raise ValueError(f"unknown event queue {kind!r}; "
-                                     f"choose from {QUEUE_KINDS}")
-                cls = engine
-        return object.__new__(cls)
-
-    def __init__(self, fail_fast: bool = True, obs=None,
-                 queue: Optional[str] = None):
+    def __init__(self, fail_fast: bool = True, obs=None):
         self.now: float = 0.0
         self._seq = 0
         self._active_process: Optional[Process] = None
@@ -323,10 +280,6 @@ class Simulator:
         #: owner -> (time, priority, seq, value): the snapshotted queue
         #: entry to replay on that owner's next tick() (restore path)
         self._tick_preloads: dict = {}
-        self._init_queue()
-
-    def _init_queue(self) -> None:
-        """Build the engine's queue state (subclasses override)."""
         self._heap: list = []
 
     # -- construction helpers -------------------------------------------------
@@ -444,8 +397,7 @@ class Simulator:
 
     def clock_state(self) -> dict:
         """The engine-level snapshot scalars (time and sequence counter)."""
-        return {"now": self.now, "seq": self._seq,
-                "queue_kind": self.queue_kind}
+        return {"now": self.now, "seq": self._seq}
 
     def restore_clock(self, state: dict) -> None:
         """Restore :meth:`clock_state` (queue entries travel separately)."""
@@ -492,47 +444,18 @@ class Simulator:
         triggered (checked once per processed event): the engine-level
         way to run "until this completes or the deadline passes" without
         an external step loop re-testing conditions per event.
+
+        Event and heap-depth tallies accumulate in locals and are written
+        back once per call, only when observability is on.  (Direct
+        :meth:`step` calls count through their own inline path.)
         """
         if until is not None and until < self.now:
             raise ValueError(f"until={until} is in the past (now={self.now})")
-        instr = self._instr
-        if instr is None:
-            self._run_loop(until, stop)
-            return
-        wall0, sim0 = perf_counter(), self.now
-        try:
-            self._run_loop_instr(until, stop)
-        finally:
-            instr.wall_seconds.inc(perf_counter() - wall0)
-            instr.sim_seconds.inc(self.now - sim0)
-
-    def _run_loop(self, until: Optional[float],
-                  stop: Optional[Event] = None) -> None:
-        while self._heap:
-            if stop is not None and stop._ok is not None:
-                return
-            if until is not None and self._heap[0][0] > until:
-                self.now = until
-                return
-            self.step()
-        if until is not None:
-            self.now = until
-
-    def _run_loop_instr(self, until: Optional[float],
-                        stop: Optional[Event] = None) -> None:
-        """The run loop, specialised for instrumented runs.
-
-        Event and heap-depth tallies accumulate in locals with a single
-        write-back per ``run()`` call, so enabling observability costs
-        roughly one integer increment per event instead of a handful of
-        attribute round-trips.  (Direct :meth:`step` calls still count
-        through their own inline path.)
-        """
-        instr = self._instr
         heap = self._heap
         pop = heapq.heappop
         nevents = 0
-        depth_max = instr.heap_depth.max
+        depth_max = 0
+        wall0, sim0 = perf_counter(), self.now
         try:
             while heap:
                 if stop is not None and stop._ok is not None:
@@ -543,18 +466,18 @@ class Simulator:
                 time, _prio, _seq, event = pop(heap)
                 self.now = time
                 nevents += 1
-                depth = len(heap)
-                if depth > depth_max:
-                    depth_max = depth
+                if len(heap) > depth_max:
+                    depth_max = len(heap)
                 event._fire()
             if until is not None:
                 self.now = until
         finally:
-            instr.events.value += nevents
-            gauge = instr.heap_depth
-            gauge.value = len(heap)
-            if depth_max > gauge.max:
-                gauge.max = depth_max
-
-
-EVENT_QUEUES["heap"] = Simulator
+            instr = self._instr
+            if instr is not None:
+                instr.events.value += nevents
+                gauge = instr.heap_depth
+                gauge.value = len(heap)
+                if depth_max > gauge.max:
+                    gauge.max = depth_max
+                instr.wall_seconds.inc(perf_counter() - wall0)
+                instr.sim_seconds.inc(self.now - sim0)

@@ -137,7 +137,7 @@ class BatchedDraws:
     wrapper prefetches blocks and hands them out one at a time, producing
     the **exact same value sequence** as repeated scalar calls on the
     same generator (NumPy fills batch output from the identical
-    bit-stream — property-tested in ``tests/test_sim_calendar.py``).
+    bit-stream — property-tested in ``tests/test_sim_rng.py``).
 
     Only safe to wrap a stream with a *single* consumer: interleaving a
     wrapped and an unwrapped handle to the same generator would let the

@@ -95,8 +95,7 @@ def replay_trace(trace, scheduler: str = "clook",
     if time_scale <= 0:
         raise ValueError("time_scale must be positive")
 
-    sim = Simulator(queue=scenario.engine.event_queue
-                    if scenario is not None else None)
+    sim = Simulator()
     if scenario is not None:
         from repro.disk import DiskGeometry
         node_cfg = scenario.node

@@ -3,9 +3,13 @@
 The bar is bit-identity: run to T, checkpoint, restore (same process or
 a fresh one), continue to the end — the trace records, duration, and
 per-app statistics must equal the uninterrupted run's exactly, for every
-disk scheduler and both event-queue engines.
+disk scheduler.  The ``heap``/``calendar`` cases resume from checkpoints
+as they were written while the event queue was selectable — the clock
+carries ``queue_kind`` and the scenario an ``[engine]`` table — which
+must restore exactly like a current one.
 """
 
+import copy
 import json
 import subprocess
 import sys
@@ -19,6 +23,7 @@ from repro.checkpoint import (
     capture_state,
     drain_to_quiescence,
     load_checkpoint,
+    save_checkpoint,
     tree_equal,
     verify_restored_queue,
 )
@@ -26,7 +31,12 @@ from repro.config import Scenario
 from repro.core.experiments import ExperimentRunner
 
 SCHEDULERS = ("fifo", "sstf", "scan", "clook")
-ENGINES = ("heap", "calendar")
+
+#: None: a current checkpoint; otherwise the event-queue name a stored
+#: scenario and checkpoint from the selectable-engine era carry
+ENGINES = [pytest.param(None, id="current"),
+           pytest.param("heap", id="heap"),
+           pytest.param("calendar", id="calendar")]
 
 TINY_PPM = {
     "cluster": {"nnodes": 2},
@@ -36,13 +46,34 @@ TINY_PPM = {
 }
 
 
-def scenario(engine="calendar", scheduler="clook", seed=11, extra=None):
+def scenario(engine=None, scheduler="clook", seed=11, extra=None):
     data = dict(extra or {})
     data.setdefault("cluster", {"nnodes": 2})
     data["seed"] = seed
-    data["engine"] = {"event_queue": engine}
+    if engine is not None:
+        data["engine"] = {"event_queue": engine}
     sc = Scenario.from_dict(data)
     return sc.with_override("node.disks[*].scheduler.kind", scheduler)
+
+
+def as_written_by(tree, engine):
+    """``tree`` as a checkpoint written under the selectable ``engine``
+    would hold it (unchanged for ``engine=None``)."""
+    if engine is None:
+        return tree
+    old = copy.deepcopy(tree)
+    old["clock"]["queue_kind"] = engine
+    old["meta"]["scenario"]["engine"] = {"event_queue": engine}
+    return old
+
+
+def resume_point(ckpt, engine, tmp_path):
+    """Path of the checkpoint to resume from, rewritten for ``engine``."""
+    if engine is None:
+        return ckpt
+    old = tmp_path / f"{engine}.ckpt"
+    save_checkpoint(as_written_by(load_checkpoint(ckpt), engine), old)
+    return old
 
 
 def assert_identical(a, b):
@@ -63,7 +94,8 @@ def test_baseline_resume_is_bit_identical(tmp_path, scheduler, engine, seed):
         "baseline", duration=12.0, checkpoint_every=5.0, checkpoint_dir=ck)
     ckpt = ck / "baseline.ckpt"
     assert ckpt.exists()
-    resumed = ExperimentRunner(scenario=sc).run("baseline", resume_from=ckpt)
+    resumed = ExperimentRunner(scenario=sc).run(
+        "baseline", resume_from=resume_point(ckpt, engine, tmp_path))
     assert_identical(armed, resumed)
 
 
@@ -75,7 +107,8 @@ def test_app_resume_is_bit_identical(tmp_path, engine):
         "ppm", checkpoint_every=0.05, checkpoint_dir=ck)
     ckpt = ck / "ppm.ckpt"
     assert ckpt.exists()
-    resumed = ExperimentRunner(scenario=sc).run("ppm", resume_from=ckpt)
+    resumed = ExperimentRunner(scenario=sc).run(
+        "ppm", resume_from=resume_point(ckpt, engine, tmp_path))
     assert_identical(armed, resumed)
 
 
@@ -94,8 +127,9 @@ def test_armed_run_equals_unarmed_run(tmp_path):
 def test_restore_is_idempotent(tmp_path, scheduler, engine):
     """Property: load tree -> rebuild stack -> capture again == same tree.
 
-    Holds for every scheduler x engine: a restore must reconstruct
-    exactly the state that was captured, nothing drifted.
+    Holds for every scheduler, and for trees carrying a stored engine
+    name: a restore must reconstruct exactly the state that was
+    captured, nothing drifted (the retired name is simply not captured).
     """
     sc = scenario(engine=engine, scheduler=scheduler)
     ck = tmp_path / "ck"
@@ -103,12 +137,13 @@ def test_restore_is_idempotent(tmp_path, scheduler, engine):
     runner.run("baseline", duration=12.0, checkpoint_every=5.0,
                checkpoint_dir=ck)
     tree = load_checkpoint(ck / "baseline.ckpt")
+    stored = as_written_by(tree, engine)
 
     fresh = ExperimentRunner(scenario=sc)
-    sim, cluster = fresh._resume_build(tree)
+    sim, cluster = fresh._resume_build(stored)
     drain_to_quiescence(sim)
-    verify_restored_queue(sim, tree)
-    fresh._restore_obs(tree)
+    verify_restored_queue(sim, stored)
+    fresh._restore_obs(stored)
     again = capture_state(sim, cluster, obs=fresh._registry(),
                           meta=tree["meta"])
     assert tree_equal(tree, again)

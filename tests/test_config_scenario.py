@@ -1,6 +1,7 @@
 """Scenario tree: round-trips, validation paths, registry resolution."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -177,27 +178,32 @@ def test_registries_expose_builtins():
     assert isinstance(SCHEDULERS.create("fifo"), FIFOScheduler)
 
 
-# -- engine selection ---------------------------------------------------------
-def test_engine_defaults_to_calendar_and_round_trips():
-    scenario = Scenario().validate()
-    assert scenario.engine.event_queue == "calendar"
-    heap = scenario.with_override("engine.event_queue", "heap")
-    assert heap.engine.event_queue == "heap"
-    assert Scenario.from_dict(heap.to_dict()) == heap
-    assert Scenario.from_toml(heap.to_toml()) == heap
+# -- retired engine knob ------------------------------------------------------
+def test_stored_engine_table_is_dropped_on_load():
+    # scenarios saved while the event queue was selectable carry an
+    # [engine] table; loading them yields the same scenario as one that
+    # never had it (the fingerprint is pinned in test_config_golden)
+    base = Scenario().with_override("cluster.nnodes", 2)
+    for queue in ("calendar", "heap"):
+        stored = dict(base.to_dict(), engine={"event_queue": queue})
+        loaded = Scenario.from_dict(stored)
+        assert loaded == base
+        assert Scenario.from_json(json.dumps(stored)) == base
+        toml = base.to_toml() + f'\n[engine]\nevent_queue = "{queue}"\n'
+        assert Scenario.from_toml(toml) == base
+    assert "engine" not in base.to_dict()
 
 
 def test_unknown_event_queue_names_exact_path():
     with pytest.raises(ConfigError) as err:
-        Scenario().with_override("engine.event_queue",
-                                 "splaytree").validate()
-    assert err.value.path == "scenario.engine.event_queue"
-    assert "splaytree" in str(err.value)
-    assert "heap" in str(err.value)   # the menu is listed
+        Scenario().with_override("engine.event_queue", "heap")
+    assert err.value.path == "scenario.engine"
+    assert "unknown field" in str(err.value)
 
 
-def test_event_queue_sweep_alias_resolves():
-    from repro.config import GRID_ALIASES, parse_axis_spec
+def test_event_queue_grid_axis_is_rejected():
+    from repro.config import expand_grid, parse_axis_spec
     axis = parse_axis_spec("event_queue=calendar,heap")
-    assert axis.path == GRID_ALIASES["event_queue"] == "engine.event_queue"
-    assert axis.values == ("calendar", "heap")
+    with pytest.raises(ConfigError) as err:
+        expand_grid(Scenario(), [axis])
+    assert err.value.path == "scenario.event_queue"

@@ -44,7 +44,6 @@ PUBLIC_API = {
         "DiskConfig",
         "DriveCacheConfig",
         "DriverConfig",
-        "EngineConfig",
         "ExperimentConfig",
         "GRID_ALIASES",
         "LayoutConfig",

@@ -1,171 +1,55 @@
-"""Engine-equivalence tests: calendar queue vs binary heap.
+"""step()/peek()/run() edge cases, including on restored clocks.
 
-The calendar engine is only allowed to be *faster* — every observable
-(firing order, clock values, ``until``/``stop`` semantics, errors) must
-match the heap engine exactly.  The property tests drive both engines
-with the same randomized schedules, including callbacks that enqueue
-more work mid-run (the same-window insort path) and populations large
-enough to force calendar rebuilds.
+The event queue used to be selectable (a calendar queue or a binary
+heap); clock snapshots taken then still name it in ``queue_kind``.  The
+``calendar``/``heap`` cases run each edge case on a simulator restored
+from such a snapshot — the stale name must change nothing — and the
+``current`` case on a fresh one.
 """
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.sim import (
-    EVENT_QUEUES,
-    QUEUE_KINDS,
-    BatchedDraws,
-    CalendarSimulator,
-    SimulationError,
-    Simulator,
-)
+from repro.obs import MetricsRegistry
+from repro.sim import SimulationError, Simulator
+
+ENGINES = [pytest.param(None, id="current"),
+           pytest.param("calendar", id="calendar"),
+           pytest.param("heap", id="heap")]
 
 
-# -- engine selection ---------------------------------------------------------
-def test_registry_lists_both_engines():
-    assert set(QUEUE_KINDS) == {"calendar", "heap"}
-    assert set(EVENT_QUEUES) == {"calendar", "heap"}
+def _sim(engine, **kwargs):
+    """A simulator at time zero, restored from a clock snapshot naming
+    ``engine`` (a fresh one for ``engine=None``)."""
+    sim = Simulator(**kwargs)
+    if engine is not None:
+        sim.restore_clock({"now": 0.0, "seq": 0, "queue_kind": engine})
+    return sim
 
 
-def test_default_engine_is_calendar():
-    assert isinstance(Simulator(), CalendarSimulator)
-    assert Simulator().queue_kind == "calendar"
-
-
-def test_engine_selected_by_name():
-    assert Simulator(queue="heap").queue_kind == "heap"
-    assert Simulator(queue="calendar").queue_kind == "calendar"
-    assert Simulator(queue=None).queue_kind == "calendar"
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(ValueError, match="unknown event queue"):
-        Simulator(queue="fibheap")
-
-
-# -- firing-order equivalence -------------------------------------------------
-def _firing_order(kind, delays, nested=()):
-    """Drive one engine with ``delays`` (+ per-callback ``nested``
-    enqueues at fire time) and return [(now, tag), ...] in fire order."""
-    sim = Simulator(queue=kind)
-    log = []
-
-    def fire(tag):
-        log.append((sim.now, tag))
-        for extra_delay, extra_tag in nested.get(tag, ()):
-            sim.schedule_callback(extra_delay,
-                                  lambda t=extra_tag: log.append((sim.now, t)))
-
-    for i, delay in enumerate(delays):
-        sim.schedule_callback(delay, lambda i=i: fire(i))
-    sim.run()
-    return log
-
-
-# delays drawn from a small grid so ties (same timestamp, insertion
-# order must break them) occur constantly
-_delay = st.floats(min_value=0.0, max_value=50.0,
-                   allow_nan=False, allow_infinity=False)
-_tied_delay = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5, 7.0, 7.0, 40.0])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.one_of(_delay, _tied_delay), min_size=0, max_size=80),
-       st.data())
-def test_calendar_and_heap_fire_identically(delays, data):
-    # a random subset of callbacks schedules follow-up work when it
-    # fires — covering enqueues into the window currently draining
-    nested = {}
-    for i in range(len(delays)):
-        if data.draw(st.booleans(), label=f"nest[{i}]"):
-            extra = data.draw(st.sampled_from([0.0, 0.001, 1.0, 30.0]),
-                              label=f"extra[{i}]")
-            nested[i] = ((extra, ("n", i)),)
-    heap = _firing_order("heap", delays, nested)
-    calendar = _firing_order("calendar", delays, nested)
-    assert calendar == heap
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 31 - 1))
-def test_process_interleavings_identical(seed):
-    # processes exercise URGENT resumption events (which must overtake
-    # NORMAL events at the same timestamp on both engines)
-    def run(kind):
-        sim = Simulator(queue=kind)
-        rng = np.random.default_rng(seed)
-        log = []
-
-        def worker(name):
-            for _ in range(5):
-                yield sim.timeout(float(rng.random()) * 3.0)
-                log.append((sim.now, name))
-
-        for name in "abcd":
-            sim.process(worker(name), name=name)
-        sim.run()
-        return log, sim.now
-
-    assert run("calendar") == run("heap")
-
-
-def test_resize_stress_identical_order():
-    # 30k events through 16 initial buckets: forces the deferred grow
-    # rebuild (and the sorted-drain re-merge) several times over
-    rng = np.random.default_rng(123)
-    delays = (rng.random(30_000) * 200.0).tolist()
-
-    def run(kind):
-        sim = Simulator(queue=kind)
-        order = []
-        for i, d in enumerate(delays):
-            sim.schedule_callback(d, lambda i=i: order.append(i))
-        sim.run()
-        return order, sim.now
-
-    assert run("calendar") == run("heap")
-
-
-def test_sparse_then_dense_schedule():
-    # huge idle gap (sparse-jump path) followed by a dense burst
-    def run(kind):
-        sim = Simulator(queue=kind)
-        order = []
-        sim.schedule_callback(1e6, lambda: order.append("far"))
-        for i in range(50):
-            sim.schedule_callback(0.01 * i, lambda i=i: order.append(i))
-        sim.run()
-        return order, sim.now
-
-    assert run("calendar") == run("heap")
-
-
-# -- step()/peek()/run() edge cases on both engines ---------------------------
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
+@pytest.mark.parametrize("kind", ENGINES)
 def test_step_on_empty_queue_raises_simulation_error(kind):
-    sim = Simulator(queue=kind)
+    sim = _sim(kind)
     with pytest.raises(SimulationError, match="empty event queue"):
         sim.step()
 
 
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
+@pytest.mark.parametrize("kind", ENGINES)
 def test_step_after_drain_raises(kind):
-    sim = Simulator(queue=kind)
+    sim = _sim(kind)
     sim.schedule_callback(1.0, lambda: None)
     sim.run()
     with pytest.raises(SimulationError, match="empty event queue"):
         sim.step()
 
 
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
+@pytest.mark.parametrize("kind", ENGINES)
 def test_peek_on_empty_queue_is_inf(kind):
-    assert Simulator(queue=kind).peek() == float("inf")
+    assert _sim(kind).peek() == float("inf")
 
 
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
+@pytest.mark.parametrize("kind", ENGINES)
 def test_run_until_stops_clock_exactly(kind):
-    sim = Simulator(queue=kind)
+    sim = _sim(kind)
     fired = []
 
     def ticker(sim):
@@ -182,18 +66,18 @@ def test_run_until_stops_clock_exactly(kind):
     assert fired[-1] == 6.0
 
 
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
+@pytest.mark.parametrize("kind", ENGINES)
 def test_run_until_on_empty_queue_advances_clock(kind):
-    sim = Simulator(queue=kind)
+    sim = _sim(kind)
     sim.run(until=3.0)
     assert sim.now == 3.0
     with pytest.raises(ValueError):
         sim.run(until=1.0)
 
 
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
+@pytest.mark.parametrize("kind", ENGINES)
 def test_run_until_boundary_event_fires(kind):
-    sim = Simulator(queue=kind)
+    sim = _sim(kind)
     fired = []
     sim.schedule_callback(5.0, lambda: fired.append(sim.now))
     sim.schedule_callback(5.0 + 1e-9, lambda: fired.append("late"))
@@ -203,9 +87,9 @@ def test_run_until_boundary_event_fires(kind):
     assert sim.now == 5.0
 
 
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
+@pytest.mark.parametrize("kind", ENGINES)
 def test_run_stop_event_halts_both_engines(kind):
-    sim = Simulator(queue=kind)
+    sim = _sim(kind)
     fired = []
 
     def worker(sim):
@@ -222,35 +106,20 @@ def test_run_stop_event_halts_both_engines(kind):
     assert fired == [1.0, "stopper", 3.0, 4.0]
 
 
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
+@pytest.mark.parametrize("kind", ENGINES)
 def test_double_schedule_rejected(kind):
-    sim = Simulator(queue=kind)
+    sim = _sim(kind)
     ev = sim.event()
     ev.succeed(delay=1.0)
     with pytest.raises(SimulationError):
         ev.succeed(delay=2.0)
 
 
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
+@pytest.mark.parametrize("kind", ENGINES)
 def test_instrumented_run_counts_events(kind):
-    from repro.obs import MetricsRegistry
     registry = MetricsRegistry()
-    sim = Simulator(obs=registry, queue=kind)
+    sim = _sim(kind, obs=registry)
     for d in (1.0, 2.0, 3.0):
         sim.schedule_callback(d, lambda: None)
     sim.run()
     assert registry.counter("sim.events_processed").value == 3
-
-
-# -- batched RNG draws --------------------------------------------------------
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 31 - 1),
-       st.integers(min_value=1, max_value=700))
-def test_batched_draws_match_scalar_stream(seed, n):
-    # promised by the BatchedDraws docstring: prefetching blocks yields
-    # the exact value sequence of per-call rng.random()
-    scalar = np.random.default_rng(seed)
-    batched = BatchedDraws(np.random.default_rng(seed))
-    expected = [float(scalar.random()) for _ in range(n)]
-    got = [float(batched.random()) for _ in range(n)]
-    assert got == expected

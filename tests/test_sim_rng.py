@@ -1,9 +1,9 @@
 """Unit and property tests for named random streams."""
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.sim import RandomStreams
+from repro.sim import BatchedDraws, RandomStreams
 
 
 def test_same_name_same_stream_object():
@@ -60,3 +60,16 @@ def test_distinct_seeds_usually_distinct_draws(seed):
     a = RandomStreams(seed).stream("s").random(8)
     b = RandomStreams(seed + 1).stream("s").random(8)
     assert not np.array_equal(a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1),
+       st.integers(min_value=1, max_value=700))
+def test_batched_draws_match_scalar_stream(seed, n):
+    # promised by the BatchedDraws docstring: prefetching blocks yields
+    # the exact value sequence of per-call rng.random()
+    scalar = np.random.default_rng(seed)
+    batched = BatchedDraws(np.random.default_rng(seed))
+    expected = [float(scalar.random()) for _ in range(n)]
+    got = [float(batched.random()) for _ in range(n)]
+    assert got == expected

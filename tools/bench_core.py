@@ -1,40 +1,30 @@
 #!/usr/bin/env python
 """Benchmark the DES core and disk hot paths against a committed baseline.
 
-Four measurements make up the core perf trajectory (``BENCH_core.json``):
+Three measurements make up the core perf trajectory (``BENCH_core.json``):
 
-* **run_loop** — raw events/sec of ``Simulator.run()`` draining a large
-  pending population (an event storm: N timeouts with uniform-random
-  delays, steady state after a short ``step()`` warm-up), measured for
-  the heap engine (the pre-PR pop-per-event loop, kept verbatim as the
-  reference) and the calendar-queue engine.  The headline number is the
-  calendar/heap *speedup*.
 * **experiment** — wall time and requests/sec of the baseline experiment
-  (``nnodes=2, seed=1``) under both engines; end-to-end sanity that the
-  queue swap helps real runs, not just storms.
+  (``nnodes=2, seed=1``): an end-to-end floor on real runs.
 * **batched_drain** — a deep-queue storm on one disk: every request
-  submitted at t=0, so the batched server claims full scheduler runs
-  and vectorizes their service terms while the scalar reference server
-  (``Disk(batch=False)``) does one scheduler round-trip and one queued
-  completion event per request.  The headline is the batched/scalar
-  *speedup* on the same stream.
+  submitted at t=0, so the server claims full scheduler runs and
+  vectorizes their service terms.  Gated as an absolute requests/sec
+  floor.
 * **service_time** — per-call cost of ``DiskServiceModel.service_time``
-  (the precomputed-table path) versus a scalar reference that redoes the
-  pre-PR per-request ``sqrt``/zone math, as p50/p95 nanoseconds over
-  timed batches.
+  (the precomputed-table path) versus a scalar reference that redoes
+  the per-request ``sqrt``/zone math, as p50/p95 nanoseconds over timed
+  batches.
 
-A fifth, *informational* section (``checkpoint``) records the cost of a
+A fourth, *informational* section (``checkpoint``) records the cost of a
 whole-stack checkpoint epoch — capture, save, load, and restore
 latency, plus the ``.ckpt`` size on disk — so the weight of periodic
 checkpointing stays visible in the trajectory without gating CI.
 
-Absolute numbers are machine-bound, so the CI gate mostly compares
-*speedups* (calendar/heap, batched/scalar, table/scalar) — ratios of
-two measurements taken on the same machine moments apart — against the
-committed ones and fails on a >15% regression, the same shape as the
-obs-overhead gate.  One absolute number is gated too: the end-to-end
-``experiment.calendar_requests_per_s``, so a change that slows every
-variant equally (where ratios stay flat) still trips the gate.
+The CI gate compares each gated metric against the committed one and
+fails on a >15% regression, the same shape as the obs-overhead gate.
+The service-time gate is a *speedup* (table/scalar, two measurements
+taken on the same machine moments apart); the experiment and drain
+gates are absolute throughputs, so a change that slows every path
+equally still trips the gate.
 
 Usage::
 
@@ -53,61 +43,27 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.config import Scenario
 from repro.core.experiments import ExperimentRunner
 from repro.disk import Disk, DiskServiceModel, IORequest
 from repro.disk.scheduler import SCHEDULERS
 from repro.sim import Simulator
 
 #: gate keys: (json path, human label, unit) of every gated metric.
-#: Speedups are machine-independent ratios; the end-to-end experiment
-#: throughput is gated too so the batched hot path cannot silently rot
-#: back to scalar request rates.
+#: The service-time speedup is a machine-independent ratio; the two
+#: throughputs are absolute floors so the hot paths cannot silently rot.
 GATED = (
-    (("run_loop", "speedup"),
-     "run-loop events/sec (calendar vs heap)", "x"),
     (("service_time", "speedup_p50"),
      "service-time p50 (table vs scalar)", "x"),
-    (("batched_drain", "speedup"),
-     "deep-queue drain (batched vs scalar server)", "x"),
-    (("experiment", "calendar_requests_per_s"),
-     "experiment throughput (calendar engine)", " req/s"),
+    (("batched_drain", "requests_per_s"),
+     "deep-queue drain throughput", " req/s"),
+    (("experiment", "requests_per_s"),
+     "experiment throughput", " req/s"),
 )
 
 
-# -- run loop -----------------------------------------------------------------
-def _drain_rate(kind: str, delays: list, warmup: int) -> float:
-    """Events/sec of ``run()`` draining ``delays`` after ``warmup`` steps."""
-    sim = Simulator(queue=kind)
-    for d in delays:
-        sim.timeout(d)
-    for _ in range(warmup):
-        sim.step()
-    n = len(delays) - warmup
-    t0 = perf_counter()
-    sim.run()
-    return n / (perf_counter() - t0)
-
-
-def bench_run_loop(npending: int = 500_000, repeats: int = 3,
-                   warmup: int = 2_000, seed: int = 7) -> dict:
-    """Best-of-N steady-state drain rate for both engines, interleaved."""
-    rng = np.random.default_rng(seed)
-    delays = (rng.random(npending) * 1000.0).tolist()
-    rates = {"heap": 0.0, "calendar": 0.0}
-    for _ in range(repeats):
-        for kind in rates:
-            rates[kind] = max(rates[kind], _drain_rate(kind, delays, warmup))
-    return {"npending": npending,
-            "heap_events_per_s": rates["heap"],
-            "calendar_events_per_s": rates["calendar"],
-            "speedup": rates["calendar"] / rates["heap"]}
-
-
 # -- baseline experiment ------------------------------------------------------
-def _experiment_wall(kind: str, nnodes: int, seed: int) -> tuple:
-    scenario = Scenario().with_overrides({"engine.event_queue": kind})
-    runner = ExperimentRunner(nnodes=nnodes, seed=seed, scenario=scenario)
+def _experiment_wall(nnodes: int, seed: int) -> tuple:
+    runner = ExperimentRunner(nnodes=nnodes, seed=seed)
     t0 = perf_counter()
     result = runner.run("baseline")
     return perf_counter() - t0, result.metrics.total_requests
@@ -115,32 +71,27 @@ def _experiment_wall(kind: str, nnodes: int, seed: int) -> tuple:
 
 def bench_experiment(nnodes: int = 2, seed: int = 1,
                      repeats: int = 3) -> dict:
-    """Best-of-N baseline-experiment wall time under both engines."""
-    _experiment_wall("calendar", nnodes, seed)   # warm importers/caches
-    walls = {"heap": float("inf"), "calendar": float("inf")}
+    """Best-of-N baseline-experiment wall time."""
+    _experiment_wall(nnodes, seed)   # warm importers/caches
+    wall = float("inf")
     requests = 0
     for _ in range(repeats):
-        for kind in walls:
-            wall, requests = _experiment_wall(kind, nnodes, seed)
-            walls[kind] = min(walls[kind], wall)
+        this_wall, requests = _experiment_wall(nnodes, seed)
+        wall = min(wall, this_wall)
     return {"name": "baseline", "nnodes": nnodes, "seed": seed,
             "total_requests": requests,
-            "heap_wall_s": walls["heap"],
-            "calendar_wall_s": walls["calendar"],
-            "heap_requests_per_s": requests / walls["heap"],
-            "calendar_requests_per_s": requests / walls["calendar"],
-            "speedup": walls["heap"] / walls["calendar"]}
+            "wall_s": wall,
+            "requests_per_s": requests / wall}
 
 
 # -- batched drain storm ------------------------------------------------------
-def _drain_wall(workload, seed: int, batch: bool) -> float:
+def _drain_wall(workload, seed: int) -> float:
     """Wall time for one disk to drain ``workload`` submitted at t=0."""
-    sim = Simulator(queue="calendar")
+    sim = Simulator()
     disk = Disk(sim,
                 service=DiskServiceModel(),
                 scheduler=SCHEDULERS.create("clook"),
-                rng=np.random.default_rng(seed),
-                batch=batch)
+                rng=np.random.default_rng(seed))
 
     def submitter():
         for sector, nsectors, is_write in workload:
@@ -159,12 +110,11 @@ def _drain_wall(workload, seed: int, batch: bool) -> float:
 
 def bench_batched_drain(nrequests: int = 4_000, repeats: int = 3,
                         seed: int = 11) -> dict:
-    """Best-of-N deep-queue storm: batched server vs scalar reference.
+    """Best-of-N deep-queue storm through the device server.
 
     Every request is submitted at the same instant, the regime the
-    drain path exists for: the batched server claims multi-request runs
-    from the scheduler and vectorizes their service terms; the scalar
-    server pays one round-trip per request.
+    drain path exists for: the server claims multi-request runs from
+    the scheduler and vectorizes their service terms.
     """
     model = DiskServiceModel()
     rng = np.random.default_rng(seed)
@@ -173,19 +123,11 @@ def bench_batched_drain(nrequests: int = 4_000, repeats: int = 3,
                      size=nrequests).tolist(),
         rng.integers(1, 65, size=nrequests).tolist(),
         (rng.random(nrequests) < 0.5).tolist()))
-    _drain_wall(workload, seed, batch=True)          # warm tables/caches
-    walls = {"scalar": float("inf"), "batched": float("inf")}
-    for _ in range(repeats):
-        walls["scalar"] = min(walls["scalar"],
-                              _drain_wall(workload, seed, batch=False))
-        walls["batched"] = min(walls["batched"],
-                               _drain_wall(workload, seed, batch=True))
+    _drain_wall(workload, seed)          # warm tables/caches
+    wall = min(_drain_wall(workload, seed) for _ in range(repeats))
     return {"nrequests": nrequests, "scheduler": "clook",
-            "scalar_wall_s": walls["scalar"],
-            "batched_wall_s": walls["batched"],
-            "scalar_requests_per_s": nrequests / walls["scalar"],
-            "batched_requests_per_s": nrequests / walls["batched"],
-            "speedup": walls["scalar"] / walls["batched"]}
+            "wall_s": wall,
+            "requests_per_s": nrequests / wall}
 
 
 # -- disk service-time compute cost -------------------------------------------
@@ -299,9 +241,8 @@ def bench_checkpoint(repeats: int = 3, duration: float = 30.0) -> dict:
 
 
 # -- harness ------------------------------------------------------------------
-def measure(npending: int = 500_000, repeats: int = 3) -> dict:
-    return {"schema": 2,
-            "run_loop": bench_run_loop(npending=npending, repeats=repeats),
+def measure(repeats: int = 3) -> dict:
+    return {"schema": 3,
             "experiment": bench_experiment(repeats=repeats),
             "batched_drain": bench_batched_drain(repeats=repeats),
             "service_time": bench_service_time(),
@@ -315,23 +256,15 @@ def _get(result: dict, path: tuple) -> float:
 
 
 def render(result: dict) -> str:
-    run = result["run_loop"]
     exp = result["experiment"]
     drain = result["batched_drain"]
     svc = result["service_time"]
     ckpt = result["checkpoint"]
     return "\n".join([
-        f"run loop   heap {run['heap_events_per_s'] / 1e6:6.3f} M ev/s   "
-        f"calendar {run['calendar_events_per_s'] / 1e6:6.3f} M ev/s   "
-        f"speedup {run['speedup']:5.2f}x",
-        f"experiment heap {exp['heap_wall_s'] * 1e3:8.1f} ms   "
-        f"calendar {exp['calendar_wall_s'] * 1e3:8.1f} ms   "
-        f"({exp['calendar_requests_per_s']:,.0f} req/s)   "
-        f"speedup {exp['speedup']:5.2f}x",
-        f"drain      scalar {drain['scalar_wall_s'] * 1e3:8.1f} ms   "
-        f"batched  {drain['batched_wall_s'] * 1e3:8.1f} ms   "
-        f"({drain['batched_requests_per_s']:,.0f} req/s)   "
-        f"speedup {drain['speedup']:5.2f}x",
+        f"experiment {exp['wall_s'] * 1e3:8.1f} ms   "
+        f"({exp['requests_per_s']:,.0f} req/s)",
+        f"drain      {drain['wall_s'] * 1e3:8.1f} ms   "
+        f"({drain['requests_per_s']:,.0f} req/s)",
         f"service    scalar p50 {svc['scalar_ns']['p50']:7.0f} ns   "
         f"table p50 {svc['table_ns']['p50']:7.0f} ns   "
         f"speedup {svc['speedup_p50']:5.2f}x "
@@ -368,15 +301,13 @@ def main(argv=None) -> int:
                         help="write results to PATH (default BENCH_core.json)")
     parser.add_argument("--check", metavar="PATH",
                         help="compare against the committed baseline at PATH")
-    parser.add_argument("--npending", type=int, default=500_000,
-                        help="event-storm population for the run-loop bench")
     parser.add_argument("--repeats", type=int, default=3,
                         help="take the best of N runs per variant")
     parser.add_argument("--tolerance", type=float, default=0.15,
-                        help="allowed fractional speedup regression")
+                        help="allowed fractional regression")
     args = parser.parse_args(argv)
 
-    result = measure(npending=args.npending, repeats=args.repeats)
+    result = measure(repeats=args.repeats)
     print(render(result))
     if args.update:
         Path(args.update).write_text(json.dumps(result, indent=2) + "\n")

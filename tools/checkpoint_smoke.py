@@ -1,8 +1,7 @@
 #!/usr/bin/env python
 """CI smoke test for the whole-stack checkpoint/restore protocol.
 
-Exercises the bit-identity contract end to end, on both event-queue
-engines:
+Exercises the bit-identity contract end to end:
 
 * ``baseline``: run armed (periodic checkpoints), resume from the last
   ``.ckpt``, and require the resumed run's trace records, duration, and
@@ -52,19 +51,17 @@ def check_identical(tag: str, armed, resumed) -> None:
     print(f"  {tag}: OK ({len(armed.trace.records)} records bit-identical)")
 
 
-def smoke_experiment(name: str, engine: str, duration, every: float,
+def smoke_experiment(name: str, duration, every: float,
                      workdir: Path) -> None:
-    data = dict(TINY_PPM)
-    data["engine"] = {"event_queue": engine}
-    sc = Scenario.from_dict(data)
-    ck = workdir / f"{name}-{engine}"
+    sc = Scenario.from_dict(TINY_PPM)
+    ck = workdir / name
     kwargs = {"duration": duration} if name == "baseline" else {}
     armed = ExperimentRunner(scenario=sc).run(
         name, checkpoint_every=every, checkpoint_dir=ck, **kwargs)
     ckpt = ck / f"{name}.ckpt"
-    assert ckpt.exists(), f"{name}/{engine}: no checkpoint was written"
+    assert ckpt.exists(), f"{name}: no checkpoint was written"
     resumed = ExperimentRunner(scenario=sc).run(name, resume_from=ckpt)
-    check_identical(f"{name}/{engine}", armed, resumed)
+    check_identical(name, armed, resumed)
 
 
 def smoke_sweep(duration: float, workdir: Path) -> None:
@@ -103,10 +100,9 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="ckpt-smoke-") as tmp:
         workdir = Path(tmp)
-        for engine in ("heap", "calendar"):
-            smoke_experiment("baseline", engine, args.duration,
-                             args.duration / 4, workdir)
-            smoke_experiment("ppm", engine, None, 0.05, workdir)
+        smoke_experiment("baseline", args.duration, args.duration / 4,
+                         workdir)
+        smoke_experiment("ppm", None, 0.05, workdir)
         smoke_sweep(args.duration, workdir)
     print("checkpoint smoke: all checks passed")
     return 0
