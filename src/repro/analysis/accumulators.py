@@ -27,7 +27,15 @@ import numpy as np
 
 
 class Accumulator:
-    """Base contract: fold record batches, merge partials, report."""
+    """Base contract: fold record batches, merge partials, report.
+
+    ``ordered`` marks an accumulator whose result depends on the order
+    of the stream and on how it is split into batches (:class:`GapStats`).
+    The analysis engine feeds only those the merged, time-sorted stream;
+    every other accumulator folds each record batch once, in any order.
+    """
+
+    ordered = False
 
     def update(self, records: np.ndarray) -> None:
         raise NotImplementedError
@@ -399,6 +407,8 @@ class GapStats(Accumulator):
     time-sorted stream, so per-run folds never violate that).
     """
 
+    ordered = True
+
     def __init__(self):
         self.gaps = MeanVar()
         self.first: Optional[float] = None
@@ -410,19 +420,40 @@ class GapStats(Accumulator):
                 np.asarray(records["time"], dtype=np.float64))
 
     def update_values(self, times: np.ndarray) -> None:
-        """Fold a sorted float64 batch of timestamps."""
-        if not len(times):
+        """Fold a sorted float64 batch of timestamps.
+
+        Batches of one or two values after the first take a scalar
+        step with the same bits as NumPy's ``mean`` and ``sum`` at those
+        sizes; a merged stream is mostly such batches.
+        """
+        k = len(times)
+        if not k:
             return
-        if self.last is not None:
-            if times[0] < self.last:
+        last = self.last
+        if last is not None and k <= 2:
+            values = times.tolist()
+            if values[0] < last:
                 raise ValueError("GapStats requires a time-ordered stream")
-            with_carry = np.empty(len(times) + 1, dtype=np.float64)
-            with_carry[0] = self.last
+            if k == 1:
+                self.gaps._combine(1, values[0] - last, 0.0)
+            else:
+                a, b = values
+                da, db = a - last, b - a
+                mean = (da + db) / 2
+                da, db = da - mean, db - mean
+                self.gaps._combine(2, mean, da * da + db * db)
+            self.last = values[-1]
+            return
+        if last is not None:
+            if times[0] < last:
+                raise ValueError("GapStats requires a time-ordered stream")
+            with_carry = np.empty(k + 1, dtype=np.float64)
+            with_carry[0] = last
             with_carry[1:] = times
             self.gaps.update_values(np.diff(with_carry))
         else:
             self.first = float(times[0])
-            if len(times) > 1:
+            if k > 1:
                 self.gaps.update_values(np.diff(times))
         self.last = float(times[-1])
 

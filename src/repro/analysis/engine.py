@@ -12,7 +12,9 @@ trace:
   deterministic and equal to the single-process fold;
 * ordered pipelines (inter-arrival) fold a k-way merged, globally
   time-sorted stream built block-wise from the per-node files — still
-  bounded memory, one sorted block at a time;
+  bounded memory, one sorted block at a time.  Only accumulators marked
+  ``ordered`` ride that merge; the pipeline's order-free accumulators
+  fold each chunk once as the merge reads it;
 * finished summaries cache as JSON next to the run manifest
   (``analysis.json``), keyed by pipeline name + version + a file
   signature derived from the chunk index, so re-analysis of an
@@ -25,13 +27,16 @@ Engine activity is observable through ``repro.obs`` counters
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import time
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -88,56 +93,62 @@ def run_signature(infos: Sequence[FileInfo]) -> str:
 
 
 # -- merged time stream -------------------------------------------------------
-class _TimeCursor:
-    """Buffered view over one reader's sorted per-chunk time arrays."""
-
-    __slots__ = ("_blocks", "buffer", "pos")
-
-    def __init__(self, blocks: Iterator[np.ndarray]):
-        self._blocks = blocks
-        self.buffer = np.zeros(0, dtype=np.float64)
-        self.pos = 0
-
-    def refill(self) -> bool:
-        for block in self._blocks:
-            if len(block):
-                self.buffer = np.asarray(block, dtype=np.float64)
-                self.pos = 0
-                return True
-        return False
-
-    @property
-    def head(self) -> float:
-        return self.buffer[self.pos]
-
-
 def merged_time_blocks(readers: Sequence[TraceReader],
-                       **predicates) -> Iterator[np.ndarray]:
+                       on_chunk: Optional[Callable[[np.ndarray], None]]
+                       = None, **predicates) -> Iterator[np.ndarray]:
     """Globally time-sorted blocks across several sorted trace files.
 
     A block-wise k-way merge: repeatedly take the stream with the
-    smallest head and emit its prefix up to the other streams' minimum
-    head (the watermark) — every emitted value is provably <= everything
-    still buffered elsewhere.  Memory stays at one chunk per stream.
+    smallest head (ties to the earlier reader) and emit its prefix up to
+    the other streams' minimum head (the watermark) — every emitted
+    value is provably <= everything still buffered elsewhere.  The
+    streams sit on a heap keyed ``(head, reader index)`` with Python
+    float heads, so each block costs a heap step and a bisection.
+    Blocks are float64 views that never cross a chunk boundary.
+
+    ``on_chunk`` is called with every record batch as the merge first
+    reads it — the hook for folds that do not depend on the order.
+    Memory stays at one chunk per stream.
     """
-    cursors = []
-    for reader in readers:
-        blocks = (batch["time"] for batch in
-                  reader.iter_arrays(**predicates))
-        cursor = _TimeCursor(blocks)
-        if cursor.refill():
-            cursors.append(cursor)
-    while cursors:
-        lowest = min(cursors, key=lambda c: c.head)
-        others = [c.head for c in cursors if c is not lowest]
-        watermark = min(others) if others else np.inf
-        hi = np.searchsorted(lowest.buffer, watermark, side="right")
-        if hi <= lowest.pos:      # head == watermark: emit at least it
-            hi = lowest.pos + 1
-        yield lowest.buffer[lowest.pos:hi]
-        lowest.pos = int(hi)
-        if lowest.pos >= len(lowest.buffer) and not lowest.refill():
-            cursors.remove(lowest)
+    sources = [reader.iter_arrays(**predicates) for reader in readers]
+    buffers: List[Optional[np.ndarray]] = [None] * len(sources)
+    floats: List[Optional[memoryview]] = [None] * len(sources)
+    positions = [0] * len(sources)
+
+    def refill(index: int) -> bool:
+        for batch in sources[index]:
+            if on_chunk is not None:
+                on_chunk(batch)
+            times = np.ascontiguousarray(batch["time"], dtype=np.float64)
+            if len(times):
+                buffers[index] = times
+                floats[index] = memoryview(times)   # items are Python floats
+                positions[index] = 0
+                return True
+        return False
+
+    heap = [(floats[i][0], i) for i in range(len(sources)) if refill(i)]
+    heapq.heapify(heap)
+    while heap:
+        index = heap[0][1]
+        values = floats[index]
+        pos = positions[index]
+        end = len(values)
+        if len(heap) > 1:
+            # the watermark: the other streams' minimum head, which sits
+            # in a child of the heap root
+            watermark = min(heap[1:3])[0]
+            hi = bisect_right(values, watermark, pos + 1, end)
+        else:
+            hi = end
+        yield buffers[index][pos:hi]
+        if hi < end:
+            positions[index] = hi
+            heapq.heapreplace(heap, (values[hi], index))
+        elif refill(index):
+            heapq.heapreplace(heap, (floats[index][0], index))
+        else:
+            heapq.heappop(heap)
 
 
 # -- worker tasks (top level: must pickle) ------------------------------------
@@ -154,16 +165,29 @@ def _fold_file(task) -> Tuple[dict, int, int]:
 
 
 def _fold_ordered(task) -> Tuple[dict, int, int]:
-    """Fold a whole run's merged time stream through ordered pipelines."""
+    """Fold a whole run's merged time stream through ordered pipelines.
+
+    Only the accumulators marked ``ordered`` ride the merge, block by
+    block; the order-free ones fold each record batch once, as the
+    merge reads it.
+    """
     paths, pipelines, predicates, ctx = task
     accs = {p.name: p.accumulators(ctx) for p in pipelines}
+    every = [acc for group in accs.values() for acc in group.values()]
+    folds = [acc.update_values for acc in every if acc.ordered]
+    chunk_folds = [acc.update for acc in every if not acc.ordered]
+
+    def fold_chunk(batch: np.ndarray) -> None:
+        for fold in chunk_folds:
+            fold(batch)
+
     readers = [TraceReader(p) for p in paths]
     try:
         total_chunks = sum(r.chunk_count for r in readers)
-        for block in merged_time_blocks(readers, **predicates):
-            for group in accs.values():
-                for acc in group.values():
-                    acc.update_values(block)
+        for block in merged_time_blocks(readers, on_chunk=fold_chunk,
+                                        **predicates):
+            for fold in folds:
+                fold(block)
         read_chunks = sum(r.chunks_read for r in readers)
     finally:
         for reader in readers:
@@ -309,12 +333,20 @@ class AnalysisEngine:
 
         unordered = [p for p in to_compute if not p.ordered]
         ordered = [p for p in to_compute if p.ordered]
+        # The single ordered task goes to the pool first, so the merge
+        # runs while the per-file folds share the other workers.
+        ordered_task = ([str(path) for path in paths], ordered,
+                        predicates, ctx)
+        pending = pool.submit(_fold_ordered, ordered_task) \
+            if ordered and pool is not None else None
         if unordered:
             results.update(self._fold_unordered(paths, unordered,
                                                 predicates, ctx, pool))
         if ordered:
-            results.update(self._fold_ordered_run(paths, ordered,
-                                                  predicates, ctx, pool))
+            folded = pending.result() if pending is not None \
+                else _fold_ordered(ordered_task)
+            results.update(self._merge_and_finalize(ordered, [folded],
+                                                    ctx))
         for pipe in to_compute:
             result = results[pipe.name]
             fresh_entries[_entry_key(pipe, pred_key)] = {
@@ -351,15 +383,6 @@ class AnalysisEngine:
             folded = list(pool.map(_fold_file, tasks))
         else:
             folded = [_fold_file(task) for task in tasks]
-        return self._merge_and_finalize(pipelines, folded, ctx)
-
-    def _fold_ordered_run(self, paths, pipelines, predicates, ctx,
-                          pool) -> Dict[str, object]:
-        task = ([str(path) for path in paths], pipelines, predicates, ctx)
-        if pool is not None:
-            folded = [pool.submit(_fold_ordered, task).result()]
-        else:
-            folded = [_fold_ordered(task)]
         return self._merge_and_finalize(pipelines, folded, ctx)
 
     def _merge_and_finalize(self, pipelines, folded,

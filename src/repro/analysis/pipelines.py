@@ -11,8 +11,9 @@ batch), which is what makes streaming and in-memory results
 bit-identical.
 
 Pipelines with ``ordered = True`` (inter-arrival) fold sorted float64
-*time blocks* from the engine's k-way merged stream instead of raw
-record batches; their accumulators expose ``update_values``.
+*time blocks* from the engine's k-way merged stream into their
+``ordered`` accumulators (``update_values``); their other accumulators
+fold the raw record batches (``update``), once per chunk.
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ class SpatialLocalityPipeline(Pipeline):
 
 
 class _TimeCount(Accumulator):
-    """Record count of an ordered time stream (``update_values`` only)."""
+    """Record count of a time stream (record batches or time values)."""
 
     def __init__(self):
         self.n = 0

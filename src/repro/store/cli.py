@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import heapq
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -32,8 +31,6 @@ from repro.store.catalog import MANIFEST_NAME, RunCatalog
 from repro.store.format import StoreFormatError
 from repro.store.reader import TraceReader
 from repro.store.writer import TraceWriter
-
-_BATCH = 65536
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,26 +244,40 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _keyed_records(path: Path, seq: int):
-    """(time, tiebreaker, row-tuple) stream for the k-way merge."""
-    for batch in _iter_source(path):
-        for row in batch:
-            yield (float(row["time"]), seq,
-                   tuple(row[name] for name in TRACE_DTYPE.names))
+def _next_batch(source) -> Optional[np.ndarray]:
+    """The source's next non-empty record batch, None once exhausted."""
+    return next((batch for batch in source if len(batch)), None)
 
 
 def cmd_merge(args) -> int:
-    streams = [_keyed_records(path, i)
-               for i, path in enumerate(args.sources)]
+    # A k-way merge in rounds of whole record runs.  The stream whose
+    # loaded batch ends first (ties: the earlier source) bounds what is
+    # safe to write: each stream's prefix up to that end time, equal
+    # times included only from sources up to it.  Concatenated in source
+    # order and stably sorted by time, the prefixes come out in
+    # per-record (time, source) order.
+    sources = [_iter_source(path) for path in args.sources]
+    pending = [_next_batch(source) for source in sources]
     with TraceWriter(args.out) as writer:
-        staging: List[tuple] = []
-        for _, _, row in heapq.merge(*streams):
-            staging.append(row)
-            if len(staging) >= _BATCH:
-                writer.append_array(np.array(staging, dtype=TRACE_DTYPE))
-                staging.clear()
-        if staging:
-            writer.append_array(np.array(staging, dtype=TRACE_DTYPE))
+        while True:
+            live = [i for i, batch in enumerate(pending)
+                    if batch is not None]
+            if not live:
+                break
+            end, first = min((float(pending[i]["time"][-1]), i)
+                             for i in live)
+            parts = []
+            for i in live:
+                batch = pending[i]
+                cut = int(np.searchsorted(
+                    batch["time"], end,
+                    side="right" if i <= first else "left"))
+                parts.append(batch[:cut])
+                pending[i] = batch[cut:] if cut < len(batch) \
+                    else _next_batch(sources[i])
+            merged = np.concatenate(parts)
+            writer.append_array(
+                merged[np.argsort(merged["time"], kind="stable")])
     total = writer.records_written
     print(f"merged {len(args.sources)} files -> {args.out}: "
           f"{total:,} records", file=sys.stderr)

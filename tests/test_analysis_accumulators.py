@@ -10,6 +10,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
     BandCounts,
@@ -212,6 +213,70 @@ def test_gapstats_rejects_disorder():
     other.update_values(np.array([1.5, 3.0]))
     with pytest.raises(ValueError):
         gs.merge(other)
+
+
+def _numpy_gap_fold(batches):
+    """The all-NumPy GapStats fold: a diff with the carried last time."""
+    gaps, first, last = MeanVar(), None, None
+    for times in batches:
+        if last is not None:
+            gaps.update_values(np.diff(np.concatenate([[last], times])))
+        else:
+            first = float(times[0])
+            if len(times) > 1:
+                gaps.update_values(np.diff(times))
+        last = float(times[-1])
+    return gaps, first, last
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.sampled_from([1, 1, 1, 2, 2, 3, 5, 9]),
+                      min_size=1, max_size=40),
+       ticks=st.sampled_from([0, 4, 10**9]))
+def test_gapstats_scalar_steps_match_numpy_fold(seed, sizes, ticks):
+    """1- and 2-value batches take the scalar step, bit for bit."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    if ticks:       # a coarse grid repeats times: zero gaps
+        times = np.sort(rng.integers(0, ticks, n)) * 1e-3
+    else:
+        times = np.sort(rng.exponential(0.7, n).cumsum())
+    batches = np.split(times, np.cumsum(sizes)[:-1])
+    gs = GapStats()
+    for batch in batches:
+        gs.update_values(batch)
+    gaps, first, last = _numpy_gap_fold(batches)
+    assert gs.gaps.n == gaps.n == n - 1
+    assert gs.gaps.mean.hex() == float(gaps.mean).hex()
+    assert gs.gaps.m2.hex() == float(gaps.m2).hex()
+    assert gs.first.hex() == first.hex()
+    assert gs.last.hex() == last.hex()
+
+
+@pytest.mark.parametrize("batch", [[0.5], [0.5, 3.0]])
+def test_gapstats_scalar_step_rejects_disorder(batch):
+    gs = GapStats()
+    gs.update_values(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="time-ordered"):
+        gs.update_values(np.array(batch))
+
+
+def test_gapstats_first_single_value_adds_no_gap():
+    gs = GapStats()
+    gs.update_values(np.array([4.25]))
+    assert (gs.first, gs.last, gs.gaps.n) == (4.25, 4.25, 0)
+    gs.update_values(np.array([5.0]))
+    assert (gs.first, gs.last, gs.gaps.n, gs.gaps.mean) == \
+        (4.25, 5.0, 1, 0.75)
+
+
+def test_only_gapstats_is_ordered():
+    """The engine feeds the merged stream only to ``ordered`` ones."""
+    assert GapStats.ordered
+    for cls in (Count, Sum, MinMax, MeanVar, ValueCounts, TopK,
+                Log2Histogram, BinnedCounts, BandCounts, ReservoirSample):
+        assert not cls.ordered, cls
 
 
 def test_accumulators_pickle_roundtrip():

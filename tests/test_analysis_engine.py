@@ -8,17 +8,21 @@ chunks.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.analysis import (
     AnalysisEngine,
+    ArrivalPipeline,
+    BinnedCounts,
     HotSectorsPipeline,
     make_pipelines,
     merged_time_blocks,
     scan_file,
 )
+from repro.analysis.pipelines import _TimeCount
 from repro.core.experiments import ExperimentResult, ExperimentRunner
 from repro.core.locality import spatial_locality
 from repro.core.metrics import compute_metrics
@@ -27,6 +31,7 @@ from repro.core.sizes import class_fractions, size_histogram
 from repro.core.trace import TraceDataset
 from repro.obs import MetricsRegistry
 from repro.store import RunCatalog, TraceReader
+from tests.test_analysis_merge import reference_merged_time_blocks
 
 #: small chunks so every run spans several chunks per node file
 CHUNK = 64
@@ -44,6 +49,15 @@ def catalog(results, tmp_path_factory):
     for result in results.values():
         catalog.save(result, chunk_records=CHUNK)
     return catalog
+
+
+def _run_paths(catalog, run_id):
+    return [path for _, path in sorted(catalog.trace_paths(run_id).items())]
+
+
+def _window(results, name):
+    span = float(results[name].trace.time.max())
+    return {"t0": 0.2 * span, "t1": 0.7 * span}
 
 
 def test_streaming_equals_in_memory_all_five(results, catalog):
@@ -77,6 +91,8 @@ def test_streaming_equals_in_memory_all_five(results, catalog):
 
 
 def test_parallel_engine_matches_serial(results, catalog):
+    """workers=2 (the ordered merge overlapping the per-file folds)
+    gives the serial results, on every run, with and without a window."""
     serial = AnalysisEngine(catalog, workers=1, cache=False)
     parallel = AnalysisEngine(catalog, workers=2, cache=False)
     a = serial.analyze("combined")
@@ -86,6 +102,17 @@ def test_parallel_engine_matches_serial(results, catalog):
     assert np.array_equal(a["spatial"].band_fraction,
                           b["spatial"].band_fraction)
     assert a["arrival"] == b["arrival"]
+    pipes = make_pipelines(None)
+    for name in results:
+        for window in ({}, _window(results, name)):
+            a = serial.analyze(name, **window)
+            b = parallel.analyze(name, **window)
+            for pipe in pipes:
+                if a[pipe.name] is None:
+                    assert b[pipe.name] is None, (name, pipe.name)
+                    continue
+                assert pipe.to_json(a[pipe.name]) == \
+                    pipe.to_json(b[pipe.name]), (name, pipe.name)
 
 
 def test_predicate_pushdown_skips_chunks(results, catalog):
@@ -233,6 +260,78 @@ def test_merged_time_blocks_globally_sorted(results, catalog):
             reader.close()
     expected = np.sort(results["combined"].trace.time)
     assert np.array_equal(merged, expected)
+
+
+def _reference_arrival(catalog, run_id, **predicates):
+    """The per-block fold: the oracle merge, every block into every
+    accumulator of the arrival pipeline."""
+    pipe = ArrivalPipeline()
+    paths = _run_paths(catalog, run_id)
+    ctx = AnalysisEngine(catalog)._context(catalog.manifest(run_id),
+                                           [scan_file(p) for p in paths])
+    accs = pipe.accumulators(ctx)
+    readers = [TraceReader(p) for p in paths]
+    try:
+        for block in reference_merged_time_blocks(readers, **predicates):
+            for acc in accs.values():
+                acc.update_values(block)
+    finally:
+        for reader in readers:
+            reader.close()
+    return pipe.finalize(accs, ctx)
+
+
+@pytest.mark.parametrize("windowed", [False, True])
+def test_arrival_matches_per_block_reference_fold(results, catalog,
+                                                  windowed):
+    engine = AnalysisEngine(catalog, cache=False)
+    pipe = ArrivalPipeline()
+    for name in results:
+        window = _window(results, name) if windowed else {}
+        got = engine.analyze(name, ["arrival"], **window)["arrival"]
+        want = _reference_arrival(catalog, name, **window)
+        assert (got is None) == (want is None), name
+        if want is None:
+            continue
+        for key, value in pipe.to_json(want).items():
+            assert float(pipe.to_json(got)[key]).hex() == \
+                float(value).hex(), (name, key)
+
+
+def test_order_free_accumulators_fold_once_per_chunk(results, catalog,
+                                                     monkeypatch):
+    """Only GapStats rides the merge; the counts fold each chunk once."""
+    calls = Counter()
+    for cls in (BinnedCounts, _TimeCount):
+        for method in ("update", "update_values"):
+            def counting(self, data, _fold=getattr(cls, method),
+                         _key=(cls.__name__, method)):
+                calls[_key] += 1
+                return _fold(self, data)
+            monkeypatch.setattr(cls, method, counting)
+    paths = _run_paths(catalog, "combined")
+    chunk_count = sum(scan_file(p).chunk_count for p in paths)
+    for window in ({}, {"t1": _window(results, "combined")["t1"]}):
+        calls.clear()
+        registry = MetricsRegistry()
+        engine = AnalysisEngine(catalog, cache=False, obs=registry)
+        engine.analyze("combined", ["arrival"], **window)
+        scanned = registry.counter("analysis.chunks_scanned").value
+        skipped = registry.counter("analysis.chunks_skipped").value
+        assert scanned + skipped == chunk_count
+        batches = 0
+        for path in paths:
+            with TraceReader(path) as reader:
+                batches += sum(1 for _ in reader.iter_arrays(**window))
+        assert batches <= scanned
+        # BinnedCounts.update bins through its own update_values
+        assert calls == {("BinnedCounts", "update"): batches,
+                         ("BinnedCounts", "update_values"): batches,
+                         ("_TimeCount", "update"): batches}
+        if not window:
+            assert batches == scanned == chunk_count
+        else:
+            assert skipped > 0
 
 
 def test_scan_file_signature_is_cheap_and_stable(catalog):

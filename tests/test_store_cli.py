@@ -112,6 +112,28 @@ def test_merge_is_time_ordered_and_complete(trace_file, tmp_path, capsys):
     assert np.all(np.diff(got["time"]) >= 0)
     assert np.array_equal(np.sort(got["sector"]), np.sort(arr["sector"]))
 
+    # equal timestamps across files: three sources on a coarse time grid
+    # (with one empty file) must come out in per-record (time, source)
+    # order, equal times in source-file order
+    rng = np.random.default_rng(11)
+    tied = arr.copy()
+    tied["time"] = np.round(tied["time"] * 2) / 2
+    owner = rng.integers(0, 4, len(tied))
+    owner[owner == 2] = 3            # source 2 stays empty
+    parts = []
+    for k in range(4):
+        part = tmp_path / f"tied{k}.rpt"
+        write_trace(part, tied[owner == k], chunk_records=[5, 64, 1, 7][k])
+        parts.append(str(part))
+    assert main(["merge", str(out), *parts]) == 0
+    with TraceReader(out) as reader:
+        got = reader.read()
+    # the reference order: sources concatenated in order, stable by time
+    stacked = np.concatenate([tied[owner == k] for k in range(4)])
+    expected = stacked[np.argsort(stacked["time"], kind="stable")]
+    assert len(np.unique(got["time"])) < len(got) // 4
+    assert got.tobytes() == expected.tobytes()
+
 
 def test_ls_empty_and_populated(tmp_path, capsys):
     assert main(["ls", str(tmp_path / "none")]) == 1
