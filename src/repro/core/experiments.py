@@ -1,10 +1,14 @@
 """The five experiments of the study, as repeatable procedures.
 
-Each experiment builds a fresh simulated Beowulf cluster, installs the
-application binaries and input files (pre-trace, like software installed
-long before the measurements), cold-starts the caches, switches the trace
-clock to zero, excites the system, and returns the gathered traces plus
-per-application statistics.
+Every experiment is one procedure: build a fresh simulated Beowulf
+cluster, install the application binaries and input files (pre-trace,
+like software installed long before the measurements), cold-start the
+caches, switch the trace clock to zero, excite the system, and return
+the gathered traces plus per-application statistics.  Experiments differ
+only in their plan — which applications run, and whether each node runs
+them side by side or back to back; the baseline is the plan with no
+applications and a fixed observation window.  Resuming a checkpoint is
+the same procedure with the stack built from the captured tree.
 
 Experiment protocol (paper section 3.5):
 
@@ -19,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps import WORKLOADS, AppStats, ESSApplication
 from repro.checkpoint import (CheckpointCoordinator, CheckpointError,
@@ -133,6 +137,22 @@ _REMOVED_RUNNERS = {
 }
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """One experiment as the runner executes it.
+
+    ``apps`` run one process per (application, node), or with
+    ``serial`` one chain per node running them back to back.  A plan
+    with an observation ``window`` is the baseline: it runs no
+    applications and ends at ``t0 + window``.
+    """
+
+    name: str
+    apps: Tuple[str, ...] = ()
+    serial: bool = False
+    window: Optional[float] = None
+
+
 def _run_one_experiment(args) -> "ExperimentResult":
     """Top-level worker for ProcessPoolExecutor (must be picklable)."""
     scenario_dict, name, sink, obs = args
@@ -217,47 +237,50 @@ class ExperimentRunner:
 
         ``name`` is one of :data:`EXPERIMENTS` or ``"serial"``.
         ``duration`` sets the baseline observation window (default
-        ``baseline_duration``); application experiments run until their
-        applications finish, so passing a duration for them is an error.
+        ``baseline_duration``; it must be positive); application
+        experiments run until their applications finish, so passing a
+        duration for them is an error.
 
         ``checkpoint_every`` captures the whole stack into a ``.ckpt``
         file every that many simulated seconds (under
         ``checkpoint_dir``, default ``checkpoints/``).  ``resume_from``
         restores such a file and continues the run; the continuation is
         bit-identical to the uninterrupted (checkpointing) run — same
-        trace records, same metrics, same obs counters.
+        trace records, same metrics, same obs counters.  Checkpointing
+        itself leaves the baseline unchanged but not application runs:
+        their capture holds act as a barrier.
         """
-        if resume_from is not None:
-            return self._resume(resume_from, name=name, duration=duration,
-                                checkpoint_every=checkpoint_every,
-                                checkpoint_dir=checkpoint_dir)
-        if name == "baseline":
-            return self._run_baseline(duration,
-                                      checkpoint_every=checkpoint_every,
-                                      checkpoint_dir=checkpoint_dir)
+        tree = None
+        if resume_from is None:
+            plan = self._plan(name)
+        else:
+            tree = check_format(load_checkpoint(resume_from))
+            plan = self._resumed_plan(tree["meta"], name)
+            if checkpoint_every is None:
+                # the continuation must re-arm at the same epochs to stay
+                # bit-identical; overriding the cadence is an explicit
+                # choice
+                checkpoint_every = tree["meta"]["checkpoint_every"]
         if duration is not None:
-            raise ValueError(
-                "duration= only applies to the baseline experiment; "
-                "application runs end when the applications do")
-        mix = list(self.scenario.workload.mix)
-        if name == "combined":
-            return self._run_apps(mix, name="combined",
-                                  checkpoint_every=checkpoint_every,
-                                  checkpoint_dir=checkpoint_dir)
-        if name == "serial":
-            # Extension: the same applications back to back — a
-            # batch-queue counterfactual to ``combined`` (identical work,
-            # no multiprogramming) that isolates what concurrency itself
-            # does to the I/O.
-            return self._run_apps(mix, name="serial", serial=True,
-                                  checkpoint_every=checkpoint_every,
-                                  checkpoint_dir=checkpoint_dir)
-        if name in WORKLOADS:
-            return self._run_apps([name],
-                                  checkpoint_every=checkpoint_every,
-                                  checkpoint_dir=checkpoint_dir)
-        raise ValueError(f"unknown experiment {name!r}; "
-                         f"choose from {EXPERIMENTS + ('serial',)}")
+            if plan.window is None:
+                raise ValueError(
+                    "duration= only applies to the baseline experiment; "
+                    "application runs end when the applications do")
+            if duration <= 0:
+                raise ValueError(
+                    f"duration must be positive, got {duration!r}")
+            if tree is None:
+                plan = replace(plan, window=duration)
+            elif duration != plan.window:
+                raise CheckpointError(
+                    f"checkpoint observed a {plan.window}s window; "
+                    f"cannot resume it as {duration}s")
+        path = None
+        if checkpoint_every is not None:
+            path = Path(resume_from) \
+                if resume_from is not None and checkpoint_dir is None \
+                else self._checkpoint_target(checkpoint_dir, plan.name)
+        return self._execute(plan, tree, checkpoint_every, path)
 
     def run_all(self, parallel: bool = False,
                 max_workers: Optional[int] = None,
@@ -304,8 +327,116 @@ class ExperimentRunner:
         params = entry.params_cls(**kwargs)
         return entry.app_cls(node, seed=self.seed, params=params)
 
-    # -- internals ------------------------------------------------------------
-    def _build(self):
+    # -- plans ----------------------------------------------------------------
+    def _plan(self, name: str) -> _Plan:
+        if name == "baseline":
+            return _Plan("baseline", window=self.baseline_duration)
+        mix = tuple(self.scenario.workload.mix)
+        if name == "combined":
+            return _Plan("combined", apps=mix)
+        if name == "serial":
+            # Extension: the same applications back to back — a
+            # batch-queue counterfactual to ``combined`` (identical work,
+            # no multiprogramming) that isolates what concurrency itself
+            # does to the I/O.
+            return _Plan("serial", apps=mix, serial=True)
+        if name in WORKLOADS:
+            return _Plan(name, apps=(name,))
+        raise ValueError(f"unknown experiment {name!r}; "
+                         f"choose from {EXPERIMENTS + ('serial',)}")
+
+    def _resumed_plan(self, meta: dict, name: Optional[str]) -> _Plan:
+        """The plan a checkpoint was captured under (checked against
+        ``name`` and this runner's scenario)."""
+        if name is not None and name != meta["experiment"]:
+            raise CheckpointError(
+                f"checkpoint is for experiment {meta['experiment']!r}, "
+                f"not {name!r}")
+        # normalize through from_dict: older checkpoints carry retired keys
+        stored = Scenario.from_dict(meta["scenario"], validate=False)
+        if stored.to_dict() != self.scenario.to_dict():
+            raise CheckpointError(
+                "checkpoint was captured under a different scenario; "
+                "construct the runner from the same one to resume")
+        if meta["kind"] == "baseline":
+            return _Plan("baseline", window=float(meta["duration"]))
+        return _Plan(meta["experiment"], apps=tuple(meta["app_names"]),
+                     serial=bool(meta["serial"]))
+
+    # -- the protocol ---------------------------------------------------------
+    def _execute(self, plan: _Plan, tree: Optional[dict],
+                 every: Optional[float],
+                 path: Optional[Path]) -> ExperimentResult:
+        """Build (or restore ``tree``), install, quiesce, zero the trace
+        clock, excite, gather — the one procedure behind every run."""
+        sim, cluster = self._build(tree)
+        # always attached: an unarmed coordinator fires no events
+        coordinator = CheckpointCoordinator(sim)
+        apps: Dict[str, List[ESSApplication]] = {n: [] for n in plan.apps}
+        installs = []
+        for node in cluster.nodes:
+            for app_name in plan.apps:
+                app = self.make_app(app_name, node)
+                app.attach_coordinator(coordinator)
+                apps[app_name].append(app)
+                key = f"{app_name}:{node.node_id}"
+                if tree is None:
+                    installs.append(sim.process(app.install(),
+                                                name=f"install:{key}"))
+                elif key in tree["apps"]:
+                    app.resume_from(tree["apps"][key])
+                else:
+                    raise CheckpointError(
+                        f"checkpoint lacks a resume token for {key}")
+        if tree is None:
+            self._settle(sim, cluster, installs)
+            t0 = sim.now
+        else:
+            coordinator.arm_for_resume()
+            t0 = float(tree["meta"]["t0"])
+        capture = self._start_capture(plan.name, cluster)
+        if tree is not None:
+            self._reseed_writers(capture, cluster)
+        procs = self._spawn_apps(cluster, apps, plan)
+        done = None if plan.window is not None else sim.all_of(procs)
+        if tree is not None:
+            drain_to_quiescence(sim)
+            if not coordinator.all_held:
+                raise CheckpointError(
+                    "resumed applications did not park on their holds")
+            verify_restored_queue(sim, tree)
+            self._restore_obs(tree)
+            coordinator.release()
+
+        end = t0 + (plan.window if done is None else self.hard_limit)
+        self._epochs(sim, cluster, coordinator, apps, plan, t0=t0, end=end,
+                     done=done, every=every, path=path)
+        duration = plan.window
+        if done is not None:
+            if not done.triggered:
+                raise RuntimeError(
+                    f"experiment {plan.name!r} exceeded the "
+                    f"{self.hard_limit}s hard limit")
+            finish = sim.now
+            # Grace period: let the write-back daemons flush the tail.
+            sim.run(until=finish + self.flush_grace)
+            duration = finish - t0 + self.flush_grace
+        trace = TraceDataset(cluster.gather_traces()).between(0, duration)
+        result = ExperimentResult(
+            name=plan.name, trace=trace, duration=duration,
+            nnodes=self.nnodes,
+            app_stats={n: [a.stats for a in apps[n]] for n in plan.apps})
+        self._finish_capture(capture, cluster, result)
+        return result
+
+    def _build(self, tree: Optional[dict] = None):
+        """A fresh simulator + cluster, restored around ``tree`` if given.
+
+        Order matters on a restore: the clock and tick preloads are
+        staged *before* the cluster exists, so every daemon's first
+        sleep replays its snapshotted queue entry; layer state goes back
+        before any event fires.
+        """
         registry = None
         self._recorder = None
         if self.obs:
@@ -316,17 +447,22 @@ class ExperimentRunner:
         self.last_obs = self._recorder
         self._wall_start = perf_counter()
         sim = Simulator(obs=registry)
+        if tree is not None:
+            sim.restore_clock(tree["clock"])
+            arm_tick_preloads(sim, tree)
         cluster = BeowulfCluster(sim, scenario=self.scenario, obs=registry)
         #: the most recent cluster, kept for post-experiment inspection
         #: (filesystem checks, kernel statistics)
         self.last_cluster = cluster
+        if tree is not None:
+            restore_cluster_state(cluster, tree)
         return sim, cluster
 
     def _settle(self, sim: Simulator, cluster: BeowulfCluster,
-                setup_procs: Optional[list] = None) -> None:
+                setup_procs: list) -> None:
         """Run setup, quiesce the caches, and zero the trace clocks."""
         sim.run(until=sim.now + 5.0)
-        if setup_procs and not all(p.triggered for p in setup_procs):
+        if not all(p.triggered for p in setup_procs):
             raise RuntimeError("experiment setup did not finish in time")
         # Write back install-time dirt.  Clean buffers stay cached: the
         # measured system had been running long before the experiments, so
@@ -339,107 +475,71 @@ class ExperimentRunner:
         sim.run(until=sim.now + 30.0)
         cluster.reset_trace_clocks()
 
-    def _run_baseline(self, duration: Optional[float],
-                      checkpoint_every: Optional[float] = None,
-                      checkpoint_dir=None) -> ExperimentResult:
-        """Quiescent system: only kernel housekeeping and logging run."""
-        duration = duration or self.baseline_duration
-        sim, cluster = self._build()
-        self._settle(sim, cluster)
-        capture = self._start_capture("baseline", cluster)
-        t0 = sim.now
-        if checkpoint_every is None:
-            sim.run(until=t0 + duration)
-        else:
-            path = self._checkpoint_target(checkpoint_dir, "baseline")
-            self._baseline_epochs(sim, cluster, t0=t0, every=checkpoint_every,
-                                  duration=duration, path=path)
-        trace = TraceDataset(cluster.gather_traces()).between(0, duration)
-        result = ExperimentResult(name="baseline", trace=trace,
-                                  duration=duration, nnodes=self.nnodes)
-        self._finish_capture(capture, cluster, result)
-        return result
-
-    def _run_apps(self, app_names: List[str],
-                  name: Optional[str] = None,
-                  serial: bool = False,
-                  checkpoint_every: Optional[float] = None,
-                  checkpoint_dir=None) -> ExperimentResult:
-        sim, cluster = self._build()
-        apps: Dict[str, List[ESSApplication]] = {n: [] for n in app_names}
-        setup_procs = []
-        for node in cluster.nodes:
-            for app_name in app_names:
-                app = self.make_app(app_name, node)
-                apps[app_name].append(app)
-                setup_procs.append(
-                    sim.process(app.install(),
-                                name=f"install:{app_name}:{node.node_id}"))
-        self._settle(sim, cluster, setup_procs)
-        capture = self._start_capture(name or app_names[0], cluster)
-
-        t0 = sim.now
-        coordinator = None
-        if checkpoint_every is not None:
-            coordinator = CheckpointCoordinator(sim)
-            for app_name in app_names:
-                for app in apps[app_name]:
-                    app.attach_coordinator(coordinator)
-        procs = self._spawn_apps(cluster, apps, app_names, serial)
-        deadline = t0 + self.hard_limit
-        done = sim.all_of(procs)
-        if checkpoint_every is None:
-            sim.run(until=deadline, stop=done)
-        else:
-            path = self._checkpoint_target(checkpoint_dir,
-                                           name or app_names[0])
-            self._apps_epochs(sim, cluster, coordinator=coordinator,
-                              apps=apps, t0=t0, deadline=deadline, done=done,
-                              every=checkpoint_every, path=path,
-                              name=name or app_names[0],
-                              app_names=app_names, serial=serial)
-        if not done.triggered:
-            raise RuntimeError(
-                f"experiment {name or app_names} exceeded the "
-                f"{self.hard_limit}s hard limit")
-        finish = sim.now
-        # Grace period: let the write-back daemons flush the tail.
-        sim.run(until=finish + self.flush_grace)
-        duration = finish - t0 + self.flush_grace
-        trace = TraceDataset(cluster.gather_traces()).between(0, duration)
-        result = ExperimentResult(
-            name=name or app_names[0],
-            trace=trace,
-            duration=duration,
-            nnodes=self.nnodes,
-            app_stats={n: [a.stats for a in apps[n]] for n in app_names},
-        )
-        self._finish_capture(capture, cluster, result)
-        return result
-
-    def _spawn_apps(self, cluster: BeowulfCluster, apps, app_names, serial):
+    def _spawn_apps(self, cluster: BeowulfCluster, apps, plan: _Plan):
         """Spawn the application processes; identical on first run and
         resume (the spawn structure — chains vs. one process per app —
         must match for the continuation to be bit-identical)."""
         procs = []
-        if serial:
+        if plan.serial:
             # one chain per node running its applications back to back
             def chain(node_apps):
                 for app in node_apps:
                     yield from app.run()
 
             for node in cluster.nodes:
-                node_apps = [apps[a][node.node_id] for a in app_names]
+                node_apps = [apps[a][node.node_id] for a in plan.apps]
                 procs.append(node.kernel.spawn(
                     chain(node_apps), name=f"serial:{node.node_id}"))
         else:
-            for app_name in app_names:
+            for app_name in plan.apps:
                 for app in apps[app_name]:
                     procs.append(app.kernel.spawn(
                         app.run(), name=f"{app_name}:{app.node_id}"))
         return procs
 
-    # -- checkpoint epochs -----------------------------------------------------
+    def _epochs(self, sim: Simulator, cluster: BeowulfCluster,
+                coordinator: CheckpointCoordinator, apps, plan: _Plan, *,
+                t0: float, end: float, done, every: Optional[float],
+                path: Optional[Path]) -> None:
+        """Run to ``end`` (or until ``done``), capturing at ``t0 + k*every``.
+
+        The schedule is *absolute*: a settle that overshoots an epoch
+        does not shift the later ones, so a resumed run recomputes the
+        identical schedule from the restored clock.  Without ``every``
+        this is a single ``sim.run``.
+        """
+        while True:
+            target = end
+            if every is not None:
+                k = int((sim.now - t0) // every) + 1
+                target = min(end, t0 + k * every)
+            if target > sim.now:
+                sim.run(until=target, stop=done)
+            if sim.now >= end or (done is not None and done.triggered):
+                return
+            # park every application at its next body boundary (vacuous
+            # for a plan without applications)
+            coordinator.arm()
+            budget = 5_000_000
+            while not coordinator.all_held:
+                sim.step()
+                budget -= 1
+                if budget <= 0:
+                    raise CheckpointError(
+                        "applications never reached their hold points")
+            if done is not None and done.triggered:
+                coordinator.release()
+                return
+            sim.settle()
+            app_map = {f"{a.name}:{a.node_id}": a
+                       for fam in plan.apps for a in apps[fam]}
+            tree = capture_state(sim, cluster, apps=app_map,
+                                 obs=self._registry(),
+                                 meta=self._ckpt_meta(plan, t0, every, k))
+            save_checkpoint(tree, path)
+            coordinator.release()
+
+    # -- checkpoint helpers ---------------------------------------------------
     def _registry(self):
         return None if self._recorder is None else self._recorder.registry
 
@@ -460,135 +560,18 @@ class ExperimentRunner:
             stem = f"{name}@{self.scenario.name}"
         return directory / f"{stem}.ckpt"
 
-    def _ckpt_meta(self, *, kind: str, name: str, t0: float, every: float,
-                   epoch: int, duration: Optional[float] = None,
-                   app_names=None, serial: bool = False) -> dict:
-        meta = {"experiment": name, "kind": kind, "t0": t0,
-                "checkpoint_every": every, "epoch": epoch,
+    def _ckpt_meta(self, plan: _Plan, t0: float, every: float,
+                   epoch: int) -> dict:
+        meta = {"experiment": plan.name,
+                "kind": "baseline" if plan.window is not None else "apps",
+                "t0": t0, "checkpoint_every": every, "epoch": epoch,
                 "scenario": self.scenario.to_dict()}
-        if duration is not None:
-            meta["duration"] = duration
-        if app_names is not None:
-            meta["app_names"] = list(app_names)
-            meta["serial"] = bool(serial)
+        if plan.window is not None:
+            meta["duration"] = plan.window
+        else:
+            meta["app_names"] = list(plan.apps)
+            meta["serial"] = plan.serial
         return meta
-
-    def _baseline_epochs(self, sim: Simulator, cluster: BeowulfCluster, *,
-                         t0: float, every: float, duration: float,
-                         path: Path) -> None:
-        """Run the observation window, capturing at ``t0 + k*every``.
-
-        The schedule is *absolute*: a settle() that overshoots an epoch
-        does not shift the later ones, so a resumed run recomputes the
-        identical schedule from the restored clock.
-        """
-        end = t0 + duration
-        while sim.now < end:
-            k = int((sim.now - t0) // every) + 1
-            target = min(end, t0 + k * every)
-            if target > sim.now:
-                sim.run(until=target)
-            if sim.now >= end:
-                break
-            sim.settle()
-            meta = self._ckpt_meta(kind="baseline", name="baseline", t0=t0,
-                                   every=every, epoch=k, duration=duration)
-            tree = capture_state(sim, cluster, obs=self._registry(),
-                                 meta=meta)
-            save_checkpoint(tree, path)
-
-    def _apps_epochs(self, sim: Simulator, cluster: BeowulfCluster, *,
-                     coordinator: CheckpointCoordinator, apps, t0: float,
-                     deadline: float, done, every: float, path: Path,
-                     name: str, app_names, serial: bool) -> None:
-        """Run the applications, holding + capturing at ``t0 + k*every``."""
-        while True:
-            k = int((sim.now - t0) // every) + 1
-            target = min(deadline, t0 + k * every)
-            if target > sim.now:
-                sim.run(until=target, stop=done)
-            if done.triggered or sim.now >= deadline:
-                return
-            coordinator.arm()
-            budget = 5_000_000
-            while not coordinator.all_held:
-                sim.step()
-                budget -= 1
-                if budget <= 0:
-                    raise CheckpointError(
-                        "applications never reached their hold points")
-            if done.triggered:
-                coordinator.release()
-                return
-            sim.settle()
-            app_map = {f"{a.name}:{a.node_id}": a
-                       for fam in app_names for a in apps[fam]}
-            meta = self._ckpt_meta(kind="apps", name=name, t0=t0,
-                                   every=every, epoch=k,
-                                   app_names=app_names, serial=serial)
-            tree = capture_state(sim, cluster, apps=app_map,
-                                 obs=self._registry(), meta=meta)
-            save_checkpoint(tree, path)
-            coordinator.release()
-
-    # -- resume ----------------------------------------------------------------
-    def _resume(self, resume_from, *, name: Optional[str],
-                duration: Optional[float],
-                checkpoint_every: Optional[float],
-                checkpoint_dir) -> ExperimentResult:
-        tree = check_format(load_checkpoint(resume_from))
-        meta = tree["meta"]
-        if name is not None and name != meta["experiment"]:
-            raise CheckpointError(
-                f"checkpoint is for experiment {meta['experiment']!r}, "
-                f"not {name!r}")
-        # normalize through from_dict: older checkpoints carry retired keys
-        stored = Scenario.from_dict(meta["scenario"], validate=False)
-        if stored.to_dict() != self.scenario.to_dict():
-            raise CheckpointError(
-                "checkpoint was captured under a different scenario; "
-                "construct the runner from the same one to resume")
-        # the continuation must re-arm at the same epochs to stay
-        # bit-identical; overriding the cadence is an explicit choice
-        every = checkpoint_every if checkpoint_every is not None \
-            else meta["checkpoint_every"]
-        if meta["kind"] == "baseline":
-            if duration is not None and duration != meta["duration"]:
-                raise CheckpointError(
-                    f"checkpoint observed a {meta['duration']}s window; "
-                    f"cannot resume it as {duration}s")
-            return self._resume_baseline(tree, resume_from, every,
-                                         checkpoint_dir)
-        if duration is not None:
-            raise ValueError(
-                "duration= only applies to the baseline experiment; "
-                "application runs end when the applications do")
-        return self._resume_apps(tree, resume_from, every, checkpoint_dir)
-
-    def _resume_build(self, tree: dict):
-        """Rebuild a simulator + cluster around a checkpoint tree.
-
-        Order matters: the clock and tick preloads are staged *before*
-        the cluster exists, so every daemon's first sleep replays its
-        snapshotted queue entry; layer state goes back before any event
-        fires.
-        """
-        registry = None
-        self._recorder = None
-        if self.obs:
-            from repro.obs import ObsRecorder
-            self._recorder = self.obs if isinstance(self.obs, ObsRecorder) \
-                else ObsRecorder()
-            registry = self._recorder.registry
-        self.last_obs = self._recorder
-        self._wall_start = perf_counter()
-        sim = Simulator(obs=registry)
-        sim.restore_clock(tree["clock"])
-        arm_tick_preloads(sim, tree)
-        cluster = BeowulfCluster(sim, scenario=self.scenario, obs=registry)
-        self.last_cluster = cluster
-        restore_cluster_state(cluster, tree)
-        return sim, cluster
 
     def _restore_obs(self, tree: dict) -> None:
         """Put back the captured metrics (after the drain, which itself
@@ -608,95 +591,7 @@ class ExperimentRunner:
             if len(buffered):
                 capture.writer_for(node.node_id).append_array(buffered)
 
-    def _resume_baseline(self, tree: dict, resume_path,
-                         every: Optional[float],
-                         checkpoint_dir) -> ExperimentResult:
-        meta = tree["meta"]
-        t0 = float(meta["t0"])
-        duration = float(meta["duration"])
-        sim, cluster = self._resume_build(tree)
-        capture = self._start_capture("baseline", cluster)
-        self._reseed_writers(capture, cluster)
-        drain_to_quiescence(sim)
-        verify_restored_queue(sim, tree)
-        self._restore_obs(tree)
-        end = t0 + duration
-        if every is None:
-            if end > sim.now:
-                sim.run(until=end)
-        else:
-            path = Path(resume_path) if checkpoint_dir is None \
-                else self._checkpoint_target(checkpoint_dir, "baseline")
-            self._baseline_epochs(sim, cluster, t0=t0, every=every,
-                                  duration=duration, path=path)
-        trace = TraceDataset(cluster.gather_traces()).between(0, duration)
-        result = ExperimentResult(name="baseline", trace=trace,
-                                  duration=duration, nnodes=self.nnodes)
-        self._finish_capture(capture, cluster, result)
-        return result
-
-    def _resume_apps(self, tree: dict, resume_path, every: Optional[float],
-                     checkpoint_dir) -> ExperimentResult:
-        meta = tree["meta"]
-        name = meta["experiment"]
-        app_names = list(meta["app_names"])
-        serial = bool(meta["serial"])
-        t0 = float(meta["t0"])
-        sim, cluster = self._resume_build(tree)
-        coordinator = CheckpointCoordinator(sim)
-        coordinator.arm_for_resume()
-        apps: Dict[str, List[ESSApplication]] = {n: [] for n in app_names}
-        tokens = tree["apps"]
-        for node in cluster.nodes:
-            for app_name in app_names:
-                app = self.make_app(app_name, node)
-                app.attach_coordinator(coordinator)
-                key = f"{app_name}:{node.node_id}"
-                if key not in tokens:
-                    raise CheckpointError(
-                        f"checkpoint lacks a resume token for {key}")
-                app.resume_from(tokens[key])
-                apps[app_name].append(app)
-        capture = self._start_capture(name, cluster)
-        self._reseed_writers(capture, cluster)
-        procs = self._spawn_apps(cluster, apps, app_names, serial)
-        drain_to_quiescence(sim)
-        if not coordinator.all_held:
-            raise CheckpointError(
-                "resumed applications did not park on their holds")
-        verify_restored_queue(sim, tree)
-        self._restore_obs(tree)
-        deadline = t0 + self.hard_limit
-        done = sim.all_of(procs)
-        coordinator.release()
-        if every is None:
-            sim.run(until=deadline, stop=done)
-        else:
-            path = Path(resume_path) if checkpoint_dir is None \
-                else self._checkpoint_target(checkpoint_dir, name)
-            self._apps_epochs(sim, cluster, coordinator=coordinator,
-                              apps=apps, t0=t0, deadline=deadline, done=done,
-                              every=every, path=path, name=name,
-                              app_names=app_names, serial=serial)
-        if not done.triggered:
-            raise RuntimeError(
-                f"experiment {name} exceeded the "
-                f"{self.hard_limit}s hard limit")
-        finish = sim.now
-        sim.run(until=finish + self.flush_grace)
-        duration = finish - t0 + self.flush_grace
-        trace = TraceDataset(cluster.gather_traces()).between(0, duration)
-        result = ExperimentResult(
-            name=name,
-            trace=trace,
-            duration=duration,
-            nnodes=self.nnodes,
-            app_stats={n: [a.stats for a in apps[n]] for n in app_names},
-        )
-        self._finish_capture(capture, cluster, result)
-        return result
-
-    # -- streaming capture -----------------------------------------------------
+    # -- streaming capture ----------------------------------------------------
     def _start_capture(self, name: str, cluster: BeowulfCluster):
         """Attach per-node store writers when a ``sink`` is configured.
 

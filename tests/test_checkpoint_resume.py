@@ -3,10 +3,11 @@
 The bar is bit-identity: run to T, checkpoint, restore (same process or
 a fresh one), continue to the end — the trace records, duration, and
 per-app statistics must equal the uninterrupted run's exactly, for every
-disk scheduler.  The ``heap``/``calendar`` cases resume from checkpoints
-as they were written while the event queue was selectable — the clock
-carries ``queue_kind`` and the scenario an ``[engine]`` table — which
-must restore exactly like a current one.
+disk scheduler and for every kind of plan (baseline, one application,
+the ``combined`` mix, the ``serial`` chain).  The ``heap``/``calendar``
+cases resume from checkpoints as they were written while the event queue
+was selectable — the clock carries ``queue_kind`` and the scenario an
+``[engine]`` table — which must restore exactly like a current one.
 """
 
 import copy
@@ -28,7 +29,9 @@ from repro.checkpoint import (
     verify_restored_queue,
 )
 from repro.config import Scenario
+from repro.core import experiments
 from repro.core.experiments import ExperimentRunner
+from repro.obs import flatten_snapshot
 
 SCHEDULERS = ("fifo", "sstf", "scan", "clook")
 
@@ -44,6 +47,29 @@ TINY_PPM = {
                                     "grid_ny": 48, "steps": 6,
                                     "nnodes": 2}}},
 }
+
+#: the whole mix cut down to about a second per run at 2 nodes, so the
+#: multi-application plans resume in tier-1 time
+TINY_MIX = {
+    "cluster": {"nnodes": 2},
+    "workload": {"params": {**TINY_PPM["workload"]["params"],
+                            "wavelet": {"image_px": 128, "levels": 2},
+                            "nbody": {"particles": 512, "steps": 4}}},
+}
+
+#: (experiment, scenario, checkpoint cadence, engine); the multi-app
+#: plans run under the current checkpoint format only
+APP_RESUMES = [
+    pytest.param("ppm", TINY_PPM, 0.05, None, id="current"),
+    pytest.param("ppm", TINY_PPM, 0.05, "heap", id="heap"),
+    pytest.param("ppm", TINY_PPM, 0.05, "calendar", id="calendar"),
+    pytest.param("combined", TINY_MIX, 10.0, None, id="combined"),
+    pytest.param("serial", TINY_MIX, 10.0, None, id="serial"),
+]
+
+#: the obs keys that measure the host rather than the simulation
+WALL_CLOCK_KEYS = {"run.wall_seconds", "run.sim_seconds_per_wall_second",
+                   "sim.wall_seconds"}
 
 
 def scenario(engine=None, scheduler="clook", seed=11, extra=None):
@@ -99,17 +125,64 @@ def test_baseline_resume_is_bit_identical(tmp_path, scheduler, engine, seed):
     assert_identical(armed, resumed)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_app_resume_is_bit_identical(tmp_path, engine):
-    sc = scenario(engine=engine, extra=TINY_PPM)
-    ck = tmp_path / "ck"
+@pytest.fixture
+def epoch_copies(monkeypatch):
+    """A copy of every checkpoint the runner writes, in write order.
+
+    The runner overwrites one ``.ckpt`` per run, and the last epoch of
+    a multi-application plan lands after every application finished,
+    so resuming with applications still running needs an earlier one.
+    """
+    copies = []
+
+    def save(tree, path):
+        save_checkpoint(tree, path)
+        copy = path.with_name(f"{path.stem}-{tree['meta']['epoch']}.ckpt")
+        save_checkpoint(tree, copy)
+        copies.append(copy)
+
+    monkeypatch.setattr(experiments, "save_checkpoint", save)
+    return copies
+
+
+@pytest.mark.parametrize("name,extra,every,engine", APP_RESUMES)
+def test_app_resume_is_bit_identical(tmp_path, epoch_copies, name, extra,
+                                     every, engine):
+    """Resume from the first epoch (applications mid-run; a ``serial``
+    chain is inside its second application) and from the last."""
+    sc = scenario(engine=engine, extra=extra)
     armed = ExperimentRunner(scenario=sc).run(
-        "ppm", checkpoint_every=0.05, checkpoint_dir=ck)
-    ckpt = ck / "ppm.ckpt"
-    assert ckpt.exists()
-    resumed = ExperimentRunner(scenario=sc).run(
-        "ppm", resume_from=resume_point(ckpt, engine, tmp_path))
+        name, checkpoint_every=every, checkpoint_dir=tmp_path / "ck")
+    first, last = epoch_copies[0], epoch_copies[-1]
+    tokens = load_checkpoint(first)["apps"].values()
+    assert not all(token["finished"] for token in tokens)
+    for ckpt in (first, last):
+        resumed = ExperimentRunner(scenario=sc).run(
+            name, resume_from=resume_point(ckpt, engine, tmp_path))
+        assert_identical(armed, resumed)
+
+
+@pytest.mark.parametrize("name,extra,every,kwargs", [
+    ("baseline", None, 5.0, {"duration": 12.0}),
+    ("ppm", TINY_PPM, 0.05, {}),
+], ids=["baseline", "ppm"])
+def test_resume_keeps_obs_counters(tmp_path, name, extra, every, kwargs):
+    """A resumed run counts exactly what the armed run counted: every
+    obs key but the host wall-clock ones matches."""
+    sc = scenario(extra=extra)
+    ck = tmp_path / "ck"
+    armed = ExperimentRunner(scenario=sc, obs=True).run(
+        name, checkpoint_every=every, checkpoint_dir=ck, **kwargs)
+    resumed = ExperimentRunner(scenario=sc, obs=True).run(
+        name, resume_from=ck / f"{name}.ckpt")
     assert_identical(armed, resumed)
+
+    def counters(result):
+        return {key: value
+                for key, value in flatten_snapshot(result.obs).items()
+                if key not in WALL_CLOCK_KEYS}
+
+    assert counters(resumed) == counters(armed)
 
 
 def test_armed_run_equals_unarmed_run(tmp_path):
@@ -140,7 +213,7 @@ def test_restore_is_idempotent(tmp_path, scheduler, engine):
     stored = as_written_by(tree, engine)
 
     fresh = ExperimentRunner(scenario=sc)
-    sim, cluster = fresh._resume_build(stored)
+    sim, cluster = fresh._build(stored)
     drain_to_quiescence(sim)
     verify_restored_queue(sim, stored)
     fresh._restore_obs(stored)
@@ -201,3 +274,23 @@ def test_resume_rejects_wrong_experiment(tmp_path):
     with pytest.raises(CheckpointError):
         ExperimentRunner(scenario=sc).run(
             "ppm", resume_from=ck / "baseline.ckpt")
+
+
+def test_resume_rejects_a_different_window(tmp_path):
+    sc = scenario()
+    ck = tmp_path / "ck"
+    ExperimentRunner(scenario=sc).run(
+        "baseline", duration=12.0, checkpoint_every=5.0, checkpoint_dir=ck)
+    with pytest.raises(CheckpointError, match="cannot resume it as"):
+        ExperimentRunner(scenario=sc).run(
+            "baseline", duration=20.0, resume_from=ck / "baseline.ckpt")
+
+
+def test_app_resume_rejects_duration(tmp_path):
+    sc = scenario(extra=TINY_PPM)
+    ck = tmp_path / "ck"
+    ExperimentRunner(scenario=sc).run(
+        "ppm", checkpoint_every=0.05, checkpoint_dir=ck)
+    with pytest.raises(ValueError, match="duration"):
+        ExperimentRunner(scenario=sc).run(
+            "ppm", duration=12.0, resume_from=ck / "ppm.ckpt")

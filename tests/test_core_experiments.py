@@ -104,6 +104,14 @@ def test_run_baseline_duration_keyword():
     assert result.trace.duration <= 60.0
 
 
+@pytest.mark.parametrize("duration", [0, 0.0, -5.0])
+def test_run_rejects_non_positive_duration(duration):
+    # a zero window must not fall back to baseline_duration
+    runner = ExperimentRunner(nnodes=1, seed=3, baseline_duration=500.0)
+    with pytest.raises(ValueError, match="positive"):
+        runner.run("baseline", duration=duration)
+
+
 def test_removed_shims_point_at_run():
     # the PR-3 deprecation shims were retired: the old entry points are
     # gone, and the error tells stragglers exactly what to call instead

@@ -221,7 +221,7 @@ def bench_checkpoint(repeats: int = 3, duration: float = 30.0) -> dict:
 
             t0 = perf_counter()
             runner = ExperimentRunner(nnodes=2, seed=1)
-            sim, cluster = runner._resume_build(tree)
+            sim, cluster = runner._build(tree)
             drain_to_quiescence(sim)
             verify_restored_queue(sim, tree)
             best["restore_ms"] = min(best["restore_ms"],

@@ -3,11 +3,15 @@
 
 Exercises the bit-identity contract end to end:
 
-* ``baseline``: run armed (periodic checkpoints), resume from the last
-  ``.ckpt``, and require the resumed run's trace records, duration, and
+* ``baseline``: run armed (periodic checkpoints), resume from the
+  first and the last epoch's ``.ckpt``, and require the resumed run's trace records, duration, and
   metrics to equal the armed run's exactly;
 * ``ppm``: the same through the application layer (resume tokens,
   coordinator holds) — per-app statistics must match too;
+* ``serial``: the whole mix chained back to back on each node; its
+  first epoch lands inside the chain, so the resumed chain picks up
+  mid-sequence (finished apps replay only their statistics, later ones
+  start fresh);
 * a preempted sweep: finished points are skipped via their done
   markers, an interrupted point resumes from its live checkpoint, and
   the restarted sweep reproduces the uninterrupted metrics.
@@ -22,11 +26,14 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+from repro.checkpoint import save_checkpoint
 from repro.config import Scenario, parse_axis_spec, run_sweep
+from repro.core import experiments
 from repro.core.experiments import ExperimentRunner
 
 TINY_PPM = {
@@ -35,6 +42,14 @@ TINY_PPM = {
     "workload": {"params": {"ppm": {"grids": 1, "grid_nx": 24,
                                     "grid_ny": 48, "steps": 6,
                                     "nnodes": 2}}},
+}
+
+#: TINY_PPM plus wavelet and nbody cut down to about a second each
+TINY_MIX = {
+    **TINY_PPM,
+    "workload": {"params": {**TINY_PPM["workload"]["params"],
+                            "wavelet": {"image_px": 128, "levels": 2},
+                            "nbody": {"particles": 512, "steps": 4}}},
 }
 
 
@@ -51,17 +66,41 @@ def check_identical(tag: str, armed, resumed) -> None:
     print(f"  {tag}: OK ({len(armed.trace.records)} records bit-identical)")
 
 
+@contextmanager
+def epoch_copies():
+    """Keep a copy of every checkpoint written inside the block.
+
+    The runner overwrites one ``.ckpt`` per run, and the last epoch of
+    a multi-application plan lands after every application finished;
+    the copies let the smoke resume from an earlier one too.
+    """
+    copies = []
+
+    def save(tree, path):
+        save_checkpoint(tree, path)
+        copy = path.with_name(f"{path.stem}-{tree['meta']['epoch']}.ckpt")
+        save_checkpoint(tree, copy)
+        copies.append(copy)
+
+    experiments.save_checkpoint = save
+    try:
+        yield copies
+    finally:
+        experiments.save_checkpoint = save_checkpoint
+
+
 def smoke_experiment(name: str, duration, every: float,
-                     workdir: Path) -> None:
-    sc = Scenario.from_dict(TINY_PPM)
-    ck = workdir / name
+                     workdir: Path, scenario: dict = TINY_PPM) -> None:
+    sc = Scenario.from_dict(scenario)
     kwargs = {"duration": duration} if name == "baseline" else {}
-    armed = ExperimentRunner(scenario=sc).run(
-        name, checkpoint_every=every, checkpoint_dir=ck, **kwargs)
-    ckpt = ck / f"{name}.ckpt"
-    assert ckpt.exists(), f"{name}: no checkpoint was written"
-    resumed = ExperimentRunner(scenario=sc).run(name, resume_from=ckpt)
-    check_identical(name, armed, resumed)
+    with epoch_copies() as copies:
+        armed = ExperimentRunner(scenario=sc).run(
+            name, checkpoint_every=every, checkpoint_dir=workdir / name,
+            **kwargs)
+    assert copies, f"{name}: no checkpoint was written"
+    for label, ckpt in (("first", copies[0]), ("last", copies[-1])):
+        resumed = ExperimentRunner(scenario=sc).run(name, resume_from=ckpt)
+        check_identical(f"{name} from {label} epoch", armed, resumed)
 
 
 def smoke_sweep(duration: float, workdir: Path) -> None:
@@ -103,6 +142,7 @@ def main(argv=None) -> int:
         smoke_experiment("baseline", args.duration, args.duration / 4,
                          workdir)
         smoke_experiment("ppm", None, 0.05, workdir)
+        smoke_experiment("serial", None, 10.0, workdir, TINY_MIX)
         smoke_sweep(args.duration, workdir)
     print("checkpoint smoke: all checks passed")
     return 0
