@@ -315,6 +315,11 @@ class ESSApplication:
             raise ValueError("negative compute time")
         cpu = self.kernel.cpu
         vm = self.kernel.vm
+        # resident touches take the plain-call hit path; only a fault
+        # drives the ``access`` generator
+        hit = vm.note_access
+        aspace = self.aspace
+        rng = self.rng
         remaining = seconds
         while remaining > 0:
             chunk = min(slice_seconds, remaining)
@@ -323,19 +328,21 @@ class ESSApplication:
             remaining -= chunk
             if region is not None and touches_per_slice > 0:
                 start, npages = region
-                pages = self.rng.integers(start, start + npages,
-                                          size=touches_per_slice)
-                dirty = self.rng.random(touches_per_slice) < dirty_fraction
+                pages = rng.integers(start, start + npages,
+                                     size=touches_per_slice).tolist()
+                dirty = (rng.random(touches_per_slice)
+                         < dirty_fraction).tolist()
                 for page, write in zip(pages, dirty):
-                    yield from vm.access(self.aspace, int(page),
-                                         write=bool(write))
+                    if not hit(aspace, page, write):
+                        yield from vm.access(aspace, page, write=write)
                 self.stats.pages_touched += touches_per_slice
             if code_region is not None and code_touches > 0:
                 start, npages = code_region
-                pages = self.rng.integers(start, start + npages,
-                                          size=code_touches)
+                pages = rng.integers(start, start + npages,
+                                     size=code_touches).tolist()
                 for page in pages:
-                    yield from vm.access(self.aspace, int(page), write=False)
+                    if not hit(aspace, page):
+                        yield from vm.access(aspace, page, write=False)
                 self.stats.pages_touched += code_touches
 
     # -- file I/O helpers ------------------------------------------------

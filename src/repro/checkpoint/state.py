@@ -83,10 +83,25 @@ def capture_state(sim: Simulator, cluster, apps=None, obs=None,
 
 
 def check_format(tree: dict) -> dict:
+    """Check ``tree`` is a checkpoint tree; bring an older one up to date.
+
+    Files written while the klog chatter was a process carry its parked
+    ``<node>:chatter`` tick instead of the housekeeping state's
+    ``next_message``; the tick's time is that message's time, so it
+    moves there (scheduled at the capture instant) and leaves the queue
+    that :func:`arm_tick_preloads` stages and
+    :func:`verify_restored_queue` checks.
+    """
     if not isinstance(tree, dict) or tree.get("format") != FORMAT:
         raise CheckpointError(
             f"not a {FORMAT} tree (format={tree.get('format')!r})"
             if isinstance(tree, dict) else "checkpoint is not a tree")
+    ticks = tree["ticks"]
+    for owner in [o for o in ticks if o.endswith(":chatter")]:
+        node = int(owner[len("node"):-len(":chatter")])
+        housekeeping = tree["cluster"]["nodes"][node]["housekeeping"]
+        housekeeping["next_message"] = float(ticks.pop(owner)[0])
+        housekeeping["message_scheduled"] = float(tree["clock"]["now"])
     return tree
 
 

@@ -16,6 +16,7 @@ size.  Those writes come from exactly the machinery modelled here:
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -40,7 +41,10 @@ class SysLogger:
         # sim serves every node), so kernels pass a node-scoped prefix
         self.owner = owner or f"syslog:{path}"
         self._pending_bytes = 0
-        self.bytes_logged = 0
+        self._bytes_logged = 0
+        #: the :class:`HousekeepingLoad` whose messages land here; every
+        #: flush catches it up first
+        self.chatter: Optional["HousekeepingLoad"] = None
         self._handle: Optional[FileHandle] = None
         self._running = True
         sim.process(self._setup_and_flush(), name=f"syslog:{path}")
@@ -50,7 +54,14 @@ class SysLogger:
         if nbytes < 1:
             raise ValueError("log payload must be >= 1 byte")
         self._pending_bytes += nbytes
-        self.bytes_logged += nbytes
+        self._bytes_logged += nbytes
+
+    @property
+    def bytes_logged(self) -> int:
+        """Bytes queued so far, chatter included up to now."""
+        if self.chatter is not None:
+            self.chatter.catch_up(self.sim.now)
+        return self._bytes_logged
 
     def stop(self) -> None:
         self._running = False
@@ -66,6 +77,10 @@ class SysLogger:
         self._handle = FileHandle(self.fs, inode)
         while self._running:
             yield self.sim.tick(self.owner, lambda: self.flush_interval)
+            chatter = self.chatter
+            if chatter is not None:
+                now = self.sim.now
+                chatter.catch_up(now, now - self.flush_interval)
             if self._pending_bytes:
                 n, self._pending_bytes = self._pending_bytes, 0
                 yield from self._handle.append(n)
@@ -73,11 +88,11 @@ class SysLogger:
     # -- checkpoint state surface ---------------------------------------
     def snapshot_state(self) -> dict:
         return {"pending_bytes": self._pending_bytes,
-                "bytes_logged": self.bytes_logged}
+                "bytes_logged": self._bytes_logged}
 
     def restore_state(self, state: dict) -> None:
         self._pending_bytes = int(state["pending_bytes"])
-        self.bytes_logged = int(state["bytes_logged"])
+        self._bytes_logged = int(state["bytes_logged"])
 
 
 class UpdateDaemon:
@@ -119,6 +134,16 @@ class HousekeepingLoad:
     Log entries arrive as a Poisson process with exponential sizes; table
     lookups re-read a small set of metadata blocks (cache-resident, so they
     produce negligible read traffic, matching the baseline's ~100 % writes).
+
+    The message stream is data, not a process.  A message only queues
+    bytes in a logger, and the loggers' flushes are the only readers of
+    those bytes, so the time of the next message is kept as
+    :attr:`next_message` and each flush first calls :meth:`catch_up`,
+    which applies every message due before it in the order a per-message
+    loop would draw them: size, logger pick, next gap.  The
+    ``housekeeping`` stream has no other consumer, so the bytes and the
+    draws are those of the per-message loop.  ``message_rate=0`` means
+    no chatter.
     """
 
     def __init__(self, sim: Simulator, fs: FileSystem, logger,
@@ -129,8 +154,8 @@ class HousekeepingLoad:
                  lookup_blocks: int = 4,
                  owner: str = "hk"):
         from repro.sim.rng import uniform_index_drawer
-        if message_rate <= 0:
-            raise ValueError("message rate must be positive")
+        if message_rate < 0:
+            raise ValueError("message rate must be >= 0")
         self.sim = sim
         self.fs = fs
         # one logger or several (messages spread across daemons' files)
@@ -145,44 +170,71 @@ class HousekeepingLoad:
         self.owner = owner
         #: seconds between in-place utmp/state-file rewrites (0 disables)
         self.state_rewrite_interval = 4.0
-        self.messages = 0
+        self._messages = 0
         self.lookups = 0
         self.state_rewrites = 0
-        # constructed here (not in ``_chatter``) so its half-word buffer
-        # is reachable as checkpoint state; construction is RNG-state
-        # neutral, so the draw stream is unchanged
+        # the logger pick goes through a verified raw-word drawer:
+        # values and stream consumption equal ``integers``, and its
+        # half-word buffer is checkpoint state
         self._pick = uniform_index_drawer(self.rng, len(self.loggers))
+        self._logs = [lg.log for lg in self.loggers]
+        self._exponential = self.rng.exponential
+        self._mean_gap = 1.0 / message_rate if message_rate > 0 else 0.0
+        #: set by :meth:`stop`: the next message is the last
+        self._last = False
+        now = sim.now
+        #: when the next message's per-message tick would have been
+        #: queued (the tie rule of :meth:`catch_up`)
+        self._scheduled_at = now
+        #: simulated time of the next message (``inf``: no more)
+        self.next_message = (now + float(self._exponential(self._mean_gap))
+                             if message_rate > 0 else math.inf)
+        for lg in self.loggers:
+            lg.chatter = self
         self._running = True
-        sim.process(self._chatter(), name="klog-chatter")
         sim.process(self._table_lookups(), name="klog-lookups")
         sim.process(self._state_rewrites(), name="klog-utmp")
 
-    def stop(self) -> None:
-        self._running = False
+    @property
+    def messages(self) -> int:
+        """Messages logged so far (caught up to now)."""
+        self.catch_up(self.sim.now)
+        return self._messages
 
-    def _chatter(self):
-        # The densest event source in a quiescent run (one iteration per
-        # log message, several per simulated second per node), so the
-        # loop body is hoisted: bound methods in locals and the logger
-        # pick through a verified raw-word drawer.  Draw order and
-        # values are identical to the naive body (the drawer
-        # self-verifies against ``integers`` at construction).
-        tick = self.sim.tick
-        owner = f"{self.owner}:chatter"
-        exponential = self.rng.exponential
-        mean_gap = 1.0 / self.message_rate
+    def stop(self) -> None:
+        """Stop the daemons; the message already due after now still lands."""
+        self._running = False
+        self.catch_up(self.sim.now)
+        self._last = True
+
+    def catch_up(self, now: float,
+                 flush_scheduled: Optional[float] = None) -> None:
+        """Apply every message due strictly before ``now``.
+
+        A message exactly at ``now`` is a tie with the caller.  For a
+        flush whose tick was queued at ``flush_scheduled`` it counts iff
+        its own tick would have been queued earlier (a per-message tick
+        queued first fires first); for a stats read (``None``) it counts.
+        """
+        t = self.next_message
+        if t > now:
+            return
+        exponential = self._exponential
         mean_bytes = self.mean_message_bytes
-        logs = [logger.log for logger in self.loggers]
+        logs = self._logs
         pick = self._pick
-        # the gap draw rides inside the tick's lazy delay: on a restored
-        # run the parked tick replays from the checkpoint and the draw
-        # that produced it is *not* repeated
-        delay = lambda: float(exponential(mean_gap))  # noqa: E731
-        while self._running:
-            yield tick(owner, delay)
+        while t < now or (t == now and (flush_scheduled is None or
+                                        self._scheduled_at
+                                        < flush_scheduled)):
             size = int(exponential(mean_bytes))
             logs[pick()](16 if size < 16 else size)
-            self.messages += 1
+            self._messages += 1
+            if self._last:
+                t = math.inf
+                break
+            self._scheduled_at = t
+            t = t + float(exponential(self._mean_gap))
+        self.next_message = t
 
     def _state_rewrites(self):
         # utmp-style state files: a fixed slot rewritten in place, so the
@@ -217,13 +269,17 @@ class HousekeepingLoad:
 
     # -- checkpoint state surface ---------------------------------------
     def snapshot_state(self) -> dict:
-        return {"messages": self.messages,
+        return {"messages": self._messages,
                 "lookups": self.lookups,
                 "state_rewrites": self.state_rewrites,
-                "pick_half": self._pick.get_state()}
+                "pick_half": self._pick.get_state(),
+                "next_message": self.next_message,
+                "message_scheduled": self._scheduled_at}
 
     def restore_state(self, state: dict) -> None:
-        self.messages = int(state["messages"])
+        self._messages = int(state["messages"])
         self.lookups = int(state["lookups"])
         self.state_rewrites = int(state["state_rewrites"])
         self._pick.set_state(state["pick_half"])
+        self.next_message = float(state["next_message"])
+        self._scheduled_at = float(state["message_scheduled"])

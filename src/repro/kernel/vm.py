@@ -167,17 +167,31 @@ class VirtualMemory:
             self._reclaim_wakeup.succeed()
 
     # -- the fault path ------------------------------------------------------
+    def note_access(self, aspace: AddressSpace, page_id: int,
+                    write: bool = False) -> bool:
+        """Touch one page if it is resident; plain call, no generator.
+
+        The resident fast path of :meth:`access` (hit count, LRU order,
+        dirty mark): returns ``False`` with zero side effects when the
+        page is not resident, and the caller falls back to ``access``.
+        """
+        frames = self._frames
+        key = (id(aspace), page_id)
+        if key not in frames:
+            return False
+        self.stats.hits += 1
+        frames.move_to_end(key)
+        if write:
+            frames[key] = True
+            # Re-dirtying invalidates the swap copy (swap cache).
+            aspace.swapped.discard(page_id)
+        return True
+
     def access(self, aspace: AddressSpace, page_id: int, write: bool = False):
         """Touch one page; a generator that performs fault I/O if needed."""
-        key = (id(aspace), page_id)
-        if key in self._frames:
-            self.stats.hits += 1
-            self._frames.move_to_end(key)
-            if write:
-                self._frames[key] = True
-                # Re-dirtying invalidates the swap copy (swap cache).
-                aspace.swapped.discard(page_id)
+        if self.note_access(aspace, page_id, write):
             return
+        key = (id(aspace), page_id)
         self.stats.faults += 1
         if len(self._frames) >= self.frames_total:
             self.stats.direct_reclaims += 1

@@ -125,7 +125,7 @@ class Tick(Timeout):
     Ticks are the only events allowed to sit in the queue across a
     checkpoint: ``(time, priority, seq, owner)`` fully describes one, so
     the queue becomes plain data.  Periodic daemons (bdflush, update,
-    syslog flush, workload chatter, ...) create them through
+    syslog flush, table lookups, ...) create them through
     :meth:`Simulator.tick` instead of :meth:`Simulator.timeout`; in an
     un-checkpointed run the two are bit-identical (same enqueue, same
     sequence numbers).
@@ -350,6 +350,17 @@ class Simulator:
         event._scheduled = True
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, priority, self._seq, event))
+
+    def _enqueue_at(self, time: float, entry) -> None:
+        """Queue ``entry`` at absolute ``time`` (>= ``now``), NORMAL lane.
+
+        For models that replay their own timeline and wake only at the
+        instants that matter (:class:`~repro.kernel.cpu.CPU`): ``entry``
+        is anything with a ``_fire()`` method, and an entry the caller
+        has superseded simply ignores its firing.
+        """
+        self._seq += 1
+        heapq.heappush(self._heap, (time, NORMAL, self._seq, entry))
 
     def _enqueue_exact(self, time: float, priority: int, seq: int,
                        event: Event) -> None:

@@ -1,8 +1,8 @@
 """Shared resources for processes: counted resources and object stores.
 
 :class:`Resource` models a server with fixed capacity and a FIFO wait queue
-(e.g. a disk's single actuator, a CPU).  :class:`Store` is a producer/consumer
-buffer of Python objects (e.g. the /proc trace ring buffer, a message queue).
+(e.g. an Ethernet segment).  :class:`Store` is a producer/consumer buffer of
+Python objects (e.g. the /proc trace ring buffer, a message queue).
 """
 
 from __future__ import annotations

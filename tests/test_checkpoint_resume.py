@@ -11,6 +11,7 @@ was selectable — the clock carries ``queue_kind`` and the scenario an
 """
 
 import copy
+import hashlib
 import json
 import subprocess
 import sys
@@ -123,6 +124,33 @@ def test_baseline_resume_is_bit_identical(tmp_path, scheduler, engine, seed):
     resumed = ExperimentRunner(scenario=sc).run(
         "baseline", resume_from=resume_point(ckpt, engine, tmp_path))
     assert_identical(armed, resumed)
+
+
+#: a checkpoint written by the release whose klog chatter was a
+#: per-message process (its queue parks ``<node>:chatter`` ticks), and
+#: the trace digest that release resumed it to
+CHATTER_TICK_CKPT = (Path(__file__).parent / "data"
+                     / "baseline-2node-seed11-t10.ckpt")
+
+
+def test_resume_of_a_chatter_tick_checkpoint(tmp_path):
+    expected = json.loads(
+        CHATTER_TICK_CKPT.with_suffix(".json").read_text())
+    ckpt = tmp_path / CHATTER_TICK_CKPT.name  # resuming re-arms onto it
+    ckpt.write_bytes(CHATTER_TICK_CKPT.read_bytes())
+    assert any(owner.endswith(":chatter")
+               for owner in load_checkpoint(ckpt)["ticks"])
+    sc = Scenario.from_dict(expected["scenario"])
+    resumed = ExperimentRunner(scenario=sc).run("baseline", resume_from=ckpt)
+    records = resumed.trace.records
+    assert len(records) == expected["records"]
+    assert hashlib.sha256(records.tobytes()).hexdigest() == \
+        expected["trace_sha256"]
+    # the chatter state moved into the housekeeping snapshot
+    tree = load_checkpoint(ckpt)
+    assert not any(owner.endswith(":chatter") for owner in tree["ticks"])
+    assert all("next_message" in node["housekeeping"]
+               for node in tree["cluster"]["nodes"])
 
 
 @pytest.fixture

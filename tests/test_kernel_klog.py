@@ -104,8 +104,9 @@ def test_housekeeping_lookups_mostly_hit_cache(sim, fs):
 
 
 def test_housekeeping_rejects_bad_rate(sim, fs):
+    # rate 0 is valid (no chatter); only a negative rate is nonsense
     logger = SysLogger(sim, fs, "/var/log/m")
     with pytest.raises(ValueError):
         HousekeepingLoad(sim, fs, logger, rng=np.random.default_rng(0),
-                         message_rate=0.0)
+                         message_rate=-1.0)
     logger.stop()

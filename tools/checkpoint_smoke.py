@@ -14,7 +14,10 @@ Exercises the bit-identity contract end to end:
   start fresh);
 * a preempted sweep: finished points are skipped via their done
   markers, an interrupted point resumes from its live checkpoint, and
-  the restarted sweep reproduces the uninterrupted metrics.
+  the restarted sweep reproduces the uninterrupted metrics;
+* an older ``.ckpt`` (``tests/data/``, written while the klog chatter
+  was a per-message process) resumes to the trace digest recorded
+  beside it.
 
 Usage::
 
@@ -24,6 +27,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
+import shutil
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -131,6 +137,26 @@ def smoke_sweep(duration: float, workdir: Path) -> None:
     print(f"  sweep preempt/restart: OK ({len(restarted)} points)")
 
 
+#: an older-format checkpoint and its expected resume (see the JSON)
+STORED_CKPT = (Path(__file__).resolve().parents[1] / "tests" / "data"
+               / "baseline-2node-seed11-t10.ckpt")
+
+
+def smoke_stored_checkpoint(workdir: Path) -> None:
+    expected = json.loads(STORED_CKPT.with_suffix(".json").read_text())
+    ckpt = workdir / STORED_CKPT.name  # resuming re-arms onto this path
+    shutil.copy(STORED_CKPT, ckpt)
+    sc = Scenario.from_dict(expected["scenario"])
+    records = ExperimentRunner(scenario=sc).run(
+        "baseline", resume_from=ckpt).trace.records
+    digest = hashlib.sha256(records.tobytes()).hexdigest()
+    assert (len(records), digest) == \
+        (expected["records"], expected["trace_sha256"]), \
+        f"stored checkpoint resumed to {len(records)} records, {digest}"
+    print(f"  stored {STORED_CKPT.name}: OK ({len(records)} records, "
+          f"digest matches)")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--duration", type=float, default=30.0,
@@ -144,6 +170,7 @@ def main(argv=None) -> int:
         smoke_experiment("ppm", None, 0.05, workdir)
         smoke_experiment("serial", None, 10.0, workdir, TINY_MIX)
         smoke_sweep(args.duration, workdir)
+        smoke_stored_checkpoint(workdir)
     print("checkpoint smoke: all checks passed")
     return 0
 
