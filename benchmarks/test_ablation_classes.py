@@ -41,7 +41,7 @@ def test_ample_memory_removes_page_class(benchmark):
     # paging requests collapse by an order of magnitude
     assert hist.get(4.0, 0) < 0.2 * default_hist.get(4.0, 0)
     # and the swap region sees no traffic at all
-    layout = scenario.node_params().disk_layout
+    layout = scenario.node.layout
     swap = result.trace.sector_range(layout.swap_start,
                                      layout.swap_start + layout.swap_sectors)
     assert len(swap) == 0

@@ -251,9 +251,10 @@ class ESSApplication:
         """
         fs = self.kernel.fs
         inode = fs.lookup(self.binary_path)
-        page_kb = self.kernel.params.page_kb
-        blocks_per_page = self.kernel.params.blocks_per_page
-        spb = self.kernel.params.sectors_per_block
+        node = self.kernel.node_config
+        page_kb = node.vm.page_kb
+        blocks_per_page = node.blocks_per_page
+        spb = node.sectors_per_block
         total_pages = (self.binary_kb + page_kb - 1) // page_kb
         start = self._next_page
         for i in range(total_pages):
@@ -290,7 +291,7 @@ class ESSApplication:
 
     def allocate(self, kb: int) -> Tuple[int, int]:
         """Reserve an anonymous region of ``kb``; returns (start, npages)."""
-        page_kb = self.kernel.params.page_kb
+        page_kb = self.kernel.node_config.vm.page_kb
         npages = max(1, (kb + page_kb - 1) // page_kb)
         region = (self._next_page, npages)
         self._next_page += npages

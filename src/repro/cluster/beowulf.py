@@ -12,27 +12,27 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.cluster.network import EthernetNetwork
 from repro.cluster.pvm import Mailbox, PVM
+from repro.config import Scenario
 from repro.driver import TRACE_DTYPE
-from repro.kernel import NodeKernel, NodeParams
+from repro.kernel import NodeKernel
 from repro.sim import Process, RandomStreams, Simulator
 
 
 class ClusterNode:
     """One workstation: kernel + PVM mailbox."""
 
-    def __init__(self, sim: Simulator, node_id: int, params: NodeParams,
+    def __init__(self, sim: Simulator, node_id: int, node_config,
                  streams: RandomStreams, pvm: PVM,
                  housekeeping: bool = True,
                  housekeeping_message_rate: float = 3.0,
-                 obs=None, node_config=None):
+                 obs=None):
         self.node_id = node_id
         self.kernel = NodeKernel(
-            sim, params=params, streams=streams.spawn(f"node{node_id}"),
+            sim, node_config, streams=streams.spawn(f"node{node_id}"),
             node_id=node_id, housekeeping=housekeeping,
             housekeeping_message_rate=housekeeping_message_rate,
-            obs=obs, node_config=node_config)
+            obs=obs)
         self.mailbox: Mailbox = pvm.register(node_id)
         self.pvm = pvm
 
@@ -41,74 +41,42 @@ class ClusterNode:
 
 
 class BeowulfCluster:
-    """The 16-node prototype (node count and parameters configurable).
+    """The 16-node prototype, built from one :class:`~repro.config.Scenario`.
 
-    Construction resolves, in precedence order: explicit keyword
-    arguments, then the fields of ``scenario`` (a
-    :class:`~repro.config.Scenario`), then the historical defaults
-    (16 nodes, seed 0, housekeeping on at 3 msg/s).
+    ``scenario`` defaults to ``Scenario()`` (the paper's machine);
+    ``nnodes`` and ``seed``, when given, override its ``cluster.nnodes``
+    and ``seed``.  Each node gets ``scenario.node_config_for(i)``, so
+    per-node overrides (one slow disk among sixteen) reach that node's
+    whole stack, kernel tunables included.
     """
 
     def __init__(self, sim: Simulator, nnodes: Optional[int] = None,
-                 params: Optional[NodeParams] = None,
-                 seed: Optional[int] = None,
-                 housekeeping: Optional[bool] = None,
-                 housekeeping_message_rate: Optional[float] = None,
-                 obs=None, scenario=None):
-        node_config = None
-        if scenario is not None:
-            cluster_cfg = scenario.cluster
-            nnodes = cluster_cfg.nnodes if nnodes is None else nnodes
-            seed = scenario.seed if seed is None else seed
-            if housekeeping is None:
-                housekeeping = cluster_cfg.housekeeping
-            if housekeeping_message_rate is None:
-                housekeeping_message_rate = \
-                    cluster_cfg.housekeeping_message_rate
-            node_config = scenario.node
-            if params is None:
-                params = node_config.to_node_params()
-        nnodes = 16 if nnodes is None else nnodes
-        seed = 0 if seed is None else seed
-        housekeeping = True if housekeeping is None else housekeeping
-        if housekeeping_message_rate is None:
-            housekeeping_message_rate = 3.0
-        if nnodes < 1:
-            raise ValueError("cluster needs at least one node")
+                 seed: Optional[int] = None, obs=None,
+                 scenario: Optional[Scenario] = None):
+        scenario = scenario or Scenario()
+        if nnodes is not None:
+            scenario = scenario.with_override("cluster.nnodes", nnodes)
+        if seed is not None:
+            scenario = scenario.with_override("seed", seed)
+        cluster_cfg = scenario.cluster
+        cluster_cfg.validate("scenario.cluster")
         self.sim = sim
         self.scenario = scenario
-        self.params = params or NodeParams()
-        streams = RandomStreams(seed=seed)
+        streams = RandomStreams(seed=scenario.seed)
         #: the cluster-wide stream registry (checkpoint state surface)
         self.streams = streams
-        if scenario is not None:
-            self.network = scenario.network.build(
-                sim, rng=streams.stream("ethernet"), obs=obs)
-        else:
-            self.network = EthernetNetwork(
-                sim, rng=streams.stream("ethernet"), obs=obs)
+        self.network = scenario.network.build(
+            sim, rng=streams.stream("ethernet"), obs=obs)
         self.pvm = PVM(sim, self.network)
         #: the parallel file service, once :meth:`make_pious` built it
         self.pious = None
-        self.nodes: List[ClusterNode] = []
-        for node_id in range(nnodes):
-            node_params, per_node_config = self._node_stack_for(
-                node_id, node_config)
-            self.nodes.append(ClusterNode(
-                sim, node_id, node_params, streams, self.pvm,
-                housekeeping=housekeeping,
-                housekeeping_message_rate=housekeeping_message_rate,
-                obs=obs, node_config=per_node_config))
-
-    def _node_stack_for(self, node_id: int, node_config):
-        """Per-node (params, config): the scenario's ``node_overrides``
-        may give individual nodes (one slow disk among sixteen) their
-        own stack — both the disk members and the kernel tunables."""
-        if self.scenario is not None \
-                and str(node_id) in self.scenario.node_overrides:
-            cfg = self.scenario.node_config_for(node_id)
-            return cfg.to_node_params(), cfg
-        return self.params, node_config
+        rate = cluster_cfg.housekeeping_message_rate
+        self.nodes: List[ClusterNode] = [
+            ClusterNode(sim, node_id, scenario.node_config_for(node_id),
+                        streams, self.pvm,
+                        housekeeping=cluster_cfg.housekeeping,
+                        housekeeping_message_rate=rate, obs=obs)
+            for node_id in range(cluster_cfg.nnodes)]
 
     def make_pious(self, storage_dir: str = "/pious"):
         """Build the PIOUS parallel file service from the scenario.
@@ -119,13 +87,10 @@ class BeowulfCluster:
         its counters.
         """
         from repro.cluster.pious import PIOUS
-        cfg = self.scenario.pious if self.scenario is not None else None
-        if cfg is None:
-            self.pious = PIOUS(self, storage_dir=storage_dir)
-        else:
-            self.pious = PIOUS(self, stripe_kb=cfg.stripe_kb,
-                               servers=cfg.server_ids(len(self.nodes)),
-                               storage_dir=storage_dir)
+        cfg = self.scenario.pious
+        self.pious = PIOUS(self, stripe_kb=cfg.stripe_kb,
+                           servers=cfg.server_ids(len(self.nodes)),
+                           storage_dir=storage_dir)
         return self.pious
 
     def __len__(self) -> int:

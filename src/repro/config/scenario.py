@@ -29,9 +29,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 from typing import get_args, get_origin, get_type_hints
 
 from repro.disk import (DRIVE_CACHES, SCHEDULERS, SECTOR_BYTES,
-                        DiskGeometry, NullDriveCache, VOLUME_POLICIES)
-from repro.disk.volume import capacity_sectors
-from repro.kernel.params import DiskLayout, NodeParams
+                        NullDriveCache, VOLUME_POLICIES)
 from repro.registry import UnknownComponentError
 
 
@@ -288,7 +286,21 @@ class VMConfig:
 
 @dataclass(frozen=True)
 class LayoutConfig:
-    """Filesystem zone placement (sectors) — mirrors ``DiskLayout``."""
+    """Zone boundaries (in 512 B sectors) used by the filesystem allocator.
+
+    The defaults target a ~1,024,128-sector (500 MB) disk, so the sector
+    bands of the paper's figures come out of allocation policy:
+
+    * metadata: superblock / bitmaps / inode table at the very front;
+    * ``log`` zone near sector 45,000 — the paper's hottest sector band;
+    * ``binary`` zone for program images;
+    * ``data`` zone for user data files (just under sector 100,000 at its
+      front, the paper's second-hottest band);
+    * ``swap`` region above those (64 MB);
+    * ``highlog`` zone at the top of the disk, where instrumentation
+      output lands (the paper's baseline shows activity at high sector
+      numbers as well as low).
+    """
 
     metadata_start: int = 0
     metadata_sectors: int = 4096
@@ -309,30 +321,45 @@ class LayoutConfig:
             _check(value >= 0, f"{path}.{f.name}",
                    f"must be >= 0, got {value}")
 
-    def to_disk_layout(self) -> DiskLayout:
-        return DiskLayout(**{f.name: getattr(self, f.name)
-                             for f in fields(self)})
-
-    @classmethod
-    def from_disk_layout(cls, layout: DiskLayout) -> "LayoutConfig":
-        return cls(**{f.name: getattr(layout, f.name)
-                      for f in fields(cls)})
+    def zone(self, name: str) -> Tuple[int, int]:
+        """(start_sector, nsectors) of a named zone."""
+        try:
+            return (getattr(self, f"{name}_start"),
+                    getattr(self, f"{name}_sectors"))
+        except AttributeError:
+            raise KeyError(f"unknown disk zone {name!r}") from None
 
 
 @dataclass(frozen=True)
 class NodeConfig:
-    """One node's hardware and kernel tunables, plus its subsystems."""
+    """One node's hardware and kernel tunables, plus its subsystems.
 
+    The defaults are one node of the 1995 prototype: a 486DX4-100 with
+    16 MB RAM, a 16 KB L1 cache, and a 500 MB IDE disk.  This is the
+    only node description the kernel reads.
+    """
+
+    #: filesystem / buffer-cache block size in KB (ext2 of the era: 1)
     block_kb: int = 1
     l1_cache_kb: int = 16
+    #: relative CPU speed (1.0 = one 486DX4-100); app compute phases are
+    #: expressed in seconds on this reference CPU
     cpu_speed: float = 1.0
     timeslice: float = 0.05
     buffer_cache_kb: int = 2048
     bdflush_interval: float = 5.0
+    #: dirty-buffer age before bdflush writes it back (seconds)
     bdflush_age: float = 5.0
+    #: max contiguous dirty blocks merged into one write-back request;
+    #: small, as the era's bdflush wrote buffers near-individually — the
+    #: "small multiples of 1 KB" the baseline shows
     writeback_cluster_blocks: int = 2
+    #: read-ahead ceiling in KB (16 = L1 cache; doubled under
+    #: multiprogramming, see NodeKernel.effective_readahead_kb)
     max_readahead_kb: int = 16
+    #: update daemon (superblock/inode sync) period in seconds
     update_interval: float = 30.0
+    #: dirty the inode on every read (classic Unix atime semantics)
     atime_updates: bool = False
     vm: VMConfig = field(default_factory=VMConfig)
     disks: Tuple[DiskConfig, ...] = field(
@@ -387,6 +414,9 @@ class NodeConfig:
         _check(self.vm.page_kb % self.block_kb == 0, f"{path}.vm.page_kb",
                f"page size ({self.vm.page_kb} KB) must be a multiple of "
                f"the block size ({self.block_kb} KB)")
+        _check(self.user_frames >= 1, f"{path}.buffer_cache_kb",
+               f"buffer cache ({self.buffer_cache_kb} KB) leaves no "
+               f"{self.vm.page_kb} KB page frame for user processes")
         _check(len(self.disks) >= 1, f"{path}.disks",
                "node needs at least one disk")
         for i, disk in enumerate(self.disks):
@@ -395,61 +425,21 @@ class NodeConfig:
         self.driver.validate(f"{path}.driver")
         self.layout.validate(f"{path}.layout")
 
-    def logical_capacity_mb(self) -> int:
-        """Capacity of the node's logical volume over its members."""
-        sizes = [DiskGeometry.from_capacity_mb(d.capacity_mb).total_sectors
-                 for d in self.disks]
-        sectors = capacity_sectors(self.volume.policy, sizes,
-                                   self.volume.stripe_sectors)
-        return (sectors * SECTOR_BYTES) // (1024 * 1024)
+    @property
+    def user_frames(self) -> int:
+        """Page frames left to user processes once the kernel and the
+        buffer cache are resident."""
+        user_kb = (self.vm.ram_mb - self.vm.kernel_resident_mb) * 1024 \
+            - self.buffer_cache_kb
+        return user_kb // self.vm.page_kb
 
-    def to_node_params(self) -> NodeParams:
-        """The kernel-facing parameter object this node resolves to."""
-        return NodeParams(
-            ram_mb=self.vm.ram_mb,
-            kernel_resident_mb=self.vm.kernel_resident_mb,
-            block_kb=self.block_kb,
-            page_kb=self.vm.page_kb,
-            l1_cache_kb=self.l1_cache_kb,
-            disk_mb=self.logical_capacity_mb(),
-            cpu_speed=self.cpu_speed,
-            timeslice=self.timeslice,
-            buffer_cache_kb=self.buffer_cache_kb,
-            bdflush_interval=self.bdflush_interval,
-            bdflush_age=self.bdflush_age,
-            writeback_cluster_blocks=self.writeback_cluster_blocks,
-            max_readahead_kb=self.max_readahead_kb,
-            update_interval=self.update_interval,
-            atime_updates=self.atime_updates,
-            disk_layout=self.layout.to_disk_layout(),
-        )
+    @property
+    def blocks_per_page(self) -> int:
+        return self.vm.page_kb // self.block_kb
 
-    @classmethod
-    def from_node_params(cls, params: NodeParams) -> "NodeConfig":
-        """Lift a legacy ``NodeParams`` into the config tree.
-
-        The disk stack keeps the historical defaults (C-LOOK, 4x64
-        segment cache, 1 s drain) — exactly what the pre-scenario code
-        hard-wired around a ``NodeParams``.
-        """
-        return cls(
-            block_kb=params.block_kb,
-            l1_cache_kb=params.l1_cache_kb,
-            cpu_speed=params.cpu_speed,
-            timeslice=params.timeslice,
-            buffer_cache_kb=params.buffer_cache_kb,
-            bdflush_interval=params.bdflush_interval,
-            bdflush_age=params.bdflush_age,
-            writeback_cluster_blocks=params.writeback_cluster_blocks,
-            max_readahead_kb=params.max_readahead_kb,
-            update_interval=params.update_interval,
-            atime_updates=params.atime_updates,
-            vm=VMConfig(ram_mb=params.ram_mb,
-                        kernel_resident_mb=params.kernel_resident_mb,
-                        page_kb=params.page_kb),
-            disks=(DiskConfig(capacity_mb=params.disk_mb),),
-            layout=LayoutConfig.from_disk_layout(params.disk_layout),
-        )
+    @property
+    def sectors_per_block(self) -> int:
+        return self.block_kb * 1024 // SECTOR_BYTES
 
 
 @dataclass(frozen=True)
@@ -624,9 +614,6 @@ class Scenario:
         return self
 
     # -- resolution ---------------------------------------------------------
-    def node_params(self) -> NodeParams:
-        return self.node.to_node_params()
-
     def node_config_for(self, node_id: int) -> NodeConfig:
         """One node's resolved config: ``node`` plus its per-node
         overrides (if any) from :attr:`node_overrides`."""

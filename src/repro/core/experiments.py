@@ -32,10 +32,9 @@ from repro.checkpoint import (CheckpointCoordinator, CheckpointError,
                               restore_cluster_state, save_checkpoint,
                               verify_restored_queue)
 from repro.cluster import BeowulfCluster
-from repro.config import NodeConfig, Scenario
+from repro.config import Scenario
 from repro.core.metrics import WorkloadMetrics, compute_metrics
 from repro.core.trace import TraceDataset
-from repro.kernel import NodeParams
 from repro.sim import Simulator
 
 #: canonical experiment names, in the paper's order
@@ -180,7 +179,6 @@ class ExperimentRunner:
 
     def __init__(self, nnodes: Optional[int] = None,
                  seed: Optional[int] = None,
-                 node_params: Optional[NodeParams] = None,
                  housekeeping_message_rate: Optional[float] = None,
                  baseline_duration: Optional[float] = None,
                  hard_limit: Optional[float] = None,
@@ -207,14 +205,10 @@ class ExperimentRunner:
             overrides["experiment.flush_grace"] = flush_grace
         if overrides:
             base = base.with_overrides(overrides)
-        if node_params is not None:
-            base = replace(base,
-                           node=NodeConfig.from_node_params(node_params))
         #: the fully-resolved scenario this runner executes
         self.scenario = base.validate()
         self.nnodes = base.cluster.nnodes
         self.seed = base.seed
-        self.node_params = node_params
         self.housekeeping_message_rate = \
             base.cluster.housekeeping_message_rate
         self.baseline_duration = base.experiment.baseline_duration

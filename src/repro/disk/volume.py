@@ -23,9 +23,7 @@ IDE drives.  Policies live in the :data:`VOLUME_POLICIES` registry so a
 The address math is kept in pure module-level functions
 (:func:`raid0_extents`, :func:`concat_extents`,
 :func:`capacity_sectors`) so tests can exercise coverage/overlap
-properties without building devices, and so
-:meth:`~repro.config.NodeConfig.to_node_params` can compute logical
-capacity from a config alone.
+properties without building devices.
 
 Per-physical-disk identity is preserved: each member remains a full
 :class:`Disk` with its own name, RNG stream, stats, and observability

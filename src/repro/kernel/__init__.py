@@ -19,7 +19,6 @@ layer (:mod:`.syscalls`), the kernel logger and update daemons
 together.
 """
 
-from repro.kernel.params import DiskLayout, NodeParams
 from repro.kernel.buffercache import BufferCache
 from repro.kernel.fs import FileSystem, Inode
 from repro.kernel.readahead import ReadAheadState
@@ -33,12 +32,10 @@ __all__ = [
     "AddressSpace",
     "BufferCache",
     "CPU",
-    "DiskLayout",
     "FileHandle",
     "FileSystem",
     "Inode",
     "NodeKernel",
-    "NodeParams",
     "ReadAheadState",
     "SysLogger",
     "UpdateDaemon",

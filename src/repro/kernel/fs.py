@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.kernel.buffercache import BufferCache
-from repro.kernel.params import DiskLayout
 
 #: inodes per metadata block (128-byte on-disk inodes, 1 KB blocks)
 INODES_PER_BLOCK = 8
@@ -87,11 +86,14 @@ class _ZoneAllocator:
 class FileSystem:
     """Zoned mini-ext2 with real metadata I/O through the buffer cache."""
 
-    def __init__(self, cache: BufferCache, layout: Optional[DiskLayout] = None,
+    def __init__(self, cache: BufferCache, layout=None,
                  block_kb: int = 1, max_inodes: int = 4096,
                  atime_updates: bool = False):
+        if layout is None:
+            from repro.config import LayoutConfig
+            layout = LayoutConfig()
         self.cache = cache
-        self.layout = layout or DiskLayout()
+        self.layout = layout
         self.block_kb = block_kb
         #: classic Unix semantics dirty the inode on every read (access
         #: time); off by default — the studied system's effect is already

@@ -19,7 +19,6 @@ from repro.kernel.buffercache import BufferCache
 from repro.kernel.cpu import CPU
 from repro.kernel.fs import FileSystem, Inode
 from repro.kernel.klog import HousekeepingLoad, SysLogger, UpdateDaemon
-from repro.kernel.params import NodeParams
 from repro.kernel.readahead import ReadAheadState
 from repro.kernel.syscalls import FileHandle
 from repro.kernel.vm import VirtualMemory
@@ -32,32 +31,28 @@ TRACE_RECORD_BYTES = 32
 class NodeKernel:
     """One node: hardware, kernel machinery, and system daemons.
 
-    The disk stack (scheduler, drive cache, driver transport) is built
-    from a :class:`~repro.config.NodeConfig`; pass ``node_config`` to
-    swap components by registry name.  ``params`` remains accepted for
-    the kernel-tunable surface — when both are given, ``params`` wins
-    for its fields and ``node_config`` supplies the disk stack.
+    Everything about the node — disk stack (scheduler, drive cache,
+    driver transport) and kernel tunables alike — comes from one
+    :class:`~repro.config.NodeConfig` (default: the paper's node),
+    validated here so a kernel built straight from a config gets the
+    same checks as a scenario.
     """
 
-    def __init__(self, sim: Simulator, params: Optional[NodeParams] = None,
+    def __init__(self, sim: Simulator, node_config=None,
                  streams: Optional[RandomStreams] = None, node_id: int = 0,
                  housekeeping: bool = True,
                  housekeeping_message_rate: float = 3.0,
-                 obs=None, node_config=None):
+                 obs=None):
         # lazy import: repro.config imports the disk registries, which
         # live beside modules this kernel package also imports
         from repro.config import NodeConfig
-        if node_config is None:
-            node_config = (NodeConfig.from_node_params(params)
-                           if params is not None else NodeConfig())
-        self.node_config = node_config
+        cfg = node_config if node_config is not None else NodeConfig()
+        cfg.validate("node_config")
+        self.node_config = cfg
         self.sim = sim
-        self.params = params if params is not None \
-            else node_config.to_node_params()
         self.node_id = node_id
         streams = streams or RandomStreams(seed=node_id)
         self.streams = streams
-        p = self.params
 
         # One Disk per member of the node's volume.  The first member
         # keeps the historical identity (RNG stream "disk", name
@@ -65,7 +60,7 @@ class NodeKernel:
         # to the pre-volume stack; extra members get their own streams
         # and names (hdb<node>, hdc<node>, ...).
         disks = []
-        for i, disk_cfg in enumerate(node_config.disks):
+        for i, disk_cfg in enumerate(cfg.disks):
             geometry = DiskGeometry.from_capacity_mb(disk_cfg.capacity_mb)
             disks.append(Disk(
                 sim,
@@ -79,52 +74,52 @@ class NodeKernel:
                 media_error_rate=disk_cfg.media_error_rate,
                 obs=obs))
         self.disks = tuple(disks)
-        self.volume = node_config.volume.build(self.disks,
-                                               name=f"md{node_id}")
+        self.volume = cfg.volume.build(self.disks, name=f"md{node_id}")
         self.transport = ProcTraceTransport(
-            sim, ring_capacity=node_config.driver.ring_capacity,
-            drain_interval=node_config.driver.drain_interval,
+            sim, ring_capacity=cfg.driver.ring_capacity,
+            drain_interval=cfg.driver.drain_interval,
             sink=self._instrumentation_sink)
         self.driver = InstrumentedIDEDriver(sim, self.volume,
                                             node_id=node_id,
                                             transport=self.transport)
         self.cache = BufferCache(
             sim, self.driver,
-            capacity_blocks=p.buffer_cache_kb // p.block_kb,
-            sectors_per_block=p.sectors_per_block,
-            cluster_blocks=p.writeback_cluster_blocks)
-        self.fs = FileSystem(self.cache, layout=p.disk_layout,
-                             block_kb=p.block_kb,
-                             atime_updates=p.atime_updates)
-        self.vm = VirtualMemory(self.driver, frames_total=p.user_frames,
-                                page_kb=p.page_kb, layout=p.disk_layout)
+            capacity_blocks=cfg.buffer_cache_kb // cfg.block_kb,
+            sectors_per_block=cfg.sectors_per_block,
+            cluster_blocks=cfg.writeback_cluster_blocks)
+        self.fs = FileSystem(self.cache, layout=cfg.layout,
+                             block_kb=cfg.block_kb,
+                             atime_updates=cfg.atime_updates)
+        self.vm = VirtualMemory(self.driver, frames_total=cfg.user_frames,
+                                page_kb=cfg.vm.page_kb, layout=cfg.layout)
         # kswapd keeps a small free pool so most faults avoid synchronous
         # (direct) reclaim; its batched swap-outs are part of the bursty
         # write clumping the combined figures show.
         self.vm.attach_reclaimer(sim)
-        self.cpu = CPU(sim, speed=p.cpu_speed, timeslice=p.timeslice)
+        self.cpu = CPU(sim, speed=cfg.cpu_speed, timeslice=cfg.timeslice)
 
         # System daemons.  Several log files, as on a real system
         # (messages / daemon / wtmp), so quiescent writes land on a few
         # distinct sector groups instead of one sequential run.
         prefix = f"node{node_id}"
         self.syslog = SysLogger(sim, self.fs, "/var/log/messages",
-                                zone="log", flush_interval=p.bdflush_interval,
+                                zone="log",
+                                flush_interval=cfg.bdflush_interval,
                                 owner=f"{prefix}:syslog:messages")
         self.daemonlog = SysLogger(sim, self.fs, "/var/log/daemon",
                                    zone="log",
-                                   flush_interval=p.bdflush_interval,
+                                   flush_interval=cfg.bdflush_interval,
                                    owner=f"{prefix}:syslog:daemon")
         self.wtmplog = SysLogger(sim, self.fs, "/var/log/wtmp",
                                  zone="log",
-                                 flush_interval=p.bdflush_interval,
+                                 flush_interval=cfg.bdflush_interval,
                                  owner=f"{prefix}:syslog:wtmp")
         self.instlog = SysLogger(sim, self.fs, "/var/log/iotrace",
                                  zone="highlog",
-                                 flush_interval=p.bdflush_interval,
+                                 flush_interval=cfg.bdflush_interval,
                                  owner=f"{prefix}:syslog:iotrace")
-        self.update = UpdateDaemon(sim, self.fs, interval=p.update_interval,
-                                   buffer_age=p.bdflush_age,
+        self.update = UpdateDaemon(sim, self.fs, interval=cfg.update_interval,
+                                   buffer_age=cfg.bdflush_age,
                                    owner=f"{prefix}:update")
         self.housekeeping: Optional[HousekeepingLoad] = None
         if housekeeping:
@@ -175,7 +170,7 @@ class NodeKernel:
         more than one application is resident.
         """
         scale = 2 if self.apps_running > 1 else 1
-        return self.params.max_readahead_kb * scale
+        return self.node_config.max_readahead_kb * scale
 
     def create(self, path: str, zone: str = "data"):
         """Generator: create a file; returns an open FileHandle."""
@@ -187,7 +182,7 @@ class NodeKernel:
         return self._handle(self.fs.lookup(path))
 
     def _handle(self, inode: Inode) -> FileHandle:
-        ra = ReadAheadState(block_kb=self.params.block_kb,
+        ra = ReadAheadState(block_kb=self.node_config.block_kb,
                             max_window_provider=self.effective_readahead_kb)
         return FileHandle(self.fs, inode, readahead=ra)
 
@@ -261,8 +256,8 @@ class NodeKernel:
     def _bdflush(self):
         sim = self.sim
         cache = self.cache
-        interval = self.params.bdflush_interval
-        age = self.params.bdflush_age
+        interval = self.node_config.bdflush_interval
+        age = self.node_config.bdflush_age
         owner = f"node{self.node_id}:bdflush"
         while self._bdflush_on:
             yield sim.tick(owner, lambda: interval)

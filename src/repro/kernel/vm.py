@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.driver import InstrumentedIDEDriver
-from repro.kernel.params import DiskLayout
 
 
 class OutOfSwap(Exception):
@@ -72,14 +71,16 @@ class VirtualMemory:
     """Global frame pool + swap for one node."""
 
     def __init__(self, driver: InstrumentedIDEDriver, frames_total: int,
-                 page_kb: int = 4, layout: Optional[DiskLayout] = None):
+                 page_kb: int = 4, layout=None):
         if frames_total < 1:
             raise ValueError("need at least one frame")
         self.driver = driver
         self.frames_total = frames_total
         self.page_kb = page_kb
         self.sectors_per_page = page_kb * 1024 // 512
-        layout = layout or DiskLayout()
+        if layout is None:
+            from repro.config import LayoutConfig
+            layout = LayoutConfig()
         self.swap_start, swap_sectors = layout.zone("swap")
         self.swap_slots = swap_sectors // self.sectors_per_page
         self.stats = VMStats()

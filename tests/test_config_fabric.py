@@ -178,6 +178,26 @@ def test_cluster_builds_scenario_network():
     assert cluster.network.mtu == 9000
 
 
+def test_node_override_of_a_kernel_tunable_reaches_that_node_only():
+    scenario = Scenario().with_overrides({
+        "cluster.nnodes": 3, "node[2].max_readahead_kb": 64,
+        "node[2].vm.ram_mb": 32}).validate()
+    cluster = BeowulfCluster(Simulator(), scenario=scenario)
+    kernels = [node.kernel for node in cluster.nodes]
+    assert [k.effective_readahead_kb() for k in kernels] == [16, 16, 64]
+    assert [k.vm.frames_total for k in kernels] == [2304, 2304, 6400]
+    assert kernels[0].node_config is scenario.node
+
+
+def test_cluster_kwargs_override_the_scenario():
+    scenario = Scenario().with_overrides({"cluster.nnodes": 4, "seed": 3})
+    cluster = BeowulfCluster(Simulator(), nnodes=2, seed=5,
+                             scenario=scenario)
+    assert len(cluster) == 2
+    assert (cluster.scenario.cluster.nnodes, cluster.scenario.seed) == (2, 5)
+    assert len(BeowulfCluster(Simulator(), scenario=scenario)) == 4
+
+
 def test_make_pious_follows_scenario_placement():
     scenario = Scenario().with_overrides({
         "cluster.nnodes": 4, "pious.stripe_kb": 16,

@@ -19,13 +19,18 @@ from repro.disk import (
     SCHEDULERS,
     DRIVE_CACHES,
 )
-from repro.kernel import NodeParams
 
 
 # -- defaults reproduce the paper's stack -------------------------------------
-def test_default_scenario_is_valid_and_matches_node_params():
+def test_default_scenario_is_valid_and_is_the_papers_node():
     scenario = Scenario().validate()
-    assert scenario.node_params() == NodeParams()
+    node = scenario.node
+    assert (node.vm.ram_mb, node.block_kb, node.vm.page_kb,
+            node.max_readahead_kb) == (16, 1, 4, 16)
+    # 16 MB - 5 MB kernel - 2 MB buffer cache = 9 MB user = 2304 frames
+    assert (node.user_frames, node.blocks_per_page,
+            node.sectors_per_block) == (2304, 4, 2)
+    assert node.layout.zone("swap") == (240_000, 131_072)
     assert scenario.cluster.nnodes == 16
     assert scenario.workload.mix == ("ppm", "wavelet", "nbody")
 
@@ -39,10 +44,24 @@ def test_default_disk_stack_builds_historical_components():
             cache.lookahead_sectors) == (4, 64, 32)
 
 
-def test_node_params_round_trip_through_config():
-    params = NodeParams(ram_mb=32, buffer_cache_kb=4096,
-                        max_readahead_kb=32)
-    assert NodeConfig.from_node_params(params).to_node_params() == params
+def test_default_fingerprint_is_pinned():
+    """Stored checkpoints and analysis caches are keyed by it."""
+    assert Scenario().fingerprint() == "a87e06aa1b22"
+
+
+def test_buffer_cache_must_leave_a_user_frame():
+    # 16 MB - 5 MB kernel - 12 MB buffer cache leaves -1 MB for users
+    with pytest.raises(ConfigError,
+                       match=r"^scenario\.node\.buffer_cache_kb: "):
+        Scenario().with_override("node.buffer_cache_kb", 12288).validate()
+    with pytest.raises(ConfigError, match=r"^scenario\.node_overrides\.1"
+                                          r"\.buffer_cache_kb: "):
+        Scenario().with_override("node[1].buffer_cache_kb",
+                                 12288).validate()
+    # exactly one 4 KB frame left is enough
+    edge = (11 * 1024) - 4
+    assert NodeConfig(buffer_cache_kb=edge).user_frames == 1
+    Scenario().with_override("node.buffer_cache_kb", edge).validate()
 
 
 # -- serialization round trips ------------------------------------------------

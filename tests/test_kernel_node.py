@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.kernel import NodeKernel, NodeParams
+from repro.config import ConfigError, LayoutConfig, NodeConfig, VMConfig
+from repro.kernel import NodeKernel
 from repro.sim import RandomStreams
 from tests.conftest import drive
 
@@ -17,13 +18,64 @@ def test_node_wires_all_subsystems(node):
     assert node.disk is not None
     assert node.fs.cache.driver is node.driver
     assert node.vm.driver is node.driver
-    assert node.params.ram_mb == 16
+    assert node.node_config == NodeConfig()
 
 
 def test_user_frames_reflect_beowulf_memory():
-    p = NodeParams()
     # 16 MB - 5 MB kernel - 2 MB buffer cache = 9 MB user = 2304 frames
-    assert p.user_frames == 2304
+    assert NodeConfig().user_frames == 2304
+
+
+#: every kernel tunable off its default
+TUNED = NodeConfig(
+    block_kb=2, cpu_speed=2.0, timeslice=0.1, buffer_cache_kb=4096,
+    writeback_cluster_blocks=4, max_readahead_kb=64, atime_updates=True,
+    vm=VMConfig(ram_mb=32, page_kb=8),
+    layout=LayoutConfig(swap_start=300_000, highlog_start=900_000))
+
+
+def test_node_config_reaches_the_built_kernel(sim):
+    node = NodeKernel(sim, TUNED, housekeeping=False)
+    assert node.node_config is TUNED
+    assert node.cache.capacity == 2048           # 4096 KB of 2 KB blocks
+    assert node.cache.spb == 4
+    assert node.cache.cluster_blocks == 4
+    assert node.fs.block_kb == 2
+    assert node.fs.atime_updates is True
+    assert node.fs.layout is TUNED.layout
+    # (32 MB - 5 MB kernel) - 4 MB buffer cache = 23 MB = 2944 8 KB frames
+    assert node.vm.frames_total == TUNED.user_frames == 2944
+    assert node.vm.page_kb == 8
+    assert node.vm.swap_start == 300_000
+    assert (node.cpu.speed, node.cpu.timeslice) == (2.0, 0.1)
+    assert node.effective_readahead_kb() == 64
+    handle = drive(sim, node.create("/f.dat"), until=1.0)
+    assert handle.readahead.block_kb == 2
+
+
+def test_bdflush_follows_node_config_interval_and_age(sim):
+    """A block dirtied at t=0 goes out on the first bdflush tick at
+    which it is ``bdflush_age`` old: t=3 with 1 s ticks and a 3 s age
+    (t=5 under the defaults)."""
+    node = NodeKernel(sim, NodeConfig(bdflush_interval=1.0,
+                                      bdflush_age=3.0),
+                      housekeeping=False)
+
+    def writer():
+        handle = yield from node.create("/data.out")
+        yield from handle.write(1024)
+
+    drive(sim, writer(), until=10.0)
+    writes = node.trace_array()
+    assert len(writes)
+    assert 3.0 <= writes["time"].min() < 4.0
+
+
+def test_invalid_node_config_given_to_kernel_raises(sim):
+    with pytest.raises(ConfigError, match="node_config.buffer_cache_kb"):
+        NodeKernel(sim, NodeConfig(buffer_cache_kb=12288))
+    with pytest.raises(ConfigError, match="node_config.vm.page_kb"):
+        NodeKernel(sim, NodeConfig(block_kb=3))
 
 
 def test_baseline_run_produces_write_dominated_trace(sim, node):
@@ -46,7 +98,7 @@ def test_baseline_rate_is_order_one_per_second(sim, node):
 def test_baseline_touches_low_and_high_sectors(sim, node):
     sim.run(until=600.0)
     arr = node.trace_array()
-    layout = node.params.disk_layout
+    layout = node.node_config.layout
     assert (arr["sector"] < layout.swap_start).any()
     assert (arr["sector"] >= layout.highlog_start).any()
 

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.config import LayoutConfig
 from repro.disk import Disk
 from repro.driver import InstrumentedIDEDriver, ProcTraceTransport
 from repro.kernel import VirtualMemory
-from repro.kernel.params import DiskLayout
 from repro.kernel.vm import OutOfSwap
 from repro.sim import Simulator
 from tests.conftest import drive
@@ -68,7 +68,7 @@ def test_dirty_eviction_writes_to_swap_and_swapin_reads_back(vm_rig):
     arr = traces(transport)
     writes = arr[arr["write"] == 1]
     assert len(writes) == 1
-    layout = DiskLayout()
+    layout = LayoutConfig()
     assert writes["sector"][0] >= layout.swap_start
     assert writes["size_kb"][0] == 4.0
     assert 0 in aspace.swapped
@@ -127,7 +127,7 @@ def test_out_of_swap_raises():
     sim = Simulator()
     disk = Disk(sim, rng=np.random.default_rng(0))
     driver = InstrumentedIDEDriver(sim, disk)
-    layout = DiskLayout(swap_sectors=8)  # exactly one 4 KB slot
+    layout = LayoutConfig(swap_sectors=8)  # exactly one 4 KB slot
     vm = VirtualMemory(driver, frames_total=1, page_kb=4, layout=layout)
     aspace = vm.create_space("app")
     drive(sim, vm.access(aspace, 0, write=True))

@@ -64,6 +64,19 @@ PUBLIC_API = {
         "run_sweep",
         "sweep_to_json",
     ],
+    "repro.kernel": [
+        "AddressSpace",
+        "BufferCache",
+        "CPU",
+        "FileHandle",
+        "FileSystem",
+        "Inode",
+        "NodeKernel",
+        "ReadAheadState",
+        "SysLogger",
+        "UpdateDaemon",
+        "VirtualMemory",
+    ],
     "repro.analysis": [
         "Accumulator",
         "AnalysisEngine",
