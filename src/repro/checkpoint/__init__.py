@@ -23,20 +23,18 @@ from repro.checkpoint.serialize import (CheckpointError, FORMAT_VERSION,
                                         MAGIC, dumps, load_checkpoint,
                                         loads, save_checkpoint, tree_equal,
                                         validate_tree)
-from repro.checkpoint.state import (FORMAT, arm_tick_preloads, capture_state,
-                                    check_format, drain_to_quiescence,
+from repro.checkpoint.state import (arm_tick_preloads, capture_state,
+                                    drain_to_quiescence,
                                     restore_cluster_state, snapshot_ticks,
                                     verify_restored_queue)
 
 __all__ = [
     "CheckpointCoordinator",
     "CheckpointError",
-    "FORMAT",
     "FORMAT_VERSION",
     "MAGIC",
     "arm_tick_preloads",
     "capture_state",
-    "check_format",
     "drain_to_quiescence",
     "dumps",
     "load_checkpoint",

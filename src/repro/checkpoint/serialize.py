@@ -11,11 +11,12 @@ restore time in another process.
 The envelope is deliberately boring::
 
     8 bytes   magic  b"RPROCKP1"
-    2 bytes   format version (little-endian u16)
+    2 bytes   format version (little-endian u16, see repro.migrate)
     32 bytes  sha256 of the compressed payload
     8 bytes   payload length (little-endian u64)
     N bytes   zlib-compressed pickle of the validated tree
 
+:func:`loads` runs an older version through :mod:`repro.migrate`.
 The checksum makes a torn write (crash mid-checkpoint) detectable: the
 loader raises :class:`CheckpointError` instead of unpickling garbage.
 Writes go through a temp file + ``os.replace`` so a ``.ckpt`` path is
@@ -34,8 +35,10 @@ from typing import Any, Union
 
 import numpy as np
 
+from repro import migrate
+
 MAGIC = b"RPROCKP1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = migrate.CHECKPOINT
 
 _HEAD = struct.Struct("<8sH32sQ")
 
@@ -111,7 +114,7 @@ def dumps(tree: dict) -> bytes:
 
 
 def loads(blob: bytes) -> dict:
-    """Parse envelope bytes back into the tree (checksum-verified)."""
+    """Parse envelope bytes into the tree, migrated to the current shape."""
     if len(blob) < _HEAD.size:
         raise CheckpointError(
             f"checkpoint truncated: {len(blob)} bytes is shorter than "
@@ -119,10 +122,11 @@ def loads(blob: bytes) -> dict:
     magic, version, digest, length = _HEAD.unpack_from(blob)
     if magic != MAGIC:
         raise CheckpointError(f"bad checkpoint magic {magic!r}")
-    if version > FORMAT_VERSION:
+    if not 1 <= version <= FORMAT_VERSION:
         raise CheckpointError(
-            f"checkpoint format v{version} is newer than this "
-            f"reader (v{FORMAT_VERSION})")
+            f"checkpoint format v{version} is "
+            f"{'newer than' if version > FORMAT_VERSION else 'unknown to'} "
+            f"this reader (v1..v{FORMAT_VERSION})")
     payload = blob[_HEAD.size:_HEAD.size + length]
     if len(payload) != length:
         raise CheckpointError(
@@ -130,7 +134,7 @@ def loads(blob: bytes) -> dict:
             f"{length} bytes")
     if hashlib.sha256(payload).digest() != digest:
         raise CheckpointError("checkpoint checksum mismatch (torn write?)")
-    return pickle.loads(zlib.decompress(payload))
+    return migrate.checkpoint(pickle.loads(zlib.decompress(payload)), version)
 
 
 def save_checkpoint(tree: dict, path: Union[str, Path]) -> int:

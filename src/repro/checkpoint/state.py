@@ -5,7 +5,7 @@ applications' resume tokens) into one plain tree; the restore side is a
 sequence of small steps the experiment runner interleaves with
 reconstruction::
 
-    tree = load_checkpoint(path)
+    tree = load_checkpoint(path)          # migrated to the current shape
     sim = Simulator(obs=...)
     sim.restore_clock(tree["clock"])
     arm_tick_preloads(sim, tree)          # BEFORE the cluster exists
@@ -29,8 +29,6 @@ from typing import Dict, Optional
 
 from repro.checkpoint.serialize import CheckpointError, validate_tree
 from repro.sim import Simulator, Tick
-
-FORMAT = "repro-checkpoint-v1"
 
 
 def snapshot_ticks(sim: Simulator) -> Dict[str, list]:
@@ -63,7 +61,6 @@ def capture_state(sim: Simulator, cluster, apps=None, obs=None,
     """
     pious = getattr(cluster, "pious", None)
     tree = {
-        "format": FORMAT,
         "meta": dict(meta or {}),
         "clock": sim.clock_state(),
         "ticks": snapshot_ticks(sim),
@@ -80,29 +77,6 @@ def capture_state(sim: Simulator, cluster, apps=None, obs=None,
         "obs": None if obs is None else obs.snapshot_state(),
     }
     return validate_tree(tree)
-
-
-def check_format(tree: dict) -> dict:
-    """Check ``tree`` is a checkpoint tree; bring an older one up to date.
-
-    Files written while the klog chatter was a process carry its parked
-    ``<node>:chatter`` tick instead of the housekeeping state's
-    ``next_message``; the tick's time is that message's time, so it
-    moves there (scheduled at the capture instant) and leaves the queue
-    that :func:`arm_tick_preloads` stages and
-    :func:`verify_restored_queue` checks.
-    """
-    if not isinstance(tree, dict) or tree.get("format") != FORMAT:
-        raise CheckpointError(
-            f"not a {FORMAT} tree (format={tree.get('format')!r})"
-            if isinstance(tree, dict) else "checkpoint is not a tree")
-    ticks = tree["ticks"]
-    for owner in [o for o in ticks if o.endswith(":chatter")]:
-        node = int(owner[len("node"):-len(":chatter")])
-        housekeeping = tree["cluster"]["nodes"][node]["housekeeping"]
-        housekeeping["next_message"] = float(ticks.pop(owner)[0])
-        housekeeping["message_scheduled"] = float(tree["clock"]["now"])
-    return tree
 
 
 def arm_tick_preloads(sim: Simulator, tree: dict) -> None:

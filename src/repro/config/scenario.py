@@ -677,9 +677,6 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: Mapping, *,
                   validate: bool = True) -> "Scenario":
-        if isinstance(data, Mapping) and "engine" in data:
-            # older files carry [engine] event_queue; it never changed results
-            data = {k: v for k, v in data.items() if k != "engine"}
         scenario = _from_dict(cls, data, "scenario")
         return scenario.validate() if validate else scenario
 

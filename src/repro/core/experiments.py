@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps import WORKLOADS, AppStats, ESSApplication
 from repro.checkpoint import (CheckpointCoordinator, CheckpointError,
-                              arm_tick_preloads, capture_state, check_format,
+                              arm_tick_preloads, capture_state,
                               drain_to_quiescence, load_checkpoint,
                               restore_cluster_state, save_checkpoint,
                               verify_restored_queue)
@@ -248,7 +248,7 @@ class ExperimentRunner:
         if resume_from is None:
             plan = self._plan(name)
         else:
-            tree = check_format(load_checkpoint(resume_from))
+            tree = load_checkpoint(resume_from)
             plan = self._resumed_plan(tree["meta"], name)
             if checkpoint_every is None:
                 # the continuation must re-arm at the same epochs to stay
@@ -346,9 +346,7 @@ class ExperimentRunner:
             raise CheckpointError(
                 f"checkpoint is for experiment {meta['experiment']!r}, "
                 f"not {name!r}")
-        # normalize through from_dict: older checkpoints carry retired keys
-        stored = Scenario.from_dict(meta["scenario"], validate=False)
-        if stored.to_dict() != self.scenario.to_dict():
+        if meta["scenario"] != self.scenario.to_dict():
             raise CheckpointError(
                 "checkpoint was captured under a different scenario; "
                 "construct the runner from the same one to resume")

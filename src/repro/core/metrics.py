@@ -59,29 +59,13 @@ class WorkloadMetrics:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkloadMetrics":
-        """Rebuild from :meth:`to_dict` output or a legacy manifest dict.
-
-        Legacy manifests (format ``repro-run-v1`` before the ``nnodes``
-        field existed) carry only a subset of the fields; missing ones
-        default to zero, percentages are folded back into fractions, and
-        the node count falls back to the old
-        ``total_requests / requests_per_node`` reconstruction.
-        """
-        data = dict(data)
-        if "read_fraction" not in data and "read_pct" in data:
-            data["read_fraction"] = data["read_pct"] / 100.0
-        if "write_fraction" not in data and "write_pct" in data:
-            data["write_fraction"] = data["write_pct"] / 100.0
-        if "nnodes" not in data:
-            total = data.get("total_requests") or 0
-            per_node = data.get("requests_per_node") or 0.0
-            data["nnodes"] = max(round(total / per_node), 1) \
-                if per_node else 1
+        """Rebuild from :meth:`to_dict` output; missing fields default to
+        zero, the label to ``""`` and the node count to 1."""
         known = {f.name for f in fields(cls)}
         kwargs = {k: v for k, v in data.items() if k in known}
         kwargs.setdefault("label", "")
         for f in fields(cls):
-            if f.name != "label":
+            if f.name not in ("label", "nnodes"):
                 kwargs.setdefault(f.name, 0)
         return cls(**kwargs)
 

@@ -30,14 +30,13 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from repro import migrate
 from repro.store.format import DEFAULT_CHUNK_RECORDS
 from repro.store.reader import TraceReader
 from repro.store.writer import TraceWriter
 
-#: current manifest format — v2 adds the resolved ``scenario`` block
-MANIFEST_FORMAT = "repro-run-v2"
-#: formats :meth:`RunCatalog.manifest` accepts (v1 predates scenarios)
-MANIFEST_FORMATS = ("repro-run-v1", "repro-run-v2")
+#: the format the writer stamps; :mod:`repro.migrate` reads older ones
+MANIFEST_FORMAT = migrate.MANIFEST_FORMAT
 MANIFEST_NAME = "manifest.json"
 
 
@@ -181,21 +180,21 @@ class RunCatalog:
                       for p in self.root.glob(f"*/{MANIFEST_NAME}"))
 
     def manifest(self, run_id: str) -> dict:
+        """The run's manifest, migrated to the current format."""
         path = self.root / run_id / MANIFEST_NAME
         if not path.is_file():
             raise FileNotFoundError(f"no run {run_id!r} under {self.root}")
-        manifest = json.loads(path.read_text())
-        if manifest.get("format") not in MANIFEST_FORMATS:
-            raise ValueError(f"{path} is not a "
-                             f"{'/'.join(MANIFEST_FORMATS)} manifest")
-        return manifest
+        try:
+            return migrate.manifest(json.loads(path.read_text()))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def scenario(self, run_id: str):
         """The run's :class:`~repro.config.Scenario`, if recorded.
 
-        Legacy (v1) manifests predate the scenario layer and return
-        ``None``; callers that need a stack description for them should
-        fall back to ``Scenario()`` (the paper's defaults) explicitly.
+        Runs saved without one (:meth:`save`, and captures older than
+        the scenario layer) return ``None``; callers that need a stack
+        description should fall back to ``Scenario()`` explicitly.
         """
         data = self.manifest(run_id).get("scenario")
         if data is None:
@@ -204,19 +203,12 @@ class RunCatalog:
         return Scenario.from_dict(data)
 
     def metrics(self, run_id: str):
-        """The stored summary as a :class:`WorkloadMetrics`.
-
-        Round-trips through :meth:`WorkloadMetrics.from_dict`, which
-        also understands legacy manifests that predate the ``nnodes``
-        field.
-        """
+        """The stored summary as a :class:`WorkloadMetrics` (zeros for a
+        run finalised without one)."""
         from repro.core.metrics import WorkloadMetrics
         manifest = self.manifest(run_id)
         data = dict(manifest.get("metrics", {}))
         data.setdefault("label", manifest.get("name", run_id))
-        data.setdefault("nnodes", manifest.get("nnodes", 0) or None)
-        if data["nnodes"] is None:
-            del data["nnodes"]
         return WorkloadMetrics.from_dict(data)
 
     def obs_snapshot(self, run_id: str) -> Optional[dict]:

@@ -6,20 +6,24 @@ per-app statistics must equal the uninterrupted run's exactly, for every
 disk scheduler and for every kind of plan (baseline, one application,
 the ``combined`` mix, the ``serial`` chain).  The ``heap``/``calendar``
 cases resume from checkpoints as they were written while the event queue
-was selectable — the clock carries ``queue_kind`` and the scenario an
-``[engine]`` table — which must restore exactly like a current one.
+was selectable — a v1 envelope whose tree names its format, the clock its
+``queue_kind`` and the scenario an ``[engine]`` table — which
+:mod:`repro.migrate` must bring back exactly like a current one.
 """
 
 import copy
 import hashlib
 import json
+import pickle
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro import migrate
 from repro.checkpoint import (
     CheckpointError,
     capture_state,
@@ -29,6 +33,7 @@ from repro.checkpoint import (
     tree_equal,
     verify_restored_queue,
 )
+from repro.checkpoint.serialize import dumps
 from repro.config import Scenario
 from repro.core import experiments
 from repro.core.experiments import ExperimentRunner
@@ -36,8 +41,8 @@ from repro.obs import flatten_snapshot
 
 SCHEDULERS = ("fifo", "sstf", "scan", "clook")
 
-#: None: a current checkpoint; otherwise the event-queue name a stored
-#: scenario and checkpoint from the selectable-engine era carry
+#: None: a current checkpoint; otherwise the event-queue name a v1
+#: checkpoint from the selectable-engine era carries
 ENGINES = [pytest.param(None, id="current"),
            pytest.param("heap", id="heap"),
            pytest.param("calendar", id="calendar")]
@@ -73,34 +78,38 @@ WALL_CLOCK_KEYS = {"run.wall_seconds", "run.sim_seconds_per_wall_second",
                    "sim.wall_seconds"}
 
 
-def scenario(engine=None, scheduler="clook", seed=11, extra=None):
+def scenario(scheduler="clook", seed=11, extra=None):
     data = dict(extra or {})
     data.setdefault("cluster", {"nnodes": 2})
     data["seed"] = seed
-    if engine is not None:
-        data["engine"] = {"event_queue": engine}
     sc = Scenario.from_dict(data)
     return sc.with_override("node.disks[*].scheduler.kind", scheduler)
 
 
-def as_written_by(tree, engine):
-    """``tree`` as a checkpoint written under the selectable ``engine``
-    would hold it (unchanged for ``engine=None``)."""
-    if engine is None:
-        return tree
+def envelope_version(path):
+    return int.from_bytes(path.read_bytes()[8:10], "little")
+
+
+def as_written_by(tree, engine, path):
+    """Write ``tree`` to ``path`` as the selectable-``engine`` era stored
+    it: a v1 envelope whose tree names its format, the clock its event
+    queue and the scenario an ``[engine]`` table."""
     old = copy.deepcopy(tree)
+    old["format"] = "repro-checkpoint-v1"
     old["clock"]["queue_kind"] = engine
     old["meta"]["scenario"]["engine"] = {"event_queue": engine}
-    return old
+    blob = bytearray(dumps(old))
+    blob[8:10] = (1).to_bytes(2, "little")  # the checksum covers the payload
+    path.write_bytes(bytes(blob))
+    return path
 
 
 def resume_point(ckpt, engine, tmp_path):
     """Path of the checkpoint to resume from, rewritten for ``engine``."""
     if engine is None:
         return ckpt
-    old = tmp_path / f"{engine}.ckpt"
-    save_checkpoint(as_written_by(load_checkpoint(ckpt), engine), old)
-    return old
+    return as_written_by(load_checkpoint(ckpt), engine,
+                         tmp_path / f"{engine}.ckpt")
 
 
 def assert_identical(a, b):
@@ -115,7 +124,7 @@ def assert_identical(a, b):
 @pytest.mark.parametrize("scheduler,seed",
                          [(s, 11) for s in SCHEDULERS] + [("clook", 23)])
 def test_baseline_resume_is_bit_identical(tmp_path, scheduler, engine, seed):
-    sc = scenario(engine=engine, scheduler=scheduler, seed=seed)
+    sc = scenario(scheduler=scheduler, seed=seed)
     ck = tmp_path / "ck"
     armed = ExperimentRunner(scenario=sc).run(
         "baseline", duration=12.0, checkpoint_every=5.0, checkpoint_dir=ck)
@@ -137,16 +146,21 @@ def test_resume_of_a_chatter_tick_checkpoint(tmp_path):
     expected = json.loads(
         CHATTER_TICK_CKPT.with_suffix(".json").read_text())
     ckpt = tmp_path / CHATTER_TICK_CKPT.name  # resuming re-arms onto it
-    ckpt.write_bytes(CHATTER_TICK_CKPT.read_bytes())
-    assert any(owner.endswith(":chatter")
-               for owner in load_checkpoint(ckpt)["ticks"])
+    blob = CHATTER_TICK_CKPT.read_bytes()
+    ckpt.write_bytes(blob)
+    # the stored file is v1, and its raw payload parks the chatter ticks
+    assert envelope_version(ckpt) == 1
+    raw = pickle.loads(zlib.decompress(blob[8 + 2 + 32 + 8:]))
+    assert any(owner.endswith(":chatter") for owner in raw["ticks"])
     sc = Scenario.from_dict(expected["scenario"])
     resumed = ExperimentRunner(scenario=sc).run("baseline", resume_from=ckpt)
     records = resumed.trace.records
     assert len(records) == expected["records"]
     assert hashlib.sha256(records.tobytes()).hexdigest() == \
         expected["trace_sha256"]
+    # the resumed run re-armed onto the file at the current version, with
     # the chatter state moved into the housekeeping snapshot
+    assert envelope_version(ckpt) == migrate.CHECKPOINT
     tree = load_checkpoint(ckpt)
     assert not any(owner.endswith(":chatter") for owner in tree["ticks"])
     assert all("next_message" in node["housekeeping"]
@@ -178,7 +192,7 @@ def test_app_resume_is_bit_identical(tmp_path, epoch_copies, name, extra,
                                      every, engine):
     """Resume from the first epoch (applications mid-run; a ``serial``
     chain is inside its second application) and from the last."""
-    sc = scenario(engine=engine, extra=extra)
+    sc = scenario(extra=extra)
     armed = ExperimentRunner(scenario=sc).run(
         name, checkpoint_every=every, checkpoint_dir=tmp_path / "ck")
     first, last = epoch_copies[0], epoch_copies[-1]
@@ -228,17 +242,18 @@ def test_armed_run_equals_unarmed_run(tmp_path):
 def test_restore_is_idempotent(tmp_path, scheduler, engine):
     """Property: load tree -> rebuild stack -> capture again == same tree.
 
-    Holds for every scheduler, and for trees carrying a stored engine
-    name: a restore must reconstruct exactly the state that was
-    captured, nothing drifted (the retired name is simply not captured).
+    Holds for every scheduler, and for v1 files naming a stored engine:
+    a restore must reconstruct exactly the state that was captured,
+    nothing drifted (migration drops the retired names).
     """
-    sc = scenario(engine=engine, scheduler=scheduler)
+    sc = scenario(scheduler=scheduler)
     ck = tmp_path / "ck"
     runner = ExperimentRunner(scenario=sc)
     runner.run("baseline", duration=12.0, checkpoint_every=5.0,
                checkpoint_dir=ck)
     tree = load_checkpoint(ck / "baseline.ckpt")
-    stored = as_written_by(tree, engine)
+    stored = load_checkpoint(resume_point(ck / "baseline.ckpt", engine,
+                                          tmp_path))
 
     fresh = ExperimentRunner(scenario=sc)
     sim, cluster = fresh._build(stored)

@@ -88,6 +88,13 @@ def test_newer_format_version_is_rejected():
         loads(bytes(blob))
 
 
+def test_version_zero_is_rejected():
+    blob = bytearray(dumps({"format": "x"}))
+    blob[8:10] = b"\x00\x00"  # no envelope was ever written as v0
+    with pytest.raises(CheckpointError, match="v0 is unknown"):
+        loads(bytes(blob))
+
+
 def test_missing_file_is_checkpoint_error(tmp_path):
     with pytest.raises(CheckpointError, match="cannot read"):
         load_checkpoint(tmp_path / "nope.ckpt")

@@ -10,7 +10,8 @@ legacy keyword arguments.
 
 import pytest
 
-from repro.config import Scenario
+from repro import migrate
+from repro.config import ConfigError, Scenario
 from repro.core import ExperimentRunner
 
 #: (total_requests, read_fraction, requests_per_second, duration,
@@ -77,10 +78,23 @@ def test_both_constructions_resolve_to_same_scenario(legacy_runner,
 
 
 def test_engine_choice_does_not_change_fingerprint():
-    # scenarios stored while the event queue was selectable name it in an
-    # [engine] table; whichever engine they name, they load to the same
-    # fingerprint, so analyses cached under it stay valid
+    # scenarios stored in checkpoints and manifests while the event queue
+    # was selectable name it in an [engine] table; whichever engine they
+    # name, the migration chains load them to the same fingerprint, so
+    # sweep checkpoints keyed by it stay valid.  A standalone scenario
+    # naming the retired table is rejected.
     base = golden_scenario()
     for queue in ("calendar", "heap"):
         stored = dict(base.to_dict(), engine={"event_queue": queue})
-        assert Scenario.from_dict(stored).fingerprint() == base.fingerprint()
+        tree = migrate.checkpoint(
+            {"format": "repro-checkpoint-v1", "ticks": {},
+             "clock": {"now": 0.0, "seq": 0, "queue_kind": queue},
+             "meta": {"scenario": dict(stored)}}, version=1)
+        manifest = migrate.manifest({"format": "repro-run-v2",
+                                     "scenario": dict(stored)})
+        for migrated in (tree["meta"]["scenario"], manifest["scenario"]):
+            assert Scenario.from_dict(migrated).fingerprint() == \
+                base.fingerprint()
+        with pytest.raises(ConfigError) as err:
+            Scenario.from_dict(stored)
+        assert err.value.path == "scenario.engine"

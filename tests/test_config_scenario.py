@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro import migrate
 from repro.config import (
     ConfigError,
     DriveCacheConfig,
@@ -199,17 +200,28 @@ def test_registries_expose_builtins():
 
 # -- retired engine knob ------------------------------------------------------
 def test_stored_engine_table_is_dropped_on_load():
-    # scenarios saved while the event queue was selectable carry an
-    # [engine] table; loading them yields the same scenario as one that
-    # never had it (the fingerprint is pinned in test_config_golden)
+    # checkpoints and manifests written while the event queue was
+    # selectable store an [engine] table in their scenario; migration
+    # drops it, so they load to the scenario that never had it (the
+    # fingerprint is pinned in test_config_golden).  A hand-written file
+    # naming the retired table is rejected like any unknown field.
     base = Scenario().with_override("cluster.nnodes", 2)
     for queue in ("calendar", "heap"):
         stored = dict(base.to_dict(), engine={"event_queue": queue})
-        loaded = Scenario.from_dict(stored)
-        assert loaded == base
-        assert Scenario.from_json(json.dumps(stored)) == base
+        tree = migrate.checkpoint(
+            {"format": "repro-checkpoint-v1", "ticks": {},
+             "clock": {"now": 0.0, "seq": 0, "queue_kind": queue},
+             "meta": {"scenario": dict(stored)}}, version=1)
+        assert Scenario.from_dict(tree["meta"]["scenario"]) == base
+        manifest = migrate.manifest({"format": "repro-run-v2",
+                                     "scenario": dict(stored)})
+        assert Scenario.from_dict(manifest["scenario"]) == base
         toml = base.to_toml() + f'\n[engine]\nevent_queue = "{queue}"\n'
-        assert Scenario.from_toml(toml) == base
+        for load, text in ((Scenario.from_json, json.dumps(stored)),
+                           (Scenario.from_toml, toml)):
+            with pytest.raises(ConfigError) as err:
+                load(text)
+            assert err.value.path == "scenario.engine"
     assert "engine" not in base.to_dict()
 
 

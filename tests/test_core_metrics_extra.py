@@ -159,14 +159,19 @@ def test_workload_metrics_dict_round_trip():
 
 
 def test_workload_metrics_from_legacy_manifest_dict():
-    """Manifests written before the nnodes field must still load."""
+    """Manifests written before the nnodes field must still load: the
+    v1 -> v2 migration step folds percentages back into fractions and
+    takes the node count from the manifest."""
+    from repro import migrate
     from repro.core.metrics import WorkloadMetrics
     legacy = {"total_requests": 100, "read_pct": 70, "write_pct": 30,
               "requests_per_second": 2.5, "requests_per_node": 25.0,
               "duration": 10.0, "mean_size_kb": 4.0, "mean_pending": 1.0,
               "kb_moved": 400.0}
-    m = WorkloadMetrics.from_dict(legacy)
-    assert m.nnodes == 4          # reconstructed: 100 / 25
+    manifest = migrate.manifest({"format": "repro-run-v1", "nnodes": 4,
+                                 "metrics": legacy})
+    m = WorkloadMetrics.from_dict(manifest["metrics"])
+    assert m.nnodes == 4          # the manifest's node count
     assert m.read_fraction == pytest.approx(0.7)
     assert m.write_fraction == pytest.approx(0.3)
     assert m.throughput_kb_per_s == pytest.approx(400.0 / 10.0 / 4)

@@ -25,11 +25,11 @@ def test_sink_produces_manifest_and_per_node_files(sunk_run):
     catalog = RunCatalog(root)
     assert catalog.runs() == ["baseline"]
     manifest = catalog.manifest("baseline")
-    assert manifest["format"] == "repro-run-v2"
+    assert manifest["format"] == "repro-run-v3"
     assert manifest["nnodes"] == 2
     assert manifest["seed"] == 3
     assert manifest["config"]["nnodes"] == 2
-    # v2 manifests carry the fully-resolved scenario
+    # manifests carry the fully-resolved scenario
     assert manifest["scenario"]["cluster"]["nnodes"] == 2
     assert manifest["scenario"]["seed"] == 3
     assert manifest["scenario"]["node"]["disks"][0]["scheduler"]["kind"] \
@@ -126,7 +126,8 @@ def test_catalog_scenario_accessor(sunk_run):
 
 
 def test_legacy_v1_manifest_still_loads(tmp_path):
-    """Manifests written before the scenario layer stay readable."""
+    """Manifests written before the scenario layer stay readable, and
+    come back migrated to the current format."""
     catalog = RunCatalog(tmp_path / "runs")
     capture = catalog.start_run("legacy", nnodes=1, seed=0,
                                 config={"nnodes": 1})
@@ -140,7 +141,7 @@ def test_legacy_v1_manifest_still_loads(tmp_path):
     path.write_text(json.dumps(manifest))
 
     loaded = catalog.manifest("legacy")
-    assert loaded["format"] == "repro-run-v1"
+    assert loaded["format"] == "repro-run-v3"
     assert loaded["config"] == {"nnodes": 1}
     assert catalog.scenario("legacy") is None
     assert catalog.metrics("legacy").label == "legacy"

@@ -15,9 +15,9 @@ Exercises the bit-identity contract end to end:
 * a preempted sweep: finished points are skipped via their done
   markers, an interrupted point resumes from its live checkpoint, and
   the restarted sweep reproduces the uninterrupted metrics;
-* an older ``.ckpt`` (``tests/data/``, written while the klog chatter
-  was a per-message process) resumes to the trace digest recorded
-  beside it.
+* every stored ``.ckpt`` under ``tests/data/`` (each written by an older
+  release, one per :mod:`repro.migrate` step) resumes to the trace
+  digest recorded beside it in ``<name>.json``.
 
 Usage::
 
@@ -137,23 +137,22 @@ def smoke_sweep(duration: float, workdir: Path) -> None:
     print(f"  sweep preempt/restart: OK ({len(restarted)} points)")
 
 
-#: an older-format checkpoint and its expected resume (see the JSON)
-STORED_CKPT = (Path(__file__).resolve().parents[1] / "tests" / "data"
-               / "baseline-2node-seed11-t10.ckpt")
+#: older-format checkpoints, each with its expected resume beside it
+STORED_DIR = Path(__file__).resolve().parents[1] / "tests" / "data"
 
 
-def smoke_stored_checkpoint(workdir: Path) -> None:
-    expected = json.loads(STORED_CKPT.with_suffix(".json").read_text())
-    ckpt = workdir / STORED_CKPT.name  # resuming re-arms onto this path
-    shutil.copy(STORED_CKPT, ckpt)
+def smoke_stored_checkpoint(stored: Path, workdir: Path) -> None:
+    expected = json.loads(stored.with_suffix(".json").read_text())
+    ckpt = workdir / stored.name  # resuming re-arms onto this path
+    shutil.copy(stored, ckpt)
     sc = Scenario.from_dict(expected["scenario"])
     records = ExperimentRunner(scenario=sc).run(
         "baseline", resume_from=ckpt).trace.records
     digest = hashlib.sha256(records.tobytes()).hexdigest()
     assert (len(records), digest) == \
         (expected["records"], expected["trace_sha256"]), \
-        f"stored checkpoint resumed to {len(records)} records, {digest}"
-    print(f"  stored {STORED_CKPT.name}: OK ({len(records)} records, "
+        f"{stored.name} resumed to {len(records)} records, {digest}"
+    print(f"  stored {stored.name}: OK ({len(records)} records, "
           f"digest matches)")
 
 
@@ -170,7 +169,10 @@ def main(argv=None) -> int:
         smoke_experiment("ppm", None, 0.05, workdir)
         smoke_experiment("serial", None, 10.0, workdir, TINY_MIX)
         smoke_sweep(args.duration, workdir)
-        smoke_stored_checkpoint(workdir)
+        stored = sorted(STORED_DIR.glob("*.ckpt"))
+        assert stored, f"no stored checkpoints under {STORED_DIR}"
+        for ckpt in stored:
+            smoke_stored_checkpoint(ckpt, workdir)
     print("checkpoint smoke: all checks passed")
     return 0
 

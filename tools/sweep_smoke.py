@@ -77,7 +77,7 @@ def run_smoke(duration: float, workdir: Path) -> int:
                                    duration, AXES)
     for run_id in runs:
         manifest = catalog.manifest(run_id)
-        assert manifest["format"] == "repro-run-v2", run_id
+        assert manifest["format"] == "repro-run-v3", run_id
         scenario = manifest.get("scenario")
         assert scenario is not None, f"{run_id}: no scenario block"
         overrides = dict(pair.split("=") for pair in
