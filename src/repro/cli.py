@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.core import ExperimentRunner, EXPERIMENTS, make_figure, render_table1
+from repro.core.experiments import check_duration
 from repro.core.figures import FIGURE_EXPERIMENT
 
 
@@ -176,9 +177,10 @@ def _run_sweep(args) -> int:
         print(f"unknown experiment {args.on!r} for --on; choose from "
               f"{', '.join(EXPERIMENTS + ('serial',))}", file=sys.stderr)
         return 2
-    if args.duration is not None and args.on != "baseline":
-        print("--duration only applies to '--on baseline'; application "
-              "sweeps end when the applications do", file=sys.stderr)
+    try:
+        check_duration(args.on, args.duration)
+    except ValueError as exc:
+        print(f"sweep failed: --duration: {exc}", file=sys.stderr)
         return 2
     npoints = 1
     for axis in axes:
@@ -225,6 +227,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("--resume restores one experiment's checkpoint; it does "
               "not apply to 'all' or 'sweep' (a re-run sweep resumes "
               "from its --checkpoint-dir automatically)", file=sys.stderr)
+        return 2
+    if args.experiment == "all" and args.parallel \
+            and args.checkpoint_every is not None:
+        print("--checkpoint-every does not apply to 'all --parallel' "
+              "(its worker processes do not checkpoint); drop --parallel "
+              "to checkpoint every experiment", file=sys.stderr)
         return 2
     if args.experiment == "sweep":
         return _run_sweep(args)

@@ -22,14 +22,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 from typing import get_args, get_origin, get_type_hints
 
-from repro.disk import (DRIVE_CACHES, SCHEDULERS, SECTOR_BYTES,
-                        NullDriveCache, VOLUME_POLICIES)
+from repro.disk import (DRIVE_CACHES, SCHEDULERS, SECTOR_BYTES, Disk,
+                        DiskGeometry, DiskServiceModel, NullDriveCache,
+                        VOLUME_POLICIES)
 from repro.registry import UnknownComponentError
 
 
@@ -205,12 +207,6 @@ class DiskConfig:
                f"must be in [0, 1), got {self.media_error_rate}")
         self.scheduler.validate(f"{path}.scheduler")
         self.cache.validate(f"{path}.cache")
-
-    def build_scheduler(self):
-        return self.scheduler.build()
-
-    def build_cache(self):
-        return self.cache.build()
 
 
 @dataclass(frozen=True)
@@ -425,6 +421,26 @@ class NodeConfig:
         self.driver.validate(f"{path}.driver")
         self.layout.validate(f"{path}.layout")
 
+    def build_volume(self, sim, rngs, node_id: int = 0, obs=None):
+        """The node's volume ``md<node_id>`` over freshly built members.
+
+        Member ``i`` is ``hd<a+i><node_id>`` and draws from ``rngs[i]``;
+        the one place a node's disks are built from config.
+        """
+        disks = [
+            Disk(sim,
+                 service=DiskServiceModel(geometry=DiskGeometry
+                                          .from_capacity_mb(cfg.capacity_mb)),
+                 scheduler=cfg.scheduler.build(),
+                 rng=rng,
+                 name=f"hd{chr(ord('a') + i)}{node_id}",
+                 cache=cfg.cache.build(),
+                 media_error_rate=cfg.media_error_rate,
+                 obs=obs)
+            for i, (cfg, rng) in enumerate(zip(self.disks, rngs,
+                                               strict=True))]
+        return self.volume.build(disks, name=f"md{node_id}")
+
     @property
     def user_frames(self) -> int:
         """Page frames left to user processes once the kernel and the
@@ -571,12 +587,13 @@ class ExperimentConfig:
     flush_grace: float = 10.0
 
     def validate(self, path: str) -> None:
-        _check(self.baseline_duration > 0, f"{path}.baseline_duration",
-               f"must be > 0, got {self.baseline_duration}")
-        _check(self.hard_limit > 0, f"{path}.hard_limit",
-               f"must be > 0, got {self.hard_limit}")
-        _check(self.flush_grace >= 0, f"{path}.flush_grace",
-               f"must be >= 0, got {self.flush_grace}")
+        _check(0 < self.baseline_duration < math.inf,
+               f"{path}.baseline_duration",
+               f"must be finite and > 0, got {self.baseline_duration}")
+        _check(0 < self.hard_limit < math.inf, f"{path}.hard_limit",
+               f"must be finite and > 0, got {self.hard_limit}")
+        _check(0 <= self.flush_grace < math.inf, f"{path}.flush_grace",
+               f"must be finite and >= 0, got {self.flush_grace}")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ Experiment protocol (paper section 3.5):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
@@ -136,6 +137,24 @@ _REMOVED_RUNNERS = {
 }
 
 
+def check_duration(experiment: str, duration: Optional[float]) -> None:
+    """The one rule for an explicit observation window (``None`` passes).
+
+    A duration is given for the baseline only — application runs end
+    when their applications do — and must be finite and above 0.
+    Raises :class:`ValueError`.
+    """
+    if duration is None:
+        return
+    if experiment != "baseline":
+        raise ValueError(
+            "duration= only applies to the baseline experiment; "
+            "application runs end when the applications do")
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(
+            f"duration must be finite and positive, got {duration!r}")
+
+
 @dataclass(frozen=True)
 class _Plan:
     """One experiment as the runner executes it.
@@ -231,7 +250,7 @@ class ExperimentRunner:
 
         ``name`` is one of :data:`EXPERIMENTS` or ``"serial"``.
         ``duration`` sets the baseline observation window (default
-        ``baseline_duration``; it must be positive); application
+        ``baseline_duration``; see :func:`check_duration`); application
         experiments run until their applications finish, so passing a
         duration for them is an error.
 
@@ -255,14 +274,8 @@ class ExperimentRunner:
                 # bit-identical; overriding the cadence is an explicit
                 # choice
                 checkpoint_every = tree["meta"]["checkpoint_every"]
+        check_duration(plan.name, duration)
         if duration is not None:
-            if plan.window is None:
-                raise ValueError(
-                    "duration= only applies to the baseline experiment; "
-                    "application runs end when the applications do")
-            if duration <= 0:
-                raise ValueError(
-                    f"duration must be positive, got {duration!r}")
             if tree is None:
                 plan = replace(plan, window=duration)
             elif duration != plan.window:

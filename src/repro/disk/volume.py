@@ -37,6 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.disk.request import IORequest
 from repro.registry import Registry
+from repro.sim import Event
 
 #: registry of volume policies selectable via ``node.volume.policy``
 VOLUME_POLICIES = Registry("volume policy")
@@ -97,6 +98,35 @@ def capacity_sectors(policy: str, disk_sectors: Sequence[int],
     """Logical capacity of ``policy`` over members of the given sizes."""
     cls = VOLUME_POLICIES.get(policy)
     return cls.capacity(tuple(disk_sectors), stripe_sectors)
+
+
+def join_parts(sim, request: IORequest, parts) -> Event:
+    """Complete logical ``request`` once all its physical ``parts`` have.
+
+    ``parts`` are the already-submitted ``(sub_request, done_event)``
+    pairs of one fanned-out span.  Stamps the logical submit time and
+    returns the logical completion event, which fires (with ``request``)
+    at the last part's completion; the request is failed if any part
+    failed.  The one fan-out join: the driver and
+    :meth:`LogicalVolume.submit` both complete multi-part spans here.
+    """
+    request.submit_time = sim.now
+    done = request.done = sim.event()
+    remaining = len(parts)
+    failed = False
+
+    def finish(sub: IORequest) -> None:
+        nonlocal remaining, failed
+        remaining -= 1
+        failed = failed or sub.failed
+        if remaining == 0:
+            request.complete_time = sim.now
+            request.failed = failed
+            done.succeed(request)
+
+    for sub, part_done in parts:
+        part_done.callbacks.append(lambda _ev, sub=sub: finish(sub))
+    return done
 
 
 # -- the device-facing layer ---------------------------------------------------
@@ -190,35 +220,17 @@ class LogicalVolume:
     def submit(self, request: IORequest):
         """Disk-compatible entry point: fan out, composite completion.
 
-        The returned event fires when every physical part completed;
-        the logical request fails if any part failed.  (The driver maps
-        and traces parts itself; this path serves replay and any caller
-        treating the volume as one device.)
+        (The driver maps and traces parts itself; this path serves
+        replay and any caller treating the volume as one device.)
         """
         parts = self.map_extents(request.sector, request.nsectors,
                                  request.is_write)
-        sim = self.sim
-        request.submit_time = sim.now
-        done = sim.event()
-        request.done = done
-        state = {"remaining": len(parts), "failed": False}
-
-        def finish(_ev, sub):
-            state["remaining"] -= 1
-            if sub.failed:
-                state["failed"] = True
-            if state["remaining"] == 0:
-                request.complete_time = sim.now
-                request.failed = state["failed"]
-                done.succeed(request)
-
+        subs = []
         for index, psector, pnsectors in parts:
             sub = IORequest(sector=psector, nsectors=pnsectors,
                             is_write=request.is_write, origin=request.origin)
-            ev = self.disks[index].submit(sub)
-            ev.callbacks.append(
-                lambda _ev, sub=sub: finish(_ev, sub))
-        return done
+            subs.append((sub, self.disks[index].submit(sub)))
+        return join_parts(self.sim, request, subs)
 
 
 @VOLUME_POLICIES.register("single")

@@ -1,18 +1,18 @@
 """The instrumented IDE block driver.
 
-Wraps a :class:`~repro.disk.Disk` — or a
-:class:`~repro.disk.volume.LogicalVolume` multiplexing several disks —
-with read/write handlers that emit one trace record per *physical*
-request — *(timestamp, sector, rw flag, pending count)* plus size and
-node id — and exposes ``ioctl`` control of the instrumentation level so
-tracing can be toggled without "rebooting" the simulated node, exactly
-as in the paper.
+Sits on a node's :class:`~repro.disk.volume.LogicalVolume` — under the
+paper's ``single`` policy a pass-through over one
+:class:`~repro.disk.Disk` — with read/write handlers that emit one trace
+record per *physical* request — *(timestamp, sector, rw flag, pending
+count)* plus size and node id — and exposes ``ioctl`` control of the
+instrumentation level so tracing can be toggled without "rebooting" the
+simulated node, exactly as in the paper.
 
-When the device is a volume, a logical request that maps to several
-members produces one trace record per member sub-request (addressed in
-that member's local sector space, with that member's own pending
-count), so striped and mirrored traffic keeps per-physical-disk trace
-identity.
+A logical request that the volume maps to several members produces one
+trace record per member sub-request (addressed in that member's local
+sector space, with that member's own pending count), so striped and
+mirrored traffic keeps per-physical-disk trace identity; the parts are
+joined by :func:`repro.disk.volume.join_parts`, the one fan-out join.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import Any, Optional
 
-from repro.disk import Disk, IORequest, SECTOR_BYTES
+from repro.disk import IORequest, SECTOR_BYTES
+from repro.disk.volume import LogicalVolume, join_parts
 from repro.driver.procfs import ProcTraceTransport
-from repro.driver.trace import TraceRecord
 from repro.sim import Event, Simulator
 
 
@@ -44,17 +44,21 @@ HDIO_GET_TRACE = 0x32B
 class InstrumentedIDEDriver:
     """Block driver front-end with request-level instrumentation."""
 
-    def __init__(self, sim: Simulator, disk: Disk, node_id: int = 0,
+    def __init__(self, sim: Simulator, disk: LogicalVolume,
+                 node_id: int = 0,
                  transport: Optional[ProcTraceTransport] = None,
                  level: TraceLevel = TraceLevel.BASIC,
                  max_retries: int = 4):
         self.sim = sim
+        #: the node's logical volume (the only device shape accepted)
         self.disk = disk
         self.node_id = node_id
-        # volume-vs-bare-disk dispatch resolved once: the per-request
-        # path then skips a getattr per submit (the device behind a
-        # driver never changes after construction)
-        self._map_extents = getattr(disk, "map_extents", None)
+        # the volume's members and their error rates never change after
+        # construction: resolve the address map, the member tuple and
+        # the retry-path choice once instead of per request
+        self._map_extents = disk.map_extents
+        self._members = disk.disks
+        self._retrying = disk.media_error_rate > 0.0
         self.transport = transport or ProcTraceTransport(sim)
         self.level = TraceLevel(level)
         #: experiment-start offset subtracted from record timestamps
@@ -139,7 +143,7 @@ class InstrumentedIDEDriver:
 
     def _handle(self, sector: int, nsectors: int, is_write: bool,
                 origin: Any) -> Event:
-        if self.disk.media_error_rate > 0.0:
+        if self._retrying:
             # retry path: each (re)submission is its own traced request
             outcome = self.sim.event()
             self.sim.process(
@@ -149,32 +153,13 @@ class InstrumentedIDEDriver:
             return outcome
         return self._submit_once(sector, nsectors, is_write, origin)
 
-    def _targets(self, sector: int, nsectors: int,
-                 is_write: bool) -> tuple:
-        """The physical ``(disk, sector, nsectors)`` parts of one span.
-
-        A bare :class:`Disk` is its own single target; a logical volume
-        resolves the span through its policy's address math.
-        """
-        mapper = self._map_extents
-        if mapper is None:
-            return ((self.disk, sector, nsectors),)
-        disks = self.disk.disks
-        return tuple((disks[i], s, n)
-                     for i, s, n in mapper(sector, nsectors, is_write))
-
     def _submit_part(self, disk, sector: int, nsectors: int,
                      is_write: bool, origin: Any):
         """Trace and submit one physical request; returns (request, event)."""
-        # IORequest construction, fused: same field defaults and the same
-        # validation as the dataclass __init__/__post_init__, minus their
-        # call frames (one request object per trace record makes this the
-        # driver's hottest allocation)
-        if sector < 0:
-            raise ValueError(f"negative sector {sector}")
-        if nsectors < 1:
-            raise ValueError(
-                f"request must cover >= 1 sector, got {nsectors}")
+        # IORequest construction, fused: same field defaults as the
+        # dataclass __init__, minus its call frames (one request object
+        # per trace record makes this the driver's hottest allocation);
+        # the volume's map_extents already rejected a bad span
         request = IORequest.__new__(IORequest)
         request.sector = sector
         request.nsectors = nsectors
@@ -203,47 +188,31 @@ class InstrumentedIDEDriver:
             ))
         done = disk.submit(request)
         if self._verbose:
-            done.callbacks.append(lambda ev: self.transport.push(TraceRecord(
-                time=self.sim.now - self.time_origin,
-                sector=sector,
-                write=is_write,
-                pending=disk.queue_depth,
-                size_kb=nsectors * SECTOR_BYTES / 1024.0,
-                node=self.node_id,
+            done.callbacks.append(lambda ev: self.transport.push((
+                self.sim.now - self.time_origin,
+                sector,
+                int(is_write),
+                disk.queue_depth,
+                nsectors * SECTOR_BYTES / 1024.0,
+                self.node_id,
             )))
         return request, done
 
     def _submit_once(self, sector: int, nsectors: int, is_write: bool,
                      origin: Any) -> Event:
-        parts = self._targets(sector, nsectors, is_write)
+        members = self._members
+        parts = self._map_extents(sector, nsectors, is_write)
         if len(parts) == 1:
-            disk, psector, pnsectors = parts[0]
-            _, done = self._submit_part(disk, psector, pnsectors,
-                                        is_write, origin)
-            return done
-        # A striped/mirrored span: one logical completion event that
-        # fires when every member's sub-request has completed.
+            index, psector, pnsectors = parts[0]
+            return self._submit_part(members[index], psector, pnsectors,
+                                     is_write, origin)[1]
+        # a striped/mirrored span: one logical completion for its parts
         logical = IORequest(sector=sector, nsectors=nsectors,
                             is_write=is_write, origin=origin)
-        logical.submit_time = self.sim.now
-        done = self.sim.event()
-        logical.done = done
-        state = {"remaining": len(parts), "failed": False}
-
-        def finish(sub: IORequest) -> None:
-            state["remaining"] -= 1
-            if sub.failed:
-                state["failed"] = True
-            if state["remaining"] == 0:
-                logical.complete_time = self.sim.now
-                logical.failed = state["failed"]
-                done.succeed(logical)
-
-        for disk, psector, pnsectors in parts:
-            sub, ev = self._submit_part(disk, psector, pnsectors,
-                                        is_write, origin)
-            ev.callbacks.append(lambda _ev, sub=sub: finish(sub))
-        return done
+        return join_parts(self.sim, logical, [
+            self._submit_part(members[index], psector, pnsectors,
+                              is_write, origin)
+            for index, psector, pnsectors in parts])
 
     def _submit_with_retries(self, sector: int, nsectors: int,
                              is_write: bool, origin: Any, outcome: Event):

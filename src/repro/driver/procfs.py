@@ -17,7 +17,7 @@ from typing import Callable, Deque, Optional
 
 import numpy as np
 
-from repro.driver.trace import TRACE_DTYPE, TraceBuffer, TraceRecord
+from repro.driver.trace import TRACE_DTYPE, TraceBuffer
 from repro.sim import Simulator
 
 
@@ -46,7 +46,7 @@ class ProcTraceTransport:
         self.dropped = 0
         #: lifetime records moved to user space (survives buffer clears)
         self.records_drained = 0
-        self._ring: Deque[TraceRecord] = deque()
+        self._ring: Deque[tuple] = deque()
         self._running = True
         self._wakeup = None
         sim.process(self._drain_loop(), name="proc-trace-drain")
@@ -58,11 +58,10 @@ class ProcTraceTransport:
     def push(self, record) -> None:
         """Called from the driver's interrupt path; never blocks.
 
-        ``record`` is a :class:`TraceRecord` or its ``as_tuple()`` row
-        (the driver's fast path pushes rows to skip the per-request
-        dataclass construction; both drain identically).  When the ring
-        is full the record is dropped and counted, matching printk-ring
-        semantics.
+        ``record`` is one schema row in :meth:`TraceRecord.as_tuple`
+        layout (the driver pushes rows, not dataclasses, to skip a
+        construction per request).  When the ring is full the record is
+        dropped and counted, matching printk-ring semantics.
         """
         ring = self._ring
         if len(ring) >= self.ring_capacity:
@@ -82,10 +81,8 @@ class ProcTraceTransport:
         """
         if not self._ring:
             return 0
-        rows = [record if type(record) is tuple else record.as_tuple()
-                for record in self._ring]
+        batch = np.array(self._ring, dtype=TRACE_DTYPE)
         self._ring.clear()
-        batch = np.array(rows, dtype=TRACE_DTYPE)
         self.records_drained += len(batch)
         self.user_buffer.append_array(batch)
         if self.writer is not None:

@@ -13,7 +13,7 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from repro.disk import Disk, DiskGeometry, DiskServiceModel
+from repro.disk import Disk
 from repro.driver import InstrumentedIDEDriver, ProcTraceTransport, TraceLevel
 from repro.kernel.buffercache import BufferCache
 from repro.kernel.cpu import CPU
@@ -58,23 +58,12 @@ class NodeKernel:
         # keeps the historical identity (RNG stream "disk", name
         # hda<node>) so a default single-disk scenario is bit-identical
         # to the pre-volume stack; extra members get their own streams
-        # and names (hdb<node>, hdc<node>, ...).
-        disks = []
-        for i, disk_cfg in enumerate(cfg.disks):
-            geometry = DiskGeometry.from_capacity_mb(disk_cfg.capacity_mb)
-            disks.append(Disk(
-                sim,
-                service=DiskServiceModel(geometry=geometry),
-                scheduler=disk_cfg.build_scheduler(),
-                rng=streams.stream("disk" if i == 0 else f"disk{i}"),
-                name=f"hd{chr(ord('a') + i)}{node_id}",
-                # default: 128 KB on-drive segment buffer, as the
-                # era's IDE drives carried
-                cache=disk_cfg.build_cache(),
-                media_error_rate=disk_cfg.media_error_rate,
-                obs=obs))
-        self.disks = tuple(disks)
-        self.volume = cfg.volume.build(self.disks, name=f"md{node_id}")
+        # (disk1, disk2, ...) and names (hdb<node>, hdc<node>, ...).
+        self.volume = cfg.build_volume(
+            sim, [streams.stream("disk" if i == 0 else f"disk{i}")
+                  for i in range(len(cfg.disks))],
+            node_id=node_id, obs=obs)
+        self.disks = self.volume.disks
         self.transport = ProcTraceTransport(
             sim, ring_capacity=cfg.driver.ring_capacity,
             drain_interval=cfg.driver.drain_interval,

@@ -56,7 +56,7 @@ class ObsRecorder:
             label = str(node.node_id)
             kernel = node.kernel
 
-            disks = getattr(kernel, "disks", (kernel.disk,))
+            disks = kernel.disks
             stats = [disk.stats for disk in disks]
             for name, value in (
                     ("disk.reads", sum(d.reads for d in stats)),
@@ -86,12 +86,11 @@ class ObsRecorder:
                              d.sectors_written),
                             ("physdisk.busy_seconds", d.busy_time)):
                         reg.counter(name).child(disk.name).inc(value)
-            volume = getattr(kernel, "volume", None)
-            if volume is not None:
-                reg.counter("volume.logical_requests").child(label).inc(
-                    volume.logical_requests)
-                reg.counter("volume.physical_requests").child(label).inc(
-                    volume.physical_requests)
+            volume = kernel.volume
+            reg.counter("volume.logical_requests").child(label).inc(
+                volume.logical_requests)
+            reg.counter("volume.physical_requests").child(label).inc(
+                volume.physical_requests)
 
             c = kernel.cache.stats
             for name, value in (("cache.hits", c.hits),
@@ -113,22 +112,19 @@ class ObsRecorder:
                 drv.requests_issued)
             reg.counter("driver.retries").child(label).inc(drv.retries)
 
-        network = getattr(cluster, "network", None)
-        if network is not None:
-            n = network.stats
-            reg.counter("net.messages").inc(n.messages)
-            reg.counter("net.frames").inc(n.frames)
-            reg.counter("net.bytes_carried").inc(n.bytes_carried)
-            reg.counter("net.busy_seconds").inc(n.busy_time)
-            for channel in range(network.channels):
-                reg.counter("net.frames").child(f"ch{channel}").inc(
-                    network.channel_frames[channel])
-                reg.counter("net.busy_seconds").child(f"ch{channel}").inc(
-                    network.channel_busy_time[channel])
-        pvm = getattr(cluster, "pvm", None)
-        if pvm is not None:
-            reg.counter("pvm.sends").inc(pvm.sends)
-        pious = getattr(cluster, "pious", None)
+        network = cluster.network
+        n = network.stats
+        reg.counter("net.messages").inc(n.messages)
+        reg.counter("net.frames").inc(n.frames)
+        reg.counter("net.bytes_carried").inc(n.bytes_carried)
+        reg.counter("net.busy_seconds").inc(n.busy_time)
+        for channel in range(network.channels):
+            reg.counter("net.frames").child(f"ch{channel}").inc(
+                network.channel_frames[channel])
+            reg.counter("net.busy_seconds").child(f"ch{channel}").inc(
+                network.channel_busy_time[channel])
+        reg.counter("pvm.sends").inc(cluster.pvm.sends)
+        pious = cluster.pious            # None until make_pious() ran
         if pious is not None:
             reg.counter("pious.requests_served").inc(pious.requests_served)
             reg.counter("pious.bytes_served").inc(pious.bytes_served)

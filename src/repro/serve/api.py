@@ -216,13 +216,14 @@ class ExperimentService:
             catalog = str(payload.get("catalog") or default_catalog)
             catalog_root(self.root, catalog)         # validates the name
             experiment = str(payload.get("experiment") or "baseline")
-            from repro.core.experiments import EXPERIMENTS
+            from repro.core.experiments import EXPERIMENTS, check_duration
             if experiment not in EXPERIMENTS + ("serial",):
                 raise ApiError(400,
                                f"unknown experiment {experiment!r}")
             duration = payload.get("duration")
             if duration is not None:
                 duration = float(duration)
+            check_duration(experiment, duration)
             priority = int(payload.get("priority") or 0)
             if kind == "sweep":
                 from repro.config import parse_axis_spec, expand_grid

@@ -97,19 +97,11 @@ def replay_trace(trace, scheduler: str = "clook",
 
     sim = Simulator()
     if scenario is not None:
-        from repro.disk import DiskGeometry
         node_cfg = scenario.node
-        disks = []
-        for i, disk_cfg in enumerate(node_cfg.disks):
-            geometry = DiskGeometry.from_capacity_mb(disk_cfg.capacity_mb)
-            disks.append(Disk(
-                sim, service=DiskServiceModel(geometry=geometry),
-                scheduler=disk_cfg.build_scheduler(),
-                rng=np.random.default_rng(seed + i),
-                name=f"hd{chr(ord('a') + i)}0",
-                cache=disk_cfg.build_cache(),
-                media_error_rate=disk_cfg.media_error_rate))
-        device = node_cfg.volume.build(disks, name="md0")
+        device = node_cfg.build_volume(
+            sim, [np.random.default_rng(seed + i)
+                  for i in range(len(node_cfg.disks))])
+        disks = device.disks
         total_sectors = device.total_sectors
         scheduler = node_cfg.disks[0].scheduler.kind
     else:

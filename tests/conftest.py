@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.disk import Disk
+from repro.disk import Disk, SingleVolume
 from repro.driver import InstrumentedIDEDriver, ProcTraceTransport
 from repro.sim import Simulator
 
@@ -30,5 +30,6 @@ def traced_driver(sim):
     """A disk + instrumented driver pair with a fast-draining transport."""
     disk = Disk(sim, rng=np.random.default_rng(0))
     transport = ProcTraceTransport(sim, drain_interval=0.25)
-    driver = InstrumentedIDEDriver(sim, disk, transport=transport)
+    driver = InstrumentedIDEDriver(sim, SingleVolume([disk]),
+                                   transport=transport)
     return driver

@@ -8,19 +8,25 @@ manifest carrying them into stored runs.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cluster.beowulf import BeowulfCluster
 from repro.config import (
     ConfigError,
     NetworkConfig,
+    NodeConfig,
     PiousConfig,
     Scenario,
     VolumeConfig,
 )
+from repro.core.trace import TraceDataset
+from repro.disk import FIFOScheduler
 from repro.disk.volume import Raid0Volume, SingleVolume
+from repro.driver.trace import TRACE_DTYPE
 from repro.kernel import NodeKernel
 from repro.sim import Simulator
+from repro.synth.replay import replay_trace
 
 
 RAID0_DICT = {"node": {"disks": [{}, {}],
@@ -160,6 +166,40 @@ def test_kernel_builds_the_configured_volume():
     assert kernel.volume.stripe_sectors == 32          # 16 KB stripes
     assert kernel.driver.disk is kernel.volume
     assert kernel.disk is kernel.disks[0]
+
+
+def test_replay_builds_the_same_members_as_the_kernel(monkeypatch):
+    """`replay_trace(scenario=)` and `NodeKernel` share one builder."""
+    scenario = Scenario.from_dict({"node": {
+        "disks": [{"capacity_mb": 200},
+                  {"capacity_mb": 300, "scheduler": {"kind": "fifo"},
+                   "cache": {"nsegments": 2, "segment_sectors": 32}}],
+        "volume": {"policy": "raid0"}}}).validate()
+    built = []
+    build_volume = NodeConfig.build_volume
+
+    def spy(self, *args, **kwargs):
+        built.append(build_volume(self, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(NodeConfig, "build_volume", spy)
+    NodeKernel(Simulator(), node_config=scenario.node, housekeeping=False)
+    records = np.array([(0.0, 64, 1, 1, 4.0, 0), (0.01, 128, 0, 1, 4.0, 0)],
+                       dtype=TRACE_DTYPE)
+    replay_trace(TraceDataset(records), scenario=scenario)
+    assert len(built) == 2
+
+    def members(volume):
+        return [(d.name, d.total_sectors, type(d.scheduler),
+                 (d.cache.nsegments, d.cache.segment_sectors,
+                  d.cache.lookahead_sectors))
+                for d in volume.disks]
+
+    kernel_volume, replay_volume = built
+    assert members(kernel_volume) == members(replay_volume)
+    assert [m[0] for m in members(kernel_volume)] == ["hda0", "hdb0"]
+    assert members(kernel_volume)[1][2] is FIFOScheduler
+    assert type(kernel_volume) is type(replay_volume) is Raid0Volume
 
 
 def test_default_kernel_keeps_single_volume():

@@ -38,8 +38,8 @@ def test_default_scenario_is_valid_and_is_the_papers_node():
 
 def test_default_disk_stack_builds_historical_components():
     disk = Scenario().node.disk
-    assert isinstance(disk.build_scheduler(), CLookScheduler)
-    cache = disk.build_cache()
+    assert isinstance(disk.scheduler.build(), CLookScheduler)
+    cache = disk.cache.build()
     assert isinstance(cache, DriveCache)
     assert (cache.nsegments, cache.segment_sectors,
             cache.lookahead_sectors) == (4, 64, 32)
@@ -134,6 +134,15 @@ def test_out_of_range_field_names_exact_path():
         Scenario().with_override("node.disk.media_error_rate",
                                  1.5).validate()
     assert err.value.path == "scenario.node.disks[0].media_error_rate"
+
+
+@pytest.mark.parametrize("path", ["experiment.baseline_duration",
+                                  "experiment.hard_limit",
+                                  "experiment.flush_grace"])
+def test_infinite_experiment_window_rejected(path):
+    with pytest.raises(ConfigError, match="finite") as err:
+        Scenario().with_override(path, float("inf")).validate()
+    assert err.value.path == f"scenario.{path}"
 
 
 def test_unknown_key_rejected_with_path():

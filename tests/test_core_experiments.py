@@ -104,9 +104,12 @@ def test_run_baseline_duration_keyword():
     assert result.trace.duration <= 60.0
 
 
-@pytest.mark.parametrize("duration", [0, 0.0, -5.0])
+@pytest.mark.parametrize("duration", [0, 0.0, -5.0, float("nan"),
+                                      float("inf")])
 def test_run_rejects_non_positive_duration(duration):
-    # a zero window must not fall back to baseline_duration
+    # a zero window must not fall back to baseline_duration; nan used
+    # to crash inside the epoch loop, inf to run until the log zone
+    # filled
     runner = ExperimentRunner(nnodes=1, seed=3, baseline_duration=500.0)
     with pytest.raises(ValueError, match="positive"):
         runner.run("baseline", duration=duration)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import TraceDataset
 from repro.core.metrics import estimate_service_times, per_node_variance
-from repro.disk import Disk
+from repro.disk import Disk, SingleVolume
 from repro.driver import (
     HDIO_SET_TRACE,
     InstrumentedIDEDriver,
@@ -59,7 +59,8 @@ def test_verbose_driver_trace_yields_latencies_end_to_end():
     sim = Simulator()
     disk = Disk(sim, rng=np.random.default_rng(0))
     transport = ProcTraceTransport(sim)
-    driver = InstrumentedIDEDriver(sim, disk, transport=transport)
+    driver = InstrumentedIDEDriver(sim, SingleVolume([disk]),
+                                   transport=transport)
     driver.ioctl(HDIO_SET_TRACE, TraceLevel.VERBOSE)
     for sector in (1000, 50_000, 600_000):
         driver.read_sectors(sector, 2)

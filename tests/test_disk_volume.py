@@ -23,6 +23,7 @@ from repro.disk.volume import (
     raid0_extents,
 )
 from repro.driver import InstrumentedIDEDriver, ProcTraceTransport
+from repro.driver.trace import TRACE_DTYPE
 from repro.sim import Simulator
 
 
@@ -214,23 +215,105 @@ def test_driver_traces_one_record_per_physical_part():
 
 
 def test_driver_single_volume_matches_bare_disk_trace():
-    """`single` is bit-identical to driving the disk directly."""
-    def run(device_of):
+    """The driver over `single` traces and completes exactly as the disk
+    does when the same requests are submitted to it directly."""
+    spans = ((1000, 8, False), (64, 8, False), (5000, 8, False),
+             (2048, 16, True))
+
+    def reference():
         sim = Simulator()
         disk = Disk(sim, rng=np.random.default_rng(0))
-        transport = ProcTraceTransport(sim, drain_interval=0.5)
-        driver = InstrumentedIDEDriver(sim, device_of(disk),
-                                       transport=transport)
-        for s in (1000, 64, 5000):
-            driver.read_sectors(s, 8)
-        driver.write_sectors(2048, 16)
+        rows, completions = [], []
+        for sector, nsectors, is_write in spans:
+            rows.append((sim.now, sector, int(is_write),
+                         disk.queue_depth + 1, nsectors * 512 / 1024.0, 0))
+            disk.submit(IORequest(sector=sector, nsectors=nsectors,
+                                  is_write=is_write)).callbacks.append(
+                lambda ev: completions.append(ev.value.complete_time))
         sim.run(until=10)
-        transport.drain_now()
-        return transport.user_buffer.to_array()
+        return np.array(rows, dtype=TRACE_DTYPE), completions
 
-    bare = run(lambda disk: disk)
-    single = run(lambda disk: SingleVolume([disk]))
-    assert np.array_equal(bare, single)
+    sim = Simulator()
+    transport = ProcTraceTransport(sim, drain_interval=0.5)
+    driver = InstrumentedIDEDriver(
+        sim, SingleVolume([Disk(sim, rng=np.random.default_rng(0))]),
+        transport=transport)
+    completions = []
+    for sector, nsectors, is_write in spans:
+        handler = driver.write_sectors if is_write else driver.read_sectors
+        handler(sector, nsectors).callbacks.append(
+            lambda ev: completions.append(ev.value.complete_time))
+    sim.run(until=10)
+    transport.drain_now()
+    ref_rows, ref_completions = reference()
+    assert np.array_equal(transport.user_buffer.to_array(), ref_rows)
+    assert completions == ref_completions
+    assert len(completions) == len(spans)
+
+
+def _flaky_mirror(sim):
+    """raid1 over a mirror with media errors and a clean one, with every
+    physical part each member accepts recorded in submit order."""
+    disks = _mkdisks(sim, 2)
+    disks[0].media_error_rate = 0.5
+    parts = []
+    for disk in disks:
+        def spy(request, submit=disk.submit):
+            parts.append(request)
+            return submit(request)
+        disk.submit = spy
+    return Raid1Volume(disks), parts
+
+
+def _assert_joined(outcomes, parts):
+    """Each logical write (keyed by sector) completed once, at its last
+    part's time, and failed exactly when one of its mirrored parts did."""
+    assert sorted(outcomes) == [1000 * i for i in range(5)]
+    assert len(parts) == 10
+    failures = []
+    for sector, (at, failed) in outcomes.items():
+        pair = [p for p in parts if p.sector == sector]
+        assert len(pair) == 2
+        assert at == max(p.complete_time for p in pair)
+        assert failed == any(p.failed for p in pair)
+        failures.append(failed)
+    assert True in failures and False in failures
+
+
+def test_raid1_join_fails_with_any_part_through_volume_submit():
+    sim = Simulator()
+    volume, parts = _flaky_mirror(sim)
+    outcomes = {}
+
+    def record(ev):
+        assert ev.value.sector not in outcomes
+        outcomes[ev.value.sector] = (sim.now, ev.value.failed)
+
+    for i in range(5):
+        request = IORequest(sector=1000 * i, nsectors=8, is_write=True)
+        volume.submit(request).callbacks.append(record)
+    sim.run(until=10)
+    _assert_joined(outcomes, parts)
+
+
+def test_raid1_join_fails_with_any_part_through_driver():
+    sim = Simulator()
+    volume, parts = _flaky_mirror(sim)
+    driver = InstrumentedIDEDriver(sim, volume, max_retries=0)
+    outcomes = {}
+
+    def writer(sector):
+        try:
+            yield driver.write_sectors(sector, 8)
+            outcomes[sector] = (sim.now, False)
+        except IOError:
+            outcomes[sector] = (sim.now, True)
+
+    for i in range(5):
+        sim.process(writer(1000 * i))
+    sim.run(until=10)
+    _assert_joined(outcomes, parts)
+    assert driver.hard_failures == sum(f for _, f in outcomes.values())
 
 
 def test_concat_volume_splits_boundary_spans():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.disk import Disk, IORequest
+from repro.disk import Disk, IORequest, SingleVolume
 from repro.driver import InstrumentedIDEDriver, ProcTraceTransport
 from repro.sim import Simulator
 
@@ -13,7 +13,8 @@ def rig(error_rate, seed=0, max_retries=4):
     disk = Disk(sim, rng=np.random.default_rng(seed),
                 media_error_rate=error_rate)
     transport = ProcTraceTransport(sim)
-    driver = InstrumentedIDEDriver(sim, disk, transport=transport,
+    driver = InstrumentedIDEDriver(sim, SingleVolume([disk]),
+                                   transport=transport,
                                    max_retries=max_retries)
     return sim, disk, transport, driver
 

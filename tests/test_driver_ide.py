@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.disk import Disk
+from repro.disk import Disk, SingleVolume
 from repro.driver import (
     HDIO_GET_TRACE,
     HDIO_SET_TRACE,
@@ -19,7 +19,8 @@ def rig():
     sim = Simulator()
     disk = Disk(sim, rng=np.random.default_rng(0))
     transport = ProcTraceTransport(sim, drain_interval=0.5)
-    driver = InstrumentedIDEDriver(sim, disk, node_id=3, transport=transport)
+    driver = InstrumentedIDEDriver(sim, SingleVolume([disk]), node_id=3,
+                                   transport=transport)
     return sim, disk, transport, driver
 
 
@@ -120,7 +121,8 @@ def test_ring_overflow_drops_and_counts():
     sim = Simulator()
     disk = Disk(sim, rng=np.random.default_rng(0))
     transport = ProcTraceTransport(sim, ring_capacity=2, drain_interval=100.0)
-    driver = InstrumentedIDEDriver(sim, disk, transport=transport)
+    driver = InstrumentedIDEDriver(sim, SingleVolume([disk]),
+                                   transport=transport)
     for s in (100, 200, 300, 400):
         driver.read_sectors(s, 2)
     assert transport.ring_fill == 2
@@ -131,7 +133,8 @@ def test_drain_loop_moves_records_periodically():
     sim = Simulator()
     disk = Disk(sim, rng=np.random.default_rng(0))
     transport = ProcTraceTransport(sim, drain_interval=1.0)
-    driver = InstrumentedIDEDriver(sim, disk, transport=transport)
+    driver = InstrumentedIDEDriver(sim, SingleVolume([disk]),
+                                   transport=transport)
     driver.read_sectors(100, 2)
     sim.run(until=1.5)
     assert len(transport.user_buffer) == 1
@@ -144,7 +147,8 @@ def test_sink_called_with_drain_count():
     disk = Disk(sim, rng=np.random.default_rng(0))
     transport = ProcTraceTransport(sim, drain_interval=1.0,
                                    sink=counts.append)
-    driver = InstrumentedIDEDriver(sim, disk, transport=transport)
+    driver = InstrumentedIDEDriver(sim, SingleVolume([disk]),
+                                   transport=transport)
     driver.read_sectors(100, 2)
     driver.read_sectors(300, 2)
     sim.run(until=1.5)

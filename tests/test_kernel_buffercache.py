@@ -104,12 +104,13 @@ def test_eviction_prefers_clean_over_dirty(sim, cache):
 
 
 def test_eviction_of_dirty_flushes_first(sim):
-    from repro.disk import Disk
+    from repro.disk import Disk, SingleVolume
     from repro.driver import InstrumentedIDEDriver, ProcTraceTransport
     import numpy as np
     disk = Disk(sim, rng=np.random.default_rng(0))
     transport = ProcTraceTransport(sim)
-    driver = InstrumentedIDEDriver(sim, disk, transport=transport)
+    driver = InstrumentedIDEDriver(sim, SingleVolume([disk]),
+                                   transport=transport)
     cache = BufferCache(sim, driver, capacity_blocks=2, sectors_per_block=2)
     for b in (0, 1, 2):
         drive(sim, cache.write_block(b))

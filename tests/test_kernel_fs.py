@@ -137,11 +137,12 @@ def test_inode_table_block_mapping():
     cacheless = None  # inode_table_block is pure arithmetic on the instance
     # build a real fs for the computation
     import numpy as np
-    from repro.disk import Disk
+    from repro.disk import Disk, SingleVolume
     from repro.driver import InstrumentedIDEDriver
     from repro.sim import Simulator
     sim = Simulator()
-    driver = InstrumentedIDEDriver(sim, Disk(sim, rng=np.random.default_rng(0)))
+    driver = InstrumentedIDEDriver(
+        sim, SingleVolume([Disk(sim, rng=np.random.default_rng(0))]))
     fs = FileSystem(BufferCache(sim, driver, capacity_blocks=64))
     b1 = fs.inode_table_block(1)
     b8 = fs.inode_table_block(8)

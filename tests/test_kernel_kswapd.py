@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.disk import Disk
+from repro.disk import Disk, SingleVolume
 from repro.driver import InstrumentedIDEDriver, ProcTraceTransport
 from repro.kernel import VirtualMemory
 from repro.sim import Simulator
@@ -12,7 +12,8 @@ from repro.sim import Simulator
 def make_vm(sim, frames=100):
     disk = Disk(sim, rng=np.random.default_rng(0))
     transport = ProcTraceTransport(sim)
-    driver = InstrumentedIDEDriver(sim, disk, transport=transport)
+    driver = InstrumentedIDEDriver(sim, SingleVolume([disk]),
+                                   transport=transport)
     return VirtualMemory(driver, frames_total=frames, page_kb=4)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import LayoutConfig
-from repro.disk import Disk
+from repro.disk import Disk, SingleVolume
 from repro.driver import InstrumentedIDEDriver, ProcTraceTransport
 from repro.kernel import VirtualMemory
 from repro.kernel.vm import OutOfSwap
@@ -17,7 +17,8 @@ def vm_rig():
     sim = Simulator()
     disk = Disk(sim, rng=np.random.default_rng(0))
     transport = ProcTraceTransport(sim)
-    driver = InstrumentedIDEDriver(sim, disk, transport=transport)
+    driver = InstrumentedIDEDriver(sim, SingleVolume([disk]),
+                                   transport=transport)
     vm = VirtualMemory(driver, frames_total=4, page_kb=4)
     return sim, vm, transport
 
@@ -126,7 +127,7 @@ def test_destroy_space_releases_frames(vm_rig):
 def test_out_of_swap_raises():
     sim = Simulator()
     disk = Disk(sim, rng=np.random.default_rng(0))
-    driver = InstrumentedIDEDriver(sim, disk)
+    driver = InstrumentedIDEDriver(sim, SingleVolume([disk]))
     layout = LayoutConfig(swap_sectors=8)  # exactly one 4 KB slot
     vm = VirtualMemory(driver, frames_total=1, page_kb=4, layout=layout)
     aspace = vm.create_space("app")

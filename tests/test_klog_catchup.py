@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.experiments import ExperimentRunner
-from repro.disk import Disk
+from repro.disk import Disk, SingleVolume
 from repro.driver import InstrumentedIDEDriver, ProcTraceTransport
 from repro.kernel import BufferCache, FileSystem, SysLogger, UpdateDaemon
 from repro.kernel.klog import HousekeepingLoad
@@ -57,7 +57,8 @@ def node(seed, rate, hk_cls, until=150.0):
     sim = Simulator()
     disk = Disk(sim, rng=np.random.default_rng(seed))
     transport = ProcTraceTransport(sim, drain_interval=0.25)
-    driver = InstrumentedIDEDriver(sim, disk, transport=transport)
+    driver = InstrumentedIDEDriver(sim, SingleVolume([disk]),
+                                   transport=transport)
     fs = FileSystem(BufferCache(sim, driver, capacity_blocks=256,
                                 sectors_per_block=2))
     loggers = [SysLogger(sim, fs, path, flush_interval=5.0,
@@ -123,7 +124,8 @@ def test_message_tied_with_a_flush(cls, gaps, flushed):
     sim = Simulator()
     disk = Disk(sim, rng=np.random.default_rng(0))
     driver = InstrumentedIDEDriver(
-        sim, disk, transport=ProcTraceTransport(sim, drain_interval=0.25))
+        sim, SingleVolume([disk]),
+        transport=ProcTraceTransport(sim, drain_interval=0.25))
     fs = FileSystem(BufferCache(sim, driver, capacity_blocks=256,
                                 sectors_per_block=2))
     logger = SysLogger(sim, fs, LOGS[0], flush_interval=5.0)
@@ -138,7 +140,8 @@ def test_zero_rate_means_no_chatter():
     sim = Simulator()
     disk = Disk(sim, rng=np.random.default_rng(0))
     driver = InstrumentedIDEDriver(
-        sim, disk, transport=ProcTraceTransport(sim, drain_interval=0.25))
+        sim, SingleVolume([disk]),
+        transport=ProcTraceTransport(sim, drain_interval=0.25))
     fs = FileSystem(BufferCache(sim, driver, capacity_blocks=256,
                                 sectors_per_block=2))
     logger = SysLogger(sim, fs, LOGS[0], flush_interval=5.0)

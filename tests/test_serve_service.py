@@ -81,7 +81,10 @@ def test_bad_submissions_are_400(client):
                  {"grid": ["nonsense"]},             # unparseable axis
                  {"catalog": "../escape"},
                  {"scenario": {"cluster": {"nnodes": "many"}}},
-                 {"kind": "sweep"}):                 # sweep without grid
+                 {"kind": "sweep"},                  # sweep without grid
+                 {"experiment": "ppm", "duration": 60},
+                 {"duration": 0},
+                 {"duration": "inf"}):
         with pytest.raises(ServeError) as err:
             client.request("POST", "/v1/jobs", body=body)
         assert err.value.status == 400, body

@@ -16,7 +16,7 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
-from repro.disk import Disk
+from repro.disk import Disk, SingleVolume
 from repro.driver import InstrumentedIDEDriver, ProcTraceTransport
 from repro.kernel import BufferCache, FileSystem
 from repro.sim import Simulator
@@ -31,7 +31,7 @@ class CacheMachine(RuleBasedStateMachine):
     def setup(self):
         self.sim = Simulator()
         disk = Disk(self.sim, rng=np.random.default_rng(0))
-        driver = InstrumentedIDEDriver(self.sim, disk,
+        driver = InstrumentedIDEDriver(self.sim, SingleVolume([disk]),
                                        transport=ProcTraceTransport(self.sim))
         self.cache = BufferCache(self.sim, driver, capacity_blocks=CAPACITY,
                                  sectors_per_block=2, cluster_blocks=3)
@@ -101,7 +101,7 @@ class FsMachine(RuleBasedStateMachine):
     def setup(self):
         self.sim = Simulator()
         disk = Disk(self.sim, rng=np.random.default_rng(0))
-        driver = InstrumentedIDEDriver(self.sim, disk,
+        driver = InstrumentedIDEDriver(self.sim, SingleVolume([disk]),
                                        transport=ProcTraceTransport(self.sim))
         cache = BufferCache(self.sim, driver, capacity_blocks=4096,
                             sectors_per_block=2)
