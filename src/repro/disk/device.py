@@ -1,4 +1,4 @@
-"""The disk device: a single-actuator server draining a scheduled queue."""
+"""The disk device: a single-actuator state machine over a scheduled queue."""
 
 from __future__ import annotations
 
@@ -12,12 +12,6 @@ from repro.disk.request import IORequest
 from repro.disk.scheduler import CLookScheduler
 from repro.disk.service import DiskServiceModel
 from repro.sim import BatchedDraws, Event, Simulator
-
-#: requests claimed from the scheduler per server wakeup; bounds how much
-#: claimed work a mid-run submission can force back through ``requeue``
-DRAIN_LIMIT = 64
-#: run length below which numpy precompute costs more than scalar math
-_VECTOR_MIN = 4
 
 
 class LatencyReservoir:
@@ -132,7 +126,7 @@ class _DiskInstruments:
             "disk.scheduled_requests",
             "requests serviced, by scheduler discipline").child(discipline)
         # pre-bound hot-path entry points (histogram ``observe`` is
-        # already a bound ``list.append``): the server calls these
+        # already a bound ``list.append``): the device calls these
         # without per-request attribute chains
         self.observe_queue_depth = self.queue_depth.observe
         self.observe_seek = self.seek_cylinders.observe
@@ -140,12 +134,20 @@ class _DiskInstruments:
 
 
 class Disk:
-    """A disk drive as a simulation process.
+    """A disk drive, replayed as a state machine.
 
     ``submit()`` enqueues an :class:`IORequest` and returns an event that
-    fires when the device has finished transferring it.  The internal server
-    process picks requests in scheduler order, advances the actuator, and
-    charges seek + rotation + transfer time per the service model.
+    fires when the device has finished transferring it.  The device picks
+    requests in scheduler order, one ``scheduler.next()`` per service,
+    advances the actuator, and charges seek + rotation + transfer time per
+    the service model.
+
+    No process serves the queue: the device is its own event-queue entry
+    (armed through ``Simulator._enqueue_at``), and at most one is queued
+    at any time — the completion of the request in service, or, after a
+    submit found the device idle, a start at that submit's instant.  The
+    start does not pick on the spot, so requests submitted later at the
+    same instant (a read-ahead cluster, a swap-out run) join the pick.
 
     ``obs`` takes a :class:`~repro.obs.registry.MetricsRegistry`; when
     enabled the device records queue-depth, seek-distance, and
@@ -163,9 +165,12 @@ class Disk:
                  obs=None):
         self.sim = sim
         self.service = service or DiskServiceModel()
-        # geometry is fixed for the device's lifetime; submit() range-
-        # checks every request against this
+        # geometry and mechanics are fixed for the device's lifetime:
+        # submit() range-checks every request against the capacity
+        tables = self.service.tables
         self._total_sectors = self.service.geometry.total_sectors
+        self._spc = tables.sectors_per_cylinder
+        self._rotation = tables.rotation_time
         self.scheduler = scheduler if scheduler is not None else CLookScheduler()
         # the device is this stream's only consumer, so batching the
         # uniform draws (rotational latency + media-error check) keeps
@@ -179,6 +184,8 @@ class Disk:
                 obs, name, type(self.scheduler).__name__)
         #: optional on-drive segment cache (see repro.disk.cache)
         self.cache = cache
+        self._lookahead = (cache is not None
+                           and getattr(cache, "lookahead_sectors", 0) > 0)
         if not (0.0 <= media_error_rate < 1.0):
             raise ValueError("media error rate must be in [0, 1)")
         #: per-request probability of a (soft) media error; the request
@@ -187,23 +194,17 @@ class Disk:
         self.stats = DiskStats()
         self.head_cylinder = 0
         self._head_sector = 0
+        #: the request in service and its service time
         self._in_service: Optional[IORequest] = None
-        self._wakeup: Optional[Event] = None
-        #: bumped on every submit; the server compares it against the
-        #: value captured at drain time to detect that its claimed run
-        #: went stale and must be handed back for re-ordering
-        self._epoch = 0
-        #: requests drained from the scheduler but not yet (in) service —
-        #: still "waiting" as far as queue-depth accounting is concerned
-        self._drained = 0
-        sim.process(self._server(), name=f"disk:{name}")
+        self._duration = 0.0
+        #: the device's entry (a start or a completion) is queued
+        self._armed = False
 
     # -- public interface ------------------------------------------------
     @property
     def queue_depth(self) -> int:
         """Requests waiting or in service (the trace's *pending* count)."""
-        return (len(self.scheduler) + self._drained
-                + (1 if self._in_service is not None else 0))
+        return len(self.scheduler) + (self._in_service is not None)
 
     @property
     def total_sectors(self) -> int:
@@ -215,20 +216,20 @@ class Disk:
             raise ValueError(
                 f"request [{request.sector}, {request.last_sector}] "
                 f"beyond end of {self.name} ({self.total_sectors} sectors)")
-        request.submit_time = self.sim.now
-        request.done = self.sim.event()
+        sim = self.sim
+        request.submit_time = sim.now
+        done = request.done = sim.event()
         self.scheduler.add(request)
-        self._epoch += 1
         # queue_depth, inlined (a property call per submit)
-        depth = (len(self.scheduler) + self._drained
-                 + (1 if self._in_service is not None else 0))
+        depth = len(self.scheduler) + (self._in_service is not None)
         if depth > self.stats.max_queue_depth:
             self.stats.max_queue_depth = depth
         if self._obs is not None:
             self._obs.observe_queue_depth(depth)
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
-        return request.done
+        if not self._armed:
+            self._armed = True
+            sim._enqueue_at(sim.now, self)
+        return done
 
     # -- checkpoint state surface ------------------------------------------
     def snapshot_state(self) -> dict:
@@ -238,7 +239,7 @@ class Disk:
         captured: in-flight mechanical work is not data.  The settle
         protocol guarantees that; this guards it.
         """
-        if len(self.scheduler) or self._drained or self._in_service:
+        if len(self.scheduler) or self._armed:
             raise RuntimeError(
                 f"disk {self.name} is not idle "
                 f"(queue_depth={self.queue_depth})")
@@ -246,7 +247,6 @@ class Disk:
         return {
             "head_cylinder": self.head_cylinder,
             "head_sector": self._head_sector,
-            "epoch": self._epoch,
             "rng": self.rng.snapshot_state(),
             "cache": (None if self.cache is None
                       else self.cache.snapshot_state()),
@@ -263,7 +263,6 @@ class Disk:
     def restore_state(self, state: dict) -> None:
         self.head_cylinder = int(state["head_cylinder"])
         self._head_sector = int(state["head_sector"])
-        self._epoch = int(state["epoch"])
         self.rng.restore_state(state["rng"])
         if state["cache"] is not None:
             self.cache.restore_state(state["cache"])
@@ -279,121 +278,80 @@ class Disk:
             media_errors=int(st["media_errors"]))
         self.stats._latencies.restore_state(lat)
 
-    # -- server process ----------------------------------------------------
-    def _server(self):
-        """The device server: drain runs, vectorize, direct-fire.
+    # -- the state machine -------------------------------------------------
+    def _fire(self) -> None:
+        """The device's queue entry fired: complete the request in
+        service, or start serving after idle.
 
-        Per wakeup the server *claims* a run of requests via
-        ``scheduler.drain`` and precomputes their seek/transfer terms in
-        one numpy pass (``service_components``, head carry included).
-        Rotational-latency and media-error draws stay scalar and lazy —
-        they happen at each request's commit/completion point so the RNG
-        stream consumes exactly as a one-request-per-wakeup server's
-        would even when a run is cut short.  A submission bumps
-        ``_epoch``; the server compares epochs before committing each
-        claimed request and hands any stale tail back through
-        ``requeue`` so the discipline can re-order around the newcomer —
-        the semantics of re-selecting after every service.
-
-        Completions are *direct-fired*: the previous request's done
-        callbacks run from this frame at the instant a queued done event
-        would have fired (next commit, or the idle transition), skipping
-        one event round-trip per request.  The ordering is unobservable
-        because service durations are continuous random floats — nothing
-        else is scheduled at that exact timestamp (the scalar test
-        oracle in ``tests/`` guards this).
-
-        With obs enabled, each serviced request also records its seek
-        distance and service time.
+        A completion moves the head, stamps the request, draws its media
+        error and accounts it.  If more requests wait, the next service
+        is committed *before* the finished request's done callbacks run,
+        so a submit they make finds the device busy and joins the queue
+        behind that pick; otherwise the device goes idle first, and such
+        a submit arms a fresh start.  The callbacks are *direct-fired*:
+        they run from this frame, at the instant a queued done event
+        would have fired.  The ordering is unobservable because service
+        durations are continuous random floats — nothing else is
+        scheduled at that exact timestamp (the scalar test oracle in
+        ``tests/`` guards this).
         """
-        sim = self.sim
-        scheduler = self.scheduler
-        service = self.service
-        spc = service.geometry.sectors_per_cylinder
-        rotation = service.tables.rotation_time
-        rng = self.rng
-        stats = self.stats
-        cache = self.cache
-        lookahead = (cache is not None
-                     and getattr(cache, "lookahead_sectors", 0) > 0)
-        total_sectors = self.total_sectors
+        request = self._in_service
+        if request is None:
+            self._commit()
+            return
+        last = request.last_sector
+        # cylinder_of minus the bounds re-check (done at submit)
+        self.head_cylinder = last // self._spc
+        self._head_sector = last
+        request.complete_time = self.sim.now
         merr = self.media_error_rate
-        obs = self._obs
-        batch: list = ()
-        base = transfer = None
-        i = 0
-        epoch = -1
-        completed = None  # serviced request whose callbacks haven't run
-        while True:
-            if i >= len(batch) or epoch != self._epoch:
-                if i < len(batch):
-                    # the claimed run went stale: hand the tail back so
-                    # the discipline re-orders around the new arrivals
-                    scheduler.requeue(batch[i:])
-                    self._drained -= len(batch) - i
-                batch = ()
-                i = 0
-                if not len(scheduler):
-                    wakeup = self._wakeup = sim.event()
-                    if completed is not None:
-                        request, completed = completed, None
-                        self._fire_done(request)
-                    yield wakeup
-                    self._wakeup = None
-                epoch = self._epoch
-                batch = scheduler.drain(self._head_sector, DRAIN_LIMIT)
-                self._drained += len(batch)
-                if len(batch) >= _VECTOR_MIN:
-                    base, transfer = service.service_components(
-                        batch, self.head_cylinder)
-                else:
-                    base = None
-            request = batch[i]
-            self._drained -= 1
-            self._in_service = request
-            if obs is not None:
-                obs.observe_seek(abs(request.sector // spc
-                                     - self.head_cylinder))
-            hit = False
-            if cache is not None:
-                if request.is_write:
-                    cache.invalidate(request.sector, request.nsectors)
-                elif cache.lookup(request.sector, request.nsectors):
-                    hit = True
-            if hit:
-                duration = (service.controller_overhead
-                            + service.transfer_time(request.nsectors))
-            elif base is not None:
-                duration = ((base[i] + float(rng.random()) * rotation)
-                            + transfer[i])
-            else:
-                duration = service.service_time(request, self.head_cylinder,
-                                                rng)
-            if cache is not None and not hit and not request.is_write:
-                cache.fill_after_read(request.sector, request.nsectors,
-                                      disk_sectors=total_sectors)
-                if lookahead:
-                    duration += 0.5 * rotation
-            if obs is not None:
-                obs.observe_service(duration)
-                obs.requests.value += 1
-            i += 1
-            timeout = sim.timeout(duration)
-            if completed is not None:
-                prior, completed = completed, None
-                self._fire_done(prior)
-            yield timeout
-            last = request.last_sector
-            # cylinder_of minus the bounds re-check (done at submit)
-            self.head_cylinder = last // spc
-            self._head_sector = last
-            request.complete_time = sim.now
-            if merr > 0.0 and float(rng.random()) < merr:
-                request.failed = True
-                stats.media_errors += 1
-            self._account(request, duration)
+        if merr > 0.0 and float(self.rng.random()) < merr:
+            request.failed = True
+            self.stats.media_errors += 1
+        self._account(request, self._duration)
+        if len(self.scheduler):
+            self._commit()
+        else:
             self._in_service = None
-            completed = request
+            self._armed = False
+        self._fire_done(request)
+
+    def _commit(self) -> None:
+        """Pick the next request, time its service, and arm its completion.
+
+        A read fully held by the drive cache skips seek and rotation; a
+        read miss fills a segment (plus look-ahead, which rides the same
+        rotation for half a revolution); a write is write-through and
+        invalidates overlapping segments.  With obs enabled the request's
+        seek distance and service time are recorded.
+        """
+        request = self._in_service = self.scheduler.next(self._head_sector)
+        service = self.service
+        cache = self.cache
+        obs = self._obs
+        if obs is not None:
+            obs.observe_seek(abs(request.sector // self._spc
+                                 - self.head_cylinder))
+        cached_read = cache is not None and not request.is_write
+        if cached_read and cache.lookup(request.sector, request.nsectors):
+            duration = (service.controller_overhead
+                        + service.transfer_time(request.nsectors))
+        else:
+            if cache is not None and request.is_write:
+                cache.invalidate(request.sector, request.nsectors)
+            duration = service.service_time(request, self.head_cylinder,
+                                            self.rng)
+            if cached_read:
+                cache.fill_after_read(request.sector, request.nsectors,
+                                      disk_sectors=self._total_sectors)
+                if self._lookahead:
+                    duration += 0.5 * self._rotation
+        if obs is not None:
+            obs.observe_service(duration)
+            obs.requests.value += 1
+        self._duration = duration
+        sim = self.sim
+        sim._enqueue_at(sim.now + duration, self)
 
     def _fire_done(self, request: IORequest) -> None:
         """Run ``request``'s completion callbacks without a queue round-trip.
@@ -401,8 +359,8 @@ class Disk:
         Equivalent to ``done.succeed(request)`` followed by the engine
         popping and firing the event at the same timestamp — inlined
         here (mirroring :meth:`Event.succeed` + ``Event._fire``) because
-        the server already stands at exactly the point in the
-        event order where that pop would happen.
+        the device's completion already stands at exactly the point in
+        the event order where that pop would happen.
         """
         done = request.done
         done._ok = True

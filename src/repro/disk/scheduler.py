@@ -10,12 +10,14 @@ files and the replay/sweep machinery select disciplines by name
 (``"clook"``, ``"fifo"``, ``"sstf"``, ``"scan"``); third-party
 disciplines plug in via ``SCHEDULERS.register``.
 
-Batch draining
---------------
+Picking and batch draining
+--------------------------
 
-The device drains *runs* of requests per server wakeup instead of one
-``next()`` round-trip each.  Every discipline implements
-``add``/``next``/``__len__`` plus the batch pair:
+The device makes one ``next(head_sector)`` pick per service, with the
+head at the previous request's ``last_sector``.  Every discipline
+implements ``add``/``next``/``__len__``/``pending`` plus the batch pair,
+which no production path calls any more (the traced benchmark's layer
+table still names them):
 
 * ``drain(head_sector, limit)`` pops up to ``limit`` requests, exactly
   the sequence that ``limit`` successive ``next()`` calls would return
@@ -23,8 +25,8 @@ The device drains *runs* of requests per server wakeup instead of one
   (the head-carry invariant — :func:`drain_via_next` is the executable
   definition and the reference the property tests compare against);
 * ``requeue(requests)`` hands back an unserviced *suffix* of the most
-  recent drain (a new submission invalidated the claimed run), restoring
-  each request's arrival position so tie-breaks replay identically.
+  recent drain, restoring each request's arrival position so
+  tie-breaks replay identically.
 
 A third-party discipline without a cheaper closed form can implement
 ``drain`` by delegating to :func:`drain_via_next`.
@@ -32,6 +34,7 @@ A third-party discipline without a cheaper closed form can implement
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort_right
 from collections import deque
 from operator import attrgetter
 from typing import Deque, List, Optional
@@ -46,6 +49,8 @@ SCHEDULERS = Registry("disk scheduler")
 _ARRIVAL = attrgetter("seq")
 #: elevator sweep key: sector order, arrival order among equals
 _SECTOR_ARRIVAL = attrgetter("sector", "seq")
+#: C-LOOK bisection key (its queue is kept in ``_SECTOR_ARRIVAL`` order)
+_SECTOR = attrgetter("sector")
 
 
 def drain_via_next(scheduler, head_sector: int, limit: int) -> List[IORequest]:
@@ -219,6 +224,10 @@ class CLookScheduler:
 
     This is the behaviour of the Linux 1.x single-direction elevator and
     gives each request bounded waiting (no SSTF starvation).
+
+    The queue is kept in ``(sector, arrival)`` order, so a pick is one
+    bisection for the first request at or beyond the head (index 0 on
+    the wrap) instead of a scan of every waiter.
     """
 
     def __init__(self):
@@ -231,65 +240,24 @@ class CLookScheduler:
     def add(self, request: IORequest) -> None:
         request.seq = self._seq
         self._seq += 1
-        self._queue.append(request)
+        # the newest arrival sorts after every equal sector
+        insort_right(self._queue, request, key=_SECTOR)
 
     def next(self, head_sector: int) -> Optional[IORequest]:
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return None
-        ahead = [i for i, r in enumerate(self._queue)
-                 if r.sector >= head_sector]
-        if ahead:
-            best = min(ahead, key=lambda i: self._queue[i].sector)
-        else:
-            # Wrap: start a new sweep from the lowest pending sector.
-            best = min(range(len(self._queue)),
-                       key=lambda i: self._queue[i].sector)
-        return self._queue.pop(best)
+        i = bisect_left(queue, head_sector, key=_SECTOR)
+        # past the last sector: wrap to start a new sweep from the lowest
+        return queue.pop(i if i < len(queue) else 0)
 
     def drain(self, head_sector: int, limit: int) -> List[IORequest]:
-        """One sorted sweep instead of ``limit`` O(n) selection scans.
-
-        Within an upward sweep the head position only grows, so a single
-        left-to-right pass over the ``(sector, arrival)``-sorted queue
-        pops exactly what successive ``next()`` calls would: the first
-        not-yet-taken request at or beyond the head.  Requests passed
-        over (their sector fell inside a predecessor's span) wait for a
-        later pass; when a pass makes no progress the elevator wraps to
-        the lowest pending sector, exactly as ``next()`` does.
-        """
-        queue = self._queue
-        if len(queue) == 1 and limit >= 1:
-            # depth-1 queue — the overwhelmingly common case under a
-            # quiescent load: the sweep (and ``next``) can only pick the
-            # sole request, so skip the selection scan outright
-            return [queue.pop()]
-        if len(queue) <= 1 or limit <= 1:
-            return drain_via_next(self, head_sector, limit)
-        order = sorted(queue, key=_SECTOR_ARRIVAL)
-        batch: List[IORequest] = []
-        head = head_sector
-        while order and len(batch) < limit:
-            rest: List[IORequest] = []
-            for request in order:
-                if len(batch) < limit and request.sector >= head:
-                    batch.append(request)
-                    head = request.last_sector
-                else:
-                    rest.append(request)
-            if len(rest) == len(order) and len(batch) < limit:
-                # wrap: the lowest pending sector starts the next sweep
-                request = rest.pop(0)
-                batch.append(request)
-                head = request.last_sector
-            order = rest
-        if batch:
-            popped = set(map(id, batch))
-            self._queue = [r for r in queue if id(r) not in popped]
-        return batch
+        """``limit`` bisected picks with head carry."""
+        return drain_via_next(self, head_sector, limit)
 
     def requeue(self, requests: List[IORequest]) -> None:
         self._queue.extend(requests)
-        self._queue.sort(key=_ARRIVAL)
+        self._queue.sort(key=_SECTOR_ARRIVAL)
 
     def pending(self) -> List[IORequest]:
-        return list(self._queue)
+        return sorted(self._queue, key=_ARRIVAL)

@@ -10,7 +10,7 @@ old shape.
 """
 
 #: the checkpoint envelope version the writer stamps
-CHECKPOINT = 2
+CHECKPOINT = 3
 #: the run-manifest version the writer stamps
 MANIFEST = 3
 MANIFEST_FORMAT = f"repro-run-v{MANIFEST}"
@@ -35,6 +35,12 @@ def checkpoint(tree: dict, version: int) -> dict:
             housekeeping = tree["cluster"]["nodes"][node]["housekeeping"]
             housekeeping["next_message"] = float(ticks.pop(owner)[0])
             housekeeping["message_scheduled"] = float(tree["clock"]["now"])
+    if version < 3:
+        # v2 disks carried the submit counter their server process
+        # checked claimed runs against; the replayed disk has neither
+        for node in tree.get("cluster", {}).get("nodes", ()):
+            for disk in node["disks"]:
+                disk.pop("epoch", None)
     return tree
 
 

@@ -8,6 +8,8 @@ invisible, and that an explicit ``Scenario`` takes the same path as the
 legacy keyword arguments.
 """
 
+import hashlib
+
 import pytest
 
 from repro import migrate
@@ -98,3 +100,55 @@ def test_engine_choice_does_not_change_fingerprint():
         with pytest.raises(ConfigError) as err:
             Scenario.from_dict(stored)
         assert err.value.path == "scenario.engine"
+
+
+#: (records, trace sha256) of a 2-node wavelet run at seed 3 for every
+#: discipline x volume policy, recorded by the release whose disks were
+#: served by a process.  ``raid0``/``raid1`` stripe or mirror over two
+#: members, each with ``media_error_rate=0.01``.
+TRACE_DIGESTS = {
+    ("clook", "single"): (16073, "8fd22a7a5d55fa7133fa6d1b53855766"
+                                 "9866c609eb3c71968ce9a7281a62e49c"),
+    ("clook", "raid0"): (17228, "f2aaee2a86df8fb110ec9bdb3fa5f83d"
+                                "3c00468325121a896f4ef3e7e48a9ef7"),
+    ("clook", "raid1"): (24283, "6cbbb4ea5a4636d4ca2665628ee8a395"
+                                "55a18ea6ee3d78a2df1a608047382c15"),
+    ("fifo", "single"): (16012, "d7c74518acf16a2898ec4182d9667ce8"
+                                "91d401c4d5e2cd8022434c7cff8f774a"),
+    ("fifo", "raid0"): (17287, "d94fd51da7cbb6a3aaf8805e187f04fb"
+                               "90a538ecce3791b9882e9e32b962458f"),
+    ("fifo", "raid1"): (24274, "97c7d9f3c1b1d7166c6ccfc1aabb6d8d"
+                               "4c0fc2a6cbd6f988d047a8e31d8c7937"),
+    ("scan", "single"): (16006, "c729f3e5df39ebf4da93fbe907725a8f"
+                                "d30859cac6af5141005e2bb9ed83a85c"),
+    ("scan", "raid0"): (17259, "4380c81000a110ac3f2c99aab5f11909"
+                               "008e0a97313636317c0bd650b95fd28c"),
+    ("scan", "raid1"): (24130, "10dee3fda7169320f60dac4713efa32d"
+                               "84138a5391ef1062621de14f2f308d1c"),
+    ("sstf", "single"): (16055, "70ab28037bb155b065504e499cad5d8b"
+                                "d9bb4accd0cdca6dd03671cb94edae5a"),
+    ("sstf", "raid0"): (17209, "8e797d387427128001fae8f05ff24fef"
+                               "6f3dbeb1d11efcab3f1e168eae7cbb67"),
+    ("sstf", "raid1"): (24402, "12f570b204aac48b512d6d252505f9cb"
+                               "214f9da9e2b142d9bddf64647f27ca87"),
+}
+
+
+def discipline_scenario(scheduler, policy):
+    if policy == "single":
+        node = {"disks": [{"scheduler": {"kind": scheduler}}]}
+    else:
+        disk = {"scheduler": {"kind": scheduler}, "media_error_rate": 0.01}
+        node = {"disks": [disk, dict(disk)], "volume": {"policy": policy}}
+    return Scenario.from_dict({"cluster": {"nnodes": 2}, "seed": 3,
+                               "node": node})
+
+
+@pytest.mark.parametrize("scheduler,policy", sorted(TRACE_DIGESTS),
+                         ids=lambda v: v)
+def test_discipline_volume_trace_digest(scheduler, policy):
+    records = ExperimentRunner(
+        scenario=discipline_scenario(scheduler, policy)).run(
+            "wavelet").trace.records
+    assert (len(records), hashlib.sha256(records.tobytes()).hexdigest()) \
+        == TRACE_DIGESTS[scheduler, policy]

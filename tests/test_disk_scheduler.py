@@ -86,3 +86,49 @@ def test_clook_single_sweep_is_sorted_above_head(sectors):
     served = _drain(s, head=0)
     # Head starts at 0, so one upward sweep serves everything sorted.
     assert served == sorted(sectors)
+
+
+class _LinearCLook:
+    """Reference: the linear-scan C-LOOK pick the bisected one replaced
+    (arrival-ordered queue; ``min`` keeps the earliest of equal sectors)."""
+
+    def __init__(self):
+        self._queue = []
+
+    def add(self, request):
+        self._queue.append(request)
+
+    def next(self, head_sector):
+        if not self._queue:
+            return None
+        ahead = [i for i, r in enumerate(self._queue)
+                 if r.sector >= head_sector]
+        if ahead:
+            best = min(ahead, key=lambda i: self._queue[i].sector)
+        else:
+            best = min(range(len(self._queue)),
+                       key=lambda i: self._queue[i].sector)
+        return self._queue.pop(best)
+
+
+# a narrow sector range forces duplicate sectors; heads reach past the
+# highest sector, so picks wrap
+_clook_ops = st.lists(
+    st.one_of(st.tuples(st.just("add"), st.integers(0, 40)),
+              st.tuples(st.just("next"), st.integers(0, 50))),
+    max_size=80)
+
+
+@given(_clook_ops)
+def test_clook_bisected_pick_matches_linear_scan(ops):
+    s, ref = CLookScheduler(), _LinearCLook()
+    for op, value in ops:
+        if op == "add":
+            request = _req(value)
+            s.add(request)
+            ref.add(request)
+        else:
+            assert s.next(value) is ref.next(value)
+        assert len(s) == len(ref._queue)
+        assert [id(r) for r in s.pending()] == [id(r) for r in ref._queue]
+

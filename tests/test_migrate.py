@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro import migrate
-from repro.checkpoint.serialize import dumps
+from repro.checkpoint.serialize import dumps, load_checkpoint
 from repro.config import Scenario
 from repro.core import experiments
 from repro.core.experiments import ExperimentRunner
@@ -157,6 +157,15 @@ def test_stored_shape_matches_its_version(shapes, stored):
     assert now == then, (
         f"{stored} changed shape (added {sorted(now - then)}, removed "
         f"{sorted(then - now)}): {fix}")
+
+
+@pytest.mark.parametrize("stored", STORED_CHECKPOINTS,
+                         ids=lambda p: p.stem)
+def test_stored_checkpoint_migrates_to_the_current_shape(stored):
+    # every stored fixture is a baseline capture: once loaded, no key
+    # its release wrote survives that the current writer does not write
+    recorded = json.loads(SHAPES.read_text())["paths"]["baseline.ckpt"]
+    assert key_paths(load_checkpoint(stored)) == set(recorded)
 
 
 if __name__ == "__main__":

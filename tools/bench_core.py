@@ -6,9 +6,8 @@ Three measurements make up the core perf trajectory (``BENCH_core.json``):
 * **experiment** — wall time and requests/sec of the baseline experiment
   (``nnodes=2, seed=1``): an end-to-end floor on real runs.
 * **batched_drain** — a deep-queue storm on one disk: every request
-  submitted at t=0, so the server claims full scheduler runs and
-  vectorizes their service terms.  Gated as an absolute requests/sec
-  floor.
+  submitted at t=0, so each of the device's picks chooses from a queue
+  thousands deep.  Gated as an absolute requests/sec floor.
 * **service_time** — per-call cost of ``DiskServiceModel.service_time``
   (the precomputed-table path) versus a scalar reference that redoes
   the per-request ``sqrt``/zone math, as p50/p95 nanoseconds over timed
@@ -110,11 +109,11 @@ def _drain_wall(workload, seed: int) -> float:
 
 def bench_batched_drain(nrequests: int = 4_000, repeats: int = 3,
                         seed: int = 11) -> dict:
-    """Best-of-N deep-queue storm through the device server.
+    """Best-of-N deep-queue storm through one disk.
 
-    Every request is submitted at the same instant, the regime the
-    drain path exists for: the server claims multi-request runs from
-    the scheduler and vectorizes their service terms.
+    Every request is submitted at the same instant, so the queue starts
+    ``nrequests`` deep and each service's one scheduler pick searches
+    it: a pick that scans the queue makes the storm quadratic.
     """
     model = DiskServiceModel()
     rng = np.random.default_rng(seed)
