@@ -152,7 +152,7 @@ class ESSApplication:
             if coordinator is not None:
                 coordinator.started(self)
                 # park before the next body; the runner releases every
-                # resumed app (in sorted order) once the drain settles
+                # resumed app (in sorted order) once the restore settles
                 yield coordinator.hold(self)
         else:
             self._setup_address_space()

@@ -24,8 +24,7 @@ from repro.checkpoint.serialize import (CheckpointError, FORMAT_VERSION,
                                         loads, save_checkpoint, tree_equal,
                                         validate_tree)
 from repro.checkpoint.state import (arm_tick_preloads, capture_state,
-                                    drain_to_quiescence,
-                                    restore_cluster_state, snapshot_ticks,
+                                    restore_cluster_state,
                                     verify_restored_queue)
 
 __all__ = [
@@ -35,13 +34,11 @@ __all__ = [
     "MAGIC",
     "arm_tick_preloads",
     "capture_state",
-    "drain_to_quiescence",
     "dumps",
     "load_checkpoint",
     "loads",
     "restore_cluster_state",
     "save_checkpoint",
-    "snapshot_ticks",
     "tree_equal",
     "validate_tree",
     "verify_restored_queue",

@@ -20,11 +20,11 @@ message or barrier inside a completed body has already been matched by
 its peers (sends precede receives within a body), and none can deadlock
 waiting for a held partner.
 
-On a restore the coordinator is armed in *resume mode*: re-spawned
-applications hold unconditionally before running their next body, the
-runner drains the re-parked daemons, and the same ordered release makes
-the continuation consume sequence numbers exactly as the uninterrupted
-(armed) run did.
+On a restore the coordinator stays unarmed: re-spawned applications
+park on their holds before running their next body (they resume from a
+token, not through :meth:`should_hold`), the runner settles the
+re-parked daemons, and the same ordered release makes the continuation
+consume sequence numbers exactly as the uninterrupted (armed) run did.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ class CheckpointCoordinator:
     def __init__(self, sim: Simulator):
         self.sim = sim
         self.armed = False
-        self.resume_mode = False
         #: family name -> body cursor a member holds at (armed mode)
         self._targets: Dict[str, int] = {}
         self._started: List[object] = []
@@ -81,15 +80,6 @@ class CheckpointCoordinator:
         self._targets = {name: cursor + 1
                          for name, cursor in deepest.items()}
         self.armed = True
-        self.resume_mode = False
-
-    def arm_for_resume(self) -> None:
-        """Arm with no targets: resumed applications hold unconditionally
-        before their next body; fresh ones (later in a serial chain) run
-        free once released."""
-        self._targets = {}
-        self.armed = True
-        self.resume_mode = True
 
     @property
     def all_held(self) -> bool:
@@ -110,7 +100,6 @@ class CheckpointCoordinator:
                       key=lambda item: (item[0].name, item[0].node_id))
         self._held.clear()
         self.armed = False
-        self.resume_mode = False
         self._targets = {}
         for _app, event in held:
             event.succeed()

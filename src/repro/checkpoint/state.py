@@ -10,12 +10,16 @@ reconstruction::
     sim.restore_clock(tree["clock"])
     arm_tick_preloads(sim, tree)          # BEFORE the cluster exists
     cluster = BeowulfCluster(sim, ...)    # daemons spawn at now=T
-    restore_cluster_state(cluster, tree)  # pure, pre-drain
+    restore_cluster_state(cluster, tree)  # pure, before any event fires
     ...spawn applications (they park on their resume holds)...
-    drain_to_quiescence(sim, tree)        # daemons re-park on preloads
+    sim.settle()                          # daemons re-park on preloads
     verify_restored_queue(sim, tree)      # queue == snapshot, then seq
 
-The invariant being rebuilt: after the drain, the event queue holds
+:meth:`Simulator.settle` is the same quiescence loop capture runs: every
+reconstruction event sits at the restored ``now`` and every snapshotted
+tick lies later, so it fires exactly the reconstruction events.
+
+The invariant being rebuilt: after the settle, the event queue holds
 exactly the snapshotted ticks under their original ``(time, priority,
 seq)`` keys, the sequence counter equals the captured value, and every
 process is parked where its captured counterpart was — so the next
@@ -31,7 +35,7 @@ from repro.checkpoint.serialize import CheckpointError, validate_tree
 from repro.sim import Simulator, Tick
 
 
-def snapshot_ticks(sim: Simulator) -> Dict[str, list]:
+def _snapshot_ticks(sim: Simulator) -> Dict[str, list]:
     """The queue as data: ``owner -> [time, priority, seq, value]``.
 
     Fails loudly when the queue is not quiescent (a non-Tick entry) or
@@ -63,7 +67,7 @@ def capture_state(sim: Simulator, cluster, apps=None, obs=None,
     tree = {
         "meta": dict(meta or {}),
         "clock": sim.clock_state(),
-        "ticks": snapshot_ticks(sim),
+        "ticks": _snapshot_ticks(sim),
         "cluster": {
             "streams": cluster.streams.snapshot_state(),
             "network": cluster.network.snapshot_state(),
@@ -93,7 +97,8 @@ def arm_tick_preloads(sim: Simulator, tree: dict) -> None:
 
 
 def restore_cluster_state(cluster, tree: dict) -> None:
-    """Put back every layer's captured state (pure; call pre-drain)."""
+    """Put back every layer's captured state (pure; call before any
+    event fires)."""
     sub = tree["cluster"]
     cluster.streams.restore_state(sub["streams"])
     cluster.network.restore_state(sub["network"])
@@ -110,28 +115,10 @@ def restore_cluster_state(cluster, tree: dict) -> None:
         cluster.pious.restore_state(sub["pious"])
 
 
-def drain_to_quiescence(sim: Simulator, max_events: int = 1_000_000) -> None:
-    """Fire the reconstruction events (process initializers, immediate
-    completions) until only ticks remain queued.
-
-    All such events sit at the restored ``now`` — ahead of every
-    preloaded tick — so this never fires a tick early.
-    """
-    budget = max_events
-    while any(type(event) is not Tick
-              for _t, _p, _s, event in sim.queue_items()):
-        sim.step()
-        budget -= 1
-        if budget <= 0:
-            raise CheckpointError(
-                "restore drain exceeded its event budget without "
-                "reaching a tick-only queue")
-
-
 def verify_restored_queue(sim: Simulator, tree: dict) -> None:
     """Check queue == snapshot, then restore the sequence counter.
 
-    Called after :func:`drain_to_quiescence`.  Every preload must have
+    Called after :meth:`Simulator.settle`.  Every preload must have
     been consumed (a daemon that never re-parked would silently change
     future orderings) and the queue keys must match the snapshot
     exactly.  Only then is ``_seq`` wound back to the captured value —

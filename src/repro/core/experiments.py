@@ -29,9 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.apps import WORKLOADS, AppStats, ESSApplication
 from repro.checkpoint import (CheckpointCoordinator, CheckpointError,
                               arm_tick_preloads, capture_state,
-                              drain_to_quiescence, load_checkpoint,
-                              restore_cluster_state, save_checkpoint,
-                              verify_restored_queue)
+                              load_checkpoint, restore_cluster_state,
+                              save_checkpoint, verify_restored_queue)
 from repro.cluster import BeowulfCluster
 from repro.config import Scenario
 from repro.core.metrics import WorkloadMetrics, compute_metrics
@@ -397,7 +396,6 @@ class ExperimentRunner:
             self._settle(sim, cluster, installs)
             t0 = sim.now
         else:
-            coordinator.arm_for_resume()
             t0 = float(tree["meta"]["t0"])
         capture = self._start_capture(plan.name, cluster)
         if tree is not None:
@@ -405,7 +403,7 @@ class ExperimentRunner:
         procs = self._spawn_apps(cluster, apps, plan)
         done = None if plan.window is not None else sim.all_of(procs)
         if tree is not None:
-            drain_to_quiescence(sim)
+            sim.settle()
             if not coordinator.all_held:
                 raise CheckpointError(
                     "resumed applications did not park on their holds")
@@ -579,9 +577,9 @@ class ExperimentRunner:
         return meta
 
     def _restore_obs(self, tree: dict) -> None:
-        """Put back the captured metrics (after the drain, which itself
-        counts events; live instrument references stay valid because the
-        restore mutates in place)."""
+        """Put back the captured metrics (after the restore settle, which
+        itself counts events; live instrument references stay valid
+        because the restore mutates in place)."""
         if self._recorder is not None and tree["obs"] is not None:
             self._recorder.registry.restore_state(tree["obs"])
 

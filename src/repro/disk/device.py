@@ -369,7 +369,6 @@ class Disk:
         done.callbacks = None
         for callback in callbacks:
             callback(done)
-        done.processed = True
 
     def _account(self, request: IORequest, duration: float) -> None:
         stats = self.stats

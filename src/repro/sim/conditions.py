@@ -1,4 +1,4 @@
-"""Composite events: wait for all or any of a set of events."""
+"""Composite events: wait for all of a set of events."""
 
 from __future__ import annotations
 
@@ -7,8 +7,11 @@ from typing import Iterable
 from repro.sim.core import Event, SimulationError, Simulator
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf; collects child results keyed by position."""
+class AllOf(Event):
+    """Fires when every child fired; value is ``{index: value}``.
+
+    Fails fast with the first child failure.
+    """
 
     __slots__ = ("_events", "_pending", "_results")
 
@@ -30,18 +33,6 @@ class _Condition(Event):
                 ev.callbacks.append(lambda e, i=i: self._child_done(i, e))
 
     def _child_done(self, index: int, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when every child fired; value is ``{index: value}``.
-
-    Fails fast with the first child failure.
-    """
-
-    __slots__ = ()
-
-    def _child_done(self, index: int, event: Event) -> None:
         if self.triggered:
             return
         if not event._ok:
@@ -51,17 +42,3 @@ class AllOf(_Condition):
         self._pending -= 1
         if self._pending == 0:
             self.succeed(dict(self._results))
-
-
-class AnyOf(_Condition):
-    """Fires when the first child fires; value is ``(index, value)``."""
-
-    __slots__ = ()
-
-    def _child_done(self, index: int, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self.succeed((index, event._value))

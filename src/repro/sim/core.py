@@ -27,26 +27,15 @@ class SimulationError(RuntimeError):
     """Raised for engine misuse (re-triggering events, bad yields, ...)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The interrupted process receives this exception at its current yield
-    point; ``cause`` carries whatever object the interrupter supplied.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A thing that may happen at a point in simulated time.
 
     An event starts *pending*, becomes *triggered* once given a value (or an
-    exception) and scheduled, and is *processed* after its callbacks ran.
+    exception) and scheduled, and is *processed* after its callbacks ran
+    (``callbacks`` is then None).
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_scheduled", "processed")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_scheduled")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -54,7 +43,6 @@ class Event:
         self._value: Any = None
         self._ok: Optional[bool] = None
         self._scheduled = False
-        self.processed = False
 
     @property
     def triggered(self) -> bool:
@@ -96,10 +84,9 @@ class Event:
         callbacks, self.callbacks = self.callbacks, None
         for cb in callbacks:
             cb(self)
-        self.processed = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "processed" if self.processed else (
+        state = "processed" if self.callbacks is None else (
             "triggered" if self.triggered else "pending")
         return f"<{type(self).__name__} {state} at t={self.sim.now:.6g}>"
 
@@ -161,7 +148,7 @@ class Process(Event):
     * nothing else.  Yielding a non-event raises :class:`SimulationError`.
     """
 
-    __slots__ = ("generator", "_target", "name", "_resume_counter")
+    __slots__ = ("generator", "name", "_resume_counter")
 
     def __init__(self, sim: "Simulator", generator: Generator,
                  name: Optional[str] = None):
@@ -170,7 +157,6 @@ class Process(Event):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
         # Resolve the per-prefix resume counter once at spawn; _resume
         # runs tens of thousands of times per simulated second.
         instr = sim._instr
@@ -178,54 +164,25 @@ class Process(Event):
             instr.resumes.child(self.name.split(":", 1)[0])
         Initialize(sim, self)
 
-    @property
-    def is_alive(self) -> bool:
-        return self._ok is None
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its yield point."""
-        if not self.is_alive:
-            raise SimulationError(f"{self.name} already terminated")
-        if self._target is None:
-            raise SimulationError(f"{self.name} not yet started")
-        # Detach from the event we were waiting on; it may still fire but we
-        # no longer care.
-        target = self._target
-        if target.callbacks is not None and self._resume in target.callbacks:
-            target.callbacks.remove(self._resume)
-        interrupt_event = Event(self.sim)
-        interrupt_event.callbacks.append(self._resume)
-        interrupt_event.fail(Interrupt(cause))
-
     def _resume(self, event: Event) -> None:
-        self._target = None
         sim = self.sim
         counter = self._resume_counter
         if counter is not None:
             counter.value += 1
-        sim._active_process = self
+        # An exception the generator does not catch leaves run().
         try:
             if event._ok:
                 next_event = self.generator.send(event._value)
             else:
                 next_event = self.generator.throw(event._value)
         except StopIteration as stop:
-            sim._active_process = None
             self.succeed(stop.value)
             return
-        except BaseException as exc:
-            sim._active_process = None
-            if sim._fail_fast:
-                raise
-            self.fail(exc)
-            return
-        sim._active_process = None
         if not isinstance(next_event, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded non-event {next_event!r}")
         if next_event.sim is not sim:
             raise SimulationError("yielded event belongs to another simulator")
-        self._target = next_event
         if next_event.callbacks is None:
             # Already processed: resume immediately (urgent, same timestamp).
             resumed = Event(sim)
@@ -233,7 +190,6 @@ class Process(Event):
             resumed._ok = next_event._ok
             resumed._value = next_event._value
             sim._enqueue(0.0, URGENT, resumed)
-            self._target = resumed
         else:
             next_event.callbacks.append(self._resume)
 
@@ -267,13 +223,9 @@ class Simulator:
     instrumentation.
     """
 
-    def __init__(self, fail_fast: bool = True, obs=None):
+    def __init__(self, obs=None):
         self.now: float = 0.0
         self._seq = 0
-        self._active_process: Optional[Process] = None
-        # fail_fast=True propagates uncaught process exceptions out of run(),
-        # which is what tests and experiment drivers want.
-        self._fail_fast = fail_fast
         self._instr: Optional[_SimInstruments] = None
         if obs is not None and getattr(obs, "enabled", False):
             self._instr = _SimInstruments(obs)
@@ -299,7 +251,6 @@ class Simulator:
         event._value = value
         event._ok = True
         event._scheduled = False
-        event.processed = False
         event.delay = delay
         self._enqueue(delay, NORMAL, event)
         return event
@@ -325,7 +276,6 @@ class Simulator:
                 event._value = value
                 event._ok = True
                 event._scheduled = False
-                event.processed = False
                 event.delay = max(0.0, time - self.now)
                 event.owner = owner
                 self._enqueue_exact(time, priority, seq, event)
@@ -338,10 +288,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> Event:
         from repro.sim.conditions import AllOf
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> Event:
-        from repro.sim.conditions import AnyOf
-        return AnyOf(self, events)
 
     # -- engine ---------------------------------------------------------------
     def _enqueue(self, delay: float, priority: int, event: Event) -> None:
@@ -385,7 +331,8 @@ class Simulator:
         At such an instant the event queue is pure data — every daemon
         is parked on an owner-tagged sleep and every process is either
         finished or parked on a pending (queue-absent) event — which is
-        the precondition for :mod:`repro.checkpoint` capturing it.
+        the precondition for :mod:`repro.checkpoint` capturing it.  A
+        restore runs the same loop to fire its reconstruction events.
         Returns the reached time.
         """
         budget = max_events
@@ -414,14 +361,6 @@ class Simulator:
         """Restore :meth:`clock_state` (queue entries travel separately)."""
         self.now = float(state["now"])
         self._seq = int(state["seq"])
-
-    def schedule_callback(self, delay: float,
-                          callback: Callable[[], None]) -> Event:
-        """Run a plain callable at ``now + delay`` (no process needed)."""
-        ev = Event(self)
-        ev.callbacks.append(lambda _ev: callback())
-        ev.succeed(delay=delay)
-        return ev
 
     def peek(self) -> float:
         """Time of the next event, or ``inf`` if the heap is empty."""

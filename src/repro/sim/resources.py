@@ -1,14 +1,13 @@
-"""Shared resources for processes: counted resources and object stores.
+"""A shared counted resource for processes.
 
 :class:`Resource` models a server with fixed capacity and a FIFO wait queue
-(e.g. an Ethernet segment).  :class:`Store` is a producer/consumer buffer of
-Python objects (e.g. the /proc trace ring buffer, a message queue).
+(e.g. an Ethernet segment).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Deque
 
 from repro.sim.core import Event, SimulationError, Simulator
 
@@ -84,63 +83,3 @@ class Resource:
             req = self._queue.popleft()
             self._in_use += 1
             req.succeed(req)
-
-
-class StorePut(Event):
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: Any):
-        super().__init__(store.sim)
-        self.item = item
-        store._putters.append(self)
-        store._dispatch()
-
-
-class StoreGet(Event):
-    __slots__ = ()
-
-    def __init__(self, store: "Store"):
-        super().__init__(store.sim)
-        store._getters.append(self)
-        store._dispatch()
-
-
-class Store:
-    """FIFO buffer of objects with optional capacity.
-
-    ``yield store.put(item)`` blocks while full; ``item = yield store.get()``
-    blocks while empty.
-    """
-
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 or None")
-        self.sim = sim
-        self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._putters: Deque[StorePut] = deque()
-        self._getters: Deque[StoreGet] = deque()
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: Any) -> StorePut:
-        return StorePut(self, item)
-
-    def get(self) -> StoreGet:
-        return StoreGet(self)
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            while self._putters and (
-                    self.capacity is None or len(self.items) < self.capacity):
-                put = self._putters.popleft()
-                self.items.append(put.item)
-                put.succeed()
-                progress = True
-            while self._getters and self.items:
-                get = self._getters.popleft()
-                get.succeed(self.items.popleft())
-                progress = True

@@ -27,7 +27,6 @@ from repro import migrate
 from repro.checkpoint import (
     CheckpointError,
     capture_state,
-    drain_to_quiescence,
     load_checkpoint,
     save_checkpoint,
     tree_equal,
@@ -257,7 +256,7 @@ def test_restore_is_idempotent(tmp_path, scheduler, engine):
 
     fresh = ExperimentRunner(scenario=sc)
     sim, cluster = fresh._build(stored)
-    drain_to_quiescence(sim)
+    sim.settle()
     verify_restored_queue(sim, stored)
     fresh._restore_obs(stored)
     again = capture_state(sim, cluster, obs=fresh._registry(),

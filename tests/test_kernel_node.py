@@ -176,9 +176,9 @@ def test_failing_app_does_not_corrupt_multiprogramming_level(sim, node):
         yield sim.timeout(1.0)
         raise RuntimeError("app crashed")
 
-    sim._fail_fast = False
     node.spawn(bad_app(), name="crasher")
-    sim.run(until=5.0)
+    with pytest.raises(RuntimeError, match="app crashed"):
+        sim.run(until=5.0)
     assert node.apps_running == 0
     assert node.effective_readahead_kb() == 16
 
@@ -197,7 +197,6 @@ def test_failing_app_releases_vm_space(sim, node):
                 self.stats.finished_at = self.kernel.sim.now
                 self._teardown_address_space()
 
-    sim._fail_fast = False
     app = ExplodingPPM(node, params=PPMParams(steps=1))
 
     def setup():
@@ -206,6 +205,7 @@ def test_failing_app_releases_vm_space(sim, node):
     sim.process(setup())
     sim.run(until=0.5)
     node.spawn(app.run(), name="exploder")
-    sim.run(until=10.0)
+    with pytest.raises(RuntimeError, match="mid-run failure"):
+        sim.run(until=10.0)
     assert node.vm.frames_used == 0
     assert app.aspace is None

@@ -13,6 +13,35 @@ import pytest
 
 PUBLIC_API = {
     "repro": ["__version__"],
+    "repro.sim": [
+        "AllOf",
+        "BatchedDraws",
+        "Event",
+        "Process",
+        "RandomStreams",
+        "Resource",
+        "SimulationError",
+        "Simulator",
+        "Tick",
+        "Timeout",
+        "uniform_index_drawer",
+    ],
+    "repro.checkpoint": [
+        "CheckpointCoordinator",
+        "CheckpointError",
+        "FORMAT_VERSION",
+        "MAGIC",
+        "arm_tick_preloads",
+        "capture_state",
+        "dumps",
+        "load_checkpoint",
+        "loads",
+        "restore_cluster_state",
+        "save_checkpoint",
+        "tree_equal",
+        "validate_tree",
+        "verify_restored_queue",
+    ],
     "repro.serve": [
         "ACTIVE_STATES",
         "AnalysisAnswer",

@@ -17,6 +17,11 @@ ENGINES = [pytest.param(None, id="current"),
            pytest.param("heap", id="heap")]
 
 
+def call_at(sim, delay, callback):
+    """Run ``callback()`` at ``now + delay``: a timeout carrying a callback."""
+    sim.timeout(delay).callbacks.append(lambda _ev: callback())
+
+
 def _sim(engine, **kwargs):
     """A simulator at time zero, restored from a clock snapshot naming
     ``engine`` (a fresh one for ``engine=None``)."""
@@ -36,7 +41,7 @@ def test_step_on_empty_queue_raises_simulation_error(kind):
 @pytest.mark.parametrize("kind", ENGINES)
 def test_step_after_drain_raises(kind):
     sim = _sim(kind)
-    sim.schedule_callback(1.0, lambda: None)
+    sim.timeout(1.0)
     sim.run()
     with pytest.raises(SimulationError, match="empty event queue"):
         sim.step()
@@ -79,8 +84,8 @@ def test_run_until_on_empty_queue_advances_clock(kind):
 def test_run_until_boundary_event_fires(kind):
     sim = _sim(kind)
     fired = []
-    sim.schedule_callback(5.0, lambda: fired.append(sim.now))
-    sim.schedule_callback(5.0 + 1e-9, lambda: fired.append("late"))
+    call_at(sim, 5.0, lambda: fired.append(sim.now))
+    call_at(sim, 5.0 + 1e-9, lambda: fired.append("late"))
     sim.run(until=5.0)
     # an event exactly at the deadline fires; anything past it waits
     assert fired == [5.0]
@@ -98,7 +103,7 @@ def test_run_stop_event_halts_both_engines(kind):
 
     proc = sim.process(worker(sim))
     for d in (1.0, 3.0, 4.0):
-        sim.schedule_callback(d, lambda d=d: fired.append(d))
+        call_at(sim, d, lambda d=d: fired.append(d))
     sim.run(stop=proc)
     # checked once per event: the 1.0 and 2.0 events ran, 3.0+ did not
     assert fired == [1.0, "stopper"]
@@ -120,6 +125,6 @@ def test_instrumented_run_counts_events(kind):
     registry = MetricsRegistry()
     sim = _sim(kind, obs=registry)
     for d in (1.0, 2.0, 3.0):
-        sim.schedule_callback(d, lambda: None)
+        sim.timeout(d)
     sim.run()
     assert registry.counter("sim.events_processed").value == 3

@@ -1,4 +1,4 @@
-"""Unit tests for AllOf / AnyOf composite events."""
+"""Unit tests for the AllOf composite event."""
 
 
 from repro.sim import Simulator
@@ -15,20 +15,6 @@ def test_all_of_waits_for_slowest():
     sim.process(waiter(sim))
     sim.run()
     assert results == [(3.0, {0: "a", 1: "b"})]
-
-
-def test_any_of_returns_first():
-    sim = Simulator()
-    results = []
-
-    def waiter(sim):
-        index, value = yield sim.any_of(
-            [sim.timeout(5.0, "slow"), sim.timeout(2.0, "fast")])
-        results.append((sim.now, index, value))
-
-    sim.process(waiter(sim))
-    sim.run()
-    assert results == [(2.0, 1, "fast")]
 
 
 def test_all_of_empty_fires_immediately():

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.sim import Interrupt, Simulator, SimulationError
+from repro.sim import Simulator, SimulationError
+
+
+def call_at(sim, delay, callback):
+    """Run ``callback()`` at ``now + delay``: a timeout carrying a callback."""
+    sim.timeout(delay).callbacks.append(lambda _ev: callback())
 
 
 def test_timeout_advances_clock():
@@ -31,7 +36,7 @@ def test_events_fire_in_time_order():
     sim = Simulator()
     order = []
     for delay in (3.0, 1.0, 2.0):
-        sim.schedule_callback(delay, lambda d=delay: order.append(d))
+        call_at(sim, delay, lambda d=delay: order.append(d))
     sim.run()
     assert order == [1.0, 2.0, 3.0]
 
@@ -40,7 +45,7 @@ def test_ties_fire_in_schedule_order():
     sim = Simulator()
     order = []
     for tag in "abc":
-        sim.schedule_callback(1.0, lambda t=tag: order.append(t))
+        call_at(sim, 1.0, lambda t=tag: order.append(t))
     sim.run()
     assert order == ["a", "b", "c"]
 
@@ -151,22 +156,10 @@ def test_uncaught_process_exception_propagates_from_run():
         yield sim.timeout(1.0)
         raise ValueError("exploded")
 
-    sim.process(bad(sim))
+    proc = sim.process(bad(sim))
     with pytest.raises(ValueError, match="exploded"):
         sim.run()
-
-
-def test_fail_fast_off_records_failure_on_process():
-    sim = Simulator(fail_fast=False)
-
-    def bad(sim):
-        yield sim.timeout(1.0)
-        raise ValueError("exploded")
-
-    proc = sim.process(bad(sim))
-    sim.run()
-    assert proc.triggered and not proc.ok
-    assert isinstance(proc.value, ValueError)
+    assert not proc.triggered         # a crash is raised, never recorded
 
 
 def test_yield_non_event_raises():
@@ -180,104 +173,11 @@ def test_yield_non_event_raises():
         sim.run()
 
 
-def test_interrupt_delivers_cause():
-    sim = Simulator()
-    log = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as intr:
-            log.append((sim.now, intr.cause))
-
-    def interrupter(sim, victim):
-        yield sim.timeout(2.0)
-        victim.interrupt("wake up")
-
-    victim = sim.process(sleeper(sim))
-    sim.process(interrupter(sim, victim))
-    sim.run()
-    assert log == [(2.0, "wake up")]
-
-
-def test_interrupt_dead_process_raises():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(1.0)
-
-    proc = sim.process(quick(sim))
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
-def test_interrupted_process_can_continue():
-    sim = Simulator()
-    log = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt:
-            pass
-        yield sim.timeout(1.0)
-        log.append(sim.now)
-
-    def interrupter(sim, victim):
-        yield sim.timeout(2.0)
-        victim.interrupt()
-
-    victim = sim.process(sleeper(sim))
-    sim.process(interrupter(sim, victim))
-    sim.run()
-    assert log == [3.0]
-
-
 def test_peek_reports_next_event_time():
     sim = Simulator()
     assert sim.peek() == float("inf")
     sim.timeout(4.0)
     assert sim.peek() == 4.0
-
-
-def test_schedule_callback_runs_at_delay():
-    sim = Simulator()
-    hits = []
-    sim.schedule_callback(2.0, lambda: hits.append(sim.now))
-    sim.run()
-    assert hits == [2.0]
-
-
-def test_interrupt_while_waiting_on_already_triggered_event():
-    """Interrupting between an event's trigger and its firing must win.
-
-    The waiter detaches from the (already scheduled) event, receives the
-    Interrupt, and the event itself still fires later to no effect.
-    """
-    sim = Simulator()
-    ev = sim.event()
-    log = []
-
-    def waiter(sim):
-        try:
-            value = yield ev
-            log.append(("value", value))
-        except Interrupt as exc:
-            log.append(("interrupted", exc.cause))
-
-    proc = sim.process(waiter(sim))
-
-    def controller(sim):
-        yield sim.timeout(1.0)        # waiter is now parked on ev
-        ev.succeed("late")            # triggered, callbacks not yet fired
-        proc.interrupt("cancel")
-
-    sim.process(controller(sim))
-    sim.run()
-    assert log == [("interrupted", "cancel")]
-    assert ev.processed               # fired anyway, with no waiter left
-    assert ev.value == "late"
 
 
 def test_urgent_resumption_beats_same_time_callback():
@@ -292,7 +192,7 @@ def test_urgent_resumption_beats_same_time_callback():
     def parent(sim):
         child = sim.process(noop(sim))
         yield sim.timeout(1.0)        # child finished long ago
-        sim.schedule_callback(0.0, lambda: order.append("callback"))
+        call_at(sim, 0.0, lambda: order.append("callback"))
         yield child                   # already processed: urgent resume
         order.append("resumed")
 
@@ -305,8 +205,8 @@ def test_run_until_exactly_on_event_timestamp_processes_it():
     """run(until=t) includes events scheduled at exactly t."""
     sim = Simulator()
     hits = []
-    sim.schedule_callback(5.0, lambda: hits.append(sim.now))
-    sim.schedule_callback(7.0, lambda: hits.append(sim.now))
+    call_at(sim, 5.0, lambda: hits.append(sim.now))
+    call_at(sim, 7.0, lambda: hits.append(sim.now))
     sim.run(until=5.0)
     assert hits == [5.0]
     assert sim.now == 5.0

@@ -1,8 +1,8 @@
-"""Unit tests for Resource and Store."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Resource, Simulator
 from repro.sim.core import SimulationError
 
 
@@ -88,74 +88,3 @@ def test_capacity_must_be_positive():
     sim = Simulator()
     with pytest.raises(ValueError):
         Resource(sim, capacity=0)
-
-
-def test_store_put_get_fifo():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def producer(sim, store):
-        for i in range(3):
-            yield store.put(i)
-            yield sim.timeout(1.0)
-
-    def consumer(sim, store):
-        for _ in range(3):
-            item = yield store.get()
-            got.append((sim.now, item))
-
-    sim.process(producer(sim, store))
-    sim.process(consumer(sim, store))
-    sim.run()
-    assert [item for _, item in got] == [0, 1, 2]
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer(sim, store):
-        item = yield store.get()
-        got.append((sim.now, item))
-
-    def producer(sim, store):
-        yield sim.timeout(7.0)
-        yield store.put("x")
-
-    sim.process(consumer(sim, store))
-    sim.process(producer(sim, store))
-    sim.run()
-    assert got == [(7.0, "x")]
-
-
-def test_store_capacity_blocks_putter():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    times = []
-
-    def producer(sim, store):
-        yield store.put("a")
-        times.append(("put-a", sim.now))
-        yield store.put("b")
-        times.append(("put-b", sim.now))
-
-    def consumer(sim, store):
-        yield sim.timeout(4.0)
-        yield store.get()
-
-    sim.process(producer(sim, store))
-    sim.process(consumer(sim, store))
-    sim.run()
-    assert ("put-a", 0.0) in times
-    assert ("put-b", 4.0) in times
-
-
-def test_store_len_tracks_items():
-    sim = Simulator()
-    store = Store(sim)
-    store.put(1)
-    store.put(2)
-    sim.run()
-    assert len(store) == 2

@@ -1,4 +1,4 @@
-"""Stateful property tests for the simulation engine's shared objects."""
+"""Stateful property tests for the simulation engine's counted resource."""
 
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
@@ -8,7 +8,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Resource, Simulator
 
 CAPACITY = 3
 
@@ -66,61 +66,7 @@ class ResourceMachine(RuleBasedStateMachine):
             assert self.res.count == CAPACITY
 
 
-class StoreMachine(RuleBasedStateMachine):
-    """Random put/get traffic against a bounded store."""
-
-    @initialize()
-    def setup(self):
-        self.sim = Simulator()
-        self.store = Store(self.sim, capacity=4)
-        self.model = []          # items we believe are buffered
-        self.pending_gets = []
-        self.counter = 0
-
-    def _drain(self):
-        self.sim.run(until=self.sim.now + 1.0)
-        # resolve completed gets against the model
-        for get in [g for g in self.pending_gets if g.triggered]:
-            self.pending_gets.remove(get)
-            expected = self.model.pop(0)
-            assert get.value == expected
-
-    @rule()
-    def put(self):
-        item = self.counter
-        self.counter += 1
-        put_event = self.store.put(item)
-        self.model.append(item)
-        self._drain()
-        # capacity 4: the put may still be pending, but the model keeps
-        # FIFO order regardless (it completes before any later put)
-        if len(self.model) - len(self.store._putters) <= 4:
-            pass
-
-    @rule()
-    def get(self):
-        self.pending_gets.append(self.store.get())
-        self._drain()
-
-    @invariant()
-    def buffered_never_exceeds_capacity(self):
-        if hasattr(self, "store"):
-            assert len(self.store) <= 4
-
-    @invariant()
-    def fifo_prefix_matches_model(self):
-        if not hasattr(self, "store"):
-            return
-        buffered = list(self.store.items)
-        # the store's buffer is a prefix of our model sequence
-        assert buffered == self.model[:len(buffered)]
-
-
 TestResourceMachine = ResourceMachine.TestCase
 TestResourceMachine.settings = settings(max_examples=30,
                                         stateful_step_count=25,
                                         deadline=None)
-TestStoreMachine = StoreMachine.TestCase
-TestStoreMachine.settings = settings(max_examples=30,
-                                     stateful_step_count=25,
-                                     deadline=None)

@@ -196,7 +196,6 @@ def bench_checkpoint(repeats: int = 3, duration: float = 30.0) -> dict:
 
     from repro.checkpoint import (
         capture_state,
-        drain_to_quiescence,
         load_checkpoint,
         save_checkpoint,
         verify_restored_queue,
@@ -221,7 +220,7 @@ def bench_checkpoint(repeats: int = 3, duration: float = 30.0) -> dict:
             t0 = perf_counter()
             runner = ExperimentRunner(nnodes=2, seed=1)
             sim, cluster = runner._build(tree)
-            drain_to_quiescence(sim)
+            sim.settle()
             verify_restored_queue(sim, tree)
             best["restore_ms"] = min(best["restore_ms"],
                                      (perf_counter() - t0) * 1e3)
