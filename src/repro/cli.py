@@ -244,16 +244,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     names = list(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
 
+    nnodes = runner.scenario.cluster.nnodes
+
     def execute():
         if args.experiment == "all" and args.parallel:
             print(f"running all experiments in parallel on "
-                  f"{runner.nnodes} nodes ...", file=sys.stderr)
+                  f"{nnodes} nodes ...", file=sys.stderr)
             return runner.run_all(parallel=True)
         results = {}
         for name in names:
             verb = "resuming" if args.resume else "running"
-            print(f"{verb} {name} on {runner.nnodes} nodes ...",
-                  file=sys.stderr)
+            print(f"{verb} {name} on {nnodes} nodes ...", file=sys.stderr)
             results[name] = runner.run(
                 name, checkpoint_every=args.checkpoint_every,
                 checkpoint_dir=args.checkpoint_dir,

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.cluster.pvm import Mailbox, PVM
 from repro.config import Scenario
-from repro.driver import TRACE_DTYPE
+from repro.driver.trace import merge_by_time
 from repro.kernel import NodeKernel
 from repro.sim import Process, RandomStreams, Simulator
 
@@ -105,14 +105,9 @@ class BeowulfCluster:
     def spawn_on(self, node_id: int, generator, name: str = "app") -> Process:
         return self.nodes[node_id].kernel.spawn(generator, name=name)
 
-    def gather_traces(self, sort: bool = True) -> np.ndarray:
-        """Concatenate all nodes' trace records (node ids preserved)."""
-        arrays = [node.trace_array() for node in self.nodes]
-        combined = np.concatenate(arrays) if arrays else \
-            np.zeros(0, dtype=TRACE_DTYPE)
-        if sort and len(combined):
-            combined = combined[np.argsort(combined["time"], kind="stable")]
-        return combined
+    def gather_traces(self) -> np.ndarray:
+        """All nodes' trace records merged by time (node ids preserved)."""
+        return merge_by_time([node.trace_array() for node in self.nodes])
 
     def reset_trace_clocks(self) -> None:
         """Zero every node's trace timestamps and drop records so far."""

@@ -13,6 +13,7 @@ Axis names may be full dotted scenario paths
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, replace
 from typing import (Any, Callable, Dict, List, Mapping, Optional,
@@ -145,34 +146,54 @@ class SweepResult:
                 "metrics": self.metrics}
 
 
+def run_key(scenario: Scenario, experiment: str,
+            duration: Optional[float]) -> str:
+    """The stem of a run's ``.ckpt`` and ``.done.json`` files.
+
+    A digest of everything that decides what the run produces: the
+    scenario without its ``name`` label (seed included), the experiment
+    and the observation window.  Two runs share files only when they
+    are the same run.
+    """
+    data = scenario.to_dict()
+    data.pop("name", None)
+    canonical = json.dumps({"scenario": data, "experiment": experiment,
+                            "duration": duration},
+                           sort_keys=True, separators=(",", ":"))
+    return hashlib.sha1(canonical.encode()).hexdigest()[:12]
+
+
 def _sweep_worker(args: tuple
                   ) -> Tuple[dict, Optional[str], Optional[float]]:
-    """Run one grid point (top-level so it pickles across processes).
+    """Run, resume or recall one run (top-level so it pickles across
+    processes) — the one unit behind sweep points and serve jobs.
 
-    Returns the point's summary metrics, the catalog run id it was
+    Returns the run's summary metrics, the catalog run id it was
     captured under (``None`` when no sink is set), and the simulator's
-    achieved events/sec for the point (``None`` without ``obs``).
+    achieved events/sec (``None`` without ``obs`` or when recalled).
 
-    With checkpointing on, each point owns two files under the
-    checkpoint directory, keyed by its scenario fingerprint:
-    ``<fp>.ckpt`` (the live checkpoint, overwritten per epoch) and
-    ``<fp>.done.json`` (written on completion).  A restarted sweep skips
-    finished points via the done marker and resumes half-run ones from
-    their checkpoint — preempt/restart costs only the unfinished tails.
+    With checkpointing on, each run owns two files under the checkpoint
+    directory, named by :func:`run_key`: ``<key>.ckpt`` (the live
+    checkpoint, overwritten per epoch) and ``<key>.done.json`` (written
+    on completion).  A restarted sweep skips finished runs via the done
+    marker and resumes half-run ones from their checkpoint — preempt/
+    restart costs only the unfinished tails.
     """
+    import os
+    from pathlib import Path
     from time import perf_counter
 
-    scenario_dict, name, duration, sink, obs, every, ckdir = args
     from repro.core.experiments import ExperimentRunner
+
+    scenario_dict, name, duration, sink, obs, every, ckdir = args
     scenario = Scenario.from_dict(scenario_dict)
 
     ckpt = done = None
     if ckdir is not None:
-        from pathlib import Path
-        fp = scenario.fingerprint()
+        key = run_key(scenario, name, duration)
         Path(ckdir).mkdir(parents=True, exist_ok=True)
-        ckpt = Path(ckdir) / f"{fp}.ckpt"
-        done = Path(ckdir) / f"{fp}.done.json"
+        ckpt = Path(ckdir) / f"{key}.ckpt"
+        done = Path(ckdir) / f"{key}.done.json"
         if done.exists():
             data = json.loads(done.read_text())
             return data["metrics"], data.get("run_id"), None
@@ -180,7 +201,7 @@ def _sweep_worker(args: tuple
     runner = ExperimentRunner(scenario=scenario, sink=sink, obs=obs)
     wall = perf_counter()
     if ckpt is not None and ckpt.exists():
-        result = runner.run(name, resume_from=ckpt)
+        result = runner.run(name, duration=duration, resume_from=ckpt)
     else:
         result = runner.run(name, duration=duration,
                             checkpoint_every=every,
@@ -196,7 +217,6 @@ def _sweep_worker(args: tuple
         tmp = done.with_suffix(".tmp")
         tmp.write_text(json.dumps({"metrics": result.metrics.to_dict(),
                                    "run_id": run_id}))
-        import os
         os.replace(tmp, done)
         if ckpt.exists():
             ckpt.unlink()
@@ -234,11 +254,12 @@ def run_sweep(base: Scenario, axes: Sequence[SweepAxis],
 
     ``checkpoint_every`` makes every point capture a resumable
     checkpoint at that simulated-seconds cadence under
-    ``checkpoint_dir`` (default ``checkpoints/``), keyed by the point's
-    scenario fingerprint.  Re-running the same sweep over the same
-    directory skips finished points (their done markers hold the stored
-    metrics) and resumes interrupted ones bit-identically — so a
-    preempted sweep restarts where it stopped instead of from scratch.
+    ``checkpoint_dir`` (default ``checkpoints/``), named by
+    :func:`run_key`.  Re-running the same sweep over the same directory
+    skips finished points (their done markers hold the stored metrics)
+    and resumes interrupted ones bit-identically — so a preempted sweep
+    restarts where it stopped instead of from scratch.  A point of
+    another seed, experiment or duration never picks up those files.
     """
     points = expand_grid(base, axes, node_overrides=node_overrides)
     ckdir = None

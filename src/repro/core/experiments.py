@@ -67,74 +67,6 @@ class ExperimentResult:
         return compute_metrics(self.trace, label=self.name,
                                duration=self.duration, nnodes=self.nnodes)
 
-    # -- persistence ----------------------------------------------------------
-    def save(self, directory: "str | Path") -> "Path":
-        """Persist to ``directory``; returns the directory written.
-
-        Experiment results are *directories* (``experiment.json``
-        metadata next to a ``trace.npy``), unlike
-        :meth:`TraceDataset.save`, which writes a single file.  The
-        directory is created if needed; ``str`` and
-        :class:`~pathlib.Path` are both accepted.
-        """
-        import json
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        self.trace.save(directory / "trace.npy")
-        meta = {
-            "format": "repro-experiment-v1",
-            "name": self.name,
-            "duration": self.duration,
-            "nnodes": self.nnodes,
-            "app_stats": {
-                app: [{"started_at": s.started_at,
-                       "finished_at": s.finished_at,
-                       "bytes_read": s.bytes_read,
-                       "bytes_written": s.bytes_written,
-                       "compute_seconds": s.compute_seconds,
-                       "pages_touched": s.pages_touched,
-                       "messages_sent": s.messages_sent}
-                      for s in stats_list]
-                for app, stats_list in self.app_stats.items()
-            },
-        }
-        if self.obs is not None:
-            meta["obs"] = self.obs
-        (directory / "experiment.json").write_text(json.dumps(meta, indent=2))
-        return directory
-
-    @classmethod
-    def load(cls, directory: "str | Path") -> "ExperimentResult":
-        """Load a result saved by :meth:`save`.
-
-        ``directory`` (``str`` or :class:`~pathlib.Path`) is the
-        experiment *directory*, not a file inside it.
-        """
-        import json
-        directory = Path(directory)
-        meta = json.loads((directory / "experiment.json").read_text())
-        if meta.get("format") != "repro-experiment-v1":
-            raise ValueError("not a repro experiment directory")
-        app_stats = {
-            app: [AppStats(**fields) for fields in stats_list]
-            for app, stats_list in meta["app_stats"].items()
-        }
-        return cls(name=meta["name"],
-                   trace=TraceDataset.load(directory / "trace.npy"),
-                   duration=float(meta["duration"]),
-                   nnodes=int(meta["nnodes"]),
-                   app_stats=app_stats,
-                   obs=meta.get("obs"))
-
-
-#: entry points removed after their deprecation cycle -> replacement
-_REMOVED_RUNNERS = {
-    "run_baseline": 'run("baseline", duration=...)',
-    "run_single": "run(app_name)",
-    "run_combined": 'run("combined")',
-    "run_serial": 'run("serial")',
-}
-
 
 def check_duration(experiment: str, duration: Optional[float]) -> None:
     """The one rule for an explicit observation window (``None`` passes).
@@ -184,8 +116,8 @@ class ExperimentRunner:
     With ``sink=`` set to a directory, every run is also captured into a
     :class:`~repro.store.RunCatalog` there: per-node ``.rpt`` trace files
     stream to disk *during* the experiment (bounded writer memory) and a
-    ``manifest.json`` with config, seed, and summary metrics is written
-    at the end.
+    ``manifest.json`` with the resolved scenario and summary metrics is
+    written at the end — the one stored form of a result.
 
     With ``obs=True``, each run gets a fresh
     :class:`~repro.obs.ObsRecorder`: the simulator and disks record live
@@ -225,13 +157,6 @@ class ExperimentRunner:
             base = base.with_overrides(overrides)
         #: the fully-resolved scenario this runner executes
         self.scenario = base.validate()
-        self.nnodes = base.cluster.nnodes
-        self.seed = base.seed
-        self.housekeeping_message_rate = \
-            base.cluster.housekeeping_message_rate
-        self.baseline_duration = base.experiment.baseline_duration
-        self.hard_limit = base.experiment.hard_limit
-        self.flush_grace = base.experiment.flush_grace
         self.sink = sink
         self.obs = obs
         #: ObsRecorder of the most recent run (None without obs)
@@ -249,9 +174,10 @@ class ExperimentRunner:
 
         ``name`` is one of :data:`EXPERIMENTS` or ``"serial"``.
         ``duration`` sets the baseline observation window (default
-        ``baseline_duration``; see :func:`check_duration`); application
-        experiments run until their applications finish, so passing a
-        duration for them is an error.
+        ``scenario.experiment.baseline_duration``; see
+        :func:`check_duration`); application experiments run until
+        their applications finish, so passing a duration for them is an
+        error.
 
         ``checkpoint_every`` captures the whole stack into a ``.ckpt``
         file every that many simulated seconds (under
@@ -308,16 +234,6 @@ class ExperimentRunner:
             results = list(pool.map(_run_one_experiment, args))
         return dict(zip(names, results))
 
-    def __getattr__(self, name: str):
-        # the PR-3 deprecation shims (run_baseline/run_single/
-        # run_combined/run_serial) are gone; point stragglers at run()
-        if name in _REMOVED_RUNNERS:
-            raise AttributeError(
-                f"ExperimentRunner.{name}() was removed; use "
-                f"ExperimentRunner.{_REMOVED_RUNNERS[name]}")
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}")
-
     # -- workload assembly ---------------------------------------------------
     def make_app(self, app_name: str, node) -> ESSApplication:
         """Instantiate a workload model configured for this cluster.
@@ -328,15 +244,16 @@ class ExperimentRunner:
         cluster-derived defaults.
         """
         entry = WORKLOADS.get(app_name)
-        kwargs = {"nnodes": self.nnodes}
+        kwargs = {"nnodes": self.scenario.cluster.nnodes}
         kwargs.update(self.scenario.workload.params_for(app_name))
         params = entry.params_cls(**kwargs)
-        return entry.app_cls(node, seed=self.seed, params=params)
+        return entry.app_cls(node, seed=self.scenario.seed, params=params)
 
     # -- plans ----------------------------------------------------------------
     def _plan(self, name: str) -> _Plan:
         if name == "baseline":
-            return _Plan("baseline", window=self.baseline_duration)
+            return _Plan("baseline",
+                         window=self.scenario.experiment.baseline_duration)
         mix = tuple(self.scenario.workload.mix)
         if name == "combined":
             return _Plan("combined", apps=mix)
@@ -411,7 +328,8 @@ class ExperimentRunner:
             self._restore_obs(tree)
             coordinator.release()
 
-        end = t0 + (plan.window if done is None else self.hard_limit)
+        limits = self.scenario.experiment
+        end = t0 + (plan.window if done is None else limits.hard_limit)
         self._epochs(sim, cluster, coordinator, apps, plan, t0=t0, end=end,
                      done=done, every=every, path=path)
         duration = plan.window
@@ -419,15 +337,15 @@ class ExperimentRunner:
             if not done.triggered:
                 raise RuntimeError(
                     f"experiment {plan.name!r} exceeded the "
-                    f"{self.hard_limit}s hard limit")
+                    f"{limits.hard_limit}s hard limit")
             finish = sim.now
             # Grace period: let the write-back daemons flush the tail.
-            sim.run(until=finish + self.flush_grace)
-            duration = finish - t0 + self.flush_grace
+            sim.run(until=finish + limits.flush_grace)
+            duration = finish - t0 + limits.flush_grace
         trace = TraceDataset(cluster.gather_traces()).between(0, duration)
         result = ExperimentResult(
             name=plan.name, trace=trace, duration=duration,
-            nnodes=self.nnodes,
+            nnodes=self.scenario.cluster.nnodes,
             app_stats={n: [a.stats for a in apps[n]] for n in plan.apps})
         self._finish_capture(capture, cluster, result)
         return result
@@ -549,7 +467,7 @@ class ExperimentRunner:
     def _checkpoint_target(self, checkpoint_dir, name: str) -> Path:
         """Where checkpoints land: ``checkpoint_dir`` is a directory
         (default ``checkpoints/``) or, when it ends in ``.ckpt``, the
-        exact target file (how sweep points pin per-fingerprint files)."""
+        exact target file (how a sweep's run unit pins its keyed file)."""
         if checkpoint_dir is not None \
                 and str(checkpoint_dir).endswith(".ckpt"):
             path = Path(checkpoint_dir)
@@ -558,10 +476,13 @@ class ExperimentRunner:
         directory = Path(checkpoint_dir) if checkpoint_dir is not None \
             else Path("checkpoints")
         directory.mkdir(parents=True, exist_ok=True)
-        stem = name
-        if self.scenario.name not in ("", "default"):
-            stem = f"{name}@{self.scenario.name}"
-        return directory / f"{stem}.ckpt"
+        return directory / f"{self._run_name(name)}.ckpt"
+
+    def _run_name(self, name: str) -> str:
+        """``name``, tagged ``@<scenario name>`` for a named scenario."""
+        if self.scenario.name in ("", "default"):
+            return name
+        return f"{name}@{self.scenario.name}"
 
     def _ckpt_meta(self, plan: _Plan, t0: float, every: float,
                    epoch: int) -> dict:
@@ -606,18 +527,9 @@ class ExperimentRunner:
         from repro.store import RunCatalog
         catalog = self.sink if isinstance(self.sink, RunCatalog) \
             else RunCatalog(self.sink)
-        run_name = name
-        if self.scenario.name not in ("", "default"):
-            run_name = f"{name}@{self.scenario.name}"
         capture = catalog.start_run(
-            run_name, nnodes=self.nnodes, seed=self.seed,
-            config={"nnodes": self.nnodes,
-                    "baseline_duration": self.baseline_duration,
-                    "housekeeping_message_rate":
-                        self.housekeeping_message_rate,
-                    "hard_limit": self.hard_limit,
-                    "flush_grace": self.flush_grace},
-            scenario=self.scenario.to_dict())
+            self._run_name(name), nnodes=self.scenario.cluster.nnodes,
+            seed=self.scenario.seed, scenario=self.scenario.to_dict())
         capture.attach(cluster)
         return capture
 

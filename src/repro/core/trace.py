@@ -14,6 +14,7 @@ from typing import Union
 import numpy as np
 
 from repro.driver import TRACE_DTYPE
+from repro.driver.trace import merge_by_time
 
 
 class TraceDataset:
@@ -85,18 +86,14 @@ class TraceDataset:
         return np.unique(self._records["node"])
 
     def merged_with(self, other: "TraceDataset") -> "TraceDataset":
-        merged = np.concatenate([self._records, other._records])
-        merged = merged[np.argsort(merged["time"], kind="stable")]
-        return TraceDataset(merged)
+        return TraceDataset(merge_by_time([self._records, other._records]))
 
     # -- persistence ----------------------------------------------------------
     def save(self, path: Union[str, Path]) -> Path:
         """Write by suffix: ``.csv`` (interoperable), ``.rpt`` (chunked
         compressed store), anything else as ``.npy``.
 
-        A trace saves to a single *file* (unlike
-        :meth:`~repro.core.experiments.ExperimentResult.save`, which
-        writes a directory).  ``path`` may be ``str`` or
+        A trace saves to a single *file*.  ``path`` may be ``str`` or
         :class:`~pathlib.Path`; the actual path written is returned — a
         suffix-less path is normalised to ``.npy`` so that ``save(p)`` /
         ``load(p)`` always round-trip on the same string (``np.save``

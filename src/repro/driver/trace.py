@@ -25,6 +25,16 @@ TRACE_DTYPE = np.dtype([
 ])
 
 
+def merge_by_time(parts) -> np.ndarray:
+    """Concatenate record arrays and stable-sort them by ``time`` (equal
+    times keep their order across and within ``parts``) — the one time
+    merge of per-node traces."""
+    if not parts:
+        return np.zeros(0, dtype=TRACE_DTYPE)
+    merged = np.concatenate(parts)
+    return merged[np.argsort(merged["time"], kind="stable")]
+
+
 @dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One instrumentation entry, in object form (handy for tests/streams).

@@ -1,18 +1,22 @@
 """The one place that knows how old a stored file is.
 
 Two formats outlive their writer: the ``.ckpt`` checkpoint (versioned by
-its envelope's u16) and the run manifest (the N in ``repro-run-vN``).
-A shape change bumps that number here and adds one ordered
-``if version < N:`` step, plus a fixture under ``tests/data/`` that must
-load to a recorded value.  The load paths (``checkpoint.serialize.loads``
-and ``RunCatalog.manifest``) run the chain; nothing downstream sees an
-old shape.
+its envelope's u16) and the run manifest (the N in ``repro-run-vN``),
+the one stored form of a finished result.  A shape change bumps that
+number here and adds one ordered ``if version < N:`` step, plus a
+fixture under ``tests/data/`` that must load to a recorded value.  The
+load paths (``checkpoint.serialize.loads`` and ``RunCatalog.manifest``)
+run the chain; nothing downstream sees an old shape.
+
+A sweep's ``.done.json`` markers are not migrated.  They are named by a
+digest of the whole run (``repro.config.sweep.run_key``), so a marker
+written under another naming is never found and its run re-runs.
 """
 
 #: the checkpoint envelope version the writer stamps
 CHECKPOINT = 3
 #: the run-manifest version the writer stamps
-MANIFEST = 3
+MANIFEST = 4
 MANIFEST_FORMAT = f"repro-run-v{MANIFEST}"
 
 _MANIFEST_VERSIONS = {f"repro-run-v{n}": n for n in range(1, MANIFEST + 1)}
@@ -59,5 +63,9 @@ def manifest(data: dict) -> dict:
         metrics.setdefault("nnodes", data["nnodes"])
     if version < 3 and data.get("scenario") is not None:
         data["scenario"].pop("engine", None)
+    if version < 4:
+        # v3 and older carried a "config" block: a third copy of nnodes
+        # and a second copy of four scenario fields
+        data.pop("config", None)
     data["format"] = MANIFEST_FORMAT
     return data

@@ -13,9 +13,10 @@ Metric naming scheme (see ARCHITECTURE.md §10)::
 
     <layer>.<metric>{<label>}
 
-    sim.events_processed            counter, whole run (disk completions
-                                    are fired directly by the server, so
-                                    they add no event of their own)
+    sim.events_processed            counter, whole run (a disk completion
+                                    is one event: the device's own queue
+                                    entry fires the done callbacks
+                                    directly, adding no event of its own)
     sim.process_resumes{prefix}     counter per process-name prefix
     disk.service_seconds{hda0}      histogram per disk
     cache.hits{0}                   counter per node id

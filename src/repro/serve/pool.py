@@ -23,14 +23,10 @@ a terminal ``finished``/``failed`` — to the job's
 :class:`~repro.serve.events.EventLog`, which the API streams as
 Server-Sent Events.
 
-Execution reuses the existing fan-out machinery unchanged:
-
-* ``kind == "experiment"`` — :meth:`repro.core.ExperimentRunner.run`
-  with the job's scenario, streaming the capture into the job's
-  multi-tenant catalog root;
-* ``kind == "sweep"`` — :func:`repro.config.run_sweep` over the job's
-  grid axes, every grid point cataloged; the stamped
-  ``SweepResult.run_id``s map points back to stored runs.
+Execution is :func:`repro.config.run_sweep`, streaming every run into
+the job's multi-tenant catalog root: a ``sweep`` job over its grid
+axes, an ``experiment`` job as the one point of a sweep with no axes.
+The stamped ``SweepResult.run_id``s map points back to stored runs.
 """
 
 from __future__ import annotations
@@ -68,77 +64,58 @@ def execute_job(job: Job, root: Union[str, Path],
 
     Top-level and importable so both the spawned worker and direct
     callers (tests, a future synchronous mode) share one code path.
-    ``progress(event, **data)`` is called per grid point (and per
-    experiment completion) when given — the worker wires it to the
-    job's event log.
+    ``progress(event, **data)`` is called per finished run when given —
+    the worker wires it to the job's event log.
 
-    Workers checkpoint periodically (every ``checkpoint_every``
-    simulated seconds from the spec, default
-    :data:`DEFAULT_CHECKPOINT_EVERY`; 0 disables) into
-    ``<root>/checkpoints/<job-id>/``.  A job re-queued after a worker
-    death resumes from those files: an experiment continues
-    bit-identically from its last checkpoint, a sweep skips its
-    finished points and resumes the interrupted one.  The directory is
-    removed once the job finishes.
+    Both kinds run through :func:`repro.config.run_sweep`: an
+    experiment job is a sweep of one point with no axes.  Workers
+    checkpoint periodically (every ``checkpoint_every`` simulated
+    seconds from the spec, default :data:`DEFAULT_CHECKPOINT_EVERY`; 0
+    disables) into ``<root>/checkpoints/<job-id>/``.  A job re-queued
+    after a worker death resumes from those files: finished runs are
+    recalled from their done markers, the interrupted one continues
+    bit-identically from its last checkpoint.  The directory is removed
+    once the job finishes.
     """
     import shutil
-    from time import perf_counter
 
     from repro.config import Scenario, parse_axis_spec, run_sweep
-    from repro.core.experiments import ExperimentRunner
-    from repro.obs.recorder import events_per_second
 
     emit = progress or (lambda event, **data: None)
     spec = job.spec
     scenario = Scenario.from_dict(spec["scenario"]) \
         if spec.get("scenario") else Scenario()
     experiment = spec.get("experiment", "baseline")
-    duration = spec.get("duration")
     sink = catalog_root(root, spec.get("catalog", DEFAULT_CATALOG))
     sink.mkdir(parents=True, exist_ok=True)
     every = spec.get("checkpoint_every", DEFAULT_CHECKPOINT_EVERY) or None
     ckdir = Path(root) / CHECKPOINTS_DIR / job.id
 
+    axes = []
     if job.kind == "sweep":
         axes = [parse_axis_spec(s) for s in spec.get("grid", [])]
         if not axes:
             raise JobError("sweep job lists no grid axes")
 
-        def on_point(done, total, result, eps):
-            emit("point", k=done, n=total, label=result.label,
-                 run_id=result.run_id, events_per_sec=eps,
-                 metrics={k: result.metrics.get(k) for k in
-                          ("total_requests", "requests_per_second")})
+    def on_point(done, total, result, eps):
+        emit("point", k=done, n=total,
+             label=result.label if axes else experiment,
+             run_id=result.run_id, events_per_sec=eps,
+             metrics={k: result.metrics.get(k) for k in
+                      ("total_requests", "requests_per_second")})
 
-        results = run_sweep(scenario, axes, experiment=experiment,
-                            duration=duration, sink=str(sink),
-                            parallel=bool(spec.get("parallel", False)),
-                            workers=spec.get("workers"),
-                            obs=True, on_point=on_point,
-                            checkpoint_every=every,
-                            checkpoint_dir=str(ckdir) if every else None)
-        shutil.rmtree(ckdir, ignore_errors=True)
-        return {"summary": [r.to_dict() for r in results],
-                "run_ids": [r.run_id for r in results if r.run_id]}
-
-    runner = ExperimentRunner(scenario=scenario, sink=sink, obs=True)
-    resume_from = next(ckdir.glob("*.ckpt"), None) if every else None
-    wall = perf_counter()
-    if resume_from is not None:
-        result = runner.run(experiment, resume_from=resume_from)
-    else:
-        result = runner.run(experiment, duration=duration,
-                            checkpoint_every=every,
-                            checkpoint_dir=ckdir if every else None)
-    wall = perf_counter() - wall
+    results = run_sweep(scenario, axes, experiment=experiment,
+                        duration=spec.get("duration"), sink=str(sink),
+                        parallel=bool(spec.get("parallel", False)),
+                        workers=spec.get("workers"),
+                        obs=True, on_point=on_point,
+                        checkpoint_every=every,
+                        checkpoint_dir=str(ckdir) if every else None)
     shutil.rmtree(ckdir, ignore_errors=True)
-    run_dir = getattr(runner, "last_run_dir", None)
-    emit("point", k=1, n=1, label=experiment,
-         run_id=run_dir.name if run_dir else None,
-         events_per_sec=events_per_second(result.obs, wall),
-         metrics={"total_requests": result.metrics.total_requests})
-    return {"summary": result.metrics.to_dict(),
-            "run_ids": [run_dir.name] if run_dir else []}
+    run_ids = [r.run_id for r in results if r.run_id]
+    if not axes:
+        return {"summary": results[0].metrics, "run_ids": run_ids}
+    return {"summary": [r.to_dict() for r in results], "run_ids": run_ids}
 
 
 def _job_main(root: str, job_id: str) -> None:

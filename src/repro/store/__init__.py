@@ -8,7 +8,7 @@ read/write counts, so :class:`TraceWriter` streams captures to disk with
 bounded memory and :class:`TraceReader` answers windowed queries without
 decompressing non-matching chunks.  :class:`RunCatalog` organises whole
 experiments (``runs/<name>/manifest.json`` + per-node files) with their
-config, seed, and summary metrics.  The ``repro-trace`` CLI
+scenario, seed, and summary metrics.  The ``repro-trace`` CLI
 (``info``/``cat``/``convert``/``merge``/``ls``) operates on both.
 """
 

@@ -4,7 +4,7 @@ Layout (one directory per run)::
 
     runs/
       combined/
-        manifest.json          # config, seed, summary metrics, file list
+        manifest.json          # scenario, seed, summary metrics, file list
         node_0000.rpt          # per-node trace store files
         node_0001.rpt
         ...
@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro import migrate
+from repro.driver.trace import merge_by_time
 from repro.store.format import DEFAULT_CHUNK_RECORDS
 from repro.store.reader import TraceReader
 from repro.store.writer import TraceWriter
@@ -49,14 +50,12 @@ class RunCapture:
 
     def __init__(self, directory: Path, name: str, nnodes: int,
                  seed: Optional[int] = None,
-                 config: Optional[dict] = None,
                  chunk_records: int = DEFAULT_CHUNK_RECORDS,
                  scenario: Optional[dict] = None):
         self.directory = directory
         self.name = name
         self.nnodes = nnodes
         self.seed = seed
-        self.config = dict(config or {})
         #: fully-resolved scenario dict (``Scenario.to_dict()``), if the
         #: run was configured through the scenario layer
         self.scenario = dict(scenario) if scenario else None
@@ -107,7 +106,6 @@ class RunCapture:
             "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "nnodes": self.nnodes,
             "seed": self.seed,
-            "config": self.config,
             "traces": {str(nid): _node_filename(nid)
                        for nid in sorted(self._writers)},
             "records": sum(w.records_written
@@ -141,7 +139,6 @@ class RunCatalog:
     # -- creating runs --------------------------------------------------------
     def start_run(self, name: str, nnodes: int,
                   seed: Optional[int] = None,
-                  config: Optional[dict] = None,
                   chunk_records: int = DEFAULT_CHUNK_RECORDS,
                   scenario: Optional[dict] = None) -> RunCapture:
         """Begin a streaming capture; the run name is de-duplicated.
@@ -154,16 +151,14 @@ class RunCatalog:
         """
         directory = self._claim_dir(name)
         return RunCapture(directory, name=directory.name, nnodes=nnodes,
-                          seed=seed, config=config,
-                          chunk_records=chunk_records, scenario=scenario)
+                          seed=seed, chunk_records=chunk_records,
+                          scenario=scenario)
 
     def save(self, result, seed: Optional[int] = None,
-             config: Optional[dict] = None,
              chunk_records: int = DEFAULT_CHUNK_RECORDS) -> Path:
         """One-shot: persist an in-memory experiment result, per node."""
         capture = self.start_run(result.name, nnodes=result.nnodes,
-                                 seed=seed, config=config,
-                                 chunk_records=chunk_records)
+                                 seed=seed, chunk_records=chunk_records)
         records = result.trace.records
         for node_id in np.unique(records["node"]):
             writer = capture.writer_for(int(node_id))
@@ -232,11 +227,7 @@ class RunCatalog:
         for nid, path in sorted(self.trace_paths(run_id).items()):
             with TraceReader(path) as reader:
                 parts.append(reader.read(**predicates))
-        if not parts:
-            return TraceDataset.empty()
-        merged = np.concatenate(parts)
-        merged = merged[np.argsort(merged["time"], kind="stable")]
-        return TraceDataset(merged)
+        return TraceDataset(merge_by_time(parts))
 
     # -- internals ------------------------------------------------------------
     def _claim_dir(self, name: str) -> Path:

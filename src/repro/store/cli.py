@@ -27,6 +27,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.driver import TRACE_DTYPE
+from repro.driver.trace import merge_by_time
 from repro.store.catalog import MANIFEST_NAME, RunCatalog
 from repro.store.format import StoreFormatError
 from repro.store.reader import TraceReader
@@ -275,9 +276,7 @@ def cmd_merge(args) -> int:
                 parts.append(batch[:cut])
                 pending[i] = batch[cut:] if cut < len(batch) \
                     else _next_batch(sources[i])
-            merged = np.concatenate(parts)
-            writer.append_array(
-                merged[np.argsort(merged["time"], kind="stable")])
+            writer.append_array(merge_by_time(parts))
     total = writer.records_written
     print(f"merged {len(args.sources)} files -> {args.out}: "
           f"{total:,} records", file=sys.stderr)

@@ -15,7 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.trace import TraceDataset
-from repro.driver import TRACE_DTYPE
+from repro.driver.trace import merge_by_time
 from repro.synth.model import WorkloadModel, fit_workload_model
 
 
@@ -58,11 +58,7 @@ class PhasedWorkloadModel:
                 shifted = piece.records.copy()
                 shifted["time"] += start
                 pieces.append(shifted)
-        if not pieces:
-            return TraceDataset.empty()
-        merged = np.concatenate(pieces)
-        merged = merged[np.argsort(merged["time"], kind="stable")]
-        return TraceDataset(merged.astype(TRACE_DTYPE))
+        return TraceDataset(merge_by_time(pieces))
 
 
 def fit_phased_model(trace: TraceDataset, window: float = 30.0,

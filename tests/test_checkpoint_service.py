@@ -3,15 +3,18 @@
 A preempted sweep must restart where it stopped (done markers skip
 finished points, live checkpoints resume interrupted ones), and a serve
 job whose worker dies mid-sweep must resume without re-running the
-points it already finished.
+points it already finished.  A run only ever picks up the files of the
+very same run: another seed, duration or experiment runs afresh.
 """
 
+import numpy as np
 import pytest
 
 from repro.config import Scenario, parse_axis_spec, run_sweep
-from repro.config.sweep import expand_grid
+from repro.config.sweep import expand_grid, run_key
 from repro.core.experiments import ExperimentRunner
 from repro.serve.jobs import JobStore
+from repro.store import RunCatalog
 from repro.serve.pool import (
     CHECKPOINTS_DIR,
     JOBS_DIR,
@@ -26,11 +29,20 @@ BASE = {
 GRID = ["scheduler=clook,fifo"]
 
 
-def sweep(ck, **kw):
-    return run_sweep(Scenario.from_dict(BASE),
-                     [parse_axis_spec(s) for s in GRID],
-                     experiment="baseline", duration=20.0, parallel=False,
-                     checkpoint_every=6.0, checkpoint_dir=str(ck), **kw)
+def sweep(ck, grid=GRID, base=BASE, experiment="baseline", duration=20.0,
+          every=6.0):
+    """``grid`` over ``base``; checkpointed under ``ck`` unless it is
+    ``None``."""
+    return run_sweep(Scenario.from_dict(base),
+                     [parse_axis_spec(s) for s in grid],
+                     experiment=experiment, duration=duration,
+                     parallel=False,
+                     checkpoint_every=every if ck is not None else None,
+                     checkpoint_dir=str(ck) if ck is not None else None)
+
+
+def metrics_of(results):
+    return [r.metrics for r in results]
 
 
 def test_sweep_done_markers_skip_finished_points(tmp_path):
@@ -55,16 +67,51 @@ def test_sweep_resumes_interrupted_point_bit_identically(tmp_path):
     # preempt one point: drop its done marker, plant a mid-run checkpoint
     point = expand_grid(Scenario.from_dict(BASE),
                         [parse_axis_spec(s) for s in GRID])[0]
-    fp = point.scenario.fingerprint()
-    (ck / f"{fp}.done.json").unlink()
+    key = run_key(point.scenario, "baseline", 20.0)
+    (ck / f"{key}.done.json").unlink()
     ExperimentRunner(scenario=point.scenario).run(
         "baseline", duration=20.0, checkpoint_every=6.0,
-        checkpoint_dir=str(ck / f"{fp}.ckpt"))
-    assert (ck / f"{fp}.ckpt").exists()
+        checkpoint_dir=str(ck / f"{key}.ckpt"))
+    assert (ck / f"{key}.ckpt").exists()
 
     resumed = sweep(ck)
     assert [r.metrics for r in reference] == [r.metrics for r in resumed]
-    assert not (ck / f"{fp}.ckpt").exists()
+    assert not (ck / f"{key}.ckpt").exists()
+
+
+def test_checkpointed_seed_sweep_matches_plain_sweep(tmp_path):
+    # seeds share every other scenario field; each must still run as
+    # itself, not be recalled from another seed's done marker
+    ck = tmp_path / "ck"
+    seeds = ["seed=1,2"]
+    checkpointed = sweep(ck, grid=seeds)
+    assert metrics_of(checkpointed) == metrics_of(sweep(None, grid=seeds))
+    assert checkpointed[0].metrics != checkpointed[1].metrics
+    assert len(list(ck.glob("*.done.json"))) == 2
+
+
+def test_sweep_of_another_duration_reruns_its_points(tmp_path):
+    ck = tmp_path / "ck"
+    short = sweep(ck, duration=20.0)
+    longer = sweep(ck, duration=40.0)
+    assert metrics_of(longer) == metrics_of(sweep(None, duration=40.0))
+    assert metrics_of(longer) != metrics_of(short)
+    assert len(list(ck.glob("*.done.json"))) == 4
+
+
+def test_sweep_of_another_experiment_reruns_its_points(tmp_path):
+    base = {**BASE, "workload": {"params": {"ppm": {
+        "grids": 1, "grid_nx": 24, "grid_ny": 48, "steps": 6,
+        "nnodes": 2}}}}
+    ck = tmp_path / "ck"
+    sweep(ck, base=base, duration=20.0)
+    # capture holds pace application runs, so the reference checkpoints
+    # at the same cadence, into a directory of its own
+    ppm = sweep(ck, base=base, experiment="ppm", duration=None, every=0.05)
+    assert metrics_of(ppm) == metrics_of(
+        sweep(tmp_path / "fresh", base=base, experiment="ppm",
+              duration=None, every=0.05))
+    assert all(m["label"] == "ppm" for m in metrics_of(ppm))
 
 
 class WorkerDied(Exception):
@@ -118,16 +165,46 @@ def test_serve_experiment_job_resumes_from_checkpoint(tmp_path):
     job = store.create("experiment", spec)
 
     # plant a mid-run checkpoint where a crashed worker would leave one
-    ckdir = root / CHECKPOINTS_DIR / job.id
-    ckdir.mkdir(parents=True)
-    runner = ExperimentRunner(scenario=Scenario.from_dict(spec["scenario"]))
-    reference = runner.run("baseline", duration=20.0, checkpoint_every=6.0,
-                           checkpoint_dir=str(ckdir / "baseline.ckpt"))
+    scenario = Scenario.from_dict(spec["scenario"])
+    ckpt = root / CHECKPOINTS_DIR / job.id / \
+        f"{run_key(scenario, 'baseline', 20.0)}.ckpt"
+    reference = ExperimentRunner(scenario=scenario).run(
+        "baseline", duration=20.0, checkpoint_every=6.0,
+        checkpoint_dir=str(ckpt))
+    assert ckpt.exists()
 
     outcome = execute_job(job, root)
-    assert outcome["summary"]["total_requests"] == \
-        reference.metrics.to_dict()["total_requests"]
-    assert not ckdir.exists()
+    assert outcome["summary"] == reference.metrics.to_dict()
+    assert not ckpt.parent.exists()
+
+
+def test_serve_experiment_job_equals_the_runner(tmp_path):
+    # an experiment job is a one-point sweep: same summary, same stored
+    # records as ExperimentRunner.run at the same cadence
+    root = tmp_path / "serve"
+    store = JobStore(root / JOBS_DIR)
+    spec = {"scenario": {"cluster": {"nnodes": 2}, "seed": 5},
+            "experiment": "baseline", "duration": 20.0,
+            "checkpoint_every": 6.0}
+    job = store.create("experiment", spec)
+    events = []
+    outcome = execute_job(job, root,
+                          progress=lambda e, **d: events.append((e, d)))
+
+    ref_root = tmp_path / "ref"
+    reference = ExperimentRunner(
+        scenario=Scenario.from_dict(spec["scenario"]), sink=ref_root,
+        obs=True).run("baseline", duration=20.0, checkpoint_every=6.0,
+                      checkpoint_dir=str(tmp_path / "ref-ck"))
+    assert outcome["summary"] == reference.metrics.to_dict()
+    [run_id] = outcome["run_ids"]
+    stored = RunCatalog(catalog_root(root)).load_dataset(run_id).records
+    assert np.array_equal(
+        stored, RunCatalog(ref_root).load_dataset("baseline").records)
+    [(event, point)] = events
+    assert (event, point["label"], point["k"], point["n"]) == \
+        ("point", "baseline", 1, 1)
+    assert point["run_id"] == run_id
 
 
 def test_serve_spec_can_disable_checkpointing(tmp_path):

@@ -115,44 +115,6 @@ def test_run_rejects_non_positive_duration(duration):
         runner.run("baseline", duration=duration)
 
 
-def test_removed_shims_point_at_run():
-    # the PR-3 deprecation shims were retired: the old entry points are
-    # gone, and the error tells stragglers exactly what to call instead
-    runner = ExperimentRunner(nnodes=1, seed=1)
-    for name in ("run_baseline", "run_single", "run_combined",
-                 "run_serial"):
-        with pytest.raises(AttributeError, match=r"removed; use .*run\("):
-            getattr(runner, name)
-    with pytest.raises(AttributeError, match="no attribute"):
-        runner.run_backwards
-
-
-def test_experiment_result_persistence_roundtrip(tmp_path, runner):
-    result = runner.run("ppm")
-    written = result.save(str(tmp_path / "ppm_run"))   # str path accepted
-    assert written == tmp_path / "ppm_run"
-    loaded = type(result).load(tmp_path / "ppm_run")
-    assert loaded.name == "ppm"
-    assert loaded.duration == result.duration
-    assert loaded.nnodes == result.nnodes
-    assert loaded.trace == result.trace
-    assert len(loaded.app_stats["ppm"]) == 2
-    assert loaded.app_stats["ppm"][0].duration == \
-        result.app_stats["ppm"][0].duration
-    # metrics recompute identically from the loaded artifact
-    assert loaded.metrics.read_pct == result.metrics.read_pct
-
-
-def test_experiment_result_load_rejects_foreign(tmp_path):
-    import json
-    from repro.core.experiments import ExperimentResult
-    d = tmp_path / "x"
-    d.mkdir()
-    (d / "experiment.json").write_text(json.dumps({"format": "nope"}))
-    with pytest.raises(ValueError):
-        ExperimentResult.load(d)
-
-
 def test_run_all_parallel_matches_serial():
     import numpy as np
     serial = ExperimentRunner(nnodes=1, seed=6,

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from repro.driver import TRACE_DTYPE, TraceBuffer, TraceRecord
+from repro.driver.trace import merge_by_time
 
 
 def test_dtype_fields_match_paper_schema():
@@ -103,3 +104,18 @@ def test_buffer_preserves_order_and_values(entries):
         assert row["sector"] == sector
         assert bool(row["write"]) == write
         assert row["pending"] == pending
+
+
+def test_merge_by_time_is_stable_across_parts():
+    a = np.zeros(3, dtype=TRACE_DTYPE)
+    a["time"], a["node"] = [0.0, 2.0, 2.0], 0
+    a["sector"] = [1, 2, 3]
+    b = np.zeros(2, dtype=TRACE_DTYPE)
+    b["time"], b["node"] = [1.0, 2.0], 1
+    b["sector"] = [4, 5]
+    merged = merge_by_time([a, b])
+    assert merged.dtype == TRACE_DTYPE
+    # equal times keep part order, then order within the part
+    assert merged["sector"].tolist() == [1, 4, 2, 3, 5]
+    empty = merge_by_time([])
+    assert empty.dtype == TRACE_DTYPE and len(empty) == 0

@@ -68,7 +68,12 @@ def test_stored_catalog_loads_to_its_recorded_values(tmp_path, stored):
     assert raw["format"] == stored.name.replace("run-", "repro-run-")
 
     catalog = RunCatalog(root)
-    assert catalog.manifest(run)["format"] == migrate.MANIFEST_FORMAT
+    manifest = catalog.manifest(run)
+    assert manifest["format"] == migrate.MANIFEST_FORMAT
+    # once loaded, no key its release wrote survives that the current
+    # writer does not write (v3 and older carried a "config" block)
+    recorded = json.loads(SHAPES.read_text())["paths"]["manifest.json"]
+    assert key_paths(manifest) <= set(recorded)
     metrics = catalog.metrics(run)
     assert metrics.nnodes == expected["nnodes"]
     assert metrics.total_requests == expected["total_requests"]

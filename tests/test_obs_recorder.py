@@ -75,11 +75,10 @@ def test_per_node_labels_cover_the_cluster(obs_result):
 
 def test_snapshot_survives_json_and_save_load(obs_result, tmp_path):
     json.dumps(obs_result.obs)  # must be plain data
-    obs_result.save(tmp_path / "exp")
-    from repro.core.experiments import ExperimentResult
-    loaded = ExperimentResult.load(tmp_path / "exp")
-    assert loaded.obs == obs_result.obs
-    assert loaded.metrics.nnodes == 2
+    catalog = RunCatalog(tmp_path / "runs")
+    run_id = catalog.save(obs_result).name
+    assert catalog.obs_snapshot(run_id) == obs_result.obs
+    assert catalog.metrics(run_id).nnodes == 2
 
 
 def test_obs_disabled_by_default():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import migrate
 from repro.core import ExperimentRunner
 from repro.core.trace import TraceDataset
 from repro.store import RunCatalog, TraceReader
@@ -25,11 +26,12 @@ def test_sink_produces_manifest_and_per_node_files(sunk_run):
     catalog = RunCatalog(root)
     assert catalog.runs() == ["baseline"]
     manifest = catalog.manifest("baseline")
-    assert manifest["format"] == "repro-run-v3"
+    assert manifest["format"] == migrate.MANIFEST_FORMAT
     assert manifest["nnodes"] == 2
     assert manifest["seed"] == 3
-    assert manifest["config"]["nnodes"] == 2
-    # manifests carry the fully-resolved scenario
+    # manifests carry the fully-resolved scenario, and no second copy
+    # of its fields
+    assert "config" not in manifest
     assert manifest["scenario"]["cluster"]["nnodes"] == 2
     assert manifest["scenario"]["seed"] == 3
     assert manifest["scenario"]["node"]["disks"][0]["scheduler"]["kind"] \
@@ -129,20 +131,20 @@ def test_legacy_v1_manifest_still_loads(tmp_path):
     """Manifests written before the scenario layer stay readable, and
     come back migrated to the current format."""
     catalog = RunCatalog(tmp_path / "runs")
-    capture = catalog.start_run("legacy", nnodes=1, seed=0,
-                                config={"nnodes": 1})
+    capture = catalog.start_run("legacy", nnodes=1, seed=0)
     capture.writer_for(0)
     path = capture.finalize()
-    # rewrite as a v1 manifest with no scenario block, as old captures
-    # produced
+    # rewrite as a v1 manifest with a config block and no scenario
+    # block, as old captures produced
     manifest = json.loads(path.read_text())
     manifest["format"] = "repro-run-v1"
+    manifest["config"] = {"nnodes": 1}
     manifest.pop("scenario", None)
     path.write_text(json.dumps(manifest))
 
     loaded = catalog.manifest("legacy")
-    assert loaded["format"] == "repro-run-v3"
-    assert loaded["config"] == {"nnodes": 1}
+    assert loaded["format"] == migrate.MANIFEST_FORMAT
+    assert "config" not in loaded
     assert catalog.scenario("legacy") is None
     assert catalog.metrics("legacy").label == "legacy"
 

@@ -119,13 +119,13 @@ def smoke_sweep(duration: float, workdir: Path) -> None:
                           checkpoint_dir=str(ck))
 
     # preempt point 0: drop its done marker, plant a live checkpoint
-    from repro.config.sweep import expand_grid
+    from repro.config.sweep import expand_grid, run_key
     point = expand_grid(base, axes)[0]
-    fp = point.scenario.fingerprint()
-    (ck / f"{fp}.done.json").unlink()
+    key = run_key(point.scenario, "baseline", duration)
+    (ck / f"{key}.done.json").unlink()
     ExperimentRunner(scenario=point.scenario).run(
         "baseline", duration=duration, checkpoint_every=duration / 3,
-        checkpoint_dir=str(ck / f"{fp}.ckpt"))
+        checkpoint_dir=str(ck / f"{key}.ckpt"))
 
     restarted = run_sweep(base, axes, experiment="baseline",
                           duration=duration, parallel=False,
@@ -133,7 +133,7 @@ def smoke_sweep(duration: float, workdir: Path) -> None:
                           checkpoint_dir=str(ck))
     assert [r.metrics for r in reference] == \
         [r.metrics for r in restarted], "restarted sweep diverged"
-    assert not (ck / f"{fp}.ckpt").exists(), "live checkpoint left behind"
+    assert not (ck / f"{key}.ckpt").exists(), "live checkpoint left behind"
     print(f"  sweep preempt/restart: OK ({len(restarted)} points)")
 
 

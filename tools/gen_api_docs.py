@@ -3,19 +3,23 @@
 Walks every repro subpackage, collects the objects named in ``__all__``
 (or the public classes/functions of modules without one), and emits a
 markdown reference with signatures and first-paragraph docstrings.
+Other public objects (constants, registries, singletons) are listed by
+type, so the output depends on the API alone, not on values or memory
+addresses.
 
-    python tools/gen_api_docs.py [output]
+    python tools/gen_api_docs.py [output]     # default: docs/API.md
 """
 
+import argparse
 import importlib
 import inspect
 import pkgutil
-import sys
 from pathlib import Path
 
 import repro
 
 SKIP_MODULES = {"repro.cli", "repro.store.cli", "repro.serve.cli"}
+DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "docs" / "API.md"
 
 
 def first_paragraph(obj) -> str:
@@ -67,12 +71,16 @@ def document_module(module) -> list:
             lines.append(f"### `{name}{signature_of(obj)}`")
             lines += ["", first_paragraph(obj), ""]
         else:
-            lines.append(f"### `{name}` = `{obj!r}`")
+            kind = type(obj)
+            qualname = kind.__qualname__ if kind.__module__ == "builtins" \
+                else f"{kind.__module__}.{kind.__qualname__}"
+            lines.append(f"### `{name}`: `{qualname}`")
             lines.append("")
     return lines
 
 
-def main(output: Path) -> None:
+def render() -> str:
+    """The whole reference, as ``docs/API.md`` holds it."""
     lines = ["# API reference",
              "",
              "Generated by `python tools/gen_api_docs.py`; do not edit "
@@ -91,11 +99,22 @@ def main(output: Path) -> None:
         if not hasattr(module, "__all__") and not hasattr(module, "__path__"):
             continue
         lines += document_module(module)
-    output.write_text("\n".join(lines) + "\n")
-    print(f"wrote {output} ({len(lines)} lines)")
+    return "\n".join(lines) + "\n"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Generate the API reference from repro's public "
+                    "surface.")
+    parser.add_argument("output", nargs="?", type=Path,
+                        default=DEFAULT_OUTPUT,
+                        help="markdown file to write (default: docs/API.md)")
+    args = parser.parse_args(argv)
+    text = render()
+    args.output.write_text(text)
+    print(f"wrote {args.output} ({len(text.splitlines())} lines)")
+    return 0
 
 
 if __name__ == "__main__":
-    target = Path(sys.argv[1]) if len(sys.argv) > 1 else \
-        Path(__file__).resolve().parent.parent / "docs" / "API.md"
-    main(target)
+    raise SystemExit(main())

@@ -7,9 +7,10 @@ disk stack (scheduler x drive-cache segments) and cluster fabric
 
 * the comparison table rendered with one row per grid point;
 * every grid point landed in the run catalog as its own run;
-* each manifest is v2 and carries the fully-resolved scenario block
-  with that point's overrides applied, including the fabric blocks
-  (``network``, ``pious``, ``node.disks``, ``node.volume``);
+* each manifest is the current version and carries the fully-resolved
+  scenario block with that point's overrides applied, including the
+  fabric blocks (``network``, ``pious``, ``node.disks``,
+  ``node.volume``);
 * the JSON results file round-trips and the ablated stacks produced
   different scenario fingerprints.
 
@@ -29,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 from repro.cli import main as cli_main
+from repro.migrate import MANIFEST_FORMAT
 from repro.store import RunCatalog
 
 AXES = {"scheduler": ("clook", "fifo"),
@@ -77,7 +79,7 @@ def run_smoke(duration: float, workdir: Path) -> int:
                                    duration, AXES)
     for run_id in runs:
         manifest = catalog.manifest(run_id)
-        assert manifest["format"] == "repro-run-v3", run_id
+        assert manifest["format"] == MANIFEST_FORMAT, run_id
         scenario = manifest.get("scenario")
         assert scenario is not None, f"{run_id}: no scenario block"
         overrides = dict(pair.split("=") for pair in
