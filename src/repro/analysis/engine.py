@@ -215,8 +215,8 @@ class AnalysisEngine:
         self.cache = cache
         registry = getattr(obs, "registry", obs)
         if registry is None:
-            from repro.obs import NULL_REGISTRY
-            registry = NULL_REGISTRY
+            from repro.obs import MetricsRegistry
+            registry = MetricsRegistry()
         self.registry = registry
 
     # -- public API ---------------------------------------------------------

@@ -32,13 +32,6 @@ class PPMState:
         if self.dx <= 0:
             raise ValueError("dx must be positive")
 
-    @property
-    def ncells(self) -> int:
-        return len(self.u)
-
-    def total_mass(self) -> float:
-        return float(self.u.sum() * self.dx)
-
 
 def _roll(a: np.ndarray, shift: int) -> np.ndarray:
     return np.roll(a, shift)

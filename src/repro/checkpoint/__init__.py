@@ -13,9 +13,10 @@ The protocol has three pieces:
 * the ``.ckpt`` envelope — a compressed, checksummed, atomically
   written file (:func:`save_checkpoint` / :func:`load_checkpoint`).
 
-``ExperimentRunner.run(..., checkpoint_every=..., resume_from=...)``
-wires it end to end; a restored run continues **bit-identically** to the
-uninterrupted one (same trace records, same metrics, same obs counters).
+``ExperimentRunner.run(..., checkpoint_every=..., checkpoint=...)``
+wires it end to end; a run whose checkpoint file exists resumes from it
+and continues **bit-identically** to the uninterrupted one (same trace
+records, same metrics, same obs counters).
 """
 
 from repro.checkpoint.coordinator import CheckpointCoordinator

@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.config.sweep import checkpoint_path
 from repro.core import ExperimentRunner, EXPERIMENTS, make_figure, render_table1
 from repro.core.experiments import check_duration
 from repro.core.figures import FIGURE_EXPERIMENT
@@ -84,19 +85,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--checkpoint-every", type=float, default=None,
                         metavar="SECONDS",
                         help="capture a resumable whole-stack checkpoint "
-                             "every SECONDS of simulated time (a .ckpt "
-                             "file under --checkpoint-dir; with 'sweep', "
-                             "per grid point, and re-running the sweep "
-                             "skips finished points)")
-    parser.add_argument("--checkpoint-dir", type=Path, default=None,
-                        metavar="DIR",
+                             "every SECONDS of simulated time, one .ckpt "
+                             "file per run under --checkpoint-dir; "
+                             "running the same command again resumes "
+                             "from it bit-identically (a re-run sweep "
+                             "also skips finished points)")
+    parser.add_argument("--checkpoint-dir", type=Path,
+                        default=Path("checkpoints"), metavar="DIR",
                         help="where checkpoints land (default "
                              "checkpoints/)")
-    parser.add_argument("--resume", type=Path, default=None,
-                        metavar="FILE.ckpt",
-                        help="restore this checkpoint and continue the "
-                             "run bit-identically to the uninterrupted "
-                             "one (single experiments only)")
     parser.add_argument("--obs", action="store_true",
                         help="record runtime observability metrics "
                              "(simulator, disks, caches, trace path) and "
@@ -193,8 +190,7 @@ def _run_sweep(args) -> int:
         return run_sweep(base, axes, experiment=args.on,
                          duration=args.duration, sink=sink,
                          checkpoint_every=args.checkpoint_every,
-                         checkpoint_dir=str(args.checkpoint_dir)
-                         if args.checkpoint_dir else None)
+                         checkpoint_dir=str(args.checkpoint_dir))
 
     try:
         results = _profiled(execute, args.profile_out) \
@@ -223,17 +219,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.profile_out:
         args.profile = True
-    if args.resume and args.experiment in ("all", "sweep"):
-        print("--resume restores one experiment's checkpoint; it does "
-              "not apply to 'all' or 'sweep' (a re-run sweep resumes "
-              "from its --checkpoint-dir automatically)", file=sys.stderr)
-        return 2
-    if args.experiment == "all" and args.parallel \
-            and args.checkpoint_every is not None:
-        print("--checkpoint-every does not apply to 'all --parallel' "
-              "(its worker processes do not checkpoint); drop --parallel "
-              "to checkpoint every experiment", file=sys.stderr)
-        return 2
     if args.experiment == "sweep":
         return _run_sweep(args)
     scenario = _base_scenario(args)
@@ -245,20 +230,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         else [args.experiment]
 
     nnodes = runner.scenario.cluster.nnodes
+    every, ckdir = args.checkpoint_every, args.checkpoint_dir
+
+    def announce(name: str) -> None:
+        resumes = every is not None and checkpoint_path(
+            ckdir, runner.scenario, name, None).exists()
+        print(f"{'resuming' if resumes else 'running'} {name} on "
+              f"{nnodes} nodes ...", file=sys.stderr)
 
     def execute():
         if args.experiment == "all" and args.parallel:
-            print(f"running all experiments in parallel on "
-                  f"{nnodes} nodes ...", file=sys.stderr)
-            return runner.run_all(parallel=True)
+            for name in names:
+                announce(name)
+            return runner.run_all(parallel=True, checkpoint_every=every,
+                                  checkpoint_dir=ckdir)
         results = {}
         for name in names:
-            verb = "resuming" if args.resume else "running"
-            print(f"{verb} {name} on {nnodes} nodes ...", file=sys.stderr)
-            results[name] = runner.run(
-                name, checkpoint_every=args.checkpoint_every,
-                checkpoint_dir=args.checkpoint_dir,
-                resume_from=args.resume)
+            announce(name)
+            results.update(runner.run_all(names=[name],
+                                          checkpoint_every=every,
+                                          checkpoint_dir=ckdir))
         return results
 
     from repro.checkpoint import CheckpointError

@@ -102,9 +102,6 @@ class BeowulfCluster:
         return [node.kernel.spawn(factory(node), name=f"{name}:{node.node_id}")
                 for node in self.nodes]
 
-    def spawn_on(self, node_id: int, generator, name: str = "app") -> Process:
-        return self.nodes[node_id].kernel.spawn(generator, name=name)
-
     def gather_traces(self) -> np.ndarray:
         """All nodes' trace records merged by time (node ids preserved)."""
         return merge_by_time([node.trace_array() for node in self.nodes])

@@ -86,7 +86,7 @@ class EthernetNetwork:
         self.channel_frames = [0] * channels
         self.channel_busy_time = [0.0] * channels
         self._obs: Optional[_NetInstruments] = None
-        if obs is not None and getattr(obs, "enabled", False):
+        if obs is not None:
             self._obs = _NetInstruments(obs, channels)
 
     @property

@@ -331,13 +331,12 @@ class NodeConfig:
     """One node's hardware and kernel tunables, plus its subsystems.
 
     The defaults are one node of the 1995 prototype: a 486DX4-100 with
-    16 MB RAM, a 16 KB L1 cache, and a 500 MB IDE disk.  This is the
-    only node description the kernel reads.
+    16 MB RAM and a 500 MB IDE disk.  This is the only node description
+    the kernel reads.
     """
 
     #: filesystem / buffer-cache block size in KB (ext2 of the era: 1)
     block_kb: int = 1
-    l1_cache_kb: int = 16
     #: relative CPU speed (1.0 = one 486DX4-100); app compute phases are
     #: expressed in seconds on this reference CPU
     cpu_speed: float = 1.0

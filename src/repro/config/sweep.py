@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import (Any, Callable, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
 
@@ -163,6 +164,14 @@ def run_key(scenario: Scenario, experiment: str,
     return hashlib.sha1(canonical.encode()).hexdigest()[:12]
 
 
+def checkpoint_path(directory, scenario: Scenario, experiment: str,
+                    duration: Optional[float]) -> Path:
+    """The run's one ``.ckpt`` file under ``directory``:
+    ``<directory>/<run_key>.ckpt``.  Running the same run again with
+    this file resumes it (see ``ExperimentRunner.run``)."""
+    return Path(directory) / f"{run_key(scenario, experiment, duration)}.ckpt"
+
+
 def _sweep_worker(args: tuple
                   ) -> Tuple[dict, Optional[str], Optional[float]]:
     """Run, resume or recall one run (top-level so it pickles across
@@ -173,14 +182,13 @@ def _sweep_worker(args: tuple
     achieved events/sec (``None`` without ``obs`` or when recalled).
 
     With checkpointing on, each run owns two files under the checkpoint
-    directory, named by :func:`run_key`: ``<key>.ckpt`` (the live
-    checkpoint, overwritten per epoch) and ``<key>.done.json`` (written
-    on completion).  A restarted sweep skips finished runs via the done
-    marker and resumes half-run ones from their checkpoint — preempt/
-    restart costs only the unfinished tails.
+    directory: :func:`checkpoint_path` (the live checkpoint, overwritten
+    per epoch) and ``<run_key>.done.json`` (written on completion).  A
+    restarted sweep skips finished runs via the done marker and resumes
+    half-run ones from their checkpoint — preempt/restart costs only the
+    unfinished tails.
     """
     import os
-    from pathlib import Path
     from time import perf_counter
 
     from repro.core.experiments import ExperimentRunner
@@ -190,22 +198,16 @@ def _sweep_worker(args: tuple
 
     ckpt = done = None
     if ckdir is not None:
-        key = run_key(scenario, name, duration)
-        Path(ckdir).mkdir(parents=True, exist_ok=True)
-        ckpt = Path(ckdir) / f"{key}.ckpt"
-        done = Path(ckdir) / f"{key}.done.json"
+        ckpt = checkpoint_path(ckdir, scenario, name, duration)
+        done = ckpt.with_suffix(".done.json")
         if done.exists():
             data = json.loads(done.read_text())
             return data["metrics"], data.get("run_id"), None
 
     runner = ExperimentRunner(scenario=scenario, sink=sink, obs=obs)
     wall = perf_counter()
-    if ckpt is not None and ckpt.exists():
-        result = runner.run(name, duration=duration, resume_from=ckpt)
-    else:
-        result = runner.run(name, duration=duration,
-                            checkpoint_every=every,
-                            checkpoint_dir=ckpt)
+    result = runner.run(name, duration=duration, checkpoint_every=every,
+                        checkpoint=ckpt)
     wall = perf_counter() - wall
     run_dir = getattr(runner, "last_run_dir", None)
     run_id = run_dir.name if run_dir else None
@@ -255,11 +257,12 @@ def run_sweep(base: Scenario, axes: Sequence[SweepAxis],
     ``checkpoint_every`` makes every point capture a resumable
     checkpoint at that simulated-seconds cadence under
     ``checkpoint_dir`` (default ``checkpoints/``), named by
-    :func:`run_key`.  Re-running the same sweep over the same directory
-    skips finished points (their done markers hold the stored metrics)
-    and resumes interrupted ones bit-identically — so a preempted sweep
-    restarts where it stopped instead of from scratch.  A point of
-    another seed, experiment or duration never picks up those files.
+    :func:`checkpoint_path`.  Re-running the same sweep over the same
+    directory skips finished points (their done markers hold the stored
+    metrics) and resumes interrupted ones bit-identically — so a
+    preempted sweep restarts where it stopped instead of from scratch.
+    A point of another seed, experiment or duration never picks up
+    those files.
     """
     points = expand_grid(base, axes, node_overrides=node_overrides)
     ckdir = None

@@ -33,6 +33,7 @@ from repro.checkpoint import (CheckpointCoordinator, CheckpointError,
                               save_checkpoint, verify_restored_queue)
 from repro.cluster import BeowulfCluster
 from repro.config import Scenario
+from repro.config.sweep import checkpoint_path
 from repro.core.metrics import WorkloadMetrics, compute_metrics
 from repro.core.trace import TraceDataset
 from repro.sim import Simulator
@@ -104,10 +105,10 @@ class _Plan:
 
 def _run_one_experiment(args) -> "ExperimentResult":
     """Top-level worker for ProcessPoolExecutor (must be picklable)."""
-    scenario_dict, name, sink, obs = args
+    scenario_dict, name, sink, obs, every, directory = args
     runner = ExperimentRunner(scenario=Scenario.from_dict(scenario_dict),
                               sink=sink, obs=obs)
-    return runner.run(name)
+    return runner._run_keyed(name, every, directory)
 
 
 class ExperimentRunner:
@@ -123,8 +124,7 @@ class ExperimentRunner:
     :class:`~repro.obs.ObsRecorder`: the simulator and disks record live
     counters/histograms, node and store counters are harvested at the
     end, and the snapshot lands on ``result.obs`` (and in the catalog
-    manifest when a sink is set).  The last run's recorder stays on
-    ``runner.last_obs``.
+    manifest when a sink is set).
     """
 
     def __init__(self, nnodes: Optional[int] = None,
@@ -159,8 +159,6 @@ class ExperimentRunner:
         self.scenario = base.validate()
         self.sink = sink
         self.obs = obs
-        #: ObsRecorder of the most recent run (None without obs)
-        self.last_obs = None
         self._recorder = None
         self._wall_start = 0.0
 
@@ -168,8 +166,7 @@ class ExperimentRunner:
     def run(self, name: str, *,
             duration: Optional[float] = None,
             checkpoint_every: Optional[float] = None,
-            checkpoint_dir=None,
-            resume_from=None) -> ExperimentResult:
+            checkpoint=None) -> ExperimentResult:
         """Run one experiment by name — the single entry point.
 
         ``name`` is one of :data:`EXPERIMENTS` or ``"serial"``.
@@ -179,26 +176,34 @@ class ExperimentRunner:
         their applications finish, so passing a duration for them is an
         error.
 
-        ``checkpoint_every`` captures the whole stack into a ``.ckpt``
-        file every that many simulated seconds (under
-        ``checkpoint_dir``, default ``checkpoints/``).  ``resume_from``
-        restores such a file and continues the run; the continuation is
-        bit-identical to the uninterrupted (checkpointing) run — same
-        trace records, same metrics, same obs counters.  Checkpointing
-        itself leaves the baseline unchanged but not application runs:
-        their capture holds act as a barrier.
+        ``checkpoint`` is the run's one ``.ckpt`` file, named by
+        :func:`repro.config.sweep.checkpoint_path`.  If it exists, the
+        run resumes from it (checked against ``name``, this runner's
+        scenario and ``duration``) and continues bit-identically to the
+        uninterrupted checkpointing run — same trace records, same
+        metrics, same obs counters.  The whole stack is captured every
+        ``checkpoint_every`` simulated seconds (default: the cadence the
+        file was captured at), each capture overwriting the file; a
+        missing file needs a cadence.  Checkpointing itself leaves the
+        baseline unchanged but not application runs: their capture
+        holds act as a barrier.
         """
         tree = None
-        if resume_from is None:
-            plan = self._plan(name)
-        else:
-            tree = load_checkpoint(resume_from)
+        path = None if checkpoint is None else Path(checkpoint)
+        if path is not None and path.exists():
+            tree = load_checkpoint(path)
             plan = self._resumed_plan(tree["meta"], name)
             if checkpoint_every is None:
                 # the continuation must re-arm at the same epochs to stay
                 # bit-identical; overriding the cadence is an explicit
                 # choice
                 checkpoint_every = tree["meta"]["checkpoint_every"]
+        else:
+            plan = self._plan(name)
+            if (path is None) != (checkpoint_every is None):
+                raise ValueError(
+                    "checkpoint= and checkpoint_every= go together: "
+                    "captures need a file, and a missing file a cadence")
         check_duration(plan.name, duration)
         if duration is not None:
             if tree is None:
@@ -207,32 +212,42 @@ class ExperimentRunner:
                 raise CheckpointError(
                     f"checkpoint observed a {plan.window}s window; "
                     f"cannot resume it as {duration}s")
-        path = None
-        if checkpoint_every is not None:
-            path = Path(resume_from) \
-                if resume_from is not None and checkpoint_dir is None \
-                else self._checkpoint_target(checkpoint_dir, plan.name)
+        if path is not None:
+            path.parent.mkdir(parents=True, exist_ok=True)
         return self._execute(plan, tree, checkpoint_every, path)
 
     def run_all(self, parallel: bool = False,
                 max_workers: Optional[int] = None,
-                names: Optional[Sequence[str]] = None
-                ) -> Dict[str, ExperimentResult]:
+                names: Optional[Sequence[str]] = None, *,
+                checkpoint_every: Optional[float] = None,
+                checkpoint_dir=None) -> Dict[str, ExperimentResult]:
         """Run the five experiments (or ``names``); ``parallel=True``
         uses one process per experiment (they are fully independent
-        simulations)."""
+        simulations).  With ``checkpoint_every``, each experiment runs
+        on its own :func:`~repro.config.sweep.checkpoint_path` file
+        under ``checkpoint_dir`` (resuming it when it exists)."""
         names = tuple(names) if names is not None else EXPERIMENTS
         if not parallel:
-            return {name: self.run(name) for name in names}
+            return {name: self._run_keyed(name, checkpoint_every,
+                                          checkpoint_dir)
+                    for name in names}
         import concurrent.futures
         sink = str(self.sink) if self.sink is not None else None
         scenario_dict = self.scenario.to_dict()
-        args = [(scenario_dict, name, sink, bool(self.obs))
-                for name in names]
+        args = [(scenario_dict, name, sink, bool(self.obs),
+                 checkpoint_every, checkpoint_dir) for name in names]
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=max_workers or len(names)) as pool:
             results = list(pool.map(_run_one_experiment, args))
         return dict(zip(names, results))
+
+    def _run_keyed(self, name: str, every: Optional[float],
+                   directory) -> ExperimentResult:
+        """``run(name)``; with ``every``, on the run's
+        :func:`~repro.config.sweep.checkpoint_path` file in ``directory``."""
+        path = None if every is None \
+            else checkpoint_path(directory, self.scenario, name, None)
+        return self.run(name, checkpoint_every=every, checkpoint=path)
 
     # -- workload assembly ---------------------------------------------------
     def make_app(self, app_name: str, node) -> ESSApplication:
@@ -365,7 +380,6 @@ class ExperimentRunner:
             self._recorder = self.obs if isinstance(self.obs, ObsRecorder) \
                 else ObsRecorder()
             registry = self._recorder.registry
-        self.last_obs = self._recorder
         self._wall_start = perf_counter()
         sim = Simulator(obs=registry)
         if tree is not None:
@@ -463,20 +477,6 @@ class ExperimentRunner:
     # -- checkpoint helpers ---------------------------------------------------
     def _registry(self):
         return None if self._recorder is None else self._recorder.registry
-
-    def _checkpoint_target(self, checkpoint_dir, name: str) -> Path:
-        """Where checkpoints land: ``checkpoint_dir`` is a directory
-        (default ``checkpoints/``) or, when it ends in ``.ckpt``, the
-        exact target file (how a sweep's run unit pins its keyed file)."""
-        if checkpoint_dir is not None \
-                and str(checkpoint_dir).endswith(".ckpt"):
-            path = Path(checkpoint_dir)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            return path
-        directory = Path(checkpoint_dir) if checkpoint_dir is not None \
-            else Path("checkpoints")
-        directory.mkdir(parents=True, exist_ok=True)
-        return directory / f"{self._run_name(name)}.ckpt"
 
     def _run_name(self, name: str) -> str:
         """``name``, tagged ``@<scenario name>`` for a named scenario."""

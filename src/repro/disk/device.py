@@ -179,7 +179,7 @@ class Disk:
             rng if rng is not None else np.random.default_rng(0))
         self.name = name
         self._obs: Optional[_DiskInstruments] = None
-        if obs is not None and getattr(obs, "enabled", False):
+        if obs is not None:
             self._obs = _DiskInstruments(
                 obs, name, type(self.scheduler).__name__)
         #: optional on-drive segment cache (see repro.disk.cache)

@@ -136,11 +136,6 @@ class NodeKernel:
         # writes).
         self.instlog.log(nrecords * TRACE_RECORD_BYTES)
 
-    @property
-    def trace_buffer(self):
-        """User-space trace records collected so far."""
-        return self.transport.user_buffer
-
     def trace_array(self) -> np.ndarray:
         self.transport.drain_now()
         return self.transport.user_buffer.to_array()

@@ -14,12 +14,23 @@ written under another naming is never found and its run re-runs.
 """
 
 #: the checkpoint envelope version the writer stamps
-CHECKPOINT = 3
+CHECKPOINT = 4
 #: the run-manifest version the writer stamps
-MANIFEST = 4
+MANIFEST = 5
 MANIFEST_FORMAT = f"repro-run-v{MANIFEST}"
 
 _MANIFEST_VERSIONS = {f"repro-run-v{n}": n for n in range(1, MANIFEST + 1)}
+
+
+def _drop_l1_cache(scenario: dict) -> None:
+    """Drop ``node.l1_cache_kb``, a knob no layer read, from a stored
+    scenario and its per-node overrides (an emptied override goes too)."""
+    scenario.get("node", {}).pop("l1_cache_kb", None)
+    overrides = scenario.get("node_overrides", {})
+    for node_id in list(overrides):
+        overrides[node_id].pop("l1_cache_kb", None)
+        if not overrides[node_id]:
+            del overrides[node_id]
 
 
 def checkpoint(tree: dict, version: int) -> dict:
@@ -45,6 +56,8 @@ def checkpoint(tree: dict, version: int) -> dict:
         for node in tree.get("cluster", {}).get("nodes", ()):
             for disk in node["disks"]:
                 disk.pop("epoch", None)
+    if version < 4:
+        _drop_l1_cache(tree["meta"]["scenario"])
     return tree
 
 
@@ -67,5 +80,7 @@ def manifest(data: dict) -> dict:
         # v3 and older carried a "config" block: a third copy of nnodes
         # and a second copy of four scenario fields
         data.pop("config", None)
+    if version < 5 and data.get("scenario") is not None:
+        _drop_l1_cache(data["scenario"])
     data["format"] = MANIFEST_FORMAT
     return data

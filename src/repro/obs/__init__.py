@@ -9,11 +9,10 @@ the simulator event loop, the disk service path, the buffer cache, the
 :class:`ObsRecorder` gathers everything into one JSON-serialisable
 snapshot per experiment run.
 
-Instrumentation is off by default: layers hold the shared
-:data:`NULL_REGISTRY` (or skip the calls entirely behind a ``None``
-guard), so an uninstrumented run pays nothing.  Enable it with
-``ExperimentRunner(obs=True)``, ``repro-experiment --obs``, and inspect
-or diff stored snapshots with ``repro-trace obs``.
+Instrumentation is off by default: layers receive ``obs=None`` and skip
+the calls behind that one test, so an uninstrumented run pays nothing.
+Enable it with ``ExperimentRunner(obs=True)`` or ``repro-experiment
+--obs``, and inspect or diff stored snapshots with ``repro-trace obs``.
 """
 
 from repro.obs.registry import (
@@ -21,15 +20,12 @@ from repro.obs.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
-    NULL_REGISTRY,
     Span,
     UNDERFLOW,
     bucket_edge,
     bucket_of,
 )
 from repro.obs.recorder import (
-    NULL_RECORDER,
     ObsRecorder,
     events_per_second,
 )
@@ -44,9 +40,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_RECORDER",
-    "NULL_REGISTRY",
-    "NullRegistry",
     "ObsRecorder",
     "Span",
     "UNDERFLOW",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
+from repro.obs.registry import MetricsRegistry
 
 
 class ObsRecorder:
@@ -35,10 +35,6 @@ class ObsRecorder:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = MetricsRegistry() if registry is None else registry
-
-    @property
-    def enabled(self) -> bool:
-        return self.registry.enabled
 
     # -- harvesting ----------------------------------------------------------
     def collect_cluster(self, cluster) -> None:
@@ -186,6 +182,3 @@ def events_per_second(snapshot: Optional[dict],
         return None
     return round(float(events) / wall_seconds, 1)
 
-
-#: recorder whose registry is the process-wide no-op (never snapshots)
-NULL_RECORDER = ObsRecorder(registry=NULL_REGISTRY)

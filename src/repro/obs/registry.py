@@ -12,10 +12,9 @@ Two properties the experiment harness depends on:
 * **determinism** — instruments count simulation facts (events, requests,
   bucket tallies), so two runs with the same seed produce identical
   snapshots apart from the explicitly wall-clock metrics (``*wall*``);
-* **near-zero cost when disabled** — the module-level :data:`NULL_REGISTRY`
-  is a :class:`NullRegistry` whose instruments are shared no-ops, and the
-  hot layers additionally guard their per-event calls so a run without
-  observability pays at most one attribute test.
+* **near-zero cost when disabled** — observability off is ``obs=None``:
+  the hot layers then build no instruments, so a run without
+  observability pays at most one ``is None`` test.
 """
 
 from __future__ import annotations
@@ -287,8 +286,6 @@ class Span:
 class MetricsRegistry:
     """Named instruments, created on first use, snapshotted on demand."""
 
-    enabled = True
-
     def __init__(self):
         self._metrics: Dict[str, object] = {}
 
@@ -343,70 +340,6 @@ class MetricsRegistry:
             raise TypeError(f"metric {name!r} already registered as "
                             f"{type(got).__name__}, not {cls.__name__}")
         return got
-
-
-class _NullInstrument:
-    """Shared do-nothing stand-in for every instrument type."""
-
-    __slots__ = ()
-    count = 0
-    value = 0
-    mean = 0.0
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-    def dec(self, amount: float = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def child(self, label: str) -> "_NullInstrument":
-        return self
-
-    def snapshot(self) -> dict:
-        return {}
-
-    def __enter__(self) -> "_NullInstrument":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-_NULL = _NullInstrument()
-
-
-class NullRegistry(MetricsRegistry):
-    """The disabled registry: every instrument is the shared no-op."""
-
-    enabled = False
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        return _NULL  # type: ignore[return-value]
-
-    gauge = counter  # type: ignore[assignment]
-    histogram = counter  # type: ignore[assignment]
-
-    def span(self, name: str, help: str = ""):
-        return _NULL
-
-    def snapshot(self) -> dict:
-        return {}
-
-    def snapshot_state(self) -> dict:
-        return {}
-
-    def restore_state(self, state: dict) -> None:
-        pass
-
-
-#: process-wide disabled registry; safe to share (it holds no state)
-NULL_REGISTRY = NullRegistry()
 
 
 def _instrument_state(m) -> dict:

@@ -173,8 +173,8 @@ class WorkerPool:
         self.poll = poll
         self.tenants = tenants
         if obs is None:
-            from repro.obs import NULL_REGISTRY
-            obs = NULL_REGISTRY
+            from repro.obs import MetricsRegistry
+            obs = MetricsRegistry()
         self.registry = obs
         self._ctx = mp.get_context("spawn")
         #: queued job id -> (priority, depends_on, tenant)

@@ -227,7 +227,7 @@ class Simulator:
         self.now: float = 0.0
         self._seq = 0
         self._instr: Optional[_SimInstruments] = None
-        if obs is not None and getattr(obs, "enabled", False):
+        if obs is not None:
             self._instr = _SimInstruments(obs)
         #: owner -> (time, priority, seq, value): the snapshotted queue
         #: entry to replay on that owner's next tick() (restore path)

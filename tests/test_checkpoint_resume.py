@@ -124,13 +124,12 @@ def assert_identical(a, b):
                          [(s, 11) for s in SCHEDULERS] + [("clook", 23)])
 def test_baseline_resume_is_bit_identical(tmp_path, scheduler, engine, seed):
     sc = scenario(scheduler=scheduler, seed=seed)
-    ck = tmp_path / "ck"
+    ckpt = tmp_path / "ck" / "baseline.ckpt"
     armed = ExperimentRunner(scenario=sc).run(
-        "baseline", duration=12.0, checkpoint_every=5.0, checkpoint_dir=ck)
-    ckpt = ck / "baseline.ckpt"
+        "baseline", duration=12.0, checkpoint_every=5.0, checkpoint=ckpt)
     assert ckpt.exists()
     resumed = ExperimentRunner(scenario=sc).run(
-        "baseline", resume_from=resume_point(ckpt, engine, tmp_path))
+        "baseline", checkpoint=resume_point(ckpt, engine, tmp_path))
     assert_identical(armed, resumed)
 
 
@@ -152,7 +151,7 @@ def test_resume_of_a_chatter_tick_checkpoint(tmp_path):
     raw = pickle.loads(zlib.decompress(blob[8 + 2 + 32 + 8:]))
     assert any(owner.endswith(":chatter") for owner in raw["ticks"])
     sc = Scenario.from_dict(expected["scenario"])
-    resumed = ExperimentRunner(scenario=sc).run("baseline", resume_from=ckpt)
+    resumed = ExperimentRunner(scenario=sc).run("baseline", checkpoint=ckpt)
     records = resumed.trace.records
     assert len(records) == expected["records"]
     assert hashlib.sha256(records.tobytes()).hexdigest() == \
@@ -193,13 +192,13 @@ def test_app_resume_is_bit_identical(tmp_path, epoch_copies, name, extra,
     chain is inside its second application) and from the last."""
     sc = scenario(extra=extra)
     armed = ExperimentRunner(scenario=sc).run(
-        name, checkpoint_every=every, checkpoint_dir=tmp_path / "ck")
+        name, checkpoint_every=every, checkpoint=tmp_path / f"{name}.ckpt")
     first, last = epoch_copies[0], epoch_copies[-1]
     tokens = load_checkpoint(first)["apps"].values()
     assert not all(token["finished"] for token in tokens)
     for ckpt in (first, last):
         resumed = ExperimentRunner(scenario=sc).run(
-            name, resume_from=resume_point(ckpt, engine, tmp_path))
+            name, checkpoint=resume_point(ckpt, engine, tmp_path))
         assert_identical(armed, resumed)
 
 
@@ -211,11 +210,11 @@ def test_resume_keeps_obs_counters(tmp_path, name, extra, every, kwargs):
     """A resumed run counts exactly what the armed run counted: every
     obs key but the host wall-clock ones matches."""
     sc = scenario(extra=extra)
-    ck = tmp_path / "ck"
+    ckpt = tmp_path / f"{name}.ckpt"
     armed = ExperimentRunner(scenario=sc, obs=True).run(
-        name, checkpoint_every=every, checkpoint_dir=ck, **kwargs)
+        name, checkpoint_every=every, checkpoint=ckpt, **kwargs)
     resumed = ExperimentRunner(scenario=sc, obs=True).run(
-        name, resume_from=ck / f"{name}.ckpt")
+        name, checkpoint=ckpt)
     assert_identical(armed, resumed)
 
     def counters(result):
@@ -232,7 +231,7 @@ def test_armed_run_equals_unarmed_run(tmp_path):
     plain = ExperimentRunner(scenario=sc).run("baseline", duration=12.0)
     armed = ExperimentRunner(scenario=sc).run(
         "baseline", duration=12.0, checkpoint_every=5.0,
-        checkpoint_dir=tmp_path / "ck")
+        checkpoint=tmp_path / "baseline.ckpt")
     assert_identical(plain, armed)
 
 
@@ -246,13 +245,12 @@ def test_restore_is_idempotent(tmp_path, scheduler, engine):
     nothing drifted (migration drops the retired names).
     """
     sc = scenario(scheduler=scheduler)
-    ck = tmp_path / "ck"
+    ckpt = tmp_path / "baseline.ckpt"
     runner = ExperimentRunner(scenario=sc)
     runner.run("baseline", duration=12.0, checkpoint_every=5.0,
-               checkpoint_dir=ck)
-    tree = load_checkpoint(ck / "baseline.ckpt")
-    stored = load_checkpoint(resume_point(ck / "baseline.ckpt", engine,
-                                          tmp_path))
+               checkpoint=ckpt)
+    tree = load_checkpoint(ckpt)
+    stored = load_checkpoint(resume_point(ckpt, engine, tmp_path))
 
     fresh = ExperimentRunner(scenario=sc)
     sim, cluster = fresh._build(stored)
@@ -267,9 +265,9 @@ def test_restore_is_idempotent(tmp_path, scheduler, engine):
 def test_resume_in_fresh_process_is_bit_identical(tmp_path):
     """The real crash-recovery story: restore in a brand new interpreter."""
     sc = scenario()
-    ck = tmp_path / "ck"
+    ckpt = tmp_path / "baseline.ckpt"
     armed = ExperimentRunner(scenario=sc).run(
-        "baseline", duration=12.0, checkpoint_every=5.0, checkpoint_dir=ck)
+        "baseline", duration=12.0, checkpoint_every=5.0, checkpoint=ckpt)
     script = (
         "import json, sys, hashlib\n"
         "from pathlib import Path\n"
@@ -278,14 +276,14 @@ def test_resume_in_fresh_process_is_bit_identical(tmp_path):
         "sc_dict, ckpt = json.loads(sys.argv[1]), sys.argv[2]\n"
         "sc = Scenario.from_dict(sc_dict)\n"
         "r = ExperimentRunner(scenario=sc).run('baseline',"
-        " resume_from=ckpt)\n"
+        " checkpoint=ckpt)\n"
         "print(json.dumps({'sha':"
         " hashlib.sha256(r.trace.records.tobytes()).hexdigest(),"
         " 'n': len(r.trace.records), 'duration': r.duration}))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", script, json.dumps(sc.to_dict()),
-         str(ck / "baseline.ckpt")],
+         str(ckpt)],
         capture_output=True, text=True, timeout=300,
         cwd=str(Path(__file__).resolve().parent.parent))
     assert out.returncode == 0, out.stderr
@@ -299,40 +297,49 @@ def test_resume_in_fresh_process_is_bit_identical(tmp_path):
 
 def test_resume_rejects_mismatched_scenario(tmp_path):
     sc = scenario(seed=11)
-    ck = tmp_path / "ck"
+    ckpt = tmp_path / "baseline.ckpt"
     ExperimentRunner(scenario=sc).run(
-        "baseline", duration=12.0, checkpoint_every=5.0, checkpoint_dir=ck)
+        "baseline", duration=12.0, checkpoint_every=5.0, checkpoint=ckpt)
     other = scenario(seed=99)
     with pytest.raises(CheckpointError, match="scenario"):
-        ExperimentRunner(scenario=other).run(
-            "baseline", resume_from=ck / "baseline.ckpt")
+        ExperimentRunner(scenario=other).run("baseline", checkpoint=ckpt)
 
 
 def test_resume_rejects_wrong_experiment(tmp_path):
     sc = scenario()
-    ck = tmp_path / "ck"
+    ckpt = tmp_path / "baseline.ckpt"
     ExperimentRunner(scenario=sc).run(
-        "baseline", duration=12.0, checkpoint_every=5.0, checkpoint_dir=ck)
+        "baseline", duration=12.0, checkpoint_every=5.0, checkpoint=ckpt)
     with pytest.raises(CheckpointError):
-        ExperimentRunner(scenario=sc).run(
-            "ppm", resume_from=ck / "baseline.ckpt")
+        ExperimentRunner(scenario=sc).run("ppm", checkpoint=ckpt)
 
 
 def test_resume_rejects_a_different_window(tmp_path):
     sc = scenario()
-    ck = tmp_path / "ck"
+    ckpt = tmp_path / "baseline.ckpt"
     ExperimentRunner(scenario=sc).run(
-        "baseline", duration=12.0, checkpoint_every=5.0, checkpoint_dir=ck)
+        "baseline", duration=12.0, checkpoint_every=5.0, checkpoint=ckpt)
     with pytest.raises(CheckpointError, match="cannot resume it as"):
         ExperimentRunner(scenario=sc).run(
-            "baseline", duration=20.0, resume_from=ck / "baseline.ckpt")
+            "baseline", duration=20.0, checkpoint=ckpt)
 
 
 def test_app_resume_rejects_duration(tmp_path):
     sc = scenario(extra=TINY_PPM)
-    ck = tmp_path / "ck"
+    ckpt = tmp_path / "ppm.ckpt"
     ExperimentRunner(scenario=sc).run(
-        "ppm", checkpoint_every=0.05, checkpoint_dir=ck)
+        "ppm", checkpoint_every=0.05, checkpoint=ckpt)
     with pytest.raises(ValueError, match="duration"):
         ExperimentRunner(scenario=sc).run(
-            "ppm", duration=12.0, resume_from=ck / "ppm.ckpt")
+            "ppm", duration=12.0, checkpoint=ckpt)
+
+
+def test_checkpoint_needs_a_file_and_a_cadence(tmp_path):
+    # captures need a file to go to, and a missing file a cadence
+    runner = ExperimentRunner(scenario=scenario())
+    with pytest.raises(ValueError, match="go together"):
+        runner.run("baseline", duration=12.0, checkpoint_every=5.0)
+    with pytest.raises(ValueError, match="go together"):
+        runner.run("baseline", duration=12.0,
+                   checkpoint=tmp_path / "missing.ckpt")
+    assert not any(tmp_path.iterdir())

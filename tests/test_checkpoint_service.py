@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.config import Scenario, parse_axis_spec, run_sweep
-from repro.config.sweep import expand_grid, run_key
+from repro.config.sweep import checkpoint_path, expand_grid
 from repro.core.experiments import ExperimentRunner
 from repro.serve.jobs import JobStore
 from repro.store import RunCatalog
@@ -67,16 +67,15 @@ def test_sweep_resumes_interrupted_point_bit_identically(tmp_path):
     # preempt one point: drop its done marker, plant a mid-run checkpoint
     point = expand_grid(Scenario.from_dict(BASE),
                         [parse_axis_spec(s) for s in GRID])[0]
-    key = run_key(point.scenario, "baseline", 20.0)
-    (ck / f"{key}.done.json").unlink()
+    ckpt = checkpoint_path(ck, point.scenario, "baseline", 20.0)
+    ckpt.with_suffix(".done.json").unlink()
     ExperimentRunner(scenario=point.scenario).run(
-        "baseline", duration=20.0, checkpoint_every=6.0,
-        checkpoint_dir=str(ck / f"{key}.ckpt"))
-    assert (ck / f"{key}.ckpt").exists()
+        "baseline", duration=20.0, checkpoint_every=6.0, checkpoint=ckpt)
+    assert ckpt.exists()
 
     resumed = sweep(ck)
     assert [r.metrics for r in reference] == [r.metrics for r in resumed]
-    assert not (ck / f"{key}.ckpt").exists()
+    assert not ckpt.exists()
 
 
 def test_checkpointed_seed_sweep_matches_plain_sweep(tmp_path):
@@ -166,11 +165,10 @@ def test_serve_experiment_job_resumes_from_checkpoint(tmp_path):
 
     # plant a mid-run checkpoint where a crashed worker would leave one
     scenario = Scenario.from_dict(spec["scenario"])
-    ckpt = root / CHECKPOINTS_DIR / job.id / \
-        f"{run_key(scenario, 'baseline', 20.0)}.ckpt"
+    ckpt = checkpoint_path(root / CHECKPOINTS_DIR / job.id, scenario,
+                           "baseline", 20.0)
     reference = ExperimentRunner(scenario=scenario).run(
-        "baseline", duration=20.0, checkpoint_every=6.0,
-        checkpoint_dir=str(ckpt))
+        "baseline", duration=20.0, checkpoint_every=6.0, checkpoint=ckpt)
     assert ckpt.exists()
 
     outcome = execute_job(job, root)
@@ -195,7 +193,7 @@ def test_serve_experiment_job_equals_the_runner(tmp_path):
     reference = ExperimentRunner(
         scenario=Scenario.from_dict(spec["scenario"]), sink=ref_root,
         obs=True).run("baseline", duration=20.0, checkpoint_every=6.0,
-                      checkpoint_dir=str(tmp_path / "ref-ck"))
+                      checkpoint=tmp_path / "ref.ckpt")
     assert outcome["summary"] == reference.metrics.to_dict()
     [run_id] = outcome["run_ids"]
     stored = RunCatalog(catalog_root(root)).load_dataset(run_id).records
@@ -219,34 +217,87 @@ def test_serve_spec_can_disable_checkpointing(tmp_path):
 
 
 # -- CLI flags -----------------------------------------------------------------
+def cli_run(capsys, *argv):
+    """``repro-experiment argv``: exit code, stderr."""
+    from repro.cli import main
+    rc = main(list(argv) + ["--figures"])
+    return rc, capsys.readouterr().err
+
+
+def summary_line(err):
+    [line] = [l for l in err.splitlines() if " requests, " in l]
+    return line
+
+
+CLI_BASELINE = ("baseline", "--nodes", "2", "--duration", "20",
+                "--checkpoint-every", "6")
+
+
 def test_cli_checkpoint_and_resume_round_trip(tmp_path, capsys):
+    argv = CLI_BASELINE + ("--checkpoint-dir", str(tmp_path / "ck"))
+    rc, first = cli_run(capsys, *argv)
+    assert rc == 0 and "running baseline" in first
+    [ckpt] = (tmp_path / "ck").glob("*.ckpt")
+    assert ckpt == checkpoint_path(
+        tmp_path / "ck", ExperimentRunner(nnodes=2, baseline_duration=20.0)
+        .scenario, "baseline", None)
+    # the same command again resumes from the run's file
+    rc, again = cli_run(capsys, *argv)
+    assert rc == 0 and "resuming baseline" in again
+    assert summary_line(again) == summary_line(first)
+
+
+def test_cli_runs_of_other_seeds_keep_their_own_checkpoints(tmp_path,
+                                                            capsys):
+    # two seeds in one --checkpoint-dir used to share one
+    # <experiment>.ckpt: the second run overwrote the first's resume point
+    ck = ("--checkpoint-dir", str(tmp_path / "ck"))
+    rc, plain = cli_run(capsys, *CLI_BASELINE[:5], "--seed", "1")
+    assert rc == 0
+    for seed in ("1", "2"):
+        assert cli_run(capsys, *CLI_BASELINE, "--seed", seed, *ck)[0] == 0
+    assert len(list((tmp_path / "ck").glob("*.ckpt"))) == 2
+    rc, again = cli_run(capsys, *CLI_BASELINE, "--seed", "1", *ck)
+    assert rc == 0 and "resuming baseline" in again
+    assert summary_line(again) == summary_line(plain)
+
+
+def test_cli_parallel_all_checkpoints_each_experiment(tmp_path, capsys):
+    # each worker process runs on its experiment's own keyed file
     from repro.cli import main
+    from repro.config import Scenario
+    # every application runs for longer than one 0.125 s epoch
+    tiny = Scenario.from_dict({
+        "cluster": {"nnodes": 1},
+        "experiment": {"baseline_duration": 1.0},
+        "workload": {"params": {
+            "ppm": {"grids": 1, "grid_nx": 24, "grid_ny": 48,
+                    "steps": 6},
+            "wavelet": {"image_px": 128, "levels": 2,
+                        "footprint_kb": 1024, "startup_compute": 0.2,
+                        "registration_factor": 1.0, "end_compute": 0.2},
+            "nbody": {"particles": 512, "steps": 4}}}})
+    scenario_file = tiny.save(tmp_path / "tiny.json")
     ck = tmp_path / "ck"
-    rc = main(["baseline", "--nodes", "2", "--duration", "20",
-               "--checkpoint-every", "6", "--checkpoint-dir", str(ck)])
+    rc = main(["all", "--parallel", "--scenario", str(scenario_file),
+               "--checkpoint-every", "0.125", "--checkpoint-dir", str(ck),
+               "--figures"])
     assert rc == 0
-    ckpt = next(ck.glob("*.ckpt"))
-    # resume takes the same scenario flags (the checkpoint is validated
-    # against the scenario the runner is constructed from)
-    rc = main(["baseline", "--nodes", "2", "--duration", "20",
-               "--resume", str(ckpt)])
-    assert rc == 0
-    assert "resuming" in capsys.readouterr().err
-
-
-def test_cli_resume_rejects_sweep_and_all(tmp_path, capsys):
-    from repro.cli import main
-    bogus = tmp_path / "x.ckpt"
-    bogus.write_bytes(b"")
-    for experiment in ("all", "sweep"):
-        rc = main([experiment, "--resume", str(bogus)])
-        assert rc == 2
+    assert sorted(ck.glob("*.ckpt")) == sorted(
+        checkpoint_path(ck, tiny, name, None)
+        for name in ("baseline", "ppm", "wavelet", "nbody", "combined"))
 
 
 def test_cli_resume_reports_bad_checkpoint_cleanly(tmp_path, capsys):
     from repro.cli import main
-    bad = tmp_path / "bad.ckpt"
+    ck = tmp_path / "ck"
+    bad = checkpoint_path(
+        ck, ExperimentRunner(nnodes=2).scenario, "baseline", None)
+    ck.mkdir()
     bad.write_bytes(b"\xff" * 64)
-    rc = main(["baseline", "--nodes", "2", "--resume", str(bad)])
+    rc = main(["baseline", "--nodes", "2", "--checkpoint-every", "6",
+               "--checkpoint-dir", str(ck)])
     assert rc == 1
-    assert "checkpoint" in capsys.readouterr().err.lower()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 2 and err[0].startswith("resuming baseline")
+    assert err[1].startswith("checkpoint error: ")

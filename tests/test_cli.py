@@ -68,19 +68,6 @@ def test_cli_parallel_all(tmp_path, capsys):
         assert name in out
 
 
-def test_cli_parallel_all_refuses_checkpointing(tmp_path, capsys):
-    # the parallel workers take no checkpoint arguments: refuse instead
-    # of silently running without checkpoints
-    rc = main(["all", "--nodes", "1", "--parallel",
-               "--checkpoint-every", "60",
-               "--checkpoint-dir", str(tmp_path)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "--checkpoint-every" in err and "--parallel" in err
-    assert len(err.strip().splitlines()) == 1
-    assert not any(tmp_path.iterdir())
-
-
 def test_cli_sweep_rejects_non_finite_duration(capsys):
     rc = main(["sweep", "--on", "baseline", "--duration", "inf",
                "--grid", "scheduler=fifo"])

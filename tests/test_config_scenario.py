@@ -47,7 +47,7 @@ def test_default_disk_stack_builds_historical_components():
 
 def test_default_fingerprint_is_pinned():
     """Stored checkpoints and analysis caches are keyed by it."""
-    assert Scenario().fingerprint() == "a87e06aa1b22"
+    assert Scenario().fingerprint() == "080f2666ae01"
 
 
 def test_buffer_cache_must_leave_a_user_frame():
@@ -232,6 +232,35 @@ def test_stored_engine_table_is_dropped_on_load():
                 load(text)
             assert err.value.path == "scenario.engine"
     assert "engine" not in base.to_dict()
+
+
+# -- retired L1 cache knob ----------------------------------------------------
+def test_stored_l1_cache_knob_is_dropped_on_load():
+    # checkpoints (v3) and manifests (v4) written while the scenario had
+    # a node.l1_cache_kb that no layer read carry it, cluster-wide and
+    # per node; migration drops both, and a hand-written file setting it
+    # is rejected at its exact path, like the retired [engine] table
+    base = Scenario().with_override("cluster.nnodes", 2)
+    stored = base.to_dict()
+    stored["node"]["l1_cache_kb"] = 32
+    stored["node_overrides"] = {"1": {"l1_cache_kb": 8}}
+    tree = migrate.checkpoint(
+        {"ticks": {}, "clock": {"now": 0.0, "seq": 0},
+         "meta": {"scenario": json.loads(json.dumps(stored))}}, version=3)
+    assert tree["meta"]["scenario"] == base.to_dict()
+    manifest = migrate.manifest({"format": "repro-run-v4",
+                                 "scenario": json.loads(json.dumps(stored))})
+    assert manifest["scenario"] == base.to_dict()
+    with pytest.raises(ConfigError) as err:
+        Scenario.from_json(json.dumps(stored))
+    assert err.value.path == "scenario.node.l1_cache_kb"
+    toml = base.to_toml().replace("[node]\n", "[node]\nl1_cache_kb = 32\n")
+    with pytest.raises(ConfigError) as err:
+        Scenario.from_toml(toml)
+    assert err.value.path == "scenario.node.l1_cache_kb"
+    with pytest.raises(ConfigError) as err:
+        base.with_override("node[1].l1_cache_kb", 8)
+    assert err.value.path == "scenario.node[1].l1_cache_kb"
 
 
 def test_unknown_event_queue_names_exact_path():

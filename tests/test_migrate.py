@@ -53,7 +53,7 @@ def test_stored_checkpoint_resumes_to_its_recorded_trace(tmp_path, stored):
     shutil.copy(stored, ckpt)
     sc = Scenario.from_dict(expected["scenario"])
     records = ExperimentRunner(scenario=sc).run(
-        "baseline", resume_from=ckpt).trace.records
+        "baseline", checkpoint=ckpt).trace.records
     assert (len(records), digest(records)) == \
         (expected["records"], expected["trace_sha256"])
 
@@ -119,8 +119,8 @@ def first_checkpoint(directory: Path, name: str, scenario: dict,
     real, experiments.save_checkpoint = experiments.save_checkpoint, save
     try:
         ExperimentRunner(scenario=Scenario.from_dict(scenario)).run(
-            name, checkpoint_every=every, checkpoint_dir=directory / name,
-            **kwargs)
+            name, checkpoint_every=every,
+            checkpoint=directory / f"{name}.ckpt", **kwargs)
     finally:
         experiments.save_checkpoint = real
     return trees[0]

@@ -5,8 +5,7 @@ import json
 import pytest
 
 from repro.core import ExperimentRunner
-from repro.obs import NULL_RECORDER, MetricsRegistry, ObsRecorder, \
-    flatten_snapshot
+from repro.obs import MetricsRegistry, ObsRecorder, flatten_snapshot
 from repro.store import RunCatalog
 
 
@@ -20,15 +19,8 @@ def obs_result():
 # -- recorder basics ----------------------------------------------------------
 def test_recorder_defaults_to_live_registry():
     rec = ObsRecorder()
-    assert rec.enabled
     assert isinstance(rec.registry, MetricsRegistry)
     assert rec.snapshot() == {}
-
-
-def test_null_recorder_is_disabled_and_inert():
-    assert not NULL_RECORDER.enabled
-    NULL_RECORDER.collect_run(wall_seconds=1.0, sim_seconds=2.0)
-    assert NULL_RECORDER.snapshot() == {}
 
 
 # -- the acceptance criterion -------------------------------------------------

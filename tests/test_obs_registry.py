@@ -6,12 +6,10 @@ import math
 import pytest
 
 from repro.obs import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
     bucket_edge,
     bucket_of,
     compare_snapshots,
@@ -162,22 +160,6 @@ def test_registry_span_times_into_histogram():
     h = reg.histogram("phase.settle")
     assert h.count == 1
     assert h.sum >= 0.0
-
-
-def test_null_registry_is_inert():
-    assert NULL_REGISTRY.enabled is False
-    assert MetricsRegistry.enabled is True
-    c = NULL_REGISTRY.counter("x")
-    c.inc(10)
-    NULL_REGISTRY.gauge("y").set(3)
-    NULL_REGISTRY.histogram("z").observe(1.0)
-    with NULL_REGISTRY.span("s"):
-        pass
-    assert c.value == 0
-    assert NULL_REGISTRY.snapshot() == {}
-    # every instrument is the one shared no-op
-    assert NULL_REGISTRY.counter("p") is NULL_REGISTRY.histogram("q")
-    assert NullRegistry().counter("r").child("l") is NULL_REGISTRY.counter("r")
 
 
 # -- flatten / render / compare ----------------------------------------------

@@ -205,10 +205,10 @@ def bench_checkpoint(repeats: int = 3, duration: float = 30.0) -> dict:
             "capture_ms": float("inf"), "save_ms": float("inf")}
     with tempfile.TemporaryDirectory(prefix="bench-ckpt-") as tmp:
         ck = Path(tmp)
+        path = ck / "baseline.ckpt"
         ExperimentRunner(nnodes=2, seed=1).run(
             "baseline", duration=duration,
-            checkpoint_every=duration / 2, checkpoint_dir=ck)
-        path = ck / "baseline.ckpt"
+            checkpoint_every=duration / 2, checkpoint=path)
         size = path.stat().st_size
         tree = load_checkpoint(path)
         for _ in range(repeats):

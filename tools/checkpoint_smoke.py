@@ -15,6 +15,9 @@ Exercises the bit-identity contract end to end:
 * a preempted sweep: finished points are skipped via their done
   markers, an interrupted point resumes from its live checkpoint, and
   the restarted sweep reproduces the uninterrupted metrics;
+* the command line: ``repro-experiment baseline --checkpoint-every``
+  run twice, identically; the second run must say it is resuming and
+  print the first one's Table 1;
 * every stored ``.ckpt`` under ``tests/data/`` (each written by an older
   release, one per :mod:`repro.migrate` step) resumes to the trace
   digest recorded beside it in ``<name>.json``.
@@ -30,6 +33,7 @@ import argparse
 import hashlib
 import json
 import shutil
+import subprocess
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -101,11 +105,11 @@ def smoke_experiment(name: str, duration, every: float,
     kwargs = {"duration": duration} if name == "baseline" else {}
     with epoch_copies() as copies:
         armed = ExperimentRunner(scenario=sc).run(
-            name, checkpoint_every=every, checkpoint_dir=workdir / name,
-            **kwargs)
+            name, checkpoint_every=every,
+            checkpoint=workdir / name / f"{name}.ckpt", **kwargs)
     assert copies, f"{name}: no checkpoint was written"
     for label, ckpt in (("first", copies[0]), ("last", copies[-1])):
-        resumed = ExperimentRunner(scenario=sc).run(name, resume_from=ckpt)
+        resumed = ExperimentRunner(scenario=sc).run(name, checkpoint=ckpt)
         check_identical(f"{name} from {label} epoch", armed, resumed)
 
 
@@ -119,13 +123,13 @@ def smoke_sweep(duration: float, workdir: Path) -> None:
                           checkpoint_dir=str(ck))
 
     # preempt point 0: drop its done marker, plant a live checkpoint
-    from repro.config.sweep import expand_grid, run_key
+    from repro.config.sweep import checkpoint_path, expand_grid
     point = expand_grid(base, axes)[0]
-    key = run_key(point.scenario, "baseline", duration)
-    (ck / f"{key}.done.json").unlink()
+    ckpt = checkpoint_path(ck, point.scenario, "baseline", duration)
+    ckpt.with_suffix(".done.json").unlink()
     ExperimentRunner(scenario=point.scenario).run(
         "baseline", duration=duration, checkpoint_every=duration / 3,
-        checkpoint_dir=str(ck / f"{key}.ckpt"))
+        checkpoint=ckpt)
 
     restarted = run_sweep(base, axes, experiment="baseline",
                           duration=duration, parallel=False,
@@ -133,8 +137,26 @@ def smoke_sweep(duration: float, workdir: Path) -> None:
                           checkpoint_dir=str(ck))
     assert [r.metrics for r in reference] == \
         [r.metrics for r in restarted], "restarted sweep diverged"
-    assert not (ck / f"{key}.ckpt").exists(), "live checkpoint left behind"
+    assert not ckpt.exists(), "live checkpoint left behind"
     print(f"  sweep preempt/restart: OK ({len(restarted)} points)")
+
+
+def smoke_cli(duration: float, workdir: Path) -> None:
+    """The same ``repro-experiment`` command twice: the second run
+    resumes from the first's checkpoint and prints the same Table 1."""
+    argv = [sys.executable, "-m", "repro.cli", "baseline", "--nodes", "2",
+            "--seed", "3", "--duration", str(duration),
+            "--checkpoint-every", str(duration / 3),
+            "--checkpoint-dir", str(workdir / "cli"),
+            "--figures", "--table"]
+    runs = [subprocess.run(argv, capture_output=True, text=True,
+                           check=True) for _ in range(2)]
+    assert "running baseline" in runs[0].stderr, runs[0].stderr
+    assert "resuming baseline" in runs[1].stderr, \
+        f"the re-run did not resume: {runs[1].stderr}"
+    assert runs[0].stdout == runs[1].stdout, \
+        f"Table 1 diverged:\n{runs[0].stdout}\n{runs[1].stdout}"
+    print("  repro-experiment re-run: OK (resumed, same Table 1)")
 
 
 #: older-format checkpoints, each with its expected resume beside it
@@ -147,7 +169,7 @@ def smoke_stored_checkpoint(stored: Path, workdir: Path) -> None:
     shutil.copy(stored, ckpt)
     sc = Scenario.from_dict(expected["scenario"])
     records = ExperimentRunner(scenario=sc).run(
-        "baseline", resume_from=ckpt).trace.records
+        "baseline", checkpoint=ckpt).trace.records
     digest = hashlib.sha256(records.tobytes()).hexdigest()
     assert (len(records), digest) == \
         (expected["records"], expected["trace_sha256"]), \
@@ -169,6 +191,7 @@ def main(argv=None) -> int:
         smoke_experiment("ppm", None, 0.05, workdir)
         smoke_experiment("serial", None, 10.0, workdir, TINY_MIX)
         smoke_sweep(args.duration, workdir)
+        smoke_cli(args.duration, workdir)
         stored = sorted(STORED_DIR.glob("*.ckpt"))
         assert stored, f"no stored checkpoints under {STORED_DIR}"
         for ckpt in stored:
