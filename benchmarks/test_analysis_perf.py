@@ -3,9 +3,10 @@
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_analysis_perf.py``.
 The acceptance bar from the engine redesign: analysing a 1M-record
 catalog must not materialise whole traces (peak allocation bounded by
-the chunk size, not the run size), multi-process fan-out must beat
-serial wall-clock on a multi-run catalog, and re-analysis of an
-unchanged run must be a pure cache hit.
+the chunk size, not the run size), the inter-arrival merge must fold a
+window per loaded chunk rather than a Python step per merge block,
+multi-process fan-out must beat serial wall-clock on a multi-run
+catalog, and re-analysis of an unchanged run must be a pure cache hit.
 """
 
 import os
@@ -19,7 +20,8 @@ from repro.core.experiments import ExperimentResult
 from repro.core.trace import TraceDataset
 from repro.driver import TRACE_DTYPE
 from repro.obs import MetricsRegistry
-from repro.store import RunCatalog
+from repro.store import RunCatalog, TraceReader
+from tests.merge_oracle import reference_merged_time_blocks
 
 #: total records across the catalog — the "1M-record" acceptance bar
 N = 1_000_000
@@ -75,6 +77,25 @@ def test_streaming_memory_bounded(catalog):
     assert out["metrics"].total_requests == N // RUNS
     # chunk-streaming keeps peak allocation to a fraction of the trace
     assert peak < run_bytes / 2
+
+
+def test_merge_takes_a_window_per_chunk_not_a_step_per_block(catalog):
+    """Deterministic counts of the ordered fold's merge work."""
+    registry = MetricsRegistry()
+    AnalysisEngine(catalog, cache=False, obs=registry).analyze(
+        "run0", ["arrival"])
+    count = registry.counter
+    paths = sorted(catalog.trace_paths("run0").values())
+    readers = [TraceReader(p) for p in paths]
+    try:
+        oracle_blocks = sum(1 for _ in reference_merged_time_blocks(readers))
+    finally:
+        for reader in readers:
+            reader.close()
+    windows = count("analysis.merge_windows").value
+    print(f"\nmerge: {windows:.0f} windows, {oracle_blocks} blocks")
+    assert windows <= count("analysis.chunks_scanned").value + len(paths)
+    assert count("analysis.merge_blocks").value == oracle_blocks
 
 
 def test_analyze_serial_wallclock(benchmark, catalog):

@@ -40,6 +40,17 @@ class Accumulator:
     def update(self, records: np.ndarray) -> None:
         raise NotImplementedError
 
+    def update_blocks(self, times: np.ndarray, starts: np.ndarray) -> None:
+        """Fold a window of sorted values, block by block.
+
+        The blocks are ``times[starts[i]:starts[i + 1]]`` (the last one
+        runs to the end); by default each goes through ``update_values``,
+        which an ``ordered`` accumulator defines.
+        """
+        bounds = starts.tolist() + [len(times)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            self.update_values(times[lo:hi])
+
     def merge(self, other: "Accumulator") -> None:
         raise NotImplementedError
 
@@ -137,12 +148,8 @@ class MeanVar(Accumulator):
 
     def update_values(self, values: np.ndarray) -> None:
         """Fold a plain float array (the column already extracted)."""
-        k = len(values)
-        if k == 0:
-            return
-        b_mean = float(values.mean())
-        b_m2 = float(np.sum((values - b_mean) ** 2))
-        self._combine(k, b_mean, b_m2)
+        if len(values):
+            self._combine(len(values), *_moments(values))
 
     def merge(self, other: "MeanVar") -> None:
         self._combine(other.n, other.mean, other.m2)
@@ -170,6 +177,12 @@ class MeanVar(Accumulator):
 
     def result(self) -> Tuple[int, float, float]:
         return (self.n, self.mean, self.variance)
+
+
+def _moments(values: np.ndarray) -> Tuple[float, float]:
+    """A non-empty batch's mean and sum of squared deviations."""
+    mean = float(values.mean())
+    return mean, float(np.sum((values - mean) ** 2))
 
 
 class ValueCounts(Accumulator):
@@ -397,14 +410,22 @@ class ReservoirSample(Accumulator):
             self._rng.bit_generator.state = rng_state
 
 
+#: blocks per slice of ``GapStats.update_blocks``
+_SLICE_BLOCKS = 4096
+
+
 class GapStats(Accumulator):
     """Inter-arrival statistics of a *time-ordered* stream.
 
     Folds consecutive differences of the ``time`` column into a
-    :class:`MeanVar`, carrying the boundary gap across batches.  Partial
-    states merge only when their time ranges concatenate in order (the
-    analysis engine feeds this accumulator from its merged, globally
-    time-sorted stream, so per-run folds never violate that).
+    :class:`MeanVar`, carrying the boundary gap across batches.  The
+    result depends on how the stream is split into batches, so the
+    analysis engine feeds this accumulator its merged, globally
+    time-sorted stream a window of merge blocks at a time
+    (:meth:`update_blocks`), which folds exactly as one
+    ``update_values`` per block would.  Partial states merge only when
+    their time ranges concatenate in order (per-run folds never violate
+    that).
     """
 
     ordered = True
@@ -456,6 +477,76 @@ class GapStats(Accumulator):
             if k > 1:
                 self.gaps.update_values(np.diff(times))
         self.last = float(times[-1])
+
+    def update_blocks(self, times: np.ndarray, starts: np.ndarray) -> None:
+        """Fold a sorted window block by block, bit-identical to
+        ``update_values`` on each block in turn.
+
+        The stream's first block takes ``update_values``.  Every later
+        block's ``(count, mean, m2)`` comes from the arithmetic
+        ``update_values`` would use (:meth:`_block_moments`), and the
+        Chan combine runs as one plain-float loop, a slice of blocks at a
+        time so its temporaries stay bounded.
+        """
+        if not len(starts):
+            return
+        if self.last is None:
+            self.update_values(times[:starts[1] if len(starts) > 1
+                                     else len(times)])
+            starts = starts[1:]
+        elif times[0] < self.last:
+            raise ValueError("GapStats requires a time-ordered stream")
+        gaps = self.gaps
+        n, mean, m2 = gaps.n, gaps.mean, gaps.m2
+        for lo in range(0, len(starts), _SLICE_BLOCKS):
+            hi = lo + _SLICE_BLOCKS
+            end = int(starts[hi]) if hi < len(starts) else len(times)
+            for k, b_mean, b_m2 in zip(*self._block_moments(
+                    times, starts[lo:hi], end)):
+                # MeanVar._combine, inlined
+                if n == 0:
+                    n, mean, m2 = k, b_mean, b_m2
+                    continue
+                total = n + k
+                delta = b_mean - mean
+                mean += delta * k / total
+                m2 += b_m2 + delta * delta * n * k / total
+                n = total
+        gaps.n, gaps.mean, gaps.m2 = n, mean, m2
+        self.last = float(times[-1])
+
+    def _block_moments(self, times: np.ndarray, starts: np.ndarray,
+                       end: int) -> Tuple[list, list, list]:
+        """``(count, mean, m2)`` lists of the gaps each block adds.
+
+        The blocks are ``times[starts[i]:starts[i + 1]]``, the last one
+        ending at ``end``; a block's first gap is from the value before
+        it (``self.last`` for a block at 0).  One- and two-value blocks
+        take ``update_values``' scalar steps elementwise, longer ones its
+        ``np.diff`` and :class:`MeanVar` arithmetic, one block at a time.
+        """
+        sizes = np.diff(starts, append=end)
+        heads = times[starts]
+        before = times[starts - 1]
+        if starts[0] == 0:
+            before[0] = self.last
+        means = heads - before              # one value: (1, t - last, 0)
+        m2s = np.zeros(len(starts))
+        pairs = np.flatnonzero(sizes == 2)
+        if len(pairs):
+            da = means[pairs]
+            db = times[starts[pairs] + 1] - heads[pairs]
+            mean = (da + db) / 2
+            da -= mean
+            db -= mean
+            means[pairs] = mean
+            m2s[pairs] = da * da + db * db
+        for i in np.flatnonzero(sizes > 2).tolist():
+            lo, hi = int(starts[i]), int(starts[i] + sizes[i])
+            diffs = np.diff(times[lo - 1:hi]) if lo else \
+                np.diff(np.concatenate(([self.last], times[:hi])))
+            means[i], m2s[i] = _moments(diffs)
+        return sizes.tolist(), means.tolist(), m2s.tolist()
 
     def merge(self, other: "GapStats") -> None:
         if other.first is None:

@@ -11,10 +11,13 @@ trace:
   accumulator states merge in sorted node order, which keeps results
   deterministic and equal to the single-process fold;
 * ordered pipelines (inter-arrival) fold a k-way merged, globally
-  time-sorted stream built block-wise from the per-node files — still
-  bounded memory, one sorted block at a time.  Only accumulators marked
-  ``ordered`` ride that merge; the pipeline's order-free accumulators
-  fold each chunk once as the merge reads it;
+  time-sorted stream built from the per-node files one window at a
+  time: the times below every file's last loaded time, put in order by
+  one stable sort, with the merge blocks marked as changes of chunk —
+  still bounded memory, one chunk per file plus the window.  Only
+  accumulators marked ``ordered`` ride that merge, a window per call;
+  the pipeline's order-free accumulators fold each chunk once as the
+  merge reads it;
 * finished summaries cache as JSON next to the run manifest
   (``analysis.json``), keyed by pipeline name + version + a file
   signature derived from the chunk index, so re-analysis of an
@@ -22,17 +25,17 @@ trace:
 
 Engine activity is observable through ``repro.obs`` counters
 (``analysis.chunks_scanned`` / ``chunks_skipped`` / ``cache_hits`` /
-``cache_misses`` / ``runs_analyzed``).
+``cache_misses`` / ``runs_analyzed``, and the merge's
+``merge_windows`` / ``merge_blocks``).
 """
 
 from __future__ import annotations
 
-import heapq
 import json
+import math
 import os
 import time
 import zlib
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
@@ -46,6 +49,7 @@ from repro.analysis.pipelines import (
     make_pipelines,
 )
 from repro.store.catalog import RunCatalog
+from repro.store.format import TracePredicate
 from repro.store.reader import TraceReader
 
 ANALYSIS_NAME = "analysis.json"
@@ -98,57 +102,122 @@ def merged_time_blocks(readers: Sequence[TraceReader],
                        = None, **predicates) -> Iterator[np.ndarray]:
     """Globally time-sorted blocks across several sorted trace files.
 
-    A block-wise k-way merge: repeatedly take the stream with the
-    smallest head (ties to the earlier reader) and emit its prefix up to
-    the other streams' minimum head (the watermark) — every emitted
-    value is provably <= everything still buffered elsewhere.  The
-    streams sit on a heap keyed ``(head, reader index)`` with Python
-    float heads, so each block costs a heap step and a bisection.
-    Blocks are float64 views that never cross a chunk boundary.
+    The k-way merge's blocks, as float64 views into the sorted windows
+    of :func:`_merged_windows`: a block is a maximal run of one chunk's
+    values in the merged order, so it never crosses a chunk boundary and
+    two blocks in a row never come from the same chunk.  Equal times go
+    in reader order, except that the chunk whose block runs into the tie
+    keeps running through it.
 
     ``on_chunk`` is called with every record batch as the merge first
     reads it — the hook for folds that do not depend on the order.
-    Memory stays at one chunk per stream.
+    Memory stays at one chunk per stream plus one window.
     """
-    sources = [reader.iter_arrays(**predicates) for reader in readers]
-    buffers: List[Optional[np.ndarray]] = [None] * len(sources)
-    floats: List[Optional[memoryview]] = [None] * len(sources)
-    positions = [0] * len(sources)
+    for times, starts in _merged_windows(readers, on_chunk, **predicates):
+        bounds = starts.tolist() + [len(times)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield times[lo:hi]
 
-    def refill(index: int) -> bool:
+
+def _merged_windows(readers: Sequence[TraceReader],
+                    on_chunk: Optional[Callable[[np.ndarray], None]] = None,
+                    **predicates) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The merge one window at a time: yields ``(times, starts)``.
+
+    ``times`` is a window of the globally sorted float64 stream and
+    ``starts`` the index where each of its blocks starts.  Each reader
+    holds one loaded chunk, plus what is left of earlier ones at the
+    horizon.  The horizon is the smallest last-loaded time over the
+    readers that may still load chunks, so every value below it is
+    loaded (and a reader's values at or above it stay loaded): those
+    values form the window, ordered by one stable argsort
+    of the readers' values concatenated in reader order, then by the tie
+    rule of :func:`_running_chunk_first`.  The window's last block is
+    held back, because it may continue in the next window; the readers
+    whose loaded data ends at the horizon then load their next chunk.
+    """
+    pred = TracePredicate(**predicates)
+    sources = [reader.iter_arrays(**predicates) for reader in readers]
+    # chunks each reader may still load: those its index admits, less
+    # those it has read
+    unread = [sum(map(pred.admits_chunk, reader.chunks))
+              for reader in readers]
+    loaded: List[List[np.ndarray]] = [[] for _ in readers]
+
+    def load(index: int) -> None:
+        reader = readers[index]
+        before = reader.chunks_read
         for batch in sources[index]:
+            unread[index] -= reader.chunks_read - before
             if on_chunk is not None:
                 on_chunk(batch)
             times = np.ascontiguousarray(batch["time"], dtype=np.float64)
-            if len(times):
-                buffers[index] = times
-                floats[index] = memoryview(times)   # items are Python floats
-                positions[index] = 0
-                return True
-        return False
+            loaded[index].append(times)
+            return
+        unread[index] = 0
 
-    heap = [(floats[i][0], i) for i in range(len(sources)) if refill(i)]
-    heapq.heapify(heap)
-    while heap:
-        index = heap[0][1]
-        values = floats[index]
-        pos = positions[index]
-        end = len(values)
-        if len(heap) > 1:
-            # the watermark: the other streams' minimum head, which sits
-            # in a child of the heap root
-            watermark = min(heap[1:3])[0]
-            hi = bisect_right(values, watermark, pos + 1, end)
-        else:
-            hi = end
-        yield buffers[index][pos:hi]
-        if hi < end:
-            positions[index] = hi
-            heapq.heapreplace(heap, (values[hi], index))
-        elif refill(index):
-            heapq.heapreplace(heap, (floats[index][0], index))
-        else:
-            heapq.heappop(heap)
+    for index in range(len(readers)):
+        load(index)
+    while True:
+        open_ = [i for i, left in enumerate(unread) if left]
+        # an open reader's last loaded value is never below the horizon,
+        # so never consumed
+        tails = {i: float(loaded[i][-1][-1]) for i in open_}
+        horizon = min(tails.values()) if open_ else math.inf
+        # (reader, chunk position, its values below the horizon)
+        parts = [(index, pos, chunk[:np.searchsorted(chunk, horizon)])
+                 for index, chunks in enumerate(loaded)
+                 for pos, chunk in enumerate(chunks)]
+        sizes = [len(part) for _, _, part in parts]
+        if sum(sizes):
+            values = np.concatenate([part for _, _, part in parts])
+            labels = np.repeat(np.arange(len(parts), dtype=np.int32), sizes)
+            rank = np.argsort(values, kind="stable")
+            times, labels = values[rank], labels[rank]
+            del values, rank
+            _running_chunk_first(times, labels)
+            starts = np.flatnonzero(np.diff(labels, prepend=-1))
+            if open_:               # hold the last block back
+                keep, starts = int(starts[-1]), starts[:-1]
+            else:
+                keep = len(times)
+            if keep:
+                yield times[:keep], starts
+            used = np.bincount(labels[:keep], minlength=len(parts))
+            for (index, pos, _), count in zip(parts, used.tolist()):
+                loaded[index][pos] = loaded[index][pos][count:]
+            for chunks in loaded:
+                chunks[:] = [chunk for chunk in chunks if len(chunk)]
+        if not open_:
+            return
+        for index in open_:
+            if tails[index] == horizon:
+                load(index)
+
+
+def _running_chunk_first(times: np.ndarray, labels: np.ndarray) -> None:
+    """The merge's tie rule, applied in place to a sorted window.
+
+    ``labels`` names each value's chunk; values of equal time arrive in
+    reader order.  In a run of equal times that spans several chunks,
+    the values of the chunk holding the element just before the run
+    move to its front — that chunk's block runs through the tie — and
+    the rest keep their order.  Ties across chunks are rare, so this
+    costs a Python step per tie, not per value.
+    """
+    ties = np.flatnonzero((times[1:] == times[:-1])
+                          & (labels[1:] != labels[:-1]))
+    end = 0
+    for j in ties.tolist():
+        if j < end:                 # inside the tie already handled
+            continue
+        lo = int(np.searchsorted(times, times[j], "left"))
+        end = int(np.searchsorted(times, times[j], "right"))
+        if lo:
+            tied = labels[lo:end]
+            running = tied == labels[lo - 1]
+            labels[lo:end] = np.concatenate((tied[running],
+                                             tied[~running]))
 
 
 # -- worker tasks (top level: must pickle) ------------------------------------
@@ -164,17 +233,18 @@ def _fold_file(task) -> Tuple[dict, int, int]:
         return accs, reader.chunks_read, reader.chunk_count
 
 
-def _fold_ordered(task) -> Tuple[dict, int, int]:
+def _fold_ordered(task) -> Tuple[dict, int, int, int, int]:
     """Fold a whole run's merged time stream through ordered pipelines.
 
-    Only the accumulators marked ``ordered`` ride the merge, block by
-    block; the order-free ones fold each record batch once, as the
-    merge reads it.
+    Only the accumulators marked ``ordered`` ride the merge, one sorted
+    window at a time; the order-free ones fold each record batch once,
+    as the merge reads it.  Returns the states, the chunks read and in
+    the files, and the merge's window and block counts.
     """
     paths, pipelines, predicates, ctx = task
     accs = {p.name: p.accumulators(ctx) for p in pipelines}
     every = [acc for group in accs.values() for acc in group.values()]
-    folds = [acc.update_values for acc in every if acc.ordered]
+    folds = [acc.update_blocks for acc in every if acc.ordered]
     chunk_folds = [acc.update for acc in every if not acc.ordered]
 
     def fold_chunk(batch: np.ndarray) -> None:
@@ -182,17 +252,20 @@ def _fold_ordered(task) -> Tuple[dict, int, int]:
             fold(batch)
 
     readers = [TraceReader(p) for p in paths]
+    windows = blocks = 0
     try:
         total_chunks = sum(r.chunk_count for r in readers)
-        for block in merged_time_blocks(readers, on_chunk=fold_chunk,
-                                        **predicates):
+        for times, starts in _merged_windows(readers, fold_chunk,
+                                             **predicates):
+            windows += 1
+            blocks += len(starts)
             for fold in folds:
-                fold(block)
+                fold(times, starts)
         read_chunks = sum(r.chunks_read for r in readers)
     finally:
         for reader in readers:
             reader.close()
-    return accs, read_chunks, total_chunks
+    return accs, read_chunks, total_chunks, windows, blocks
 
 
 # -- the engine ---------------------------------------------------------------
@@ -343,10 +416,12 @@ class AnalysisEngine:
             results.update(self._fold_unordered(paths, unordered,
                                                 predicates, ctx, pool))
         if ordered:
-            folded = pending.result() if pending is not None \
-                else _fold_ordered(ordered_task)
-            results.update(self._merge_and_finalize(ordered, [folded],
-                                                    ctx))
+            accs, read, chunks, windows, blocks = pending.result() \
+                if pending is not None else _fold_ordered(ordered_task)
+            self.registry.counter("analysis.merge_windows").inc(windows)
+            self.registry.counter("analysis.merge_blocks").inc(blocks)
+            results.update(self._merge_and_finalize(
+                ordered, [(accs, read, chunks)], ctx))
         for pipe in to_compute:
             result = results[pipe.name]
             fresh_entries[_entry_key(pipe, pred_key)] = {

@@ -10,10 +10,10 @@ thin adapters over these pipelines (the whole trace folded as one
 batch), which is what makes streaming and in-memory results
 bit-identical.
 
-Pipelines with ``ordered = True`` (inter-arrival) fold sorted float64
-*time blocks* from the engine's k-way merged stream into their
-``ordered`` accumulators (``update_values``); their other accumulators
-fold the raw record batches (``update``), once per chunk.
+Pipelines with ``ordered = True`` (inter-arrival) fold the engine's
+k-way merged stream — sorted float64 windows of *time blocks* — into
+their ``ordered`` accumulators (``update_blocks``); their other
+accumulators fold the raw record batches (``update``), once per chunk.
 """
 
 from __future__ import annotations

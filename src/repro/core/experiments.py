@@ -447,6 +447,11 @@ class ExperimentRunner:
             target = end
             if every is not None:
                 k = int((sim.now - t0) // every) + 1
+                # the floor division can round one epoch short of the
+                # clock (t0=35.0, every=0.05, now=35.05 gives k=1, whose
+                # instant *is* now): step on to the first later instant
+                while t0 + k * every <= sim.now:
+                    k += 1
                 target = min(end, t0 + k * every)
             if target > sim.now:
                 sim.run(until=target, stop=done)

@@ -254,6 +254,47 @@ def test_gapstats_scalar_steps_match_numpy_fold(seed, sizes, ticks):
     assert gs.last.hex() == last.hex()
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.sampled_from([1, 1, 1, 2, 2, 3, 5, 9]),
+                      min_size=1, max_size=40),
+       cuts=st.lists(st.integers(1, 39), max_size=4),
+       ticks=st.sampled_from([0, 4, 10**9]))
+def test_gapstats_update_blocks_matches_per_block_fold(seed, sizes, cuts,
+                                                       ticks):
+    """Windows of blocks fold bit for bit like one batch per block."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    if ticks:
+        times = np.sort(rng.integers(0, ticks, n)) * 1e-3
+    else:
+        times = np.sort(rng.exponential(0.7, n).cumsum())
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    per_block = GapStats()
+    for block in np.split(times, starts[1:]):
+        per_block.update_values(block)
+    windowed = GapStats()
+    # windows end on block boundaries, as the merge's do
+    edges = sorted({0, len(sizes), *(c for c in cuts if c < len(sizes))})
+    for lo, hi in zip(edges, edges[1:]):
+        first = int(starts[lo])
+        end = int(starts[hi]) if hi < len(sizes) else n
+        windowed.update_blocks(times[first:end], starts[lo:hi] - first)
+    assert windowed.gaps.n == per_block.gaps.n == n - 1
+    for a, b in ((windowed.gaps.mean, per_block.gaps.mean),
+                 (windowed.gaps.m2, per_block.gaps.m2),
+                 (windowed.first, per_block.first),
+                 (windowed.last, per_block.last)):
+        assert float(a).hex() == float(b).hex()
+
+
+def test_gapstats_update_blocks_rejects_disorder():
+    gs = GapStats()
+    gs.update_blocks(np.array([1.0, 2.0, 3.0]), np.array([0, 2]))
+    with pytest.raises(ValueError, match="time-ordered"):
+        gs.update_blocks(np.array([2.5, 4.0]), np.array([0, 1]))
+
+
 @pytest.mark.parametrize("batch", [[0.5], [0.5, 3.0]])
 def test_gapstats_scalar_step_rejects_disorder(batch):
     gs = GapStats()

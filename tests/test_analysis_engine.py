@@ -31,7 +31,7 @@ from repro.core.sizes import class_fractions, size_histogram
 from repro.core.trace import TraceDataset
 from repro.obs import MetricsRegistry
 from repro.store import RunCatalog, TraceReader
-from tests.test_analysis_merge import reference_merged_time_blocks
+from tests.merge_oracle import reference_merged_time_blocks
 
 #: small chunks so every run spans several chunks per node file
 CHUNK = 64

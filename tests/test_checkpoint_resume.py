@@ -343,3 +343,28 @@ def test_checkpoint_needs_a_file_and_a_cadence(tmp_path):
         runner.run("baseline", duration=12.0,
                    checkpoint=tmp_path / "missing.ckpt")
     assert not any(tmp_path.iterdir())
+
+
+def test_epoch_rounded_onto_the_clock_is_not_captured_again(tmp_path,
+                                                             monkeypatch):
+    """0.05 s epochs from t0 = 35.0: ``(35.05 - 35.0) // 0.05`` rounds to
+    0, which names the epoch the clock already stands on.  The loop must
+    step past it, not capture epoch 1 forever."""
+    sc = scenario(extra={"cluster": {"nnodes": 1}})
+    epochs = []
+    save = experiments.save_checkpoint
+
+    def counting(tree, path):
+        epochs.append(tree["meta"]["epoch"])
+        assert len(epochs) <= 20, f"epoch loop spins: {epochs[-3:]}"
+        save(tree, path)
+
+    monkeypatch.setattr(experiments, "save_checkpoint", counting)
+    ckpt = tmp_path / "baseline.ckpt"
+    plain = ExperimentRunner(scenario=sc).run("baseline", duration=1.0)
+    armed = ExperimentRunner(scenario=sc).run(
+        "baseline", duration=1.0, checkpoint_every=0.05, checkpoint=ckpt)
+    assert epochs and epochs == sorted(set(epochs))
+    assert_identical(plain, armed)
+    resumed = ExperimentRunner(scenario=sc).run("baseline", checkpoint=ckpt)
+    assert_identical(plain, resumed)
