@@ -1,7 +1,7 @@
-"""The trace store end to end: stream, inspect, query, replay.
+"""The trace store end to end: store, inspect, query, replay.
 
-Runs a small combined experiment with a run-catalog sink (per-node
-``.rpt`` files written *during* the run with bounded memory), then works
+Runs a small combined experiment with a run-catalog sink (one ``.rpt``
+file per node, written once the run finished), then works
 entirely from disk: lists the catalog, prints the chunk index, answers a
 time-window query while counting how many chunks the index let it skip,
 reloads the merged ``TraceDataset`` for the analysis layer, and replays
@@ -20,11 +20,11 @@ from repro.synth.replay import replay_trace
 
 
 def main(root: Path) -> None:
-    print(f"== streaming a combined run into {root}/ ==")
+    print(f"== storing a combined run in {root}/ ==")
     runner = ExperimentRunner(nnodes=2, seed=0, sink=root)
     result = runner.run("combined")
     print(f"simulated {len(result.trace)} requests over "
-          f"{result.duration:.0f} s; streamed to {runner.last_run_dir}")
+          f"{result.duration:.0f} s; stored in {runner.last_run_dir}")
 
     catalog = RunCatalog(root)
     run_id = catalog.runs()[-1]

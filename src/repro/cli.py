@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--csv-dir", type=Path, default=None,
                         help="export figure data and traces as CSV here")
     parser.add_argument("--sink", type=Path, default=None, metavar="DIR",
-                        help="stream per-node traces into a run catalog "
+                        help="store per-node traces in a run catalog "
                              "at DIR (chunked .rpt files + manifest; "
                              "inspect with repro-trace)")
     parser.add_argument("--checkpoint-every", type=float, default=None,

@@ -114,11 +114,12 @@ def _run_one_experiment(args) -> "ExperimentResult":
 class ExperimentRunner:
     """Builds clusters and runs the study's experiments on them.
 
-    With ``sink=`` set to a directory, every run is also captured into a
-    :class:`~repro.store.RunCatalog` there: per-node ``.rpt`` trace files
-    stream to disk *during* the experiment (bounded writer memory) and a
-    ``manifest.json`` with the resolved scenario and summary metrics is
-    written at the end — the one stored form of a result.
+    With ``sink=`` set to a directory, every finished run is also stored
+    in a :class:`~repro.store.RunCatalog` there: one ``.rpt`` file per
+    node holding exactly that node's rows of ``result.trace``, and a
+    ``manifest.json`` with the resolved scenario and summary metrics —
+    the one stored form of a result.  The run directory is claimed only
+    then, so an interrupted run leaves nothing in the catalog.
 
     With ``obs=True``, each run gets a fresh
     :class:`~repro.obs.ObsRecorder`: the simulator and disks record live
@@ -329,9 +330,6 @@ class ExperimentRunner:
             t0 = sim.now
         else:
             t0 = float(tree["meta"]["t0"])
-        capture = self._start_capture(plan.name, cluster)
-        if tree is not None:
-            self._reseed_writers(capture, cluster)
         procs = self._spawn_apps(cluster, apps, plan)
         done = None if plan.window is not None else sim.all_of(procs)
         if tree is not None:
@@ -362,7 +360,7 @@ class ExperimentRunner:
             name=plan.name, trace=trace, duration=duration,
             nnodes=self.scenario.cluster.nnodes,
             app_stats={n: [a.stats for a in apps[n]] for n in plan.apps})
-        self._finish_capture(capture, cluster, result)
+        self._finish(cluster, result)
         return result
 
     def _build(self, tree: Optional[dict] = None):
@@ -509,44 +507,20 @@ class ExperimentRunner:
         if self._recorder is not None and tree["obs"] is not None:
             self._recorder.registry.restore_state(tree["obs"])
 
-    def _reseed_writers(self, capture, cluster: BeowulfCluster) -> None:
-        """Seed fresh streaming writers with the records captured before
-        the checkpoint, so a resumed run's ``.rpt`` files hold the whole
-        trace from t=0."""
-        if capture is None:
-            return
-        for node in cluster.nodes:
-            buffered = node.kernel.transport.user_buffer.to_array()
-            if len(buffered):
-                capture.writer_for(node.node_id).append_array(buffered)
-
-    # -- streaming capture ----------------------------------------------------
-    def _start_capture(self, name: str, cluster: BeowulfCluster):
-        """Attach per-node store writers when a ``sink`` is configured.
-
-        Called after :meth:`_settle` so the streamed files start at the
-        zeroed trace clock, exactly like the in-memory capture.
-        """
-        if self.sink is None:
-            return None
-        from repro.store import RunCatalog
-        catalog = self.sink if isinstance(self.sink, RunCatalog) \
-            else RunCatalog(self.sink)
-        capture = catalog.start_run(
-            self._run_name(name), nnodes=self.scenario.cluster.nnodes,
-            seed=self.scenario.seed, scenario=self.scenario.to_dict())
-        capture.attach(cluster)
-        return capture
-
-    def _finish_capture(self, capture, cluster: BeowulfCluster,
-                        result: ExperimentResult) -> None:
-        """Seal the run: close streamed files, collect observability,
-        and write the manifest (traces already fully drained by
-        ``gather_traces``)."""
-        if capture is not None:
-            capture.detach(cluster)
-            # spill writer tails *before* harvesting the store counters
-            capture.close_writers()
+    # -- the stored run -------------------------------------------------------
+    def _finish(self, cluster: BeowulfCluster,
+                result: ExperimentResult) -> None:
+        """Collect observability and, with a ``sink``, store the run:
+        one file per node from ``result.trace``, then the manifest."""
+        capture = None
+        if self.sink is not None:
+            from repro.store import RunCatalog
+            catalog = self.sink if isinstance(self.sink, RunCatalog) \
+                else RunCatalog(self.sink)
+            capture = catalog.start_run(
+                self._run_name(result.name), nnodes=result.nnodes,
+                seed=self.scenario.seed, scenario=self.scenario.to_dict())
+            capture.write_trace(result.trace)
         recorder = self._recorder
         if recorder is not None:
             recorder.collect_cluster(cluster)
@@ -558,5 +532,5 @@ class ExperimentRunner:
             result.obs = recorder.snapshot()
         if capture is not None:
             capture.finalize(result)
-            #: directory of the last captured run, for callers/tests
+            #: directory of the last stored run, for callers/tests
             self.last_run_dir = capture.directory

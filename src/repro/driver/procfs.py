@@ -27,8 +27,7 @@ class ProcTraceTransport:
     def __init__(self, sim: Simulator,
                  ring_capacity: int = 4096,
                  drain_interval: float = 1.0,
-                 sink: Optional[Callable[[int], None]] = None,
-                 writer=None):
+                 sink: Optional[Callable[[int], None]] = None):
         if ring_capacity < 1:
             raise ValueError("ring capacity must be >= 1")
         if drain_interval <= 0:
@@ -40,9 +39,6 @@ class ProcTraceTransport:
         self.user_buffer = TraceBuffer()
         #: called with the number of records each time a drain moves data
         self.sink = sink
-        #: optional streaming store sink (anything with ``append_array``,
-        #: e.g. :class:`repro.store.TraceWriter`) fed each drained batch
-        self.writer = writer
         self.dropped = 0
         #: lifetime records moved to user space (survives buffer clears)
         self.records_drained = 0
@@ -76,8 +72,8 @@ class ProcTraceTransport:
         """Move everything currently in the ring to user space.
 
         The batch is converted to a structured array once and
-        bulk-appended (the hot capture path), then also handed to the
-        streaming ``writer`` when one is attached.
+        bulk-appended to the user buffer (the hot capture path); the
+        user buffer is the one copy of the drained records.
         """
         if not self._ring:
             return 0
@@ -85,8 +81,6 @@ class ProcTraceTransport:
         self._ring.clear()
         self.records_drained += len(batch)
         self.user_buffer.append_array(batch)
-        if self.writer is not None:
-            self.writer.append_array(batch)
         if self.sink is not None:
             self.sink(len(batch))
         return len(batch)

@@ -131,7 +131,8 @@ class ObsRecorder:
                     str(server_id)).inc(count)
 
     def collect_capture(self, capture) -> None:
-        """Harvest the streaming store writers (records, chunks, bytes).
+        """Harvest a stored run's per-node writers (records, chunks,
+        bytes).
 
         Call after the writers closed (tail chunks spilled) so the byte
         counts cover the whole file.

@@ -23,7 +23,7 @@ a terminal ``finished``/``failed`` — to the job's
 :class:`~repro.serve.events.EventLog`, which the API streams as
 Server-Sent Events.
 
-Execution is :func:`repro.config.run_sweep`, streaming every run into
+Execution is :func:`repro.config.run_sweep`, storing every run in
 the job's multi-tenant catalog root: a ``sweep`` job over its grid
 axes, an ``experiment`` job as the one point of a sweep with no axes.
 The stamped ``SweepResult.run_id``s map points back to stored runs.

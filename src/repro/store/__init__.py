@@ -4,7 +4,7 @@ The paper's apparatus ends at flat per-node trace files read whole; this
 package is the production-scale replacement.  ``.rpt`` files hold
 zlib-compressed columnar chunks of ``TRACE_DTYPE`` records behind a
 footer index carrying per-chunk min/max time, sector range, node set and
-read/write counts, so :class:`TraceWriter` streams captures to disk with
+read/write counts, so :class:`TraceWriter` writes traces of any size with
 bounded memory and :class:`TraceReader` answers windowed queries without
 decompressing non-matching chunks.  :class:`RunCatalog` organises whole
 experiments (``runs/<name>/manifest.json`` + per-node files) with their

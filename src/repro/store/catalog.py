@@ -9,15 +9,15 @@ Layout (one directory per run)::
         node_0001.rpt
         ...
 
-Two capture paths produce identical layouts:
-
-* **streaming** — :meth:`RunCatalog.start_run` hands out one
-  :class:`~repro.store.writer.TraceWriter` per node which the driver's
-  ``/proc`` transport drains into *during* the run (bounded memory); the
-  capture is finalised with the experiment's summary once it ends;
-* **one-shot** — :meth:`RunCatalog.save` splits an in-memory
-  :class:`~repro.core.experiments.ExperimentResult` per node and writes
-  it out after the fact.
+A run is stored once, after it finished, by one sequence:
+:meth:`RunCatalog.start_run` claims the run directory,
+:meth:`RunCapture.write_trace` writes each node's rows of the run's
+trace to that node's file (an empty file for an idle node), and
+:meth:`RunCapture.finalize` writes the manifest.  :meth:`RunCatalog.save`
+is that sequence for an in-memory
+:class:`~repro.core.experiments.ExperimentResult`;
+``ExperimentRunner(sink=)`` runs it at the end of every experiment.  A
+run interrupted before it is stored leaves nothing in the catalog.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ import os
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
-
-import numpy as np
 
 from repro import migrate
 from repro.driver.trace import merge_by_time
@@ -46,7 +44,7 @@ def _node_filename(node_id: int) -> str:
 
 
 class RunCapture:
-    """Per-node streaming writers for one run in progress."""
+    """One run being stored: its claimed directory and per-node writers."""
 
     def __init__(self, directory: Path, name: str, nnodes: int,
                  seed: Optional[int] = None,
@@ -76,30 +74,31 @@ class RunCapture:
         """The per-node writers created so far (read-only view)."""
         return dict(self._writers)
 
-    def close_writers(self) -> None:
-        """Close every writer (spills tails, appends footers); idempotent."""
-        for writer in self._writers.values():
+    def write_trace(self, trace) -> None:
+        """Write each node's rows of ``trace`` (a ``TraceDataset`` whose
+        node ids lie in ``0..nnodes-1``), in trace order, to one file per
+        node, and close the files; an idle node gets an empty file.
+
+        Each file is closed before the next is written, so one node's
+        pending chunk is resident at a time.
+        """
+        records = trace.records
+        nodes = records["node"]
+        for node_id in range(self.nnodes):
+            writer = self.writer_for(node_id)
+            writer.append_array(records[nodes == node_id])
             writer.close()
 
-    def attach(self, cluster) -> None:
-        """Point every node's ``/proc`` transport at its writer."""
-        for node in cluster.nodes:
-            node.kernel.transport.writer = self.writer_for(node.node_id)
-
-    def detach(self, cluster) -> None:
-        for node in cluster.nodes:
-            node.kernel.transport.writer = None
-
-    def finalize(self, result=None, metrics: Optional[dict] = None) -> Path:
+    def finalize(self, result=None) -> Path:
         """Close all writers and write the manifest.
 
-        ``result`` (an ``ExperimentResult``) supplies duration and summary
-        metrics when given; a crash before ``finalize`` leaves recoverable
-        per-node files and no manifest.
+        ``result`` (an ``ExperimentResult``) supplies duration, summary
+        metrics and the observability snapshot when given.
         """
         if self.finalized:
             return self.directory / MANIFEST_NAME
-        self.close_writers()
+        for writer in self._writers.values():
+            writer.close()
         manifest = {
             "format": MANIFEST_FORMAT,
             "name": self.name,
@@ -118,8 +117,6 @@ class RunCapture:
             manifest["metrics"] = result.metrics.to_dict()
             if getattr(result, "obs", None):
                 manifest["obs"] = result.obs
-        if metrics:
-            manifest.setdefault("metrics", {}).update(metrics)
         path = self.directory / MANIFEST_NAME
         # Write-then-rename so a concurrent reader (or a second writer
         # racing into the same catalog) never sees a partial manifest.
@@ -141,7 +138,8 @@ class RunCatalog:
                   seed: Optional[int] = None,
                   chunk_records: int = DEFAULT_CHUNK_RECORDS,
                   scenario: Optional[dict] = None) -> RunCapture:
-        """Begin a streaming capture; the run name is de-duplicated.
+        """Claim a run directory to store a run in; the run name is
+        de-duplicated.
 
         Concurrency-safe: the run directory is *claimed* with an
         exclusive ``mkdir``, so several writers (e.g.
@@ -156,13 +154,15 @@ class RunCatalog:
 
     def save(self, result, seed: Optional[int] = None,
              chunk_records: int = DEFAULT_CHUNK_RECORDS) -> Path:
-        """One-shot: persist an in-memory experiment result, per node."""
+        """Store an in-memory experiment result: one file per node, then
+        the manifest."""
+        nodes = result.trace.records["node"]
+        if len(nodes) and (nodes.min() < 0 or nodes.max() >= result.nnodes):
+            raise ValueError(
+                f"trace holds node ids outside 0..{result.nnodes - 1}")
         capture = self.start_run(result.name, nnodes=result.nnodes,
                                  seed=seed, chunk_records=chunk_records)
-        records = result.trace.records
-        for node_id in np.unique(records["node"]):
-            writer = capture.writer_for(int(node_id))
-            writer.append_array(records[records["node"] == node_id])
+        capture.write_trace(result.trace)
         capture.finalize(result)
         return capture.directory
 

@@ -212,8 +212,8 @@ def test_analyze_all_covers_catalog(results, catalog):
 
 
 def test_streamed_capture_window_matches_memory(tmp_path):
-    """Engine over a *streamed* capture (sink=) agrees with the windowed
-    in-memory trace — streamed files keep tail records past the cut."""
+    """Engine over a runner-stored capture (sink=) agrees with the
+    windowed in-memory trace."""
     runner = ExperimentRunner(nnodes=2, seed=5, sink=tmp_path)
     result = runner.run("baseline", duration=80.0)
     catalog = RunCatalog(tmp_path)

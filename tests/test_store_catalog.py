@@ -7,6 +7,7 @@ import pytest
 
 from repro import migrate
 from repro.core import ExperimentRunner
+from repro.core.experiments import ExperimentResult
 from repro.core.trace import TraceDataset
 from repro.store import RunCatalog, TraceReader
 from repro.synth.replay import replay_trace
@@ -14,7 +15,7 @@ from repro.synth.replay import replay_trace
 
 @pytest.fixture(scope="module")
 def sunk_run(tmp_path_factory):
-    """One small baseline experiment streamed into a catalog."""
+    """One small baseline experiment stored in a catalog."""
     root = tmp_path_factory.mktemp("catalog") / "runs"
     runner = ExperimentRunner(nnodes=2, seed=3, sink=root)
     result = runner.run("baseline", duration=120.0)
@@ -42,20 +43,17 @@ def test_sink_produces_manifest_and_per_node_files(sunk_run):
         assert path.is_file()
 
 
-def test_streamed_trace_matches_gathered_trace(sunk_run):
-    """The streamed per-node files hold exactly the drained records."""
+def test_stored_trace_matches_gathered_trace(sunk_run):
+    """Each stored node file holds exactly that node's rows of
+    ``result.trace``, in order."""
     root, runner, result = sunk_run
     catalog = RunCatalog(root)
     readers = catalog.open_traces("baseline")
     assert set(readers) == {0, 1}
     for node_id, reader in readers.items():
         with reader:
-            streamed = reader.read()
-            # the in-memory result was additionally windowed to the
-            # experiment duration; the streamed capture is the superset
-            gathered = result.trace.node(node_id).records
-            assert len(streamed) >= len(gathered)
-            assert np.array_equal(streamed[:len(gathered)], gathered)
+            assert np.array_equal(reader.read(),
+                                  result.trace.node(node_id).records)
             assert not reader.recovered
 
 
@@ -63,9 +61,52 @@ def test_load_dataset_merges_nodes_time_sorted(sunk_run):
     root, runner, result = sunk_run
     dataset = RunCatalog(root).load_dataset("baseline")
     assert isinstance(dataset, TraceDataset)
-    assert len(dataset) >= len(result.trace)
+    assert dataset == result.trace
     assert np.all(np.diff(dataset.time) >= 0)
     assert set(dataset.nodes()) == {0, 1}
+
+
+class _Killed(Exception):
+    """Stands in for the process dying at a checkpoint."""
+
+
+def test_interrupted_sink_run_is_stored_once(tmp_path, monkeypatch):
+    """A checkpointed sink run killed after its first capture and run
+    again is stored once, under its own name, with the node files of an
+    uninterrupted run; the killed attempt leaves nothing in the catalog.
+    """
+    from repro.core import experiments
+
+    def run(root, **kwargs):
+        return ExperimentRunner(nnodes=2, seed=3, sink=root).run(
+            "baseline", duration=60.0, **kwargs)
+
+    run(tmp_path / "whole")
+    captures = []
+
+    def capture_then_die(tree, path):
+        captures.append(tree["meta"]["epoch"])
+        if len(captures) == 2:
+            raise _Killed
+        save_checkpoint(tree, path)
+
+    save_checkpoint = experiments.save_checkpoint
+    monkeypatch.setattr(experiments, "save_checkpoint", capture_then_die)
+    root = tmp_path / "runs"
+    ckpt = tmp_path / "baseline.ckpt"
+    with pytest.raises(_Killed):
+        run(root, checkpoint_every=20.0, checkpoint=ckpt)
+    assert not root.exists()
+    monkeypatch.setattr(experiments, "save_checkpoint", save_checkpoint)
+    run(root, checkpoint=ckpt)
+
+    assert [p.name for p in root.iterdir()] == ["baseline"]
+    assert RunCatalog(root).runs() == ["baseline"]
+    whole = RunCatalog(tmp_path / "whole").trace_paths("baseline")
+    resumed = RunCatalog(root).trace_paths("baseline")
+    assert sorted(resumed) == sorted(whole) == [0, 1]
+    for node_id, path in whole.items():
+        assert resumed[node_id].read_bytes() == path.read_bytes()
 
 
 def test_replay_streams_from_stored_trace(sunk_run):
@@ -99,6 +140,33 @@ def test_run_names_deduplicate(tmp_path):
     assert first.name == "demo"
     assert second.name == "demo-2"
     assert catalog.runs() == ["demo", "demo-2"]
+
+
+def test_save_writes_a_file_for_every_node(tmp_path):
+    """An idle node gets an empty file, as in a runner-stored run."""
+    records = np.zeros(3, dtype=TraceDataset.empty().records.dtype)
+    records["time"] = [0.0, 1.0, 2.0]
+    result = ExperimentResult(name="idle", trace=TraceDataset(records),
+                              duration=3.0, nnodes=2)
+    catalog = RunCatalog(tmp_path)
+    catalog.save(result)
+    manifest = catalog.manifest("idle")
+    assert set(manifest["traces"]) == {"0", "1"}
+    assert manifest["records"] == 3
+    readers = catalog.open_traces("idle")
+    for node_id, expected in ((0, 3), (1, 0)):
+        with readers[node_id] as reader:
+            assert len(reader.read()) == expected
+
+
+def test_save_rejects_a_node_outside_the_run(tmp_path):
+    records = np.zeros(1, dtype=TraceDataset.empty().records.dtype)
+    records["node"] = 2
+    result = ExperimentResult(name="stray", trace=TraceDataset(records),
+                              duration=1.0, nnodes=2)
+    with pytest.raises(ValueError, match="node ids"):
+        RunCatalog(tmp_path).save(result)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_save_splits_per_node(tmp_path):

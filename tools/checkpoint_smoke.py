@@ -6,6 +6,9 @@ Exercises the bit-identity contract end to end:
 * ``baseline``: run armed (periodic checkpoints), resume from the
   first and the last epoch's ``.ckpt``, and require the resumed run's trace records, duration, and
   metrics to equal the armed run's exactly;
+* ``baseline`` with a run catalog sink, killed after its first capture
+  and run again: the catalog holds the run once, under the
+  uninterrupted run's id, with byte-identical ``.rpt`` node files;
 * ``ppm``: the same through the application layer (resume tokens,
   coordinator holds) — per-app statistics must match too;
 * ``serial``: the whole mix chained back to back on each node; its
@@ -45,6 +48,7 @@ from repro.checkpoint import save_checkpoint
 from repro.config import Scenario, parse_axis_spec, run_sweep
 from repro.core import experiments
 from repro.core.experiments import ExperimentRunner
+from repro.store import RunCatalog
 
 TINY_PPM = {
     "cluster": {"nnodes": 2},
@@ -111,6 +115,66 @@ def smoke_experiment(name: str, duration, every: float,
     for label, ckpt in (("first", copies[0]), ("last", copies[-1])):
         resumed = ExperimentRunner(scenario=sc).run(name, checkpoint=ckpt)
         check_identical(f"{name} from {label} epoch", armed, resumed)
+
+
+class Killed(Exception):
+    """The run dying right after a checkpoint capture."""
+
+
+@contextmanager
+def killed_after_first_capture():
+    """Make the runner die at its second capture, as a process killed
+    after writing its first checkpoint would."""
+    captures = []
+
+    def save(tree, path):
+        captures.append(path)
+        if len(captures) == 2:
+            raise Killed
+        save_checkpoint(tree, path)
+
+    experiments.save_checkpoint = save
+    try:
+        yield
+    finally:
+        experiments.save_checkpoint = save_checkpoint
+
+
+def smoke_stored_resume(duration: float, workdir: Path) -> None:
+    sc = Scenario.from_dict(TINY_PPM)
+    workdir = workdir / "stored"
+    whole = RunCatalog(workdir / "whole")
+    runs = RunCatalog(workdir / "runs")
+    every = duration / 4
+    armed = ExperimentRunner(scenario=sc, sink=whole).run(
+        "baseline", duration=duration, checkpoint_every=every,
+        checkpoint=workdir / "whole.ckpt")
+    ckpt = workdir / "killed.ckpt"
+    with killed_after_first_capture():
+        try:
+            ExperimentRunner(scenario=sc, sink=runs).run(
+                "baseline", duration=duration, checkpoint_every=every,
+                checkpoint=ckpt)
+        except Killed:
+            pass
+        else:
+            raise AssertionError("stored baseline: the run was not killed")
+    assert not list(runs.root.glob("*")), \
+        f"stored baseline: the killed run left {list(runs.root.iterdir())}"
+    resumed = ExperimentRunner(scenario=sc, sink=runs).run(
+        "baseline", checkpoint=ckpt)
+    check_identical("stored baseline after a kill", armed, resumed)
+    ids = sorted(p.name for p in runs.root.iterdir())
+    assert ids == whole.runs() == ["baseline"], \
+        f"stored baseline: catalog holds {ids}, not {whole.runs()}"
+    stored = runs.trace_paths("baseline")
+    expected = whole.trace_paths("baseline")
+    assert sorted(stored) == sorted(expected), "stored baseline: node set"
+    for node_id, path in expected.items():
+        assert stored[node_id].read_bytes() == path.read_bytes(), \
+            f"stored baseline: {path.name} differs"
+    print(f"  stored baseline catalog: OK (one run, {len(stored)} node "
+          f"files byte-identical)")
 
 
 def smoke_sweep(duration: float, workdir: Path) -> None:
@@ -188,6 +252,7 @@ def main(argv=None) -> int:
         workdir = Path(tmp)
         smoke_experiment("baseline", args.duration, args.duration / 4,
                          workdir)
+        smoke_stored_resume(args.duration, workdir)
         smoke_experiment("ppm", None, 0.05, workdir)
         smoke_experiment("serial", None, 10.0, workdir, TINY_MIX)
         smoke_sweep(args.duration, workdir)
