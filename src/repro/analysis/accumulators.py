@@ -486,7 +486,9 @@ class GapStats(Accumulator):
         block's ``(count, mean, m2)`` comes from the arithmetic
         ``update_values`` would use (:meth:`_block_moments`), and the
         Chan combine runs as one plain-float loop, a slice of blocks at a
-        time so its temporaries stay bounded.
+        time so its temporaries stay bounded.  A one-gap block takes the
+        combine's step at ``k = 1``, ``m2 = 0`` without the products by
+        one and the zero term, which keeps every bit.
         """
         if not len(starts):
             return
@@ -501,16 +503,21 @@ class GapStats(Accumulator):
         for lo in range(0, len(starts), _SLICE_BLOCKS):
             hi = lo + _SLICE_BLOCKS
             end = int(starts[hi]) if hi < len(starts) else len(times)
-            for k, b_mean, b_m2 in zip(*self._block_moments(
-                    times, starts[lo:hi], end)):
-                # MeanVar._combine, inlined
-                if n == 0:
-                    n, mean, m2 = k, b_mean, b_m2
-                    continue
+            counts, means, m2s = self._block_moments(times, starts[lo:hi],
+                                                     end)
+            if n == 0:              # the stream's first gaps
+                n, mean, m2 = counts[0], means[0], m2s[0]
+                counts, means, m2s = counts[1:], means[1:], m2s[1:]
+            # MeanVar._combine, inlined
+            for k, b_mean, b_m2 in zip(counts, means, m2s):
                 total = n + k
                 delta = b_mean - mean
-                mean += delta * k / total
-                m2 += b_m2 + delta * delta * n * k / total
+                if k == 1:
+                    mean += delta / total
+                    m2 += delta * delta * n / total
+                else:
+                    mean += delta * k / total
+                    m2 += b_m2 + delta * delta * n * k / total
                 n = total
         gaps.n, gaps.mean, gaps.m2 = n, mean, m2
         self.last = float(times[-1])
@@ -522,30 +529,35 @@ class GapStats(Accumulator):
         The blocks are ``times[starts[i]:starts[i + 1]]``, the last one
         ending at ``end``; a block's first gap is from the value before
         it (``self.last`` for a block at 0).  One- and two-value blocks
-        take ``update_values``' scalar steps elementwise, longer ones its
-        ``np.diff`` and :class:`MeanVar` arithmetic, one block at a time.
+        take ``update_values``' scalar steps elementwise.  Longer blocks
+        go a size at a time: the blocks of one size stack into a
+        ``(blocks, size)`` array of gaps whose row ``mean`` and row
+        ``sum`` of squared deviations have the bits of :func:`_moments`
+        on each block alone (NumPy reduces each contiguous row as it
+        reduces a 1-D array).
         """
+        first = int(starts[0])
+        gaps = np.diff(times[first - 1:end]) if first else \
+            np.diff(times[:end], prepend=self.last)
+        offsets = starts - first
         sizes = np.diff(starts, append=end)
-        heads = times[starts]
-        before = times[starts - 1]
-        if starts[0] == 0:
-            before[0] = self.last
-        means = heads - before              # one value: (1, t - last, 0)
+        means = gaps[offsets]               # one value: (1, t - last, 0)
         m2s = np.zeros(len(starts))
         pairs = np.flatnonzero(sizes == 2)
         if len(pairs):
             da = means[pairs]
-            db = times[starts[pairs] + 1] - heads[pairs]
+            db = gaps[offsets[pairs] + 1]
             mean = (da + db) / 2
             da -= mean
             db -= mean
             means[pairs] = mean
             m2s[pairs] = da * da + db * db
-        for i in np.flatnonzero(sizes > 2).tolist():
-            lo, hi = int(starts[i]), int(starts[i] + sizes[i])
-            diffs = np.diff(times[lo - 1:hi]) if lo else \
-                np.diff(np.concatenate(([self.last], times[:hi])))
-            means[i], m2s[i] = _moments(diffs)
+        for size in np.unique(sizes[sizes > 2]).tolist():
+            rows = np.flatnonzero(sizes == size)
+            block = gaps[offsets[rows, None] + np.arange(size)]
+            mean = block.mean(axis=1)
+            means[rows] = mean
+            m2s[rows] = ((block - mean[:, None]) ** 2).sum(axis=1)
         return sizes.tolist(), means.tolist(), m2s.tolist()
 
     def merge(self, other: "GapStats") -> None:

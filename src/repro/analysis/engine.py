@@ -4,20 +4,23 @@
 a :class:`~repro.store.RunCatalog` without ever materialising a whole
 trace:
 
-* each node file is folded chunk by chunk through the predicate-pushdown
+* each run folds as one task that reads, decompresses and unpacks
+  each chunk once, through the predicate-pushdown
   :class:`~repro.store.TraceReader` (chunks the index rules out are
   never decompressed), so peak memory is bounded by the chunk size;
-* node files fan out across ``multiprocessing`` workers; the partial
-  accumulator states merge in sorted node order, which keeps results
-  deterministic and equal to the single-process fold;
-* ordered pipelines (inter-arrival) fold a k-way merged, globally
+* order-free accumulators keep one state per node file, fed that
+  file's chunks as they are read; the states merge in sorted node
+  order, which keeps results deterministic and independent of how the
+  files were read;
+* ordered accumulators (inter-arrival) fold a k-way merged, globally
   time-sorted stream built from the per-node files one window at a
   time: the times below every file's last loaded time, put in order by
   one stable sort, with the merge blocks marked as changes of chunk —
-  still bounded memory, one chunk per file plus the window.  Only
-  accumulators marked ``ordered`` ride that merge, a window per call;
-  the pipeline's order-free accumulators fold each chunk once as the
-  merge reads it;
+  still bounded memory, one chunk per file plus the window.  The merge
+  is the one read of the files when a pipeline needs it; otherwise the
+  files are read one after another;
+* with ``workers > 1``, :meth:`AnalysisEngine.analyze_all` fans whole
+  runs out across ``multiprocessing`` workers;
 * finished summaries cache as JSON next to the run manifest
   (``analysis.json``), keyed by pipeline name + version + a file
   signature derived from the chunk index, so re-analysis of an
@@ -36,6 +39,7 @@ import math
 import os
 import time
 import zlib
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
@@ -113,15 +117,18 @@ def merged_time_blocks(readers: Sequence[TraceReader],
     reads it — the hook for folds that do not depend on the order.
     Memory stays at one chunk per stream plus one window.
     """
-    for times, starts in _merged_windows(readers, on_chunk, **predicates):
+    hook = None if on_chunk is None else \
+        (lambda index, batch: on_chunk(batch))
+    for times, starts in _merged_windows(readers, hook, **predicates):
         bounds = starts.tolist() + [len(times)]
         for lo, hi in zip(bounds, bounds[1:]):
             yield times[lo:hi]
 
 
 def _merged_windows(readers: Sequence[TraceReader],
-                    on_chunk: Optional[Callable[[np.ndarray], None]] = None,
-                    **predicates) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+                    on_chunk: Optional[Callable[[int, np.ndarray], None]]
+                    = None, **predicates
+                    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """The merge one window at a time: yields ``(times, starts)``.
 
     ``times`` is a window of the globally sorted float64 stream and
@@ -135,6 +142,8 @@ def _merged_windows(readers: Sequence[TraceReader],
     rule of :func:`_running_chunk_first`.  The window's last block is
     held back, because it may continue in the next window; the readers
     whose loaded data ends at the horizon then load their next chunk.
+    ``on_chunk(index, batch)`` sees each record batch as reader
+    ``index`` loads it.
     """
     pred = TracePredicate(**predicates)
     sources = [reader.iter_arrays(**predicates) for reader in readers]
@@ -150,7 +159,7 @@ def _merged_windows(readers: Sequence[TraceReader],
         for batch in sources[index]:
             unread[index] -= reader.chunks_read - before
             if on_chunk is not None:
-                on_chunk(batch)
+                on_chunk(index, batch)
             times = np.ascontiguousarray(batch["time"], dtype=np.float64)
             loaded[index].append(times)
             return
@@ -220,64 +229,68 @@ def _running_chunk_first(times: np.ndarray, labels: np.ndarray) -> None:
                                              tied[~running]))
 
 
-# -- worker tasks (top level: must pickle) ------------------------------------
-def _fold_file(task) -> Tuple[dict, int, int]:
-    """Fold one node file through a set of unordered pipelines."""
-    path, pipelines, predicates, ctx = task
-    accs = {p.name: p.accumulators(ctx) for p in pipelines}
-    with TraceReader(path) as reader:
-        for batch in reader.iter_arrays(**predicates):
-            for group in accs.values():
-                for acc in group.values():
-                    acc.update(batch)
-        return accs, reader.chunks_read, reader.chunk_count
+# -- the run fold (top level: must pickle) -----------------------------------
+def _fold_run(task) -> Tuple[dict, int, int, int, int]:
+    """Fold one run's node files through the pipelines, each chunk once.
 
-
-def _fold_ordered(task) -> Tuple[dict, int, int, int, int]:
-    """Fold a whole run's merged time stream through ordered pipelines.
-
-    Only the accumulators marked ``ordered`` ride the merge, one sorted
-    window at a time; the order-free ones fold each record batch once,
-    as the merge reads it.  Returns the states, the chunks read and in
-    the files, and the merge's window and block counts.
+    Order-free accumulators keep one state per node file, fed that
+    file's record batches as they are read, and the states merge in
+    node order at the end.  Accumulators marked ``ordered`` ride the
+    k-way merge of the files, one sorted window at a time; with none of
+    them the files are read one after another, with no merge.  Returns
+    the merged states, the chunks read and in the files, and the
+    merge's window and block counts.
     """
     paths, pipelines, predicates, ctx = task
-    accs = {p.name: p.accumulators(ctx) for p in pipelines}
-    every = [acc for group in accs.values() for acc in group.values()]
-    folds = [acc.update_blocks for acc in every if acc.ordered]
-    chunk_folds = [acc.update for acc in every if not acc.ordered]
+    states = [{p.name: p.accumulators(ctx) for p in pipelines}
+              for _ in range(max(len(paths), 1))]
+    chunk_folds = [[acc.update for group in accs.values()
+                    for acc in group.values() if not acc.ordered]
+                   for accs in states]
+    folds = [acc.update_blocks for group in states[0].values()
+             for acc in group.values() if acc.ordered]
 
-    def fold_chunk(batch: np.ndarray) -> None:
-        for fold in chunk_folds:
+    def fold_chunk(index: int, batch: np.ndarray) -> None:
+        for fold in chunk_folds[index]:
             fold(batch)
 
-    readers = [TraceReader(p) for p in paths]
     windows = blocks = 0
-    try:
-        total_chunks = sum(r.chunk_count for r in readers)
-        for times, starts in _merged_windows(readers, fold_chunk,
-                                             **predicates):
-            windows += 1
-            blocks += len(starts)
-            for fold in folds:
-                fold(times, starts)
-        read_chunks = sum(r.chunks_read for r in readers)
-    finally:
-        for reader in readers:
-            reader.close()
-    return accs, read_chunks, total_chunks, windows, blocks
+    with ExitStack() as stack:
+        readers = [stack.enter_context(TraceReader(path)) for path in paths]
+        if folds:
+            for times, starts in _merged_windows(readers, fold_chunk,
+                                                 **predicates):
+                windows += 1
+                blocks += len(starts)
+                for fold in folds:
+                    fold(times, starts)
+        else:
+            for index, reader in enumerate(readers):
+                for batch in reader.iter_arrays(**predicates):
+                    fold_chunk(index, batch)
+        read = sum(reader.chunks_read for reader in readers)
+        total = sum(reader.chunk_count for reader in readers)
+    merged = states[0]
+    for accs in states[1:]:
+        for name, group in accs.items():
+            for key, acc in group.items():
+                if not acc.ordered:
+                    merged[name][key].merge(acc)
+    return merged, read, total, windows, blocks
 
 
 # -- the engine ---------------------------------------------------------------
 class AnalysisEngine:
     """Run characterization pipelines over stored runs, fast and cached.
 
-    ``workers > 1`` fans the per-node folds (and, under
-    :meth:`analyze_all`, whole runs) out across processes.  ``cache``
-    persists finished summaries in each run directory; analysing an
-    unchanged run again never touches a chunk.  Pass an
-    :class:`~repro.obs.MetricsRegistry` (or ``ObsRecorder``) as ``obs``
-    to count scanned/skipped chunks and cache traffic.
+    Each run folds as one task that reads each chunk it needs once
+    (:func:`_fold_run`).  ``workers > 1`` fans the runs of an
+    :meth:`analyze_all` call out across that many processes; a single
+    run folds in-process.  ``cache`` persists finished summaries in
+    each run directory; analysing an unchanged run again never touches
+    a chunk.  Pass an :class:`~repro.obs.MetricsRegistry` (or
+    ``ObsRecorder``) as ``obs`` to count scanned/skipped chunks and
+    cache traffic.
     """
 
     def __init__(self, catalog: Union[str, Path, RunCatalog],
@@ -299,50 +312,96 @@ class AnalysisEngine:
                 refresh: bool = False) -> Dict[str, object]:
         """One run through the pipelines; returns ``{name: result}``.
 
-        ``t0``/``t1``/``node``/``write`` push down to the chunk index
-        exactly like :meth:`TraceReader.iter_arrays`.  ``refresh``
-        recomputes even when a valid cache entry exists.
+        The same as ``analyze_all([run_id], ...)[run_id]`` (see there for
+        the predicates); the run folds in this process.
         """
-        pipes = make_pipelines(pipelines)
-        predicates = {"t0": t0, "t1": t1, "node": node, "write": write}
-        pool = self._make_pool(tasks_hint=len(
-            self.catalog.trace_paths(run_id)))
-        try:
-            return self._analyze_one(run_id, pipes, predicates,
-                                     refresh, pool)
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        return self.analyze_all([run_id], pipelines, t0=t0, t1=t1,
+                                node=node, write=write,
+                                refresh=refresh)[run_id]
 
     def analyze_all(self, run_ids: Optional[Sequence[str]] = None,
                     pipelines=None, *,
+                    t0: Optional[float] = None, t1: Optional[float] = None,
+                    node: Optional[int] = None,
+                    write: Optional[bool] = None,
                     refresh: bool = False
                     ) -> Dict[str, Dict[str, object]]:
-        """Every catalog run (or ``run_ids``) through the pipelines.
+        """Every catalog run (or ``run_ids``) through the pipelines;
+        returns ``{run_id: {name: result}}``.
 
-        One process pool is shared across all runs, so per-node tasks
-        from different runs overlap — the catalog-scale fan-out.
+        ``t0``/``t1``/``node``/``write`` push down to the chunk index
+        exactly like :meth:`TraceReader.iter_arrays`.  ``refresh``
+        recomputes even when a valid cache entry exists.  Each run with
+        pipelines to compute is one fold task; with ``workers > 1`` and
+        several such runs, the tasks share one process pool — the
+        catalog-scale fan-out.
         """
         runs = list(run_ids) if run_ids is not None else self.catalog.runs()
         pipes = make_pipelines(pipelines)
-        predicates = {"t0": None, "t1": None, "node": None, "write": None}
-        total_files = sum(len(self.catalog.trace_paths(r)) for r in runs)
-        pool = self._make_pool(tasks_hint=total_files)
-        try:
-            return {run_id: self._analyze_one(run_id, pipes, predicates,
-                                              refresh, pool)
-                    for run_id in runs}
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        predicates = {"t0": t0, "t1": t1, "node": node, "write": write}
+        pred_key = _predicate_key(predicates)
+        results: Dict[str, Dict[str, object]] = {}
+        jobs = []
+        for run_id in runs:
+            manifest = self.catalog.manifest(run_id)
+            infos, signature = self._scan(run_id, manifest)
+            ctx = self._context(manifest, infos)
+            cache_path = self.catalog.root / run_id / ANALYSIS_NAME
+            cached = self._load_cache(cache_path) if self.cache else {}
+            results[run_id] = {}
+            to_compute: List[Pipeline] = []
+            for pipe in pipes:
+                entry = cached.get(_entry_key(pipe, pred_key))
+                if (not refresh and entry is not None
+                        and entry.get("signature") == signature):
+                    results[run_id][pipe.name] = \
+                        pipe.from_json(entry["result"]) \
+                        if entry["result"] is not None else None
+                    self.registry.counter("analysis.cache_hits").inc()
+                    continue
+                self.registry.counter("analysis.cache_misses").inc()
+                to_compute.append(pipe)
+            if to_compute:
+                task = ([info.path for info in infos], to_compute,
+                        predicates, ctx)
+                jobs.append((run_id, signature, cache_path, cached, task))
+
+        tasks = [task for *_, task in jobs]
+        if self.workers > 1 and len(tasks) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(
+                    max_workers=min(self.workers, len(tasks))) as pool:
+                folded = list(pool.map(_fold_run, tasks))
+        else:
+            folded = map(_fold_run, tasks)
+        count = self.registry.counter
+        for job, (accs, read, total, windows, blocks) in zip(jobs, folded):
+            run_id, signature, cache_path, cached, task = job
+            _, to_compute, _, ctx = task
+            count("analysis.chunks_scanned").inc(read)
+            count("analysis.chunks_skipped").inc(total - read)
+            count("analysis.merge_windows").inc(windows)
+            count("analysis.merge_blocks").inc(blocks)
+            count("analysis.runs_analyzed").inc()
+            fresh_entries: Dict[str, dict] = {}
+            for pipe in to_compute:
+                result = pipe.finalize(accs[pipe.name], ctx)
+                results[run_id][pipe.name] = result
+                fresh_entries[_entry_key(pipe, pred_key)] = {
+                    "pipeline": pipe.name,
+                    "version": pipe.version,
+                    "signature": signature,
+                    "computed": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                    "result": None if result is None
+                    else pipe.to_json(result),
+                }
+            if self.cache:
+                self._store_cache(cache_path, cached, fresh_entries)
+        return {run_id: {pipe.name: results[run_id][pipe.name]
+                         for pipe in pipes}
+                for run_id in runs}
 
     # -- internals ----------------------------------------------------------
-    def _make_pool(self, tasks_hint: int):
-        if self.workers <= 1 or tasks_hint <= 1:
-            return None
-        from concurrent.futures import ProcessPoolExecutor
-        return ProcessPoolExecutor(max_workers=self.workers)
-
     def signature(self, run_id: str) -> str:
         """The cache signature of a whole run, as stored in its entries.
 
@@ -376,67 +435,6 @@ class AnalysisEngine:
             signature += f"|scn:{zlib.crc32(canonical.encode()):08x}"
         return infos, signature
 
-    def _analyze_one(self, run_id: str, pipes: List[Pipeline],
-                     predicates: dict, refresh: bool,
-                     pool) -> Dict[str, object]:
-        manifest = self.catalog.manifest(run_id)
-        paths = [path for _, path in
-                 sorted(self.catalog.trace_paths(run_id).items())]
-        infos, signature = self._scan(run_id, manifest)
-        ctx = self._context(manifest, infos)
-        pred_key = _predicate_key(predicates)
-
-        cache_path = self.catalog.root / run_id / ANALYSIS_NAME
-        cached = self._load_cache(cache_path) if self.cache else {}
-        results: Dict[str, object] = {}
-        fresh_entries: Dict[str, dict] = {}
-        to_compute: List[Pipeline] = []
-        for pipe in pipes:
-            key = _entry_key(pipe, pred_key)
-            entry = cached.get(key)
-            if (not refresh and entry is not None
-                    and entry.get("signature") == signature):
-                result = pipe.from_json(entry["result"]) \
-                    if entry["result"] is not None else None
-                results[pipe.name] = result
-                self.registry.counter("analysis.cache_hits").inc()
-                continue
-            self.registry.counter("analysis.cache_misses").inc()
-            to_compute.append(pipe)
-
-        unordered = [p for p in to_compute if not p.ordered]
-        ordered = [p for p in to_compute if p.ordered]
-        # The single ordered task goes to the pool first, so the merge
-        # runs while the per-file folds share the other workers.
-        ordered_task = ([str(path) for path in paths], ordered,
-                        predicates, ctx)
-        pending = pool.submit(_fold_ordered, ordered_task) \
-            if ordered and pool is not None else None
-        if unordered:
-            results.update(self._fold_unordered(paths, unordered,
-                                                predicates, ctx, pool))
-        if ordered:
-            accs, read, chunks, windows, blocks = pending.result() \
-                if pending is not None else _fold_ordered(ordered_task)
-            self.registry.counter("analysis.merge_windows").inc(windows)
-            self.registry.counter("analysis.merge_blocks").inc(blocks)
-            results.update(self._merge_and_finalize(
-                ordered, [(accs, read, chunks)], ctx))
-        for pipe in to_compute:
-            result = results[pipe.name]
-            fresh_entries[_entry_key(pipe, pred_key)] = {
-                "pipeline": pipe.name,
-                "version": pipe.version,
-                "signature": signature,
-                "computed": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                "result": None if result is None else pipe.to_json(result),
-            }
-        if fresh_entries and self.cache:
-            self._store_cache(cache_path, cached, fresh_entries)
-        if to_compute:
-            self.registry.counter("analysis.runs_analyzed").inc()
-        return results
-
     def _context(self, manifest: dict,
                  infos: Sequence[FileInfo]) -> RunContext:
         with_records = [i for i in infos if i.records]
@@ -449,34 +447,6 @@ class AnalysisEngine:
                           nnodes=manifest.get("nnodes"),
                           time_span=span,
                           total_records=sum(i.records for i in infos))
-
-    def _fold_unordered(self, paths, pipelines, predicates, ctx,
-                        pool) -> Dict[str, object]:
-        tasks = [(str(path), pipelines, predicates, ctx)
-                 for path in paths]
-        if pool is not None and len(tasks) > 1:
-            folded = list(pool.map(_fold_file, tasks))
-        else:
-            folded = [_fold_file(task) for task in tasks]
-        return self._merge_and_finalize(pipelines, folded, ctx)
-
-    def _merge_and_finalize(self, pipelines, folded,
-                            ctx) -> Dict[str, object]:
-        if not folded:      # a run that captured no trace files at all
-            folded = [({p.name: p.accumulators(ctx) for p in pipelines},
-                       0, 0)]
-        scanned = sum(read for _, read, _ in folded)
-        total = sum(chunks for _, _, chunks in folded)
-        self.registry.counter("analysis.chunks_scanned").inc(scanned)
-        self.registry.counter("analysis.chunks_skipped").inc(
-            total - scanned)
-        merged = folded[0][0]
-        for accs, _, _ in folded[1:]:
-            for name, group in accs.items():
-                for key, acc in group.items():
-                    merged[name][key].merge(acc)
-        return {pipe.name: pipe.finalize(merged[pipe.name], ctx)
-                for pipe in pipelines}
 
     # -- cache --------------------------------------------------------------
     def _load_cache(self, path: Path) -> Dict[str, dict]:

@@ -10,10 +10,10 @@ thin adapters over these pipelines (the whole trace folded as one
 batch), which is what makes streaming and in-memory results
 bit-identical.
 
-Pipelines with ``ordered = True`` (inter-arrival) fold the engine's
-k-way merged stream — sorted float64 windows of *time blocks* — into
-their ``ordered`` accumulators (``update_blocks``); their other
-accumulators fold the raw record batches (``update``), once per chunk.
+Accumulators marked ``ordered`` (inter-arrival gaps) fold the
+engine's k-way merged stream — sorted float64 windows of *time
+blocks* — through ``update_blocks``; every other accumulator folds the
+raw record batches (``update``), once per chunk.
 """
 
 from __future__ import annotations
@@ -82,8 +82,6 @@ class Pipeline:
     name: str = ""
     #: bumped whenever results change meaning — invalidates caches
     version: int = 1
-    #: True: fold merged sorted time blocks instead of record batches
-    ordered: bool = False
 
     def accumulators(self, ctx: RunContext) -> Dict[str, Accumulator]:
         raise NotImplementedError
@@ -301,16 +299,15 @@ class _TimeCount(Accumulator):
 class ArrivalPipeline(Pipeline):
     """Inter-arrival gaps and burstiness over the merged request stream.
 
-    ``ordered = True``: the engine feeds globally time-sorted blocks
-    (k-way merged across the run's node files), so gap statistics see
-    the same sequence ``arrival_structure`` diffs after its sort.  The
-    IDC window counts bin against the exact time span from the chunk
-    index, fixed before streaming starts.
+    Its :class:`GapStats` is ``ordered``: the engine feeds it globally
+    time-sorted blocks (k-way merged across the run's node files), so
+    gap statistics see the same sequence ``arrival_structure`` diffs
+    after its sort.  The IDC window counts bin against the exact time
+    span from the chunk index, fixed before streaming starts.
     """
 
     name = "arrival"
     version = 1
-    ordered = True
 
     def __init__(self, window: float = 10.0):
         if window <= 0:

@@ -79,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated pipeline names "
                            "(default: metrics,sizes,spatial,arrival)")
     p_an.add_argument("--workers", type=int, default=1,
-                      help="process count for per-node fan-out")
+                      help="process count for fanning the runs out "
+                           "(each run folds in one process)")
     p_an.add_argument("--refresh", action="store_true",
                       help="recompute even when a cached summary is valid")
     p_an.add_argument("--no-cache", action="store_true",
@@ -310,7 +311,8 @@ def cmd_analyze(args) -> int:
     from repro.obs import MetricsRegistry
 
     catalog = RunCatalog(args.root)
-    run_ids = list(args.runs) or catalog.runs()
+    runs = catalog.runs()
+    run_ids = list(args.runs) or runs
     if not run_ids:
         print(f"no runs under {args.root}", file=sys.stderr)
         return 1
@@ -328,16 +330,15 @@ def cmd_analyze(args) -> int:
                       write=_write_filter(args))
     filtered = any(v is not None for v in predicates.values())
 
-    results = {}
+    known = set(runs)
     status = 0
     for run_id in run_ids:
-        try:
-            results[run_id] = engine.analyze(
-                run_id, list(pipes.values()), refresh=args.refresh,
-                **predicates)
-        except FileNotFoundError:
+        if run_id not in known:
             print(f"{args.root}: no run {run_id!r}", file=sys.stderr)
             status = 1
+    results = engine.analyze_all(
+        [run_id for run_id in run_ids if run_id in known],
+        list(pipes.values()), refresh=args.refresh, **predicates)
     if args.json:
         payload = {run_id: {name: None if result is None
                             else pipes[name].to_json(result)

@@ -7,6 +7,7 @@ chunks, nodes, and processes without changing results.
 """
 
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from repro.analysis import (
     TopK,
     ValueCounts,
 )
+from repro.analysis import accumulators
 from repro.driver import TRACE_DTYPE
 
 
@@ -254,38 +256,75 @@ def test_gapstats_scalar_steps_match_numpy_fold(seed, sizes, ticks):
     assert gs.last.hex() == last.hex()
 
 
+#: merge block sizes: mostly the one- and two-value blocks a merged
+#: stream is made of, and rows past NumPy's 8-wide pairwise unroll and
+#: its 128-value pairwise block
+BLOCK_SIZES = (1, 1, 1, 2, 2, 3, 5, 9, 17, 130, 300)
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       sizes=st.lists(st.sampled_from([1, 1, 1, 2, 2, 3, 5, 9]),
-                      min_size=1, max_size=40),
-       cuts=st.lists(st.integers(1, 39), max_size=4),
-       ticks=st.sampled_from([0, 4, 10**9]))
-def test_gapstats_update_blocks_matches_per_block_fold(seed, sizes, cuts,
-                                                       ticks):
-    """Windows of blocks fold bit for bit like one batch per block."""
+       nblocks=st.integers(1, 300),
+       ncuts=st.integers(0, 40),
+       ticks=st.sampled_from([0, 4, 10**9]),
+       slice_blocks=st.sampled_from([1, 2, 5, 64, 4096]))
+def test_gapstats_update_blocks_matches_per_block_fold(seed, nblocks, ncuts,
+                                                       ticks, slice_blocks):
+    """Windows of blocks fold bit for bit like one batch per block,
+    however the windows are cut into slices."""
     rng = np.random.default_rng(seed)
-    n = sum(sizes)
+    sizes = rng.choice(BLOCK_SIZES, nblocks)
+    n = int(sizes.sum())
     if ticks:
         times = np.sort(rng.integers(0, ticks, n)) * 1e-3
     else:
         times = np.sort(rng.exponential(0.7, n).cumsum())
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    per_block = GapStats()
-    for block in np.split(times, starts[1:]):
-        per_block.update_values(block)
-    windowed = GapStats()
-    # windows end on block boundaries, as the merge's do
-    edges = sorted({0, len(sizes), *(c for c in cuts if c < len(sizes))})
-    for lo, hi in zip(edges, edges[1:]):
-        first = int(starts[lo])
-        end = int(starts[hi]) if hi < len(sizes) else n
-        windowed.update_blocks(times[first:end], starts[lo:hi] - first)
-    assert windowed.gaps.n == per_block.gaps.n == n - 1
-    for a, b in ((windowed.gaps.mean, per_block.gaps.mean),
-                 (windowed.gaps.m2, per_block.gaps.m2),
-                 (windowed.first, per_block.first),
-                 (windowed.last, per_block.last)):
-        assert float(a).hex() == float(b).hex()
+    blocks = np.split(times, starts[1:])
+    per_block, windowed = GapStats(), GapStats()
+    # windows end on block boundaries, as the merge's do; the states
+    # must agree after every window (early ones see the last bits of
+    # a step, which a long stream's mean and m2 round away)
+    edges = sorted({0, nblocks, *rng.integers(1, max(nblocks, 2), ncuts)})
+    with mock.patch.object(accumulators, "_SLICE_BLOCKS", slice_blocks):
+        for lo, hi in zip(edges, edges[1:]):
+            for block in blocks[lo:hi]:
+                per_block.update_values(block)
+            first = int(starts[lo])
+            end = int(starts[hi]) if hi < nblocks else n
+            windowed.update_blocks(times[first:end], starts[lo:hi] - first)
+            assert windowed.gaps.n == per_block.gaps.n
+            for a, b in ((windowed.gaps.mean, per_block.gaps.mean),
+                         (windowed.gaps.m2, per_block.gaps.m2),
+                         (windowed.first, per_block.first),
+                         (windowed.last, per_block.last)):
+                assert float(a).hex() == float(b).hex()
+    assert windowed.gaps.n == n - 1
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 17])
+def test_gapstats_update_blocks_step_matches_update_values(size):
+    """One block folded into a running state, from many random states:
+    every Chan step the window fold takes (the one-gap step written
+    out, the general one for longer blocks) has the bits of
+    ``update_values``.  A long stream's mean rounds a changed last bit
+    of one step away, so the steps are checked one at a time."""
+    rng = np.random.default_rng(size)
+    for _ in range(500):
+        state = GapStats()
+        state.first, state.last = 0.0, float(rng.uniform(0, 100))
+        state.gaps.n = int(10 ** rng.uniform(0, 6))
+        state.gaps.mean = float(rng.exponential(1.0))
+        state.gaps.m2 = float(rng.exponential(1.0)) * state.gaps.n
+        scale = 10 ** rng.uniform(-2, 2)
+        block = state.last + np.cumsum(rng.exponential(scale, size))
+        want = pickle.loads(pickle.dumps(state))
+        want.update_values(block)
+        state.update_blocks(block, np.array([0]))
+        assert state.gaps.n == want.gaps.n
+        assert state.gaps.mean.hex() == want.gaps.mean.hex()
+        assert state.gaps.m2.hex() == want.gaps.m2.hex()
+        assert state.last.hex() == want.last.hex()
 
 
 def test_gapstats_update_blocks_rejects_disorder():

@@ -17,11 +17,13 @@ from repro.analysis import (
     AnalysisEngine,
     ArrivalPipeline,
     BinnedCounts,
+    Count,
     HotSectorsPipeline,
     make_pipelines,
     merged_time_blocks,
     scan_file,
 )
+from repro.analysis.engine import _fold_run
 from repro.analysis.pipelines import _TimeCount
 from repro.core.experiments import ExperimentResult, ExperimentRunner
 from repro.core.locality import spatial_locality
@@ -29,8 +31,9 @@ from repro.core.metrics import compute_metrics
 from repro.core.patterns import arrival_structure
 from repro.core.sizes import class_fractions, size_histogram
 from repro.core.trace import TraceDataset
+from repro.driver import TRACE_DTYPE
 from repro.obs import MetricsRegistry
-from repro.store import RunCatalog, TraceReader
+from repro.store import RunCatalog, StoreFormatError, TraceReader
 from tests.merge_oracle import reference_merged_time_blocks
 
 #: small chunks so every run spans several chunks per node file
@@ -91,28 +94,24 @@ def test_streaming_equals_in_memory_all_five(results, catalog):
 
 
 def test_parallel_engine_matches_serial(results, catalog):
-    """workers=2 (the ordered merge overlapping the per-file folds)
+    """analyze_all with workers=2 (the runs folded in two processes)
     gives the serial results, on every run, with and without a window."""
     serial = AnalysisEngine(catalog, workers=1, cache=False)
     parallel = AnalysisEngine(catalog, workers=2, cache=False)
-    a = serial.analyze("combined")
-    b = parallel.analyze("combined")
-    assert a["metrics"] == b["metrics"]
-    assert a["sizes"].histogram == b["sizes"].histogram
-    assert np.array_equal(a["spatial"].band_fraction,
-                          b["spatial"].band_fraction)
-    assert a["arrival"] == b["arrival"]
     pipes = make_pipelines(None)
-    for name in results:
-        for window in ({}, _window(results, name)):
-            a = serial.analyze(name, **window)
-            b = parallel.analyze(name, **window)
+    span = min(float(result.trace.time.max())
+               for result in results.values())
+    for window in ({}, {"t0": 0.2 * span, "t1": 0.7 * span}):
+        a = serial.analyze_all(**window)
+        b = parallel.analyze_all(**window)
+        assert set(a) == set(b) == set(results)
+        for name in results:
             for pipe in pipes:
-                if a[pipe.name] is None:
-                    assert b[pipe.name] is None, (name, pipe.name)
+                if a[name][pipe.name] is None:
+                    assert b[name][pipe.name] is None, (name, pipe.name)
                     continue
-                assert pipe.to_json(a[pipe.name]) == \
-                    pipe.to_json(b[pipe.name]), (name, pipe.name)
+                assert pipe.to_json(a[name][pipe.name]) == \
+                    pipe.to_json(b[name][pipe.name]), (name, pipe.name)
 
 
 def test_predicate_pushdown_skips_chunks(results, catalog):
@@ -300,10 +299,13 @@ def test_arrival_matches_per_block_reference_fold(results, catalog,
 
 def test_order_free_accumulators_fold_once_per_chunk(results, catalog,
                                                      monkeypatch):
-    """Only GapStats rides the merge; the counts fold each chunk once."""
+    """Only GapStats rides the merge; the order-free accumulators fold
+    each chunk once, and the run's chunks are read once."""
     calls = Counter()
-    for cls in (BinnedCounts, _TimeCount):
-        for method in ("update", "update_values"):
+    for cls, methods in ((BinnedCounts, ("update", "update_values")),
+                         (_TimeCount, ("update", "update_values")),
+                         (Count, ("update",))):
+        for method in methods:
             def counting(self, data, _fold=getattr(cls, method),
                          _key=(cls.__name__, method)):
                 calls[_key] += 1
@@ -311,27 +313,78 @@ def test_order_free_accumulators_fold_once_per_chunk(results, catalog,
             monkeypatch.setattr(cls, method, counting)
     paths = _run_paths(catalog, "combined")
     chunk_count = sum(scan_file(p).chunk_count for p in paths)
-    for window in ({}, {"t1": _window(results, "combined")["t1"]}):
-        calls.clear()
-        registry = MetricsRegistry()
-        engine = AnalysisEngine(catalog, cache=False, obs=registry)
-        engine.analyze("combined", ["arrival"], **window)
-        scanned = registry.counter("analysis.chunks_scanned").value
-        skipped = registry.counter("analysis.chunks_skipped").value
-        assert scanned + skipped == chunk_count
-        batches = 0
-        for path in paths:
-            with TraceReader(path) as reader:
-                batches += sum(1 for _ in reader.iter_arrays(**window))
-        assert batches <= scanned
-        # BinnedCounts.update bins through its own update_values
-        assert calls == {("BinnedCounts", "update"): batches,
-                         ("BinnedCounts", "update_values"): batches,
-                         ("_TimeCount", "update"): batches}
-        if not window:
-            assert batches == scanned == chunk_count
-        else:
-            assert skipped > 0
+    for pipelines in (["arrival"], None):
+        for window in ({}, {"t1": _window(results, "combined")["t1"]}):
+            calls.clear()
+            registry = MetricsRegistry()
+            engine = AnalysisEngine(catalog, cache=False, obs=registry)
+            engine.analyze("combined", pipelines, **window)
+            scanned = registry.counter("analysis.chunks_scanned").value
+            skipped = registry.counter("analysis.chunks_skipped").value
+            assert scanned + skipped == chunk_count
+            batches = 0
+            for path in paths:
+                with TraceReader(path) as reader:
+                    batches += sum(1 for _ in reader.iter_arrays(**window))
+            assert batches <= scanned
+            # BinnedCounts.update bins through its own update_values
+            want = {("BinnedCounts", "update"): batches,
+                    ("BinnedCounts", "update_values"): batches,
+                    ("_TimeCount", "update"): batches}
+            if pipelines is None:       # the metrics pipeline's Count
+                want[("Count", "update")] = batches
+            assert calls == want
+            if not window:
+                assert batches == scanned == chunk_count
+            else:
+                assert skipped > 0
+
+
+def test_fold_closes_every_reader_it_opened(tmp_path, monkeypatch):
+    """A node file that fails to open must not leak the ones before it."""
+    rng = np.random.default_rng(8)
+    n, nodes = 400, 5
+    arr = np.zeros(n, dtype=TRACE_DTYPE)
+    arr["time"] = np.sort(rng.exponential(0.1, n).cumsum())
+    arr["sector"] = rng.integers(0, 100_000, n)
+    arr["size_kb"] = 4.0
+    arr["node"] = np.arange(n) % nodes
+    catalog = RunCatalog(tmp_path)
+    run_id = catalog.save(ExperimentResult(
+        name="five", trace=TraceDataset(arr), duration=50.0,
+        nnodes=nodes), chunk_records=CHUNK).name
+    paths = _run_paths(catalog, run_id)
+    ctx = AnalysisEngine(catalog)._context(catalog.manifest(run_id),
+                                           [scan_file(p) for p in paths])
+    with open(paths[3], "r+b") as fh:       # corrupt node 3's header
+        fh.write(b"JUNK")
+
+    opened, closed = [], []
+    init, close = TraceReader.__init__, TraceReader.close
+
+    def recording_init(self, path):
+        init(self, path)
+        opened.append(self)
+
+    def recording_close(self):
+        closed.append(self)
+        close(self)
+
+    monkeypatch.setattr(TraceReader, "__init__", recording_init)
+    monkeypatch.setattr(TraceReader, "close", recording_close)
+    for pipelines in (None, ["metrics"]):
+        opened.clear()
+        closed.clear()
+        with pytest.raises(StoreFormatError):
+            _fold_run(([str(p) for p in paths], make_pipelines(pipelines),
+                       {}, ctx))
+        assert len(opened) == 3
+        assert all(reader in closed for reader in opened)
+        assert all(reader._fh.closed for reader in opened)
+    opened.clear()
+    with pytest.raises(StoreFormatError):
+        AnalysisEngine(catalog, cache=False).analyze(run_id)
+    assert all(reader._fh.closed for reader in opened)
 
 
 def test_scan_file_signature_is_cheap_and_stable(catalog):

@@ -187,6 +187,31 @@ def test_analyze_json_matches_in_memory(captured_run, capsys):
     assert not (root / "baseline" / "analysis.json").exists()
 
 
+def test_analyze_workers_fan_out_runs(captured_run, capsys):
+    """--workers 2 folds the runs in two processes, same output."""
+    from repro.core.experiments import ExperimentResult
+    from repro.store import RunCatalog
+    root, result = captured_run
+    RunCatalog(root).save(ExperimentResult(
+        name="first-half", trace=result.trace.between(
+            0.0, result.duration / 2),
+        duration=result.duration / 2, nnodes=result.nnodes),
+        chunk_records=256)
+    outputs = []
+    for workers in ("1", "2"):
+        assert main(["analyze", str(root), "--json", "--no-cache",
+                     "--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert '"first-half"' in outputs[0] and '"baseline"' in outputs[0]
+    # an unknown run still fails, after the known ones are analyzed
+    assert main(["analyze", str(root), "baseline", "nope", "--json",
+                 "--workers", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "no run 'nope'" in captured.err
+    assert '"baseline"' in captured.out
+
+
 def test_analyze_missing_run_and_empty_catalog(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "none")]) == 1
     assert "no runs" in capsys.readouterr().err
