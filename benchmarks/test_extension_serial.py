@@ -11,6 +11,7 @@ workload:
   I/O profile.
 """
 
+from repro.config import Scenario
 from repro.core import ExperimentRunner
 from repro.core.sizes import size_histogram
 
@@ -19,7 +20,8 @@ from conftest import BENCH_NODES, BENCH_SEED, run_experiment
 
 def run_serial():
     runner = ExperimentRunner(nnodes=BENCH_NODES, seed=BENCH_SEED,
-                              hard_limit=8000.0)
+                              scenario=Scenario().with_overrides(
+                                  {"experiment.hard_limit": 8000.0}))
     return runner.run("serial")
 
 

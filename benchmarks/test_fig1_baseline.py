@@ -8,6 +8,7 @@ sector numbers (logging + instrumentation output).
 
 import numpy as np
 
+from repro.config import Scenario
 from repro.core import ExperimentRunner, make_figure
 from repro.core.sizes import dominant_size
 
@@ -16,7 +17,8 @@ from conftest import BENCH_NODES, BENCH_SEED
 
 def run_baseline():
     runner = ExperimentRunner(nnodes=BENCH_NODES, seed=BENCH_SEED,
-                              baseline_duration=2000.0)
+                              scenario=Scenario().with_overrides(
+                                  {"experiment.baseline_duration": 2000.0}))
     return runner.run("baseline")
 
 

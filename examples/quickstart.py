@@ -10,10 +10,10 @@ from repro.core import ExperimentRunner, make_figure, render_table1
 
 def main():
     # A 2-node cluster is enough to see every effect; the paper used 16.
-    runner = ExperimentRunner(nnodes=2, seed=0, baseline_duration=600.0)
+    runner = ExperimentRunner(nnodes=2, seed=0)
 
     print("running the baseline (quiescent system) ...")
-    results = {"baseline": runner.run("baseline")}
+    results = {"baseline": runner.run("baseline", duration=600.0)}
 
     print("running the wavelet decomposition experiment ...")
     results["wavelet"] = runner.run("wavelet")

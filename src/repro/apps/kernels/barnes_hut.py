@@ -172,17 +172,6 @@ def tree_forces(pos: np.ndarray, mass: np.ndarray, theta: float = 0.5,
     return np.array([tree.acceleration_on(i) for i in range(len(pos))])
 
 
-def leapfrog_step(pos: np.ndarray, vel: np.ndarray, mass: np.ndarray,
-                  dt: float, theta: float = 0.5) -> tuple:
-    """One kick-drift-kick leapfrog step using tree forces."""
-    acc = tree_forces(pos, mass, theta=theta)
-    vel_half = vel + 0.5 * dt * acc
-    pos_new = pos + dt * vel_half
-    acc_new = tree_forces(pos_new, mass, theta=theta)
-    vel_new = vel_half + 0.5 * dt * acc_new
-    return pos_new, vel_new
-
-
 def interactions_estimate(n: int, theta: float = 0.5) -> float:
     """Rough count of particle-node interactions per force evaluation.
 

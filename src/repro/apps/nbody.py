@@ -47,11 +47,6 @@ class NBodyParams:
         flops = self.interactions_per_step * self.flops_per_interaction
         return flops / (REF_MFLOPS * 1e6)
 
-    @property
-    def total_interactions(self) -> float:
-        return self.interactions_per_step * self.steps
-
-
 class NBodyApplication(ESSApplication):
     """Oct-tree gravitational N-body simulation."""
 

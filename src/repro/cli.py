@@ -24,6 +24,10 @@ from repro.core import ExperimentRunner, EXPERIMENTS, make_figure, render_table1
 from repro.core.experiments import check_duration
 from repro.core.figures import FIGURE_EXPERIMENT
 
+#: cluster size of a command given neither ``--nodes`` nor a scenario
+#: file (the paper's cluster had 16)
+DEFAULT_NODES = 4
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -36,8 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="which experiment to run ('sweep' expands "
                              "--grid axes over the base scenario)")
     parser.add_argument("--nodes", type=int, default=None,
-                        help="cluster size (paper: 16; default 4, or the "
-                             "scenario file's value)")
+                        help="cluster size (paper: 16; default "
+                             f"{DEFAULT_NODES}, or the scenario file's "
+                             "value)")
     parser.add_argument("--seed", type=int, default=None,
                         help="root random seed (default 0)")
     parser.add_argument("--duration", type=float, default=None,
@@ -140,27 +145,25 @@ def _profiled(call, out: Optional[Path], limit: int = 25):
                   file=sys.stderr)
 
 
-def _base_scenario(args):
+def _scenario(args):
+    """The scenario a command runs: the ``--scenario`` file, else the
+    default one on :data:`DEFAULT_NODES` nodes, with ``--nodes`` and
+    ``--seed`` set on top."""
     from repro.config import Scenario
-    scenario = Scenario.load(args.scenario) if args.scenario else None
-    if args.grid and args.experiment != "sweep":
-        print("--grid only applies to the 'sweep' experiment",
-              file=sys.stderr)
-        raise SystemExit(2)
-    return scenario
-
-
-def _run_sweep(args) -> int:
-    from repro.config import (ConfigError, Scenario, parse_axis_spec,
-                              run_sweep, render_sweep_table, sweep_to_json)
-    base = Scenario.load(args.scenario) if args.scenario else Scenario()
+    scenario = Scenario.load(args.scenario) if args.scenario \
+        else Scenario().with_override("cluster.nnodes", DEFAULT_NODES)
     overrides = {}
     if args.nodes is not None:
         overrides["cluster.nnodes"] = args.nodes
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if overrides:
-        base = base.with_overrides(overrides)
+    return scenario.with_overrides(overrides)
+
+
+def _run_sweep(args) -> int:
+    from repro.config import (ConfigError, parse_axis_spec, run_sweep,
+                              render_sweep_table, sweep_to_json)
+    base = _scenario(args)
     try:
         axes = [parse_axis_spec(spec) for spec in args.grid]
     except ConfigError as exc:
@@ -221,11 +224,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.profile = True
     if args.experiment == "sweep":
         return _run_sweep(args)
-    scenario = _base_scenario(args)
-    runner = ExperimentRunner(nnodes=args.nodes, seed=args.seed,
-                              baseline_duration=args.duration,
-                              scenario=scenario,
-                              sink=args.sink, obs=args.obs)
+    if args.grid:
+        print("--grid only applies to the 'sweep' experiment",
+              file=sys.stderr)
+        raise SystemExit(2)
+    scenario = _scenario(args)
+    if args.duration is not None:
+        scenario = scenario.with_override("experiment.baseline_duration",
+                                          args.duration)
+    runner = ExperimentRunner(scenario=scenario, sink=args.sink,
+                              obs=args.obs)
     names = list(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
 

@@ -8,7 +8,7 @@ structured array for analysis.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from repro.cluster.pvm import Mailbox, PVM
 from repro.config import Scenario
 from repro.driver.trace import merge_by_time
 from repro.kernel import NodeKernel
-from repro.sim import Process, RandomStreams, Simulator
+from repro.sim import RandomStreams, Simulator
 
 
 class ClusterNode:
@@ -95,12 +95,6 @@ class BeowulfCluster:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def spawn_on_all(self, factory: Callable[["ClusterNode"], object],
-                     name: str = "app") -> List[Process]:
-        """Start ``factory(node)`` (an app generator) on every node."""
-        return [node.kernel.spawn(factory(node), name=f"{name}:{node.node_id}")
-                for node in self.nodes]
 
     def gather_traces(self) -> np.ndarray:
         """All nodes' trace records merged by time (node ids preserved)."""

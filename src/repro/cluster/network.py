@@ -119,13 +119,6 @@ class EthernetNetwork:
         wire_bytes = min(payload_bytes, self.mtu) + self.frame_overhead
         return wire_bytes * 8 / self.bandwidth_bps
 
-    def transfer_time_estimate(self, nbytes: int) -> float:
-        """Uncontended wall time to move ``nbytes`` (for tests/models)."""
-        nframes = max(1, -(-nbytes // self.mtu))
-        return self.latency + sum(
-            self.frame_time(min(self.mtu, nbytes - i * self.mtu) or self.mtu)
-            for i in range(nframes))
-
     def transmit(self, nbytes: int):
         """Move ``nbytes`` across one segment; generator, returns duration.
 

@@ -114,6 +114,10 @@ def _run_one_experiment(args) -> "ExperimentResult":
 class ExperimentRunner:
     """Builds clusters and runs the study's experiments on them.
 
+    The cluster is ``scenario`` (default :class:`~repro.config.Scenario`,
+    the paper's 16 nodes) with ``nnodes`` and ``seed`` set on top; every
+    other setting is a field of the scenario.
+
     With ``sink=`` set to a directory, every finished run is also stored
     in a :class:`~repro.store.RunCatalog` there: one ``.rpt`` file per
     node holding exactly that node's rows of ``result.trace``, and a
@@ -130,10 +134,6 @@ class ExperimentRunner:
 
     def __init__(self, nnodes: Optional[int] = None,
                  seed: Optional[int] = None,
-                 housekeeping_message_rate: Optional[float] = None,
-                 baseline_duration: Optional[float] = None,
-                 hard_limit: Optional[float] = None,
-                 flush_grace: Optional[float] = None,
                  sink=None,
                  obs: bool = False,
                  scenario: Optional[Scenario] = None):
@@ -141,19 +141,8 @@ class ExperimentRunner:
         overrides: Dict[str, object] = {}
         if nnodes is not None:
             overrides["cluster.nnodes"] = nnodes
-        elif scenario is None:
-            overrides["cluster.nnodes"] = 4   # historical runner default
         if seed is not None:
             overrides["seed"] = seed
-        if housekeeping_message_rate is not None:
-            overrides["cluster.housekeeping_message_rate"] = \
-                housekeeping_message_rate
-        if baseline_duration is not None:
-            overrides["experiment.baseline_duration"] = baseline_duration
-        if hard_limit is not None:
-            overrides["experiment.hard_limit"] = hard_limit
-        if flush_grace is not None:
-            overrides["experiment.flush_grace"] = flush_grace
         if overrides:
             base = base.with_overrides(overrides)
         #: the fully-resolved scenario this runner executes

@@ -70,40 +70,6 @@ class WorkloadMetrics:
         return cls(**kwargs)
 
 
-@dataclass(frozen=True)
-class NodeVariance:
-    """Spread of per-node request counts behind a per-disk average.
-
-    The paper reports averages per disk; this quantifies how even the
-    load actually is across the cluster (parallel codes should be
-    near-uniform; stragglers show up as high CV).
-    """
-
-    per_node_requests: dict
-    mean: float
-    std: float
-
-    @property
-    def cv(self) -> float:
-        """Coefficient of variation of per-node request counts."""
-        return self.std / self.mean if self.mean else 0.0
-
-    @property
-    def balanced(self) -> bool:
-        return self.cv < 0.25
-
-
-def per_node_variance(trace: TraceDataset) -> NodeVariance:
-    """Per-node request counts and their spread."""
-    counts = {int(n): len(trace.node(int(n))) for n in trace.nodes()}
-    values = np.array(list(counts.values()), dtype=np.float64)
-    if len(values) == 0:
-        return NodeVariance(per_node_requests={}, mean=0.0, std=0.0)
-    return NodeVariance(per_node_requests=counts,
-                        mean=float(values.mean()),
-                        std=float(values.std()))
-
-
 def estimate_service_times(trace: TraceDataset) -> np.ndarray:
     """Per-request latency estimates from a VERBOSE-level trace.
 

@@ -86,20 +86,3 @@ def max_size_kb(trace: TraceDataset) -> float:
     if len(trace) == 0:
         raise ValueError("empty trace")
     return float(trace.size_kb.max())
-
-
-def binned_max_size(trace: TraceDataset, bin_seconds: float = 10.0
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """Largest request size per time bin — the envelope of Figures 2-5."""
-    if bin_seconds <= 0:
-        raise ValueError("bin_seconds must be positive")
-    if len(trace) == 0:
-        return np.zeros(0), np.zeros(0)
-    t = trace.time
-    bins = (t // bin_seconds).astype(np.int64)
-    out_t, out_s = [], []
-    for b in np.unique(bins):
-        mask = bins == b
-        out_t.append((b + 0.5) * bin_seconds)
-        out_s.append(trace.size_kb[mask].max())
-    return np.asarray(out_t), np.asarray(out_s, dtype=np.float64)

@@ -101,9 +101,6 @@ class DiskStats:
     def mean_latency(self) -> float:
         return self.total_latency / self.requests if self.requests else 0.0
 
-    def latency_percentile(self, q: float) -> float:
-        return self._latencies.percentile(q)
-
 
 class _DiskInstruments:
     """Per-device observability instruments (built only when enabled)."""

@@ -67,23 +67,6 @@ class DiskGeometry:
         self._check(sector)
         return sector // self.sectors_per_cylinder
 
-    def chs(self, sector: int) -> tuple[int, int, int]:
-        """(cylinder, head, sector-within-track) of a flat sector number."""
-        self._check(sector)
-        cylinder, rest = divmod(sector, self.sectors_per_cylinder)
-        head, sect = divmod(rest, self.sectors_per_track)
-        return cylinder, head, sect
-
-    def lba(self, cylinder: int, head: int, sect: int) -> int:
-        """Flat sector number of a (cylinder, head, sector) triple."""
-        if not (0 <= cylinder < self.cylinders):
-            raise ValueError(f"cylinder {cylinder} out of range")
-        if not (0 <= head < self.heads):
-            raise ValueError(f"head {head} out of range")
-        if not (0 <= sect < self.sectors_per_track):
-            raise ValueError(f"sector-in-track {sect} out of range")
-        return (cylinder * self.heads + head) * self.sectors_per_track + sect
-
     def _check(self, sector: int) -> None:
         if not (0 <= sector < self.total_sectors):
             raise ValueError(

@@ -101,40 +101,11 @@ class DiskServiceModel:
         track_bytes = self.geometry.sectors_per_track * 512
         return track_bytes / self.rotation_time
 
-    def seek_time(self, from_cyl: int, to_cyl: int) -> float:
-        """Seek duration between two cylinders (0 when already there)."""
-        distance = abs(to_cyl - from_cyl)
-        tables = self.tables
-        if distance < len(tables.seek):
-            return tables.seek[distance]
-        # beyond the platter span (callers passing synthetic distances):
-        # same curve, computed directly
-        return (self.seek_settle
-                + self.seek_sqrt_coeff * np.sqrt(distance)
-                + self.seek_linear_coeff * distance)
-
-    def rotational_latency(self, rng: np.random.Generator) -> float:
-        """Uniform 0..1 revolution wait for the target sector."""
-        return float(rng.random()) * self.rotation_time
-
     def transfer_time(self, nsectors: int) -> float:
         """Media transfer duration for ``nsectors`` contiguous sectors."""
         if nsectors < 1:
             raise ValueError("nsectors must be >= 1")
         return nsectors * 512 / self.track_transfer_rate
-
-    def transfer_time_at(self, nsectors: int, cylinder: int) -> float:
-        """Transfer duration at a specific cylinder.
-
-        With zoned-bit-recording geometry outer cylinders move more
-        sectors per revolution, so data rate varies with position; plain
-        geometry reduces to :meth:`transfer_time`.
-        """
-        if nsectors < 1:
-            raise ValueError("nsectors must be >= 1")
-        if not (0 <= cylinder < self.geometry.cylinders):
-            raise ValueError(f"cylinder {cylinder} out of range")
-        return nsectors * 512 / self.tables.rate[cylinder]
 
     def service_time(self, request: IORequest, head_cylinder: int,
                      rng) -> float:
@@ -206,16 +177,3 @@ class DiskServiceModel:
         for i in range(len(base)):
             base[i] = (base[i] + float(rng.random()) * rotation) + transfer[i]
         return base
-
-    def average_random_seek(self) -> float:
-        """Expected seek over uniformly random cylinder pairs (sanity aid).
-
-        For X, Y uniform on [0, C): E|X-Y| = C/3 feeds the linear term,
-        but the sqrt term needs E[sqrt|X-Y|] = (8/15)*sqrt(C) — applying
-        sqrt to the *mean* distance would overstate it by ~8% (Jensen's
-        inequality: sqrt is concave, so E[sqrt(D)] < sqrt(E[D])).
-        """
-        c = self.geometry.cylinders
-        return (self.seek_settle
-                + self.seek_sqrt_coeff * (8.0 / 15.0) * np.sqrt(c)
-                + self.seek_linear_coeff * (c / 3.0))

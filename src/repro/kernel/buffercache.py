@@ -208,17 +208,6 @@ class BufferCache:
         if aged:
             yield from self._flush(aged)
 
-    def drop_clean(self) -> int:
-        """Drop every clean buffer (cold-start; like /proc drop_caches).
-
-        Returns the number of buffers dropped.  Dirty buffers stay; call
-        :meth:`sync` first for a fully cold cache.
-        """
-        victims = [b for b, buf in self._buffers.items() if not buf.dirty]
-        for blockno in victims:
-            del self._buffers[blockno]
-        return len(victims)
-
     def invalidate(self, blockno: int) -> None:
         """Drop a (clean) buffer; dirty buffers must be synced first."""
         buf = self._buffers.get(blockno)

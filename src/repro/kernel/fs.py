@@ -15,7 +15,7 @@ not bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.kernel.buffercache import BufferCache
 
@@ -219,14 +219,6 @@ class FileSystem:
                 current = self._dirs[ino]
             else:
                 raise FsError(f"not a directory: {name!r}")
-
-    def listdir(self, path: str) -> List[str]:
-        if path in ("/", ""):
-            return sorted(self._dirs[self.root_ino].entries)
-        inode = self.lookup(path)
-        if not inode.is_dir:
-            raise FsError(f"not a directory: {path!r}")
-        return sorted(self._dirs[inode.ino].entries)
 
     def _add_dentry(self, parent: _Dir, name: str, ino: int):
         parent.entries[name] = ino
@@ -478,9 +470,6 @@ class FileSystem:
     def sync_metadata(self):
         """Dirty + flush the superblock (the update daemon's heartbeat)."""
         yield from self.cache.write_block(self.superblock_block)
-
-    def iter_inodes(self) -> Iterator[Inode]:
-        return iter(self._inodes.values())
 
     def zone_blocks_free(self, zone: str) -> int:
         return self._zones[zone].blocks_free

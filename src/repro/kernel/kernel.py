@@ -14,7 +14,7 @@ from typing import Generator, Optional
 import numpy as np
 
 from repro.disk import Disk
-from repro.driver import InstrumentedIDEDriver, ProcTraceTransport, TraceLevel
+from repro.driver import InstrumentedIDEDriver, ProcTraceTransport
 from repro.kernel.buffercache import BufferCache
 from repro.kernel.cpu import CPU
 from repro.kernel.fs import FileSystem, Inode
@@ -139,10 +139,6 @@ class NodeKernel:
     def trace_array(self) -> np.ndarray:
         self.transport.drain_now()
         return self.transport.user_buffer.to_array()
-
-    def set_trace_level(self, level: TraceLevel) -> None:
-        from repro.driver import HDIO_SET_TRACE
-        self.driver.ioctl(HDIO_SET_TRACE, level)
 
     # -- file API -------------------------------------------------------------
     def effective_readahead_kb(self) -> int:

@@ -56,10 +56,6 @@ class ReadAheadState:
                   else self._static_max_kb)
         return max(1, max_kb // self.block_kb)
 
-    @property
-    def window_blocks(self) -> int:
-        return self._window_blocks
-
     def plan(self, first_block: int, nblocks: int,
              file_nblocks: int) -> Tuple[int, int]:
         """Decide the fetch span for a read of file blocks

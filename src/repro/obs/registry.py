@@ -86,9 +86,6 @@ class Gauge(Counter):
     def inc(self, amount: float = 1) -> None:
         self.set(self.value + amount)
 
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
-
     def set(self, value: float) -> None:
         self.value = value
         if value > self.max:

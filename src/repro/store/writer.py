@@ -50,11 +50,6 @@ class TraceWriter:
 
     # -- introspection ------------------------------------------------------
     @property
-    def pending_records(self) -> int:
-        """Records buffered in memory, waiting for the next spill."""
-        return self._fill
-
-    @property
     def closed(self) -> bool:
         return self._closed
 

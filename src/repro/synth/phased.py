@@ -32,15 +32,6 @@ class PhasedWorkloadModel:
     def nwindows(self) -> int:
         return len(self.models)
 
-    @property
-    def active_windows(self) -> int:
-        return sum(1 for m in self.models if m is not None)
-
-    def rate_profile(self) -> np.ndarray:
-        """Arrival rate per window (0 where empty)."""
-        return np.array([m.arrival_rate if m is not None else 0.0
-                         for m in self.models])
-
     def generate(self, rng: Optional[np.random.Generator] = None,
                  node: int = 0) -> TraceDataset:
         """Draw a synthetic trace spanning the source duration."""

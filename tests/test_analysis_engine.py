@@ -25,6 +25,7 @@ from repro.analysis import (
 )
 from repro.analysis.engine import _fold_run
 from repro.analysis.pipelines import _TimeCount
+from repro.config import Scenario
 from repro.core.experiments import ExperimentResult, ExperimentRunner
 from repro.core.locality import spatial_locality
 from repro.core.metrics import compute_metrics
@@ -42,7 +43,9 @@ CHUNK = 64
 
 @pytest.fixture(scope="module")
 def results():
-    runner = ExperimentRunner(nnodes=2, seed=3, baseline_duration=200.0)
+    runner = ExperimentRunner(nnodes=2, seed=3, scenario=Scenario()
+                              .with_overrides({
+                                  "experiment.baseline_duration": 200.0}))
     return runner.run_all()
 
 
@@ -153,7 +156,6 @@ def test_cache_keyed_on_scenario(tmp_path):
     """Same trace bytes under a different declared stack: cache miss;
     same scenario (modulo name/seed labels): cache hit."""
     import shutil
-    from repro.config import Scenario
 
     catalog = RunCatalog(tmp_path / "runs")
     runner = ExperimentRunner(nnodes=1, seed=2, sink=catalog)

@@ -88,7 +88,7 @@ def test_ppm_paging_blip_is_late(ppm_run):
 
 def test_ppm_stats_file_written(ppm_run):
     app, _, node = ppm_run
-    inode = node.kernel.fs.lookup(f"/home/ppm/stats.0")
+    inode = node.kernel.fs.lookup("/home/ppm/stats.0")
     p = PPMParams()
     expected = (p.steps // p.stats_interval + (p.steps % p.stats_interval > 0)) \
         * p.stats_bytes
@@ -169,7 +169,7 @@ def test_nbody_2kb_requests_present(nbody_run):
 def test_nbody_interaction_count_matches_paper_scale():
     p = NBodyParams()
     # 16 processors x per-processor interactions over the run ~ 303 million
-    total_cluster = p.total_interactions * 16
+    total_cluster = p.interactions_per_step * p.steps * 16
     assert 1e8 < total_cluster < 1e9
 
 

@@ -239,8 +239,10 @@ def test_cli_checkpoint_and_resume_round_trip(tmp_path, capsys):
     assert rc == 0 and "running baseline" in first
     [ckpt] = (tmp_path / "ck").glob("*.ckpt")
     assert ckpt == checkpoint_path(
-        tmp_path / "ck", ExperimentRunner(nnodes=2, baseline_duration=20.0)
-        .scenario, "baseline", None)
+        tmp_path / "ck", ExperimentRunner(
+            nnodes=2, scenario=Scenario().with_overrides(
+                {"experiment.baseline_duration": 20.0})).scenario,
+        "baseline", None)
     # the same command again resumes from the run's file
     rc, again = cli_run(capsys, *argv)
     assert rc == 0 and "resuming baseline" in again

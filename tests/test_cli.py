@@ -105,3 +105,23 @@ def test_cli_sweep_worker_failure_is_one_line(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "sweep failed: RuntimeError: worker exploded" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags,nnodes", [([], 4), (["--nodes", "2"], 2)])
+def test_cli_sweep_base_scenario_has_the_cli_node_default(
+        capsys, monkeypatch, flags, nnodes):
+    # a sweep runs on as many nodes as any other command given the same
+    # flags: --nodes when set, else the CLI's documented default
+    import repro.config
+    bases = []
+
+    def record(base, axes, **kwargs):
+        bases.append(base)
+        return []
+
+    monkeypatch.setattr(repro.config, "run_sweep", record)
+    rc = main(["sweep", "--on", "baseline", "--grid", "scheduler=fifo",
+               *flags])
+    assert rc == 0
+    [base] = bases
+    assert base.cluster.nnodes == nnodes

@@ -23,21 +23,6 @@ def test_invalid_node_count(sim):
         BeowulfCluster(sim, nnodes=0)
 
 
-def test_spawn_on_all_runs_one_task_per_node(sim, small_cluster):
-    ran = []
-
-    def factory(node):
-        def app():
-            yield sim.timeout(1.0)
-            ran.append(node.node_id)
-        return app()
-
-    procs = small_cluster.spawn_on_all(factory)
-    sim.run(until=5.0)
-    assert sorted(ran) == [0, 1, 2, 3]
-    assert all(p.triggered for p in procs)
-
-
 def test_gather_traces_merges_and_sorts(sim, small_cluster):
     sim.run(until=120.0)
     arr = small_cluster.gather_traces()
@@ -65,7 +50,8 @@ def test_parallel_app_with_barrier_synchronises(sim, small_cluster):
             finish[node.node_id] = sim.now
         return app()
 
-    small_cluster.spawn_on_all(factory)
+    for node in small_cluster.nodes:
+        node.kernel.spawn(factory(node), name=f"app:{node.node_id}")
     sim.run(until=10.0)
     times = list(finish.values())
     assert max(times) - min(times) < 1e-6  # all released together

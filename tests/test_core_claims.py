@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro.config import Scenario
 from repro.core import ExperimentRunner
 from repro.core.claims import CLAIMS, evaluate_claims, render_scorecard
 
 
 @pytest.fixture(scope="module")
 def results():
-    runner = ExperimentRunner(nnodes=2, seed=1, baseline_duration=800.0)
+    runner = ExperimentRunner(nnodes=2, seed=1, scenario=Scenario()
+                              .with_overrides({
+                                  "experiment.baseline_duration": 800.0}))
     return runner.run_all()
 
 

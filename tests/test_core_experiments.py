@@ -3,13 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.config import Scenario
 from repro.core import EXPERIMENTS, ExperimentRunner
 from repro.core.sizes import dominant_size, size_histogram
 
 
+def baseline_window(seconds):
+    """The default scenario with a ``seconds``-long baseline."""
+    return Scenario().with_overrides(
+        {"experiment.baseline_duration": seconds})
+
+
 @pytest.fixture(scope="module")
 def runner():
-    return ExperimentRunner(nnodes=2, seed=1, baseline_duration=500.0)
+    return ExperimentRunner(nnodes=2, seed=1, scenario=baseline_window(500.0))
 
 
 @pytest.fixture(scope="module")
@@ -78,15 +85,18 @@ def test_both_nodes_traced(combined):
 
 
 def test_runner_reproducible():
-    a = ExperimentRunner(nnodes=1, seed=9, baseline_duration=200).run("baseline")
-    b = ExperimentRunner(nnodes=1, seed=9, baseline_duration=200).run("baseline")
+    a = ExperimentRunner(nnodes=1, seed=9,
+                         scenario=baseline_window(200)).run("baseline")
+    b = ExperimentRunner(nnodes=1, seed=9,
+                         scenario=baseline_window(200)).run("baseline")
     assert len(a.trace) == len(b.trace)
     assert np.allclose(a.trace.time, b.trace.time)
     assert np.array_equal(a.trace.sector, b.trace.sector)
 
 
 def test_hard_limit_enforced():
-    runner = ExperimentRunner(nnodes=1, seed=1, hard_limit=5.0)
+    runner = ExperimentRunner(nnodes=1, seed=1, scenario=Scenario()
+                              .with_overrides({"experiment.hard_limit": 5.0}))
     with pytest.raises(RuntimeError, match="hard limit"):
         runner.run("ppm")
 
@@ -98,7 +108,8 @@ def test_run_rejects_duration_for_app_experiments(runner):
 
 
 def test_run_baseline_duration_keyword():
-    runner = ExperimentRunner(nnodes=1, seed=3, baseline_duration=500.0)
+    runner = ExperimentRunner(nnodes=1, seed=3,
+                              scenario=baseline_window(500.0))
     result = runner.run("baseline", duration=60.0)
     assert result.duration == 60.0
     assert result.trace.duration <= 60.0
@@ -110,7 +121,8 @@ def test_run_rejects_non_positive_duration(duration):
     # a zero window must not fall back to baseline_duration; nan used
     # to crash inside the epoch loop, inf to run until the log zone
     # filled
-    runner = ExperimentRunner(nnodes=1, seed=3, baseline_duration=500.0)
+    runner = ExperimentRunner(nnodes=1, seed=3,
+                              scenario=baseline_window(500.0))
     with pytest.raises(ValueError, match="positive"):
         runner.run("baseline", duration=duration)
 
@@ -118,9 +130,9 @@ def test_run_rejects_non_positive_duration(duration):
 def test_run_all_parallel_matches_serial():
     import numpy as np
     serial = ExperimentRunner(nnodes=1, seed=6,
-                              baseline_duration=300.0).run_all()
+                              scenario=baseline_window(300.0)).run_all()
     parallel = ExperimentRunner(nnodes=1, seed=6,
-                                baseline_duration=300.0).run_all(
+                                scenario=baseline_window(300.0)).run_all(
         parallel=True, max_workers=3)
     assert set(parallel) == set(serial)
     for name in serial:

@@ -1,10 +1,10 @@
-"""Tests for per-node variance and VERBOSE service-time estimation."""
+"""Tests for VERBOSE service-time estimation."""
 
 import numpy as np
 import pytest
 
 from repro.core import TraceDataset
-from repro.core.metrics import estimate_service_times, per_node_variance
+from repro.core.metrics import estimate_service_times
 from repro.disk import Disk, SingleVolume
 from repro.driver import (
     HDIO_SET_TRACE,
@@ -13,30 +13,6 @@ from repro.driver import (
     TraceLevel,
 )
 from repro.sim import Simulator
-
-
-def test_per_node_variance_balanced():
-    rows = []
-    for node in range(4):
-        for i in range(100):
-            rows.append((float(i), i, 1, 1, 1.0, node))
-    nv = per_node_variance(TraceDataset.from_records(rows))
-    assert nv.mean == 100.0
-    assert nv.cv == 0.0
-    assert nv.balanced
-
-
-def test_per_node_variance_straggler():
-    rows = [(float(i), i, 1, 1, 1.0, 0) for i in range(300)]
-    rows += [(float(i), i, 1, 1, 1.0, 1) for i in range(20)]
-    nv = per_node_variance(TraceDataset.from_records(rows))
-    assert not nv.balanced
-    assert nv.per_node_requests == {0: 300, 1: 20}
-
-
-def test_per_node_variance_empty():
-    nv = per_node_variance(TraceDataset.empty())
-    assert nv.mean == 0.0 and nv.cv == 0.0
 
 
 def test_estimate_service_times_pairs_records():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import RequestClass, TraceDataset, classify_sizes, size_histogram
 from repro.core.sizes import (
-    binned_max_size,
     class_fractions,
     dominant_size,
     max_size_kb,
@@ -63,21 +62,3 @@ def test_size_time_series_matches_records():
     t, s = size_time_series(ds)
     assert list(t) == [0.0, 1.0]
     assert list(s) == [1.0, 4.0]
-
-
-def test_binned_max_size():
-    ds = TraceDataset.from_records([
-        (1.0, 0, 0, 1, 1.0, 0),
-        (5.0, 0, 0, 1, 16.0, 0),
-        (25.0, 0, 0, 1, 4.0, 0),
-    ])
-    t, s = binned_max_size(ds, bin_seconds=10.0)
-    assert list(t) == [5.0, 25.0]
-    assert list(s) == [16.0, 4.0]
-
-
-def test_binned_max_size_validation():
-    with pytest.raises(ValueError):
-        binned_max_size(TraceDataset.empty(), bin_seconds=0)
-    t, s = binned_max_size(TraceDataset.empty())
-    assert len(t) == 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import Scenario
 from repro.core.stats import (
     MetricCI,
     confidence_interval,
@@ -46,7 +47,8 @@ def test_ci_coverage_property():
 
 def test_replicate_baseline_consistent_across_seeds():
     cis = replicate("baseline", seeds=[1, 2, 3], nnodes=1,
-                    runner_kwargs={"baseline_duration": 600.0})
+                    runner_kwargs={"scenario": Scenario().with_overrides(
+                        {"experiment.baseline_duration": 600.0})})
     rate = cis["requests_per_second"]
     assert rate.n == 3
     # the paper's 0.9 req/s falls inside (or near) the interval

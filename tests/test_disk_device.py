@@ -121,7 +121,7 @@ def test_busy_time_and_mean_latency_accumulate():
     sim.run()
     assert disk.stats.busy_time > 0
     assert disk.stats.mean_latency > 0
-    assert disk.stats.latency_percentile(50) > 0
+    assert disk.stats._latencies.percentile(50) > 0
 
 
 def test_disk_idles_then_accepts_new_work():
@@ -203,4 +203,4 @@ def test_disk_stats_latencies_bounded_and_means_exact():
     assert len(disk.stats._latencies) == 8
     assert disk.stats.mean_latency == pytest.approx(
         disk.stats.total_latency / 50)
-    assert disk.stats.latency_percentile(50) > 0
+    assert disk.stats._latencies.percentile(50) > 0

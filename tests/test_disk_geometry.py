@@ -1,7 +1,6 @@
 """Unit and property tests for disk geometry."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.disk import DiskGeometry, SECTOR_BYTES
 
@@ -24,12 +23,6 @@ def test_from_capacity_rejects_nonpositive():
         DiskGeometry.from_capacity_mb(0)
 
 
-def test_chs_of_first_and_last_sector():
-    geo = DiskGeometry(cylinders=10, heads=2, sectors_per_track=4)
-    assert geo.chs(0) == (0, 0, 0)
-    assert geo.chs(geo.total_sectors - 1) == (9, 1, 3)
-
-
 def test_cylinder_of_boundaries():
     geo = DiskGeometry(cylinders=10, heads=2, sectors_per_track=4)
     assert geo.cylinder_of(7) == 0
@@ -39,37 +32,14 @@ def test_cylinder_of_boundaries():
 def test_out_of_range_sector_rejected():
     geo = DiskGeometry(cylinders=2, heads=2, sectors_per_track=2)
     with pytest.raises(ValueError):
-        geo.chs(geo.total_sectors)
+        geo.cylinder_of(geo.total_sectors)
     with pytest.raises(ValueError):
         geo.cylinder_of(-1)
-
-
-def test_lba_range_checks():
-    geo = DiskGeometry(cylinders=2, heads=2, sectors_per_track=2)
-    with pytest.raises(ValueError):
-        geo.lba(2, 0, 0)
-    with pytest.raises(ValueError):
-        geo.lba(0, 2, 0)
-    with pytest.raises(ValueError):
-        geo.lba(0, 0, 2)
 
 
 def test_nonpositive_dimensions_rejected():
     with pytest.raises(ValueError):
         DiskGeometry(cylinders=0)
-
-
-@given(st.integers(min_value=1, max_value=200),
-       st.integers(min_value=1, max_value=16),
-       st.integers(min_value=1, max_value=63),
-       st.data())
-def test_chs_lba_roundtrip(cyls, heads, spt, data):
-    geo = DiskGeometry(cylinders=cyls, heads=heads, sectors_per_track=spt)
-    sector = data.draw(st.integers(min_value=0,
-                                   max_value=geo.total_sectors - 1))
-    c, h, s = geo.chs(sector)
-    assert geo.lba(c, h, s) == sector
-    assert 0 <= c < cyls and 0 <= h < heads and 0 <= s < spt
 
 
 # -- zoned-bit recording ------------------------------------------------------
@@ -113,6 +83,5 @@ def test_plain_geometry_is_uniform():
 def test_zbr_transfer_faster_on_outer_cylinders():
     from repro.disk import DiskServiceModel, ZBRGeometry
     model = DiskServiceModel(geometry=ZBRGeometry())
-    t_outer = model.transfer_time_at(32, 0)
-    t_inner = model.transfer_time_at(32, model.geometry.cylinders - 1)
-    assert t_outer < t_inner
+    rate = model.tables.rate
+    assert rate[0] > rate[model.geometry.cylinders - 1]

@@ -17,17 +17,26 @@ def test_rotation_time_matches_rpm(model):
 
 
 def test_zero_seek_for_same_cylinder(model):
-    assert model.seek_time(100, 100) == 0.0
+    assert model.tables.seek[0] == 0.0
 
 
 def test_seek_monotonic_in_distance(model):
-    times = [model.seek_time(0, d) for d in (1, 10, 100, 1000)]
+    times = [model.tables.seek[d] for d in (1, 10, 100, 1000)]
     assert times == sorted(times)
     assert times[0] > 0
 
 
+def _base(model, from_cyl, to_cyl):
+    """Controller overhead plus seek of one request, as the device
+    computes it."""
+    spc = model.geometry.sectors_per_cylinder
+    req = IORequest(sector=to_cyl * spc, nsectors=1, is_write=False)
+    base, _ = model.service_components([req], from_cyl)
+    return base[0]
+
+
 def test_seek_symmetric(model):
-    assert model.seek_time(10, 500) == model.seek_time(500, 10)
+    assert _base(model, 10, 500) == _base(model, 500, 10)
 
 
 def test_transfer_time_linear_in_sectors(model):
@@ -46,23 +55,29 @@ def test_track_transfer_rate_is_era_plausible(model):
     assert 0.5e6 < model.track_transfer_rate < 8e6
 
 
+def _random_seeks(model, n=200_000):
+    """Seek times of ``n`` moves between uniformly random cylinders."""
+    rng = np.random.default_rng(5)
+    c = model.geometry.cylinders
+    d = np.abs(rng.integers(0, c, n) - rng.integers(0, c, n))
+    return model.tables.seek[d]
+
+
 def test_average_random_seek_near_nominal(model):
     # Calibration target: ~14 ms average seek, within a loose band.
-    assert 0.008 < model.average_random_seek() < 0.025
+    assert 0.008 < _random_seeks(model).mean() < 0.025
 
 
 def test_average_random_seek_matches_monte_carlo(model):
     # The closed form is E[seek(|X - Y|)] for X, Y uniform over the
     # cylinders — E[sqrt(d)] = (8/15) sqrt(C) and E[d] = C/3, *not*
     # seek(E[d]) (the Jensen-biased version reads ~3.8% high).
-    rng = np.random.default_rng(5)
     c = model.geometry.cylinders
-    d = np.abs(rng.integers(0, c, 200_000) - rng.integers(0, c, 200_000))
-    empirical = np.where(
-        d == 0, 0.0,
-        model.seek_settle + model.seek_sqrt_coeff * np.sqrt(d)
-        + model.seek_linear_coeff * d).mean()
-    assert model.average_random_seek() == pytest.approx(empirical, rel=0.005)
+    closed_form = (model.seek_settle
+                   + model.seek_sqrt_coeff * (8.0 / 15.0) * np.sqrt(c)
+                   + model.seek_linear_coeff * (c / 3.0))
+    assert _random_seeks(model).mean() == pytest.approx(closed_form,
+                                                        rel=0.005)
 
 
 def test_average_random_seek_below_jensen_biased_value(model):
@@ -70,23 +85,28 @@ def test_average_random_seek_below_jensen_biased_value(model):
     c = model.geometry.cylinders
     biased = (model.seek_settle + model.seek_sqrt_coeff * np.sqrt(c / 3.0)
               + model.seek_linear_coeff * (c / 3.0))
-    assert model.average_random_seek() < biased
+    assert _random_seeks(model).mean() < biased
 
 
 def test_service_time_includes_all_components(model):
     rng = np.random.default_rng(1)
     req = IORequest(sector=500_000, nsectors=2, is_write=False)
     t = model.service_time(req, head_cylinder=0, rng=rng)
-    lower = model.controller_overhead + model.seek_time(
-        0, model.geometry.cylinder_of(500_000)) + model.transfer_time(2)
+    lower = (model.controller_overhead
+             + model.tables.seek[model.geometry.cylinder_of(500_000)]
+             + model.transfer_time(2))
     assert t >= lower
     assert t <= lower + model.rotation_time
 
 
 def test_rotational_latency_bounded(model):
+    # a request on the head's cylinder: no seek, so what the service
+    # time holds beyond overhead and transfer is the rotational wait
     rng = np.random.default_rng(2)
-    draws = [model.rotational_latency(rng) for _ in range(200)]
-    assert all(0 <= d < model.rotation_time for d in draws)
+    req = IORequest(sector=0, nsectors=1, is_write=False)
+    fixed = model.controller_overhead + model.transfer_time(1)
+    draws = [model.service_time(req, 0, rng) - fixed for _ in range(200)]
+    assert all(-1e-12 <= d < model.rotation_time for d in draws)
     # Mean of uniform(0, rot) should be near rot/2.
     assert np.mean(draws) == pytest.approx(model.rotation_time / 2, rel=0.25)
 
@@ -95,7 +115,7 @@ def test_rotational_latency_bounded(model):
        st.integers(min_value=0, max_value=1015))
 def test_seek_time_nonnegative_property(a, b):
     model = DiskServiceModel()
-    assert model.seek_time(a, b) >= 0.0
+    assert model.tables.seek[abs(a - b)] >= 0.0
 
 
 # -- precomputed tables vs the scalar formulas --------------------------------
@@ -112,7 +132,7 @@ def test_transfer_table_matches_zone_rates(model):
     geo = model.geometry
     for cyl in (0, geo.cylinders // 2, geo.cylinders - 1):
         rate = geo.sectors_per_track_at(cyl) * 512 / model.rotation_time
-        assert model.transfer_time_at(8, cyl) == 8 * 512 / rate
+        assert model.tables.rate[cyl] == rate
 
 
 def test_service_time_bitwise_equals_scalar_path(model):

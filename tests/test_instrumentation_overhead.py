@@ -12,7 +12,7 @@ import pytest
 
 from repro.apps import PPMApplication, WaveletApplication
 from repro.cluster import BeowulfCluster
-from repro.driver import TraceLevel
+from repro.driver import HDIO_SET_TRACE, TraceLevel
 from repro.sim import Simulator
 
 
@@ -21,7 +21,7 @@ def run_app(appcls, trace_on, seed=5, **app_kw):
     cluster = BeowulfCluster(sim, nnodes=1, seed=seed)
     node = cluster.nodes[0]
     if not trace_on:
-        node.kernel.set_trace_level(TraceLevel.OFF)
+        node.kernel.driver.ioctl(HDIO_SET_TRACE, TraceLevel.OFF)
     app = appcls(node, **app_kw)
 
     def setup():

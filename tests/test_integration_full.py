@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import Scenario
 from repro.core import ExperimentRunner
 from repro.core.claims import evaluate_claims
 from repro.core.sizes import class_fractions, RequestClass
@@ -16,7 +17,9 @@ def test_filesystems_consistent_after_combined_run():
 
 
 def test_filesystems_consistent_after_baseline():
-    runner = ExperimentRunner(nnodes=1, seed=3, baseline_duration=400.0)
+    runner = ExperimentRunner(nnodes=1, seed=3, scenario=Scenario()
+                              .with_overrides({
+                                  "experiment.baseline_duration": 400.0}))
     runner.run("baseline")
     for node in runner.last_cluster.nodes:
         assert node.kernel.fs.fsck() == []
@@ -49,8 +52,9 @@ def test_per_node_characteristics_invariant_in_cluster_size():
 def test_different_seeds_same_shape():
     """Claims are robust to the random seed, not a lucky draw."""
     for seed in (11, 29):
-        runner = ExperimentRunner(nnodes=1, seed=seed,
-                                  baseline_duration=800.0)
+        runner = ExperimentRunner(nnodes=1, seed=seed, scenario=Scenario()
+                                  .with_overrides({
+                                      "experiment.baseline_duration": 800.0}))
         results = {"baseline": runner.run("baseline"),
                    "wavelet": runner.run("wavelet")}
         outcomes = [o for o in evaluate_claims(results)

@@ -137,8 +137,8 @@ def test_spawn_tracks_multiprogramming_level(sim, node):
 
 
 def test_set_trace_level_off_silences_trace(sim, node):
-    from repro.driver import TraceLevel
-    node.set_trace_level(TraceLevel.OFF)
+    from repro.driver import HDIO_SET_TRACE, TraceLevel
+    node.driver.ioctl(HDIO_SET_TRACE, TraceLevel.OFF)
     sim.run(until=120.0)
     assert len(node.trace_array()) == 0
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import Scenario
 from repro.core.experiments import ExperimentRunner
 from repro.disk import Disk, SingleVolume
 from repro.driver import InstrumentedIDEDriver, ProcTraceTransport
@@ -154,7 +155,8 @@ def test_zero_rate_means_no_chatter():
 
 
 def test_zero_rate_baseline_runs():
-    runner = ExperimentRunner(nnodes=2, housekeeping_message_rate=0.0)
+    runner = ExperimentRunner(nnodes=2, scenario=Scenario().with_overrides(
+        {"cluster.housekeeping_message_rate": 0.0}))
     result = runner.run("baseline", duration=60)
     assert result.duration == 60
     for cluster_node in runner.last_cluster.nodes:

@@ -51,7 +51,7 @@ def test_gauge_tracks_high_water_mark():
     g = Gauge("depth")
     g.set(5)
     g.inc(2)
-    g.dec(4)
+    g.inc(-4)
     assert g.value == 3
     assert g.max == 7
     assert g.snapshot() == {"type": "gauge",

@@ -137,6 +137,141 @@ PUBLIC_API = {
         "run_signature",
         "scan_file",
     ],
+    "repro.apps": [
+        "AppStats",
+        "ESSApplication",
+        "NBodyApplication",
+        "NBodyParams",
+        "PPMApplication",
+        "PPMParams",
+        "WORKLOADS",
+        "WaveletApplication",
+        "WaveletParams",
+        "WorkloadEntry",
+    ],
+    "repro.apps.kernels": [
+        "BarnesHutTree",
+        "PPMState",
+        "advect_step",
+        "direct_forces",
+        "haar2d",
+        "haar2d_inverse",
+        "haar_level",
+        "ppm_reconstruct",
+        "tree_forces",
+    ],
+    "repro.cluster": [
+        "BeowulfCluster",
+        "ClusterNode",
+        "EthernetNetwork",
+        "Mailbox",
+        "Message",
+        "PIOUS",
+        "PVM",
+        "PiousFileHandle",
+    ],
+    "repro.core": [
+        "EXPERIMENTS",
+        "ExperimentResult",
+        "ExperimentRunner",
+        "FigureSeries",
+        "RequestClass",
+        "SpatialLocality",
+        "TemporalLocality",
+        "TraceDataset",
+        "WorkloadMetrics",
+        "arrival_structure",
+        "characterize",
+        "classify_sizes",
+        "compute_metrics",
+        "direction_runs",
+        "full_report",
+        "make_figure",
+        "miller_katz_classes",
+        "render_table1",
+        "sequentiality",
+        "size_histogram",
+        "size_time_series",
+        "spatial_locality",
+        "table1_rows",
+        "temporal_locality",
+    ],
+    "repro.disk": [
+        "CLookScheduler",
+        "ConcatVolume",
+        "DRIVE_CACHES",
+        "Disk",
+        "DiskGeometry",
+        "DiskServiceModel",
+        "DiskStats",
+        "DriveCache",
+        "FIFOScheduler",
+        "IORequest",
+        "LatencyReservoir",
+        "LogicalVolume",
+        "NullDriveCache",
+        "Raid0Volume",
+        "Raid1Volume",
+        "SCHEDULERS",
+        "SECTOR_BYTES",
+        "SSTFScheduler",
+        "ScanScheduler",
+        "SingleVolume",
+        "VOLUME_POLICIES",
+        "ZBRGeometry",
+    ],
+    "repro.driver": [
+        "HDIO_GET_TRACE",
+        "HDIO_SET_TRACE",
+        "InstrumentedIDEDriver",
+        "ProcTraceTransport",
+        "TRACE_DTYPE",
+        "TraceBuffer",
+        "TraceLevel",
+        "TraceRecord",
+    ],
+    "repro.obs": [
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "ObsRecorder",
+        "Span",
+        "UNDERFLOW",
+        "bucket_edge",
+        "bucket_of",
+        "compare_snapshots",
+        "events_per_second",
+        "flatten_snapshot",
+        "render_snapshot_table",
+    ],
+    "repro.store": [
+        "ChunkMeta",
+        "DEFAULT_CHUNK_RECORDS",
+        "DEFAULT_COMPRESSION",
+        "RunCapture",
+        "RunCatalog",
+        "StoreFormatError",
+        "TracePredicate",
+        "TraceReader",
+        "TraceWriter",
+        "read_trace",
+        "write_trace",
+    ],
+    "repro.synth": [
+        "PhasedWorkloadModel",
+        "ReplayReport",
+        "WorkloadModel",
+        "fit_phased_model",
+        "fit_workload_model",
+        "replay_trace",
+    ],
+    "repro.viz": [
+        "bar_chart",
+        "scatter",
+        "svg_bar_chart",
+        "svg_scatter",
+    ],
 }
 
 
@@ -156,6 +291,18 @@ def test_serve_exports_typed_errors():
                  "QuotaExceeded", "DependencyCycle"):
         assert name in serve.__all__
         assert issubclass(getattr(serve, name), serve.ServeError)
+
+
+def test_runner_keywords():
+    # every other setting is a Scenario field; the runner mirrors none
+    import inspect
+    from repro.config import Scenario
+    from repro.core import ExperimentRunner
+    params = inspect.signature(ExperimentRunner.__init__).parameters
+    assert list(params) == ["self", "nnodes", "seed", "sink", "obs",
+                            "scenario"]
+    assert ExperimentRunner().scenario.cluster.nnodes == \
+        Scenario().cluster.nnodes
 
 
 def test_runner_shims_are_gone():

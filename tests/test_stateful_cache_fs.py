@@ -68,13 +68,6 @@ class CacheMachine(RuleBasedStateMachine):
         assert self.cache.dirty_count == 0
         self.model_dirty.clear()
 
-    @rule()
-    def drop_clean(self):
-        dirty_before = self._cached_dirty()
-        self.cache.drop_clean()
-        assert self._cached_dirty() == dirty_before
-        assert len(self.cache) == self.cache.dirty_count
-
     def _cached_dirty(self):
         return {b for b in range(62) if self.cache.is_dirty(b)}
 
@@ -153,12 +146,10 @@ class FsMachine(RuleBasedStateMachine):
     def block_accounting_conserved(self):
         if not hasattr(self, "fs"):
             return
-        used = 0
-        for inode in self.fs.iter_inodes():
-            if inode.zone == "data" and not inode.is_dir:
-                used += inode.nblocks + len(inode.indirect_blocks)
-        dir_blocks = sum(i.nblocks for i in self.fs.iter_inodes()
-                         if i.is_dir)
+        inodes = self.fs.snapshot_state()["inodes"].values()
+        used = sum(len(i["blocks"]) + len(i["indirect"]) for i in inodes
+                   if i["zone"] == "data" and not i["is_dir"])
+        dir_blocks = sum(len(i["blocks"]) for i in inodes if i["is_dir"])
         assert self.fs.zone_blocks_free("data") == \
             self.free0 - used - dir_blocks + self._dir_blocks0()
 

@@ -36,8 +36,10 @@ def million(tmp_path_factory):
     max_pending = 0
     with TraceWriter(path, chunk_records=CHUNK) as writer:
         for start in range(0, N, 100_000):
-            writer.append_array(arr[start:start + 100_000])
-            max_pending = max(max_pending, writer.pending_records)
+            block = arr[start:start + 100_000]
+            writer.append_array(block)
+            pending = start + len(block) - writer.records_written
+            max_pending = max(max_pending, pending)
     return arr, path, max_pending
 
 

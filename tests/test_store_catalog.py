@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import migrate
+from repro.config import Scenario
 from repro.core import ExperimentRunner
 from repro.core.experiments import ExperimentResult
 from repro.core.trace import TraceDataset
@@ -187,7 +188,6 @@ def test_missing_run_raises(tmp_path):
 
 
 def test_catalog_scenario_accessor(sunk_run):
-    from repro.config import Scenario
     root, runner, result = sunk_run
     scenario = RunCatalog(root).scenario("baseline")
     assert isinstance(scenario, Scenario)
@@ -274,8 +274,9 @@ def test_concurrent_writers_claim_distinct_runs(tmp_path):
 def test_parallel_run_all_with_sink_keeps_catalog_consistent(tmp_path):
     """run_all(parallel=True, sink=...) writes every run exactly once."""
     root = tmp_path / "runs"
-    runner = ExperimentRunner(nnodes=1, seed=4, baseline_duration=60.0,
-                              sink=root)
+    runner = ExperimentRunner(nnodes=1, seed=4, sink=root,
+                              scenario=Scenario().with_overrides(
+                                  {"experiment.baseline_duration": 60.0}))
     results = runner.run_all(names=["nbody", "wavelet"], parallel=True)
     catalog = RunCatalog(root)
     assert sorted(results) == ["nbody", "wavelet"]

@@ -68,8 +68,10 @@ def test_writer_memory_stays_bounded(tmp_path):
     arr = make_records(5_000)
     with TraceWriter(tmp_path / "t.rpt", chunk_records=256) as writer:
         for start in range(0, len(arr), 700):
-            writer.append_array(arr[start:start + 700])
-            assert writer.pending_records < 256
+            block = arr[start:start + 700]
+            writer.append_array(block)
+            # appended but not yet spilled to a chunk
+            assert start + len(block) - writer.records_written < 256
     assert writer.records_written == len(arr)
 
 

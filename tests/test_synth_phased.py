@@ -33,11 +33,12 @@ def phased():
 
 def test_window_count_and_activity(phased):
     assert phased.nwindows == 12
-    assert phased.active_windows >= 10
+    assert sum(m is not None for m in phased.models) >= 10
 
 
 def test_rate_profile_shows_the_burst(phased):
-    profile = phased.rate_profile()
+    profile = np.array([m.arrival_rate if m is not None else 0.0
+                        for m in phased.models])
     # the burst windows (100-150 s -> windows 4 and 5) dominate
     assert profile[4] > 3 * profile[0]
     assert np.argmax(profile) in (4, 5)
@@ -80,7 +81,7 @@ def test_empty_windows_generate_nothing():
     rows = [(0.0, 1, 1, 1, 1.0, 0), (1.0, 1, 1, 1, 1.0, 0),
             (99.0, 2, 1, 1, 1.0, 0), (100.0, 2, 1, 1, 1.0, 0)]
     model = fit_phased_model(TraceDataset.from_records(rows), window=10.0)
-    assert model.active_windows == 2
+    assert sum(m is not None for m in model.models) == 2
     synth = model.generate(rng=np.random.default_rng(4))
     # nothing generated in the dead middle
     assert len(synth.between(20, 80)) == 0

@@ -1,9 +1,10 @@
 """The end-to-end benchmark's layer table still resolves.
 
 ``benchmarks/e2e/layers.py`` wraps each entry point named in its
-``LAYERS`` table on the class that defines it.  Deleting, renaming or
-inheriting one of them breaks the traced benchmark run; this test makes
-that a tier-1 failure too.
+``LAYERS`` table on the class that defines it, and counts the results of
+those in ``COUNTED``.  Deleting, renaming or inheriting one of them
+breaks the traced benchmark run; this test makes that a tier-1 failure
+too.
 """
 
 from pathlib import Path
@@ -14,9 +15,10 @@ E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
 def test_tracer_installs_and_uninstalls_every_layer_entry_point(
         monkeypatch):
     monkeypatch.syspath_prepend(str(E2E))
-    from layers import LAYERS, Tracer, _resolve
+    from layers import COUNTED, LAYERS, Tracer, _resolve
 
-    targets = [t for entries in LAYERS.values() for t in entries]
+    targets = sorted({t for entries in LAYERS.values() for t in entries}
+                     | COUNTED)
     originals = {t: _resolve(t)[2] for t in targets}
     tracer = Tracer()
     tracer.install()
