@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.cluster.beowulf import ClusterNode
 from repro.kernel import NodeKernel
-from repro.kernel.vm import AddressSpace
+from repro.kernel.vm import PAGE_LIMIT, AddressSpace
 
 
 #: sustained double-precision rate assumed for the 486DX4-100 reference
@@ -256,14 +256,13 @@ class ESSApplication:
         blocks_per_page = node.blocks_per_page
         spb = node.sectors_per_block
         total_pages = (self.binary_kb + page_kb - 1) // page_kb
-        start = self._next_page
+        start = self._mint_pages(total_pages)
         for i in range(total_pages):
             block_index = i * blocks_per_page
             if block_index < inode.nblocks:
                 sector = inode.blocks[block_index] * spb
                 self.aspace.file_pages[start + i] = (
                     sector, page_kb * 1024 // 512)
-        self._next_page += total_pages
         self._binary_pages = total_pages
         return start, total_pages
 
@@ -293,9 +292,22 @@ class ESSApplication:
         """Reserve an anonymous region of ``kb``; returns (start, npages)."""
         page_kb = self.kernel.node_config.vm.page_kb
         npages = max(1, (kb + page_kb - 1) // page_kb)
-        region = (self._next_page, npages)
-        self._next_page += npages
-        return region
+        return self._mint_pages(npages), npages
+
+    def _mint_pages(self, npages: int) -> int:
+        """Reserve ``npages`` fresh page ids; returns the first.
+
+        The VM packs a page id into the low bits of its frame key, so an
+        id at or past :data:`~repro.kernel.vm.PAGE_LIMIT` would alias the
+        next address space: refuse it here, once per region.
+        """
+        start = self._next_page
+        if start + npages > PAGE_LIMIT:
+            raise ValueError(
+                f"{self.name}: {start + npages} pages exceed the "
+                f"address space ({PAGE_LIMIT} pages)")
+        self._next_page = start + npages
+        return start
 
     def compute(self, seconds: float, region: Optional[Tuple[int, int]] = None,
                 touches_per_slice: int = 8, dirty_fraction: float = 0.3,

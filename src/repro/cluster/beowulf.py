@@ -36,9 +36,6 @@ class ClusterNode:
         self.mailbox: Mailbox = pvm.register(node_id)
         self.pvm = pvm
 
-    def trace_array(self) -> np.ndarray:
-        return self.kernel.trace_array()
-
 
 class BeowulfCluster:
     """The 16-node prototype, built from one :class:`~repro.config.Scenario`.
@@ -97,8 +94,20 @@ class BeowulfCluster:
         return len(self.nodes)
 
     def gather_traces(self) -> np.ndarray:
-        """All nodes' trace records merged by time (node ids preserved)."""
-        return merge_by_time([node.trace_array() for node in self.nodes])
+        """All nodes' trace records merged by time (node ids preserved).
+
+        The records move: the merge reads each node's user buffer
+        through a view and then empties it, so the merged array is the
+        run's one copy of its trace.
+        """
+        buffers = []
+        for node in self.nodes:
+            node.kernel.transport.drain_now()
+            buffers.append(node.kernel.transport.user_buffer)
+        merged = merge_by_time([buffer.view() for buffer in buffers])
+        for buffer in buffers:
+            buffer.clear()
+        return merged
 
     def reset_trace_clocks(self) -> None:
         """Zero every node's trace timestamps and drop records so far."""

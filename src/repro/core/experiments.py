@@ -36,6 +36,7 @@ from repro.config import Scenario
 from repro.config.sweep import checkpoint_path
 from repro.core.metrics import WorkloadMetrics, compute_metrics
 from repro.core.trace import TraceDataset
+from repro.driver.trace import time_window
 from repro.sim import Simulator
 
 #: canonical experiment names, in the paper's order
@@ -344,7 +345,8 @@ class ExperimentRunner:
             # Grace period: let the write-back daemons flush the tail.
             sim.run(until=finish + limits.flush_grace)
             duration = finish - t0 + limits.flush_grace
-        trace = TraceDataset(cluster.gather_traces()).between(0, duration)
+        trace = TraceDataset(
+            time_window(cluster.gather_traces(), 0, duration))
         result = ExperimentResult(
             name=plan.name, trace=trace, duration=duration,
             nnodes=self.scenario.cluster.nnodes,

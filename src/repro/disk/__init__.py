@@ -18,7 +18,7 @@ from repro.disk.scheduler import (
 )
 from repro.disk.service import DiskServiceModel
 from repro.disk.cache import DRIVE_CACHES, DriveCache, NullDriveCache
-from repro.disk.device import Disk, DiskStats, LatencyReservoir
+from repro.disk.device import Disk, DiskStats
 from repro.disk.volume import (
     VOLUME_POLICIES,
     ConcatVolume,
@@ -39,7 +39,6 @@ __all__ = [
     "DriveCache",
     "FIFOScheduler",
     "IORequest",
-    "LatencyReservoir",
     "LogicalVolume",
     "NullDriveCache",
     "Raid0Volume",

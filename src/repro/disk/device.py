@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -14,73 +13,10 @@ from repro.disk.service import DiskServiceModel
 from repro.sim import BatchedDraws, Event, Simulator
 
 
-class LatencyReservoir:
-    """Bounded uniform sample of request latencies (Algorithm R).
-
-    A device that lives for a long run sees millions of requests; the
-    reservoir keeps a fixed-size uniform sample so percentile queries
-    stay accurate (exact below ``capacity`` observations, statistically
-    tight above) while memory stays constant.  The replacement stream is
-    seeded deterministically so runs remain reproducible.
-    """
-
-    __slots__ = ("capacity", "count", "_values", "_rng")
-
-    def __init__(self, capacity: int = 8192, seed: int = 0x10DE):
-        if capacity < 1:
-            raise ValueError("reservoir capacity must be >= 1")
-        self.capacity = capacity
-        #: total observations offered (not just those retained)
-        self.count = 0
-        self._values: list = []
-        self._rng = random.Random(seed)
-
-    def snapshot_state(self) -> dict:
-        return {"count": self.count,
-                "values": list(self._values),
-                "rng": self._rng.getstate()}
-
-    def restore_state(self, state: dict) -> None:
-        self.count = int(state["count"])
-        self._values = [float(v) for v in state["values"]]
-        # setstate wants the exact nested-tuple shape getstate returned;
-        # the checkpoint round-trip preserves tuples, lists stay lists
-        self._rng.setstate(tuple(state["rng"]))
-
-    def append(self, value: float) -> None:
-        self.count += 1
-        if len(self._values) < self.capacity:
-            self._values.append(value)
-            return
-        j = self._rng.randrange(self.count)
-        if j < self.capacity:
-            self._values[j] = value
-
-    def percentile(self, q: float) -> float:
-        if not self._values:
-            return 0.0
-        return float(np.percentile(self._values, q))
-
-    # list-like views, so existing callers can np.array() the sample
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __getitem__(self, index):
-        return self._values[index]
-
-    def __iter__(self):
-        return iter(self._values)
-
-
 @dataclass
 class DiskStats:
-    """Lifetime counters of one disk device.
-
-    Latencies are sampled into a bounded :class:`LatencyReservoir`
-    (``_latencies``) rather than appended to an ever-growing list, so a
-    device's memory footprint is constant no matter how long it runs;
-    ``total_latency``/``mean_latency`` remain exact sums.
-    """
+    """Lifetime counters of one disk device (``total_latency`` and
+    ``mean_latency`` are exact sums, with no per-request state)."""
 
     reads: int = 0
     writes: int = 0
@@ -90,8 +26,6 @@ class DiskStats:
     total_latency: float = 0.0
     max_queue_depth: int = 0
     media_errors: int = 0
-    _latencies: LatencyReservoir = field(default_factory=LatencyReservoir,
-                                         repr=False)
 
     @property
     def requests(self) -> int:
@@ -253,8 +187,7 @@ class Disk:
                       "busy_time": s.busy_time,
                       "total_latency": s.total_latency,
                       "max_queue_depth": s.max_queue_depth,
-                      "media_errors": s.media_errors,
-                      "latencies": s._latencies.snapshot_state()},
+                      "media_errors": s.media_errors},
         }
 
     def restore_state(self, state: dict) -> None:
@@ -263,8 +196,7 @@ class Disk:
         self.rng.restore_state(state["rng"])
         if state["cache"] is not None:
             self.cache.restore_state(state["cache"])
-        st = dict(state["stats"])
-        lat = st.pop("latencies")
+        st = state["stats"]
         self.stats = DiskStats(
             reads=int(st["reads"]), writes=int(st["writes"]),
             sectors_read=int(st["sectors_read"]),
@@ -273,7 +205,6 @@ class Disk:
             total_latency=float(st["total_latency"]),
             max_queue_depth=int(st["max_queue_depth"]),
             media_errors=int(st["media_errors"]))
-        self.stats._latencies.restore_state(lat)
 
     # -- the state machine -------------------------------------------------
     def _fire(self) -> None:
@@ -378,6 +309,4 @@ class Disk:
         stats.busy_time += duration
         # request.latency, minus the property frames (complete_time is
         # always stamped just before accounting)
-        latency = request.complete_time - request.submit_time
-        stats.total_latency += latency
-        stats._latencies.append(latency)
+        stats.total_latency += request.complete_time - request.submit_time

@@ -28,11 +28,34 @@ TRACE_DTYPE = np.dtype([
 def merge_by_time(parts) -> np.ndarray:
     """Concatenate record arrays and stable-sort them by ``time`` (equal
     times keep their order across and within ``parts``) — the one time
-    merge of per-node traces."""
-    if not parts:
-        return np.zeros(0, dtype=TRACE_DTYPE)
-    merged = np.concatenate(parts)
-    return merged[np.argsort(merged["time"], kind="stable")]
+    merge of per-node traces.
+
+    The merge sorts the times alone, then scatters each record of
+    ``parts`` (a sequence) straight to its sorted place in the result,
+    so it never holds a second copy of the records: at most the result
+    plus one int64 index, or three int64 columns while it sorts.
+    """
+    count = sum(len(part) for part in parts)
+    times = np.concatenate([part["time"] for part in parts]) if parts \
+        else np.zeros(0)
+    order = np.argsort(times, kind="stable")
+    del times
+    # where each concatenated record lands: the inverse of ``order``
+    place = np.empty(count, dtype=np.intp)
+    place[order] = np.arange(count)
+    del order
+    merged = np.empty(count, dtype=TRACE_DTYPE)
+    at = 0
+    for part in parts:
+        merged[place[at:at + len(part)]] = part
+        at += len(part)
+    return merged
+
+
+def time_window(records: np.ndarray, t0: float, t1: float) -> np.ndarray:
+    """The ``[t0, t1)`` rows of time-sorted ``records``, as a view."""
+    times = records["time"]
+    return records[np.searchsorted(times, t0):np.searchsorted(times, t1)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,6 +136,11 @@ class TraceBuffer:
         """Structured array of the records written so far (a copy)."""
         return self._data[:self._len].copy()
 
+    def view(self) -> np.ndarray:
+        """The records written so far, without a copy; valid until the
+        next append or :meth:`clear`."""
+        return self._data[:self._len]
+
     def __iter__(self) -> Iterator[TraceRecord]:
         for row in self._data[:self._len]:
             yield TraceRecord(float(row["time"]), int(row["sector"]),
@@ -120,4 +148,6 @@ class TraceBuffer:
                               float(row["size_kb"]), int(row["node"]))
 
     def clear(self) -> None:
+        """Drop every record and the storage that held them."""
+        self._data = np.zeros(1, dtype=TRACE_DTYPE)
         self._len = 0

@@ -5,39 +5,51 @@ CPU; when several applications run (the combined experiment) round-robin
 timeslicing stretches each application's phases — which is why the
 combined run takes ~700 s while individual runs are shorter.
 
-The CPU is *replayed*, not scheduled.  Nothing outside it can see a
-timeslice boundary, so no event marks one: the CPU keeps a FIFO run
-queue of ``[remaining, done]`` jobs and the start of the head job's
+The CPU is *replayed*, not scheduled.  A per-slice CPU spends two events
+on every timeslice: a delay-0 grant as the slice starts, whose firing
+queues the slice's timeout.  Nobody outside the CPU sees those events,
+except through the order of entries that share an instant, which the
+heap's ``(time, priority, seq)`` key settles.  The replay keeps a FIFO
+run queue of ``[remaining, done]`` jobs and the start of the head job's
 current slice, and folds slices forward in plain float arithmetic — the
 very steps a per-slice loop takes (``s = min(timeslice, remaining)``,
 ``t + s``, ``remaining - s``, ``busy_time + s``; a job whose slice ends
-re-joins the queue behind everyone already waiting).  The event heap
-holds one entry, at the next instant that *is* visible: a completion.
-An arrival folds the slices that ended strictly before it, joins the
-queue, and re-arms that entry if the instant moved; a superseded entry
-fires inert.
+re-joins the queue behind everyone already waiting).  An arrival folds
+the slices that ended strictly before it and joins the queue.
 
-One trap keeps a sliver of the per-slice machinery.  A slice with
-``t + s == t`` — the 1.4e-17 residue five 0.05 s slices leave of a
-0.25 s chunk — takes no time, yet a per-slice CPU spends two delay-0
-events on it (the grant, then the slice's timeout).  Folded into a
-wake-up that resumed no process, they are invisible.  But once process
-code has run at that instant — a completion resumed its process, or an
-arrival is calling in — the events it queues at delay 0 interleave with
-those two, so such a slice runs as two queued hops and same-instant
-resumption order stays exactly the per-slice CPU's.
+A completion is the one thing that must happen in the event order, and
+its place there is the per-slice CPU's last timeout's: queued when the
+grant of the job's last slice fired.  So the CPU queues the completion
+at that grant's moment, and needs a queue entry of its own for the grant
+only when something else could run before it:
+
+* at an arrival to an idle CPU the grant is queued there, as the
+  per-slice request queued it, whenever the last slice is the first;
+* at a completion the grant of the next job was queued before the
+  finished process resumed, so its sequence number is reserved then, and
+  used only if entries are due at that instant once the process has run;
+* a last slice that starts later needs a grant entry at its start,
+  unless nothing else is queued up to then.  Queued ahead of its
+  instant, that entry first lets the entries already due there go
+  (queued before the slice began, they precede the grant), then queues
+  the completion.
+
+An arrival that moves the next completion re-arms; a superseded entry
+fires inert.  An uncontended execute in an otherwise quiet simulation is
+one heap entry.
 """
 
 from __future__ import annotations
 
 from repro.sim import Event, Simulator
 
-#: ``CPU._hop`` states of a zero-length slice run as queued hops
-_NO_HOP, _GRANT, _SLICE = 0, 1, 2
+#: kinds of the CPU's queued entry: the grant of a job's last slice, and
+#: the completion that slice ends in
+_GRANT, _DONE = 0, 1
 
 
 class _Wake:
-    """One queued CPU wake-up; inert once the CPU has armed another."""
+    """One queued CPU entry; inert once the CPU has armed another."""
 
     __slots__ = ("cpu",)
 
@@ -67,16 +79,19 @@ class CPU:
         self._jobs: list = []
         #: when the head job's current slice began
         self._start = 0.0
-        #: the live wake-up and its time (None: idle, or arming deferred)
+        #: the live entry, its time and kind (None: idle, or arming
+        #: deferred)
         self._wake = None
         self._wake_at = 0.0
-        #: queue state at the armed completion: ``(index of the job
-        #: finishing, busy_time, every job's remaining)``; the last is
-        #: None for a lone job
+        self._kind = _DONE
+        #: a grant queued ahead of its instant first lets the entries due
+        #: there go
+        self._defer = False
+        #: queue state where the next completing job's last slice starts:
+        #: ``(start, index of that job, busy_time, remaining)``, the last
+        #: a list per job, or the lone job's float; None once folded
         self._plan = None
-        #: progress of a zero-length slice run as hops
-        self._hop = _NO_HOP
-        #: a wake-up is resuming its finished process; it arms afterwards
+        #: a completion is resuming its process; it arms afterwards
         self._waking = False
 
     # -- checkpoint state surface ---------------------------------------
@@ -116,29 +131,22 @@ class CPU:
     # -- the replay -----------------------------------------------------
     def _arrive(self, job: list) -> None:
         jobs = self._jobs
+        now = self.sim.now
         if jobs:
-            if self._hop:
-                jobs.append(job)
-                return
-            self._advance(self.sim.now)
+            self._advance(now)
             jobs.append(job)
+            if self._waking:
+                return  # the completion re-arms once its process has run
         else:
             jobs.append(job)
-            now = self._start = self.sim.now
-            ts = self.timeslice
-            rem = job[0]
-            if now + (ts if ts < rem else rem) == now:
-                self._hop = _GRANT
-                self._push(now)
-                return
-        if not self._waking:
-            self._arm(self._project())
+            self._start = now
+        self._rearm(now)
 
     def _advance(self, now: float) -> None:
         """Fold every slice that ends strictly before ``now``.
 
-        None of them completes a job: a completion is a wake-up, and the
-        armed one is not before ``now``.
+        None of them completes a job: the next completion's last slice
+        ends at an armed entry, which is not before ``now``.
         """
         jobs = self._jobs
         ts = self.timeslice
@@ -160,99 +168,116 @@ class CPU:
         self._start = t
         self.busy_time = busy
 
-    def _project(self) -> float:
-        """Fold forward from the head's current slice to the next
-        completion; store the queue state there as the plan and return
-        its time."""
+    def _project(self) -> tuple:
+        """Fold forward to where the next completing job's last slice
+        starts; store the queue state there as the plan and return that
+        start and the completion time."""
         jobs = self._jobs
         ts = self.timeslice
         t = self._start
         busy = self.busy_time
         if len(jobs) == 1:
             rem = jobs[0][0]
-            while True:
-                s = ts if ts < rem else rem
-                t += s
-                rem -= s
-                busy += s
-                if not rem > 0:
-                    self._plan = (0, busy, None)
-                    return t
+            while ts < rem:
+                t += ts
+                rem -= ts
+                busy += ts
+            self._plan = (t, 0, busy, rem)
+            return t, t + rem
         rems = [job[0] for job in jobs]
         n = len(rems)
         i = 0
         while True:
             rem = rems[i]
-            s = ts if ts < rem else rem
-            t += s
-            rem -= s
-            busy += s
-            rems[i] = rem
-            if not rem > 0:
-                self._plan = (i, busy, rems)
-                return t
+            if not ts < rem:
+                self._plan = (t, i, busy, rems)
+                return t, t + rem
+            t += ts
+            rems[i] = rem - ts
+            busy += ts
             i += 1
             if i == n:
                 i = 0
 
-    def _arm(self, time: float) -> None:
-        if self._wake is not None and self._wake_at == time:
-            return  # unmoved: keep its place in the same-instant order
-        self._push(time)
+    def _fold_to_plan(self) -> None:
+        """Apply the plan: the completing job heads the queue, its last
+        slice starting now."""
+        self._start, i, self.busy_time, rems = self._plan
+        self._plan = None
+        jobs = self._jobs
+        if len(jobs) == 1:
+            jobs[0][0] = rems
+            return
+        for job, rem in zip(jobs, rems):
+            job[0] = rem
+        if i:
+            jobs[:] = jobs[i:] + jobs[:i]
 
-    def _push(self, time: float) -> None:
+    def _rearm(self, now: float, reserved=None) -> None:
+        """Arm the entry the next completion needs (see the module
+        docstring); ``reserved`` is the grant's sequence number taken
+        at the completion that handed the CPU on."""
+        start, end = self._project()
+        if start < now:
+            # the last slice runs: its grant fired, its completion is queued
+            self._arm(_DONE, end)
+        elif start == now:
+            if (self._wake is not None and self._kind == _DONE
+                    and self._wake_at == end):
+                return  # the grant fired at this instant already
+            if reserved is not None and self.sim.peek() > now:
+                self._arm(_DONE, end)  # the grant would fire next
+            else:
+                self._arm(_GRANT, now, reserved)
+        elif self.sim.peek() > start:
+            self._arm(_DONE, end)  # nothing else runs before the grant
+        else:
+            self._arm(_GRANT, start, defer=True)
+
+    def _arm(self, kind: int, time: float, seq=None,
+             defer: bool = False) -> None:
+        if (self._wake is not None and self._wake_at == time
+                and self._kind == kind):
+            return  # unmoved: keep its place in the same-instant order
         wake = self._wake = _Wake(self)
         self._wake_at = time
-        self.sim._enqueue_at(time, wake)
+        self._kind = kind
+        self._defer = defer
+        self.sim._enqueue_at(time, wake, seq)
 
     def _woken(self) -> None:
         self._wake = None
-        jobs = self._jobs
-        now = self.sim.now
-        ts = self.timeslice
-        if self._hop == _GRANT:
-            self._hop = _SLICE
-            self._push(now)
+        sim = self.sim
+        now = sim.now
+        if self._kind == _GRANT:
+            if self._defer and sim.peek() == now:
+                # entries due here were queued before this slice began,
+                # so before its grant: let them go first
+                self._arm(_GRANT, now)
+                return
+            self._fold_to_plan()
+            self._arm(_DONE, now + self._jobs[0][0])
             return
-        if self._hop == _SLICE:
-            self._hop = _NO_HOP
-            job = jobs[0]
-            rem = job[0]
-            s = ts if ts < rem else rem
-            job[0] = rem = rem - s
-            self.busy_time += s
-            if rem > 0:
-                done = None
-                if len(jobs) > 1:
-                    jobs.append(jobs.pop(0))
-            else:
-                done = jobs.pop(0)[1]
-        else:
-            i, self.busy_time, rems = self._plan
-            if rems is None:
-                done = jobs.pop()[1]
-            else:
-                for job, rem in zip(jobs, rems):
-                    job[0] = rem
-                done = jobs[i][1]
-                jobs[:] = jobs[i + 1:] + jobs[:i]
+        if self._plan is not None:
+            self._fold_to_plan()
+        jobs = self._jobs
+        job = jobs.pop(0)
+        self.busy_time += job[0]
         self._start = now
-        # hand the CPU on before the finished process resumes, as the
-        # per-slice release did; process code runs at this instant from
-        # here on, so a zero-length slice next takes the queued hops
-        if jobs:
-            rem = jobs[0][0]
-            if now + (ts if ts < rem else rem) == now:
-                self._hop = _GRANT
-                self._push(now)
-        if done is not None:
-            # resume the finished process right here, where the
-            # per-slice CPU's last timeout fired
-            self._waking = True
-            try:
-                done._ok = True
-                done._fire()
-            finally:
-                self._waking = False
-        if jobs and not self._hop and self._wake is None:
-            self._arm(self._project())
+        reserved = None
+        if jobs and not self.timeslice < jobs[0][0]:
+            # the per-slice release queued the next job's grant before
+            # the finished process resumed; that grant may time the
+            # next completion
+            reserved = sim._reserve_seq()
+        # resume the finished process right here, where the per-slice
+        # CPU's last timeout fired
+        done = job[1]
+        self._waking = True
+        try:
+            done._ok = True
+            done._fire()
+        finally:
+            self._waking = False
+        if jobs and self._wake is None:
+            self._rearm(now, reserved)

@@ -14,7 +14,7 @@ written under another naming is never found and its run re-runs.
 """
 
 #: the checkpoint envelope version the writer stamps
-CHECKPOINT = 4
+CHECKPOINT = 5
 #: the run-manifest version the writer stamps
 MANIFEST = 5
 MANIFEST_FORMAT = f"repro-run-v{MANIFEST}"
@@ -58,6 +58,12 @@ def checkpoint(tree: dict, version: int) -> dict:
                 disk.pop("epoch", None)
     if version < 4:
         _drop_l1_cache(tree["meta"]["scenario"])
+    if version < 5:
+        # v4 and older disks carried a reservoir sample of request
+        # latencies that nothing read
+        for node in tree.get("cluster", {}).get("nodes", ()):
+            for disk in node["disks"]:
+                disk["stats"].pop("latencies", None)
     return tree
 
 

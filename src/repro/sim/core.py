@@ -297,16 +297,26 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, priority, self._seq, event))
 
-    def _enqueue_at(self, time: float, entry) -> None:
+    def _enqueue_at(self, time: float, entry, seq: Optional[int] = None
+                    ) -> None:
         """Queue ``entry`` at absolute ``time`` (>= ``now``), NORMAL lane.
 
         For models that replay their own timeline and wake only at the
         instants that matter (:class:`~repro.kernel.cpu.CPU`): ``entry``
         is anything with a ``_fire()`` method, and an entry the caller
-        has superseded simply ignores its firing.
+        has superseded simply ignores its firing.  ``seq`` places it
+        under a number taken earlier by :meth:`_reserve_seq` (the queue
+        place of an event the model did not need to queue then).
         """
+        if seq is None:
+            self._seq += 1
+            seq = self._seq
+        heapq.heappush(self._heap, (time, NORMAL, seq, entry))
+
+    def _reserve_seq(self) -> int:
+        """Take the next sequence number without queueing anything."""
         self._seq += 1
-        heapq.heappush(self._heap, (time, NORMAL, self._seq, entry))
+        return self._seq
 
     def _enqueue_exact(self, time: float, priority: int, seq: int,
                        event: Event) -> None:

@@ -221,13 +221,17 @@ class RunCatalog:
                 for nid, path in self.trace_paths(run_id).items()}
 
     def load_dataset(self, run_id: str, **predicates):
-        """All nodes' matching records, time-merged, as a ``TraceDataset``."""
+        """All nodes' matching records, time-merged, as a ``TraceDataset``.
+
+        Every node's chunks go straight into the one merged array, in
+        node then chunk order (no per-node concatenation first).
+        """
         from repro.core.trace import TraceDataset
-        parts = []
+        chunks = []
         for nid, path in sorted(self.trace_paths(run_id).items()):
             with TraceReader(path) as reader:
-                parts.append(reader.read(**predicates))
-        return TraceDataset(merge_by_time(parts))
+                chunks.extend(reader.iter_arrays(**predicates))
+        return TraceDataset(merge_by_time(chunks))
 
     # -- internals ------------------------------------------------------------
     def _claim_dir(self, name: str) -> Path:

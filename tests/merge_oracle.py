@@ -1,7 +1,11 @@
-"""The merge oracle: the original cursor-list k-way time merge.
+"""The merge oracles: the original record merge and the original
+cursor-list k-way time merge.
 
-``tests/test_analysis_merge.py`` and ``tests/test_analysis_engine.py``
-hold the engine's merge to these blocks, and
+``tests/test_trace_assembly.py`` holds ``merge_by_time``, a run's trace
+assembly and ``RunCatalog.load_dataset`` to
+:func:`reference_merge_by_time`.  ``tests/test_analysis_merge.py`` and
+``tests/test_analysis_engine.py`` hold the engine's merge to the blocks
+of :func:`reference_merged_time_blocks`, and
 ``benchmarks/test_analysis_perf.py`` counts them; this module imports
 nothing beyond NumPy and the store, so the benchmark job can use it
 without the test suite's dependencies.
@@ -12,6 +16,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.store import TraceReader
+
+
+def reference_merge_by_time(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Concatenate, stable-argsort ``time``, fancy-index (the oracle)."""
+    merged = np.concatenate(parts)
+    return merged[np.argsort(merged["time"], kind="stable")]
 
 
 class _TimeCursor:

@@ -197,6 +197,31 @@ def test_app_on_bare_kernel_without_pvm():
     assert app.stats.finished_at > app.stats.started_at
 
 
+def test_page_ids_stop_below_the_packed_key_limit():
+    from repro.kernel import NodeKernel
+    from repro.kernel.vm import PAGE_LIMIT
+    from tests.conftest import drive
+    sim = Simulator()
+    kernel = NodeKernel(sim, node_id=0)
+    app = PPMApplication(kernel, params=PPMParams(steps=2))
+    sim.process(app.install())
+    sim.run(until=1.0)
+    app._setup_address_space()
+    app._next_page = PAGE_LIMIT - 2
+    assert app.allocate(4) == (PAGE_LIMIT - 2, 1)
+    with pytest.raises(ValueError):
+        app.allocate(8)            # would mint page id PAGE_LIMIT
+    with pytest.raises(ValueError):
+        app.map_binary()
+    assert app._next_page == PAGE_LIMIT - 1
+    # the last valid page and the next space's first page stay apart
+    other = kernel.vm.create_space("other")
+    for space, page in ((app.aspace, PAGE_LIMIT - 1), (other, 0)):
+        drive(sim, kernel.vm.access(space, page, write=True),
+              until=sim.now + 1.0)
+    assert (app.aspace.rss, other.rss, kernel.vm.frames_used) == (1, 1, 2)
+
+
 def test_subregion_validation():
     from repro.apps.base import ESSApplication
     with pytest.raises(ValueError):

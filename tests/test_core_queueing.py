@@ -50,35 +50,37 @@ def test_mg1_validation_errors():
 
 
 def run_poisson_disk(arrival_rate, nrequests=3000, seed=0):
-    """Drive the simulated disk with Poisson arrivals, random sectors."""
+    """Drive the simulated disk with Poisson arrivals, random sectors;
+    returns the disk and its requests' latencies, in submit order."""
     sim = Simulator()
     disk = Disk(sim, scheduler=FIFOScheduler(),
                 rng=np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
     total = disk.total_sectors
+    requests = []
 
     def source():
         for _ in range(nrequests):
             yield sim.timeout(float(rng.exponential(1.0 / arrival_rate)))
-            disk.submit(IORequest(sector=int(rng.integers(0, total - 2)),
-                                  nsectors=2, is_write=False))
+            requests.append(IORequest(sector=int(rng.integers(0, total - 2)),
+                                      nsectors=2, is_write=False))
+            disk.submit(requests[-1])
 
     sim.process(source())
     sim.run()
-    return disk
+    return disk, np.array([request.latency for request in requests])
 
 
 def test_simulated_disk_matches_mg1_at_moderate_load():
     """The disk+FIFO queue behaves like M/G/1 theory predicts."""
     # measure service-time moments first at trivial load
-    probe = run_poisson_disk(arrival_rate=0.5, nrequests=800, seed=3)
+    probe, lat = run_poisson_disk(arrival_rate=0.5, nrequests=800, seed=3)
     service_mean = probe.stats.busy_time / probe.stats.requests
-    lat = np.array(probe.stats._latencies)
     # at rho ~ 0.01 latency ~ service time; estimate SCV from it
     service_scv = float(lat.var() / lat.mean() ** 2)
 
     arrival_rate = 0.5 / service_mean   # target rho = 0.5
-    disk = run_poisson_disk(arrival_rate, nrequests=4000, seed=7)
+    disk, _ = run_poisson_disk(arrival_rate, nrequests=4000, seed=7)
     validation = validate_disk_against_mg1(
         disk, arrival_rate, service_mean=service_mean,
         service_scv=service_scv)

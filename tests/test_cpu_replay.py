@@ -13,12 +13,16 @@ slices plus a 1.4e-17 s residue that takes no time once the clock is
 past about 0.2 s), 0.37 s (a positive tail slice) and 1e-17 s (a lone
 zero-length slice), with immediate and delay-0 re-arrival after a
 completion, idle gaps, ``speed != 1``, and a bystander that wakes at
-delay 0 after every completion, three times in a row — the same-instant
-neighbour whose place in the order the zero-length hops protect.
+delay 0 after every completion, three times in a row — a same-instant
+neighbour of a zero-length slice's grant and timeout.  Gaps
+are drawn from multiples of the timeslice and from the chunk sizes as
+well as from uniform floats, so timers fire exactly at slice boundaries:
+there the per-slice CPU's order depends on when each slice's grant
+fired.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.kernel import CPU
 from repro.sim import Resource, Simulator
@@ -50,9 +54,13 @@ class SlicedCPU:
 #: chunk sizes with distinct slice shapes (see the module docstring)
 CHUNKS = (0.25, 0.37, 1e-17)
 
+#: gaps that end exactly on a slice boundary or a completion: multiples
+#: of the timeslice and the chunk sizes
+TIES = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.37)
+
 #: how a worker reaches its next execute: immediately, after a delay-0
 #: sleep, or after an idle gap
-gaps = st.one_of(st.none(), st.just(0.0),
+gaps = st.one_of(st.none(), st.just(0.0), st.sampled_from(TIES),
                  st.floats(min_value=1e-3, max_value=0.6))
 steps = st.lists(st.tuples(gaps, st.sampled_from(CHUNKS)),
                  min_size=1, max_size=8)
@@ -103,11 +111,28 @@ def replay(cpu_cls, pattern, speed, start=0.0, bystander=True,
     return log, cpu.busy_time.hex(), sim.now.hex()
 
 
+#: a 0.25 s job, a zero-length one, and a worker whose 0.05 s timer ends
+#: the first job's first slice: the timer was queued before that slice's
+#: grant fired, so the arriving worker goes first
+TIMER_AT_FIRST_SLICE_END = [[(None, 0.25)], [(None, 1e-17)],
+                            [(0.05, 0.25)]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(pattern=patterns,
        speed=st.sampled_from([1.0, 0.8, 1.25, 3.0]),
        start=st.sampled_from([0.0, 0.3, 1000.0]),
        bystander=st.booleans())
+@example(pattern=TIMER_AT_FIRST_SLICE_END, speed=1.0, start=0.3,
+         bystander=False)
+# a one-slice job, and a worker whose timer ends exactly that slice: the
+# timer fires first, so the arriving worker resumes first
+@example(pattern=[[(None, 0.05)], [(0.05, 0.25)]], speed=1.0, start=0.0,
+         bystander=False)
+# a 0.25 s job against a 0.25 s timer: the arriving worker takes the CPU
+# before the job's zero-length residue slice, which then ends at 0.30 s
+@example(pattern=[[(None, 0.25)], [(0.25, 0.25)]], speed=1.0, start=0.0,
+         bystander=False)
 def test_replay_matches_per_slice_cpu(pattern, speed, start, bystander):
     assert replay(CPU, pattern, speed, start, bystander) == \
         replay(SlicedCPU, pattern, speed, start, bystander)
@@ -116,9 +141,10 @@ def test_replay_matches_per_slice_cpu(pattern, speed, start, bystander):
 @settings(max_examples=100, deadline=None)
 @given(pattern=patterns, chunk=st.sampled_from(CHUNKS),
        speed=st.sampled_from([1.0, 1.25]))
+@example(pattern=TIMER_AT_FIRST_SLICE_END, chunk=0.25, speed=1.0)
 def test_replay_matches_with_arriving_bystander(pattern, chunk, speed):
     """The bystander itself computes: an arrival at every completion
-    instant, queued among the zero-length hops."""
+    instant, queued among the zero-length slices' grants and timeouts."""
     assert replay(CPU, pattern, speed, 1000.0, True, chunk) == \
         replay(SlicedCPU, pattern, speed, 1000.0, True, chunk)
 
@@ -138,8 +164,9 @@ def test_residue_slice_keeps_the_same_instant_order():
 
 @pytest.mark.parametrize("chunk", [0.25, 0.37])
 def test_uncontended_execute_queues_one_wakeup(chunk):
-    """The zero-length residue of a lone 0.25 s chunk folds into its
-    completion: no process code ran at that instant before it."""
+    """A lone execute in an otherwise empty simulation: nothing else is
+    queued before its last slice starts, so its completion is the one
+    entry (the zero-length residue of a 0.25 s chunk folds into it)."""
     sim = Simulator()
     sim.run(until=100.0)
     cpu = CPU(sim)

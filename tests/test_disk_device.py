@@ -121,7 +121,6 @@ def test_busy_time_and_mean_latency_accumulate():
     sim.run()
     assert disk.stats.busy_time > 0
     assert disk.stats.mean_latency > 0
-    assert disk.stats._latencies.percentile(50) > 0
 
 
 def test_disk_idles_then_accepts_new_work():
@@ -139,68 +138,20 @@ def test_disk_idles_then_accepts_new_work():
     assert disk.stats.requests == 1
 
 
-# -- bounded latency reservoir ------------------------------------------------
-def test_reservoir_exact_below_capacity():
-    from repro.disk import LatencyReservoir
-    reservoir = LatencyReservoir(capacity=100)
-    values = list(np.random.default_rng(0).normal(10.0, 2.0, size=80))
-    for v in values:
-        reservoir.append(v)
-    assert reservoir.count == 80
-    assert len(reservoir) == 80
-    assert reservoir.percentile(50) == float(np.percentile(values, 50))
-    assert reservoir.percentile(95) == float(np.percentile(values, 95))
-
-
-def test_reservoir_bounds_memory_and_stays_accurate():
-    """Satellite fix: DiskStats latencies no longer grow without bound.
-
-    150k lognormal observations through an 8192-slot reservoir: memory
-    stays at capacity while percentile estimates land within a few
-    percent of the exact values.
-    """
-    from repro.disk import LatencyReservoir
-    reservoir = LatencyReservoir(capacity=8192)
-    values = np.random.default_rng(42).lognormal(mean=-3.0, sigma=0.8,
-                                                 size=150_000)
-    for v in values:
-        reservoir.append(float(v))
-    assert reservoir.count == 150_000
-    assert len(reservoir) == 8192          # bounded, not 150k
-    for q in (10, 50, 90, 99):
-        exact = float(np.percentile(values, q))
-        estimate = reservoir.percentile(q)
-        assert abs(estimate - exact) / exact < 0.10, (q, estimate, exact)
-
-
-def test_reservoir_sampling_is_deterministic():
-    from repro.disk import LatencyReservoir
-    a, b = LatencyReservoir(capacity=16), LatencyReservoir(capacity=16)
-    for v in range(1000):
-        a.append(float(v))
-        b.append(float(v))
-    assert list(a) == list(b)
-
-
-def test_disk_stats_latencies_bounded_and_means_exact():
-    """The device's accounting path feeds the reservoir; totals stay
-    exact sums even when the sample is clipped."""
-    from repro.disk import LatencyReservoir
+def test_disk_stats_mean_latency_is_the_exact_sum():
     sim = Simulator()
     disk = make_disk(sim)
-    disk.stats._latencies = LatencyReservoir(capacity=8)
+    requests = [IORequest(sector=(i * 977) % 10_000, nsectors=2,
+                          is_write=True) for i in range(50)]
 
     def issuer():
-        for i in range(50):
-            done = disk.submit(IORequest(sector=(i * 977) % 10_000,
-                                         nsectors=2, is_write=True))
-            yield done
+        for request in requests:
+            yield disk.submit(request)
 
     sim.process(issuer())
     sim.run()
     assert disk.stats.requests == 50
-    assert disk.stats._latencies.count == 50
-    assert len(disk.stats._latencies) == 8
+    assert disk.stats.total_latency == pytest.approx(
+        sum(request.latency for request in requests))
     assert disk.stats.mean_latency == pytest.approx(
         disk.stats.total_latency / 50)
-    assert disk.stats._latencies.percentile(50) > 0

@@ -207,7 +207,6 @@ PUBLIC_API = {
         "DriveCache",
         "FIFOScheduler",
         "IORequest",
-        "LatencyReservoir",
         "LogicalVolume",
         "NullDriveCache",
         "Raid0Volume",
