@@ -42,18 +42,19 @@ class CheckpointCoordinator:
         self.armed = False
         #: family name -> body cursor a member holds at (armed mode)
         self._targets: Dict[str, int] = {}
-        self._started: List[object] = []
-        self._finished: set = set()
+        #: applications whose ``run()`` began and has not returned; a
+        #: finished one is dropped, so it is not kept alive from here
+        self._live: List[object] = []
         self._held: Dict[object, Event] = {}
 
     # -- application side ---------------------------------------------------
     def started(self, app) -> None:
         """An application's ``run()`` began (or resumed)."""
-        self._started.append(app)
+        self._live.append(app)
 
     def finished(self, app) -> None:
         """An application's ``run()`` returned (or raised)."""
-        self._finished.add(id(app))
+        self._live.remove(app)
 
     def should_hold(self, app) -> bool:
         """Checked by applications at each body boundary."""
@@ -71,9 +72,8 @@ class CheckpointCoordinator:
     # -- runner side --------------------------------------------------------
     def arm(self) -> None:
         """Start a checkpoint epoch: compute each family's hold target."""
-        live = [a for a in self._started if id(a) not in self._finished]
         deepest: Dict[str, int] = {}
-        for app in live:
+        for app in self._live:
             cursor = deepest.get(app.name, -1)
             if app.cursor > cursor:
                 deepest[app.name] = app.cursor
@@ -84,8 +84,7 @@ class CheckpointCoordinator:
     @property
     def all_held(self) -> bool:
         """Every live application is parked (vacuously true with none)."""
-        return all(id(a) in self._finished or a in self._held
-                   for a in self._started)
+        return all(a in self._held for a in self._live)
 
     def release(self) -> None:
         """Wake every held application, in sorted (family, node) order.

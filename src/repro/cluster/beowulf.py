@@ -97,14 +97,15 @@ class BeowulfCluster:
         """All nodes' trace records merged by time (node ids preserved).
 
         The records move: the merge reads each node's user buffer
-        through a view and then empties it, so the merged array is the
-        run's one copy of its trace.
+        block by block, through views, and then empties it, so the
+        merged array is the run's one copy of its trace.
         """
         buffers = []
         for node in self.nodes:
             node.kernel.transport.drain_now()
             buffers.append(node.kernel.transport.user_buffer)
-        merged = merge_by_time([buffer.view() for buffer in buffers])
+        merged = merge_by_time([block for buffer in buffers
+                                for block in buffer.blocks()])
         for buffer in buffers:
             buffer.clear()
         return merged

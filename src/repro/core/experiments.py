@@ -297,61 +297,65 @@ class ExperimentRunner:
         """Build (or restore ``tree``), install, quiesce, zero the trace
         clock, excite, gather — the one procedure behind every run."""
         sim, cluster = self._build(tree)
-        # always attached: an unarmed coordinator fires no events
-        coordinator = CheckpointCoordinator(sim)
-        apps: Dict[str, List[ESSApplication]] = {n: [] for n in plan.apps}
-        installs = []
-        for node in cluster.nodes:
-            for app_name in plan.apps:
-                app = self.make_app(app_name, node)
-                app.attach_coordinator(coordinator)
-                apps[app_name].append(app)
-                key = f"{app_name}:{node.node_id}"
-                if tree is None:
-                    installs.append(sim.process(app.install(),
-                                                name=f"install:{key}"))
-                elif key in tree["apps"]:
-                    app.resume_from(tree["apps"][key])
-                else:
+        try:
+            # always attached: an unarmed coordinator fires no events
+            coordinator = CheckpointCoordinator(sim)
+            apps: Dict[str, List[ESSApplication]] = {n: [] for n in plan.apps}
+            installs = []
+            for node in cluster.nodes:
+                for app_name in plan.apps:
+                    app = self.make_app(app_name, node)
+                    app.attach_coordinator(coordinator)
+                    apps[app_name].append(app)
+                    key = f"{app_name}:{node.node_id}"
+                    if tree is None:
+                        installs.append(sim.process(app.install(),
+                                                    name=f"install:{key}"))
+                    elif key in tree["apps"]:
+                        app.resume_from(tree["apps"][key])
+                    else:
+                        raise CheckpointError(
+                            f"checkpoint lacks a resume token for {key}")
+            if tree is None:
+                self._settle(sim, cluster, installs)
+                t0 = sim.now
+            else:
+                t0 = float(tree["meta"]["t0"])
+            procs = self._spawn_apps(cluster, apps, plan)
+            done = None if plan.window is not None else sim.all_of(procs)
+            if tree is not None:
+                sim.settle()
+                if not coordinator.all_held:
                     raise CheckpointError(
-                        f"checkpoint lacks a resume token for {key}")
-        if tree is None:
-            self._settle(sim, cluster, installs)
-            t0 = sim.now
-        else:
-            t0 = float(tree["meta"]["t0"])
-        procs = self._spawn_apps(cluster, apps, plan)
-        done = None if plan.window is not None else sim.all_of(procs)
-        if tree is not None:
-            sim.settle()
-            if not coordinator.all_held:
-                raise CheckpointError(
-                    "resumed applications did not park on their holds")
-            verify_restored_queue(sim, tree)
-            self._restore_obs(tree)
-            coordinator.release()
+                        "resumed applications did not park on their holds")
+                verify_restored_queue(sim, tree)
+                self._restore_obs(tree)
+                coordinator.release()
 
-        limits = self.scenario.experiment
-        end = t0 + (plan.window if done is None else limits.hard_limit)
-        self._epochs(sim, cluster, coordinator, apps, plan, t0=t0, end=end,
-                     done=done, every=every, path=path)
-        duration = plan.window
-        if done is not None:
-            if not done.triggered:
-                raise RuntimeError(
-                    f"experiment {plan.name!r} exceeded the "
-                    f"{limits.hard_limit}s hard limit")
-            finish = sim.now
-            # Grace period: let the write-back daemons flush the tail.
-            sim.run(until=finish + limits.flush_grace)
-            duration = finish - t0 + limits.flush_grace
-        trace = TraceDataset(
-            time_window(cluster.gather_traces(), 0, duration))
-        result = ExperimentResult(
-            name=plan.name, trace=trace, duration=duration,
-            nnodes=self.scenario.cluster.nnodes,
-            app_stats={n: [a.stats for a in apps[n]] for n in plan.apps})
-        self._finish(cluster, result)
+            limits = self.scenario.experiment
+            end = t0 + (plan.window if done is None else limits.hard_limit)
+            self._epochs(sim, cluster, coordinator, apps, plan, t0=t0, end=end,
+                         done=done, every=every, path=path)
+            duration = plan.window
+            if done is not None:
+                if not done.triggered:
+                    raise RuntimeError(
+                        f"experiment {plan.name!r} exceeded the "
+                        f"{limits.hard_limit}s hard limit")
+                finish = sim.now
+                # Grace period: let the write-back daemons flush the tail.
+                sim.run(until=finish + limits.flush_grace)
+                duration = finish - t0 + limits.flush_grace
+            trace = TraceDataset(
+                time_window(cluster.gather_traces(), 0, duration))
+            result = ExperimentResult(
+                name=plan.name, trace=trace, duration=duration,
+                nnodes=self.scenario.cluster.nnodes,
+                app_stats={n: [a.stats for a in apps[n]] for n in plan.apps})
+            self._finish(cluster, result)
+        finally:
+            # free the finished (or failed) run by reference counting
+            sim.close()
         return result
 
     def _build(self, tree: Optional[dict] = None):

@@ -291,6 +291,9 @@ class Disk:
         the event order where that pop would happen.
         """
         done = request.done
+        # the fired event keeps the request as its value; the request
+        # lets go of the event, so the pair is not a reference cycle
+        request.done = None
         done._ok = True
         done._value = request
         callbacks = done.callbacks

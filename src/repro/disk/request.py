@@ -30,7 +30,8 @@ class IORequest:
     complete_time: Optional[float] = None
     #: opaque tag for upper layers (buffer cache, VM, app id, ...)
     origin: Any = None
-    #: completion event, attached by the device when accepted
+    #: completion event, attached by the device when accepted and
+    #: dropped when it fires (the event's value is this request)
     done: Any = field(default=None, repr=False)
     #: set by the device when the transfer failed (media error); the
     #: request still completes (the drive reports the error after trying)

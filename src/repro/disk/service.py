@@ -8,16 +8,18 @@ drives in the Beowulf nodes).
 
 The per-request arithmetic is table-driven: a :class:`_ServiceTables`
 pair of numpy lookup tables (seek time by cylinder distance, media data
-rate by cylinder) is built lazily once per model and cached on the frozen
-dataclass, so the hot :meth:`DiskServiceModel.service_time` path is two
-array indexes and three adds instead of a sqrt, a branch, and a zone
-interpolation per request.  Table entries are built with the same
+rate by cylinder) is built lazily, shared by every equal model in the
+process, and cached on the frozen dataclass, so the hot
+:meth:`DiskServiceModel.service_time` path is two array indexes and
+three adds instead of a sqrt, a branch, and a zone interpolation per
+request.  Table entries are built with the same
 operation order as the scalar formulas, so results are bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +59,13 @@ class _ServiceTables:
         self.sectors_per_cylinder = geo.sectors_per_cylinder
 
 
+@lru_cache(maxsize=16)
+def _shared_tables(model: "DiskServiceModel") -> _ServiceTables:
+    """The one tables object of every model equal to ``model`` (the
+    models are frozen and hashable; a cluster's nodes share one)."""
+    return _ServiceTables(model)
+
+
 @dataclass(frozen=True)
 class DiskServiceModel:
     """Timing parameters (seconds) of the drive mechanics.
@@ -83,7 +92,8 @@ class DiskServiceModel:
 
     @property
     def tables(self) -> _ServiceTables:
-        """The model's lookup tables, built on first use and cached.
+        """The model's lookup tables, shared by equal models, looked up
+        on first use and cached.
 
         The cache rides the instance via ``object.__setattr__`` (the
         dataclass is frozen); it is invisible to ``==``/``hash``/``repr``,
@@ -91,7 +101,7 @@ class DiskServiceModel:
         """
         tables = getattr(self, "_tables", None)
         if tables is None:
-            tables = _ServiceTables(self)
+            tables = _shared_tables(self)
             object.__setattr__(self, "_tables", tables)
         return tables
 

@@ -122,6 +122,7 @@ def join_parts(sim, request: IORequest, parts) -> Event:
         if remaining == 0:
             request.complete_time = sim.now
             request.failed = failed
+            request.done = None  # as Disk does: no request <-> event cycle
             done.succeed(request)
 
     for sub, part_done in parts:

@@ -78,49 +78,65 @@ class TraceRecord:
                 self.size_kb, self.node)
 
 
-class TraceBuffer:
-    """Growable, numpy-backed store of trace records.
+#: the largest block of a :class:`TraceBuffer` (about 100 KB of records)
+BLOCK_RECORDS = 4096
 
-    Appends are O(1) amortised (doubling array); :meth:`to_array` yields a
-    structured array view of exactly the written records for vectorised
-    analysis.
+
+class TraceBuffer:
+    """Append-only, numpy-backed store of trace records, in blocks.
+
+    Records land in fixed blocks that are never grown or copied: when
+    one is full the next starts beside it, as large as all the blocks
+    before it (the first holds ``initial_capacity``) and at most
+    :data:`BLOCK_RECORDS`.  So a buffer holds at most one block of
+    slack, and no append ever holds an old and a new copy at once.
+    :meth:`blocks` hands the written records to the end-of-run merge as
+    they lie; :meth:`to_array` joins them into one array.
     """
 
     def __init__(self, initial_capacity: int = 1024):
         if initial_capacity < 1:
             raise ValueError("initial capacity must be >= 1")
-        self._data = np.zeros(initial_capacity, dtype=TRACE_DTYPE)
+        self._first = min(initial_capacity, BLOCK_RECORDS)
+        #: the blocks, every one full but the last
+        self._blocks: list = []
+        #: records written into the last block
+        self._fill = 0
         self._len = 0
 
     def __len__(self) -> int:
         return self._len
 
+    def _free_block(self) -> np.ndarray:
+        """The last block if it has room, else a new one."""
+        blocks = self._blocks
+        if blocks and self._fill < len(blocks[-1]):
+            return blocks[-1]
+        size = min(max(self._len, self._first), BLOCK_RECORDS)
+        block = np.empty(size, dtype=TRACE_DTYPE)
+        blocks.append(block)
+        self._fill = 0
+        return block
+
     def append(self, record: TraceRecord) -> None:
-        if self._len == len(self._data):
-            grown = np.zeros(len(self._data) * 2, dtype=TRACE_DTYPE)
-            grown[:self._len] = self._data
-            self._data = grown
-        self._data[self._len] = record.as_tuple()
+        self._free_block()[self._fill] = record.as_tuple()
+        self._fill += 1
         self._len += 1
 
     def append_array(self, records: np.ndarray) -> None:
-        """Bulk append a structured array in one vectorised copy."""
+        """Bulk append a structured array, a block's room at a time."""
         records = np.asarray(records)
         if records.dtype != TRACE_DTYPE:
             raise TypeError(f"expected trace dtype, got {records.dtype}")
-        n = len(records)
-        if n == 0:
-            return
-        needed = self._len + n
-        if needed > len(self._data):
-            capacity = len(self._data)
-            while capacity < needed:
-                capacity *= 2
-            grown = np.zeros(capacity, dtype=TRACE_DTYPE)
-            grown[:self._len] = self._data[:self._len]
-            self._data = grown
-        self._data[self._len:needed] = records
-        self._len = needed
+        at, n = 0, len(records)
+        while at < n:
+            block = self._free_block()
+            fill = self._fill
+            take = min(n - at, len(block) - fill)
+            block[fill:fill + take] = records[at:at + take]
+            self._fill = fill + take
+            self._len += take
+            at += take
 
     def extend(self, records) -> None:
         """Append many records at once (vectorised via a staging array)."""
@@ -132,22 +148,33 @@ class TraceBuffer:
         if rows:
             self.append_array(np.array(rows, dtype=TRACE_DTYPE))
 
+    def blocks(self) -> list:
+        """The records written so far, in order, one array per block
+        (the last a view of its filled part); valid until the next
+        append or :meth:`clear`."""
+        blocks = self._blocks
+        if not blocks:
+            return []
+        return blocks[:-1] + [blocks[-1][:self._fill]]
+
     def to_array(self) -> np.ndarray:
         """Structured array of the records written so far (a copy)."""
-        return self._data[:self._len].copy()
-
-    def view(self) -> np.ndarray:
-        """The records written so far, without a copy; valid until the
-        next append or :meth:`clear`."""
-        return self._data[:self._len]
+        # into an array of the schema's own dtype object, as pickles of
+        # it (checkpoints) memoize that object
+        records = np.empty(self._len, dtype=TRACE_DTYPE)
+        if self._len:
+            np.concatenate(self.blocks(), out=records)
+        return records
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        for row in self._data[:self._len]:
-            yield TraceRecord(float(row["time"]), int(row["sector"]),
-                              bool(row["write"]), int(row["pending"]),
-                              float(row["size_kb"]), int(row["node"]))
+        for block in self.blocks():
+            for row in block:
+                yield TraceRecord(float(row["time"]), int(row["sector"]),
+                                  bool(row["write"]), int(row["pending"]),
+                                  float(row["size_kb"]), int(row["node"]))
 
     def clear(self) -> None:
         """Drop every record and the storage that held them."""
-        self._data = np.zeros(1, dtype=TRACE_DTYPE)
+        self._blocks = []
+        self._fill = 0
         self._len = 0

@@ -18,7 +18,7 @@ from typing import Iterable, List, Optional
 from repro.driver import InstrumentedIDEDriver
 
 
-@dataclass
+@dataclass(slots=True)
 class _Buffer:
     blockno: int
     dirty: bool = False

@@ -49,16 +49,21 @@ _GRANT, _DONE = 0, 1
 
 
 class _Wake:
-    """One queued CPU entry; inert once the CPU has armed another."""
+    """One queued CPU entry; inert once the CPU has armed another.
 
-    __slots__ = ("cpu",)
+    The CPU knows its live entry by ``serial``, not by reference, so
+    the pair is not a reference cycle.
+    """
 
-    def __init__(self, cpu: "CPU"):
+    __slots__ = ("cpu", "serial")
+
+    def __init__(self, cpu: "CPU", serial: int):
         self.cpu = cpu
+        self.serial = serial
 
     def _fire(self) -> None:
         cpu = self.cpu
-        if cpu._wake is self:
+        if cpu._wake == self.serial:
             cpu._woken()
 
 
@@ -79,9 +84,10 @@ class CPU:
         self._jobs: list = []
         #: when the head job's current slice began
         self._start = 0.0
-        #: the live entry, its time and kind (None: idle, or arming
-        #: deferred)
+        #: the serial of the live entry, its time and kind (None: idle,
+        #: or arming deferred)
         self._wake = None
+        self._serial = 0
         self._wake_at = 0.0
         self._kind = _DONE
         #: a grant queued ahead of its instant first lets the entries due
@@ -239,11 +245,12 @@ class CPU:
         if (self._wake is not None and self._wake_at == time
                 and self._kind == kind):
             return  # unmoved: keep its place in the same-instant order
-        wake = self._wake = _Wake(self)
+        self._serial += 1
+        self._wake = self._serial
         self._wake_at = time
         self._kind = kind
         self._defer = defer
-        self.sim._enqueue_at(time, wake, seq)
+        self.sim._enqueue_at(time, _Wake(self, self._serial), seq)
 
     def _woken(self) -> None:
         self._wake = None

@@ -9,6 +9,7 @@ instrumentation.
 
 from __future__ import annotations
 
+import weakref
 from typing import Generator, Optional
 
 import numpy as np
@@ -26,6 +27,23 @@ from repro.sim import Process, RandomStreams, Simulator
 
 #: bytes of one instrumentation record as written to the trace log file
 TRACE_RECORD_BYTES = 32
+
+
+def _instrumentation_sink(instlog):
+    """The transport's drain sink: the user-space trace reader persists
+    drained records, and those file writes are themselves visible in
+    the trace (as in the paper, where "system and instrumentation
+    logging" dominate baseline writes).
+
+    The logger writes through the filesystem and driver back into the
+    transport, so the sink holds it weakly: a dropped node is then
+    freed by reference counting, not left for a full collection.
+    """
+    instlog = weakref.proxy(instlog)
+
+    def sink(nrecords: int) -> None:
+        instlog.log(nrecords * TRACE_RECORD_BYTES)
+    return sink
 
 
 class NodeKernel:
@@ -66,8 +84,7 @@ class NodeKernel:
         self.disks = self.volume.disks
         self.transport = ProcTraceTransport(
             sim, ring_capacity=cfg.driver.ring_capacity,
-            drain_interval=cfg.driver.drain_interval,
-            sink=self._instrumentation_sink)
+            drain_interval=cfg.driver.drain_interval)
         self.driver = InstrumentedIDEDriver(sim, self.volume,
                                             node_id=node_id,
                                             transport=self.transport)
@@ -107,6 +124,7 @@ class NodeKernel:
                                  zone="highlog",
                                  flush_interval=cfg.bdflush_interval,
                                  owner=f"{prefix}:syslog:iotrace")
+        self.transport.sink = _instrumentation_sink(self.instlog)
         self.update = UpdateDaemon(sim, self.fs, interval=cfg.update_interval,
                                    buffer_age=cfg.bdflush_age,
                                    owner=f"{prefix}:update")
@@ -129,13 +147,6 @@ class NodeKernel:
         return self.disks[0]
 
     # -- instrumentation plumbing ------------------------------------------
-    def _instrumentation_sink(self, nrecords: int) -> None:
-        # The user-space trace reader persists drained records; those file
-        # writes are themselves visible in the trace (as in the paper,
-        # where "system and instrumentation logging" dominate baseline
-        # writes).
-        self.instlog.log(nrecords * TRACE_RECORD_BYTES)
-
     def trace_array(self) -> np.ndarray:
         self.transport.drain_now()
         return self.transport.user_buffer.to_array()

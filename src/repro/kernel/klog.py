@@ -17,6 +17,7 @@ size.  Those writes come from exactly the machinery modelled here:
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Optional
 
 import numpy as np
@@ -42,8 +43,9 @@ class SysLogger:
         self.owner = owner or f"syslog:{path}"
         self._pending_bytes = 0
         self._bytes_logged = 0
-        #: the :class:`HousekeepingLoad` whose messages land here; every
-        #: flush catches it up first
+        #: the :class:`HousekeepingLoad` whose messages land here, as a
+        #: weak proxy (the load holds its loggers); every flush catches
+        #: it up first
         self.chatter: Optional["HousekeepingLoad"] = None
         self._handle: Optional[FileHandle] = None
         self._running = True
@@ -189,8 +191,9 @@ class HousekeepingLoad:
         #: simulated time of the next message (``inf``: no more)
         self.next_message = (now + float(self._exponential(self._mean_gap))
                              if message_rate > 0 else math.inf)
+        chatter = weakref.proxy(self)
         for lg in self.loggers:
-            lg.chatter = self
+            lg.chatter = chatter
         self._running = True
         sim.process(self._table_lookups(), name="klog-lookups")
         sim.process(self._state_rewrites(), name="klog-utmp")

@@ -162,6 +162,7 @@ class Process(Event):
         instr = sim._instr
         self._resume_counter = None if instr is None else \
             instr.resumes.child(self.name.split(":", 1)[0])
+        sim._processes[self] = None
         Initialize(sim, self)
 
     def _resume(self, event: Event) -> None:
@@ -176,6 +177,7 @@ class Process(Event):
             else:
                 next_event = self.generator.throw(event._value)
         except StopIteration as stop:
+            del sim._processes[self]
             self.succeed(stop.value)
             return
         if not isinstance(next_event, Event):
@@ -233,6 +235,9 @@ class Simulator:
         #: entry to replay on that owner's next tick() (restore path)
         self._tick_preloads: dict = {}
         self._heap: list = []
+        #: the live processes, in spawn order: each is added at spawn and
+        #: dropped when its generator returns (see :meth:`close`)
+        self._processes: dict = {}
 
     # -- construction helpers -------------------------------------------------
     def event(self) -> Event:
@@ -362,6 +367,24 @@ class Simulator:
                     raise SimulationError(
                         "settle() exceeded its event budget without "
                         "reaching a tick-only queue")
+
+    def close(self) -> None:
+        """Tear down a finished simulation: close every live process's
+        generator, then empty the event queue.
+
+        A parked daemon and the queue refer to each other (its generator
+        frame holds the components it serves, and they hold the
+        simulator), so without this a finished run stays alive until a
+        full garbage collection.  After it, reading the run's state
+        (statistics, the filesystem, the clock) gives what it gave
+        before, but no process is left to run.
+        """
+        processes, self._processes = self._processes, {}
+        for process in processes:
+            process.generator.close()
+            # it never fires now: let go of what waited for it
+            process.callbacks.clear()
+        self._heap.clear()
 
     def clock_state(self) -> dict:
         """The engine-level snapshot scalars (time and sequence counter)."""

@@ -82,4 +82,6 @@ class Resource:
         while self._queue and self._in_use < self.capacity:
             req = self._queue.popleft()
             self._in_use += 1
-            req.succeed(req)
+            # no value: a request whose value was itself would be a
+            # reference cycle, freed only by the garbage collector
+            req.succeed()

@@ -4,9 +4,12 @@
 ``[0, duration)`` window) and ``RunCatalog.load_dataset`` must give the
 bytes of the concatenate / stable-argsort / fancy-index merge kept in
 ``tests/merge_oracle.py``, on inputs full of equal times within and
-across parts, and with empty parts.  The assembly must also hold one
-copy of the trace: its allocation peak stays within the merged records,
-one int64 index and one column, and it leaves the node buffers empty.
+across parts, and with empty parts, and on node buffers whose records
+straddle block edges.  The assembly must also hold one copy of the
+trace: its allocation peak stays within the merged records, one int64
+index and one column, and it leaves the node buffers empty.  A node
+buffer holds its records plus at most one block of slack, and never
+copies them while it fills.
 """
 
 import tempfile
@@ -16,8 +19,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import BeowulfCluster
-from repro.driver import TRACE_DTYPE
-from repro.driver.trace import merge_by_time, time_window
+from repro.driver import TRACE_DTYPE, TraceBuffer
+from repro.driver.trace import BLOCK_RECORDS, merge_by_time, time_window
 from repro.sim import Simulator
 from repro.store import RunCatalog
 from tests.merge_oracle import reference_merge_by_time
@@ -59,14 +62,18 @@ def test_merge_by_time_matches_the_oracle(rows_per_part):
 
 
 @settings(max_examples=100, deadline=None)
-@given(PARTS, st.data(), TIMES)
-def test_gathered_window_matches_the_oracle(rows_per_part, data, duration):
+@given(PARTS, st.data(), TIMES, st.sampled_from([1, 2, 3, 1024]))
+def test_gathered_window_matches_the_oracle(rows_per_part, data, duration,
+                                            first_block):
     parts = as_parts(rows_per_part, sort=True)
     cluster = BeowulfCluster(Simulator(), nnodes=len(parts), seed=0)
     for node, part in zip(cluster.nodes, parts):
-        # some records already drained to user space, the rest in the ring
+        # some records already drained to user space, the rest in the
+        # ring; small first blocks put the drained records across
+        # several block edges
         drained = data.draw(st.integers(0, len(part)))
         transport = node.kernel.transport
+        transport.user_buffer = TraceBuffer(initial_capacity=first_block)
         transport.user_buffer.append_array(part[:drained])
         for record in part[drained:]:
             transport.push(record.item())
@@ -93,6 +100,53 @@ def test_load_dataset_matches_the_oracle(rows_per_part, chunk_records):
         capture.finalize()
         loaded = catalog.load_dataset("run").records
     assert loaded.tobytes() == reference_merge_by_time(parts).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, BLOCK_RECORDS + 100), max_size=8),
+       st.integers(1, 2 * BLOCK_RECORDS))
+def test_blocks_hold_the_records_in_order(batches, first_block):
+    rows = np.zeros(sum(batches), dtype=TRACE_DTYPE)
+    rows["time"] = np.arange(len(rows)) * 0.5
+    rows["sector"] = np.arange(len(rows)) * 7
+    buffer = TraceBuffer(initial_capacity=first_block)
+    at = 0
+    for size in batches:
+        buffer.append_array(rows[at:at + size])
+        at += size
+    blocks = buffer.blocks()
+    assert len(buffer) == len(rows)
+    assert buffer.to_array().tobytes() == rows.tobytes()
+    # the schema's own dtype object, so checkpoint pickles stay the same
+    assert buffer.to_array().dtype is TRACE_DTYPE
+    assert np.concatenate(blocks or [rows[:0]]).tobytes() == rows.tobytes()
+    assert all(0 < len(b) <= BLOCK_RECORDS for b in blocks)
+    # the checkpoint form is the same array
+    restored = TraceBuffer()
+    restored.append_array(buffer.to_array())
+    assert restored.to_array().tobytes() == rows.tobytes()
+
+
+def test_a_buffer_holds_one_block_of_slack_per_node():
+    nodes, count, batch = 2, 5 * BLOCK_RECORDS + 777, 37
+    rows = np.zeros(batch, dtype=TRACE_DTYPE)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        buffers = [TraceBuffer() for _ in range(nodes)]
+        for _ in range(count // batch):
+            for buffer in buffers:
+                buffer.append_array(rows)  # as the /proc drain does
+        held, peak = (m - start for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    records = nodes * (count // batch) * batch * TRACE_DTYPE.itemsize
+    slack = nodes * BLOCK_RECORDS * TRACE_DTYPE.itemsize
+    # array headers, the block lists and one staged batch
+    overhead = 16 * 1024
+    assert held <= records + slack + overhead
+    # no growth copies: the peak is what is held, plus one batch
+    assert peak <= records + slack + overhead
 
 
 def test_assembly_holds_one_copy_of_the_trace():

@@ -12,7 +12,13 @@ disk stack (scheduler x drive-cache segments) and cluster fabric
   fabric blocks (``network``, ``pious``, ``node.disks``,
   ``node.volume``);
 * the JSON results file round-trips and the ablated stacks produced
-  different scenario fingerprints.
+  different scenario fingerprints;
+* every finished run was freed by reference counting.  The grids'
+  points run in a process pool, so the smoke also runs a one-point
+  sweep and a single experiment through the CLI in this process; with
+  ``gc.DEBUG_SAVEALL`` set from the start, no object the garbage
+  collector found (during the runs or in a last full collection) may
+  have a type from a ``repro.`` module.
 
 Usage::
 
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import sys
@@ -110,7 +117,37 @@ def run_smoke(duration: float, workdir: Path) -> int:
             scenario["node"]["volume"]["policy"]
     print(f"sweep smoke OK: 4 stack runs in {sink} and 4 fabric runs "
           f"in {fabric_sink}, all with distinct fingerprints")
+
+    # -- in this process: a one-point sweep and a single experiment --------
+    local_sink = workdir / "local-runs"
+    argv_sweep = ["sweep", "--on", "baseline", "--nodes", "1",
+                  "--duration", str(duration), "--grid", "scheduler=clook",
+                  "--sink", str(local_sink)]
+    argv_run = ["baseline", "--nodes", "1", "--duration", str(duration),
+                "--sink", str(local_sink)]
+    for argv in (argv_sweep, argv_run):
+        print("repro-experiment", " ".join(argv))
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli_main(argv)
+        assert rc == 0, f"{argv[0]} CLI exited {rc}"
+    assert len(RunCatalog(local_sink).runs()) == 2
     return 0
+
+
+def _cyclic_repro_garbage() -> dict:
+    """Type name -> count of the ``repro.`` objects among everything the
+    collector found since ``gc.DEBUG_SAVEALL`` was set, plus a last full
+    collection."""
+    gc.collect()
+    found: dict = {}
+    for obj in gc.garbage:
+        kind = type(obj)
+        if kind.__module__.startswith("repro."):
+            name = f"{kind.__module__}.{kind.__qualname__}"
+            found[name] = found.get(name, 0) + 1
+    gc.set_debug(0)
+    gc.garbage.clear()
+    return found
 
 
 def main() -> int:
@@ -120,11 +157,20 @@ def main() -> int:
     parser.add_argument("--keep", type=Path, default=None, metavar="DIR",
                         help="run in DIR and keep the artifacts")
     args = parser.parse_args()
+    # keep whatever the collector frees, so the check below also sees
+    # cycles collected while the runs went on
+    gc.set_debug(gc.DEBUG_SAVEALL)
     if args.keep:
         args.keep.mkdir(parents=True, exist_ok=True)
-        return run_smoke(args.duration, args.keep)
-    with tempfile.TemporaryDirectory(prefix="sweep-smoke-") as tmp:
-        return run_smoke(args.duration, Path(tmp))
+        rc = run_smoke(args.duration, args.keep)
+    else:
+        with tempfile.TemporaryDirectory(prefix="sweep-smoke-") as tmp:
+            rc = run_smoke(args.duration, Path(tmp))
+    leaked = _cyclic_repro_garbage()
+    assert not leaked, \
+        f"finished runs left reference cycles of repro objects: {leaked}"
+    print("no repro object was left to the garbage collector")
+    return rc
 
 
 if __name__ == "__main__":
