@@ -260,9 +260,8 @@ class ESSApplication:
         for i in range(total_pages):
             block_index = i * blocks_per_page
             if block_index < inode.nblocks:
-                sector = inode.blocks[block_index] * spb
-                self.aspace.file_pages[start + i] = (
-                    sector, page_kb * 1024 // 512)
+                self.aspace.map_file_page(
+                    start + i, inode.blocks[block_index] * spb)
         self._binary_pages = total_pages
         return start, total_pages
 

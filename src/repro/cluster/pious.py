@@ -11,6 +11,7 @@ in the driver traces exactly like local I/O does.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -104,7 +105,9 @@ class PIOUS:
                  storage_dir: str = "/pious"):
         if stripe_kb < 1:
             raise ValueError("stripe unit must be >= 1 KB")
-        self.cluster = cluster
+        #: a weak proxy: the cluster keeps its service on
+        #: ``cluster.pious``, and the caller keeps the cluster
+        self.cluster = weakref.proxy(cluster)
         self.stripe_bytes = stripe_kb * 1024
         self.storage_dir = storage_dir
         self.server_ids = list(servers) if servers is not None else \

@@ -13,16 +13,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.driver import InstrumentedIDEDriver
-
-
-@dataclass(slots=True)
-class _Buffer:
-    blockno: int
-    dirty: bool = False
-    dirty_since: float = 0.0
 
 
 @dataclass
@@ -58,15 +51,17 @@ class BufferCache:
         self.spb = sectors_per_block
         self.cluster_blocks = max(1, cluster_blocks)
         self.stats = CacheStats()
-        self._buffers: "OrderedDict[int, _Buffer]" = OrderedDict()
+        # The resident blocks in LRU order, each mapped to the time it
+        # was last dirtied (0.0 if never; a flush leaves the stamp).
+        self._buffers: "OrderedDict[int, float]" = OrderedDict()
         # Dirty-set bookkeeping so the flush daemons never walk clean
-        # buffers: the dirty residents keyed by block number (membership
-        # mirrors ``buf.dirty`` exactly), plus a *floor* on the dirty
-        # timestamps.  ``_earliest_dirty`` may drift below the true
-        # minimum after flushes (costing at most one harmless scan), but
-        # is never above it — so ``has_aged_dirty() == False`` guarantees
-        # an unconditional scan would have selected nothing.
-        self._dirty: dict = {}
+        # buffers: the block numbers of the dirty residents (the keys of
+        # a dict, which holds many keys in less memory than a set), plus
+        # a *floor* on their stamps.  ``_earliest_dirty`` may drift below
+        # the true minimum after flushes (costing at most one harmless
+        # scan), but is never above it — so ``has_aged_dirty() == False``
+        # guarantees an unconditional scan would have selected nothing.
+        self._dirty: Dict[int, None] = {}
         self._earliest_dirty = float("inf")
 
     # -- inspection ---------------------------------------------------------
@@ -77,8 +72,7 @@ class BufferCache:
         return blockno in self._buffers
 
     def is_dirty(self, blockno: int) -> bool:
-        buf = self._buffers.get(blockno)
-        return bool(buf and buf.dirty)
+        return blockno in self._dirty
 
     @property
     def dirty_count(self) -> int:
@@ -122,15 +116,14 @@ class BufferCache:
         miss actually needs room made.  On ``False`` nothing happened —
         the caller must drive :meth:`write_block`.
         """
-        buf = self._buffers.get(blockno)
-        if buf is None:
+        buffers = self._buffers
+        if blockno not in buffers:
             return False
-        self._buffers.move_to_end(blockno)
-        if not buf.dirty:
-            buf.dirty = True
+        buffers.move_to_end(blockno)
+        if blockno not in self._dirty:
             now = self.sim.now
-            buf.dirty_since = now
-            self._dirty[blockno] = buf
+            buffers[blockno] = now
+            self._dirty[blockno] = None
             if now < self._earliest_dirty:
                 self._earliest_dirty = now
         return True
@@ -155,12 +148,9 @@ class BufferCache:
         if self.note_write(blockno):
             return
         yield from self._make_room(1)
-        buf = _Buffer(blockno)
-        self._buffers[blockno] = buf
-        buf.dirty = True
         now = self.sim.now
-        buf.dirty_since = now
-        self._dirty[blockno] = buf
+        self._buffers[blockno] = now
+        self._dirty[blockno] = None
         if now < self._earliest_dirty:
             self._earliest_dirty = now
 
@@ -195,13 +185,15 @@ class BufferCache:
         cutoff = self.sim.now - age_limit
         if not self._dirty or self._earliest_dirty > cutoff:
             return
+        buffers = self._buffers
         aged: List[int] = []
         floor = float("inf")
-        for b in self._dirty.values():
-            if b.dirty_since < floor:
-                floor = b.dirty_since
-            if b.dirty_since <= cutoff:
-                aged.append(b.blockno)
+        for blockno in self._dirty:
+            since = buffers[blockno]
+            if since < floor:
+                floor = since
+            if since <= cutoff:
+                aged.append(blockno)
         # exact at scan time (includes buffers another in-flight flush
         # has selected but not yet written); only drifts low afterwards
         self._earliest_dirty = floor
@@ -210,10 +202,9 @@ class BufferCache:
 
     def invalidate(self, blockno: int) -> None:
         """Drop a (clean) buffer; dirty buffers must be synced first."""
-        buf = self._buffers.get(blockno)
-        if buf is None:
+        if blockno not in self._buffers:
             return
-        if buf.dirty:
+        if blockno in self._dirty:
             raise ValueError(f"invalidate of dirty block {blockno}")
         del self._buffers[blockno]
 
@@ -222,8 +213,8 @@ class BufferCache:
         """Resident buffers (in LRU order), stats, and dirty bookkeeping."""
         s = self.stats
         return {
-            "buffers": [(b.blockno, b.dirty, b.dirty_since)
-                        for b in self._buffers.values()],
+            "buffers": [(blockno, blockno in self._dirty, since)
+                        for blockno, since in self._buffers.items()],
             "earliest_dirty": self._earliest_dirty,
             "stats": {"hits": s.hits, "misses": s.misses,
                       "writebacks": s.writebacks,
@@ -235,12 +226,9 @@ class BufferCache:
         self._buffers = OrderedDict()
         self._dirty = {}
         for blockno, dirty, dirty_since in state["buffers"]:
-            buf = _Buffer(int(blockno), bool(dirty), float(dirty_since))
-            self._buffers[buf.blockno] = buf
-            if buf.dirty:
-                # the dirty index must alias the resident buffer objects,
-                # exactly as live bookkeeping does
-                self._dirty[buf.blockno] = buf
+            self._buffers[int(blockno)] = float(dirty_since)
+            if dirty:
+                self._dirty[int(blockno)] = None
         self._earliest_dirty = float(state["earliest_dirty"])
         st = state["stats"]
         self.stats = CacheStats(**{k: int(v) for k, v in st.items()})
@@ -258,22 +246,20 @@ class BufferCache:
             if blockno in self._buffers:
                 self._touch(blockno)
             else:
-                self._buffers[blockno] = _Buffer(blockno)
+                self._buffers[blockno] = 0.0
 
     def _make_room(self, incoming: int):
         while len(self._buffers) + incoming > self.capacity:
             victim = self._pick_victim()
             if victim is None:
                 break
-            buf = self._buffers[victim]
-            if buf.dirty:
+            if victim in self._dirty:
                 yield from self._flush([victim])
-            evicted = self._buffers.pop(victim, None)
-            if evicted is not None:
-                if evicted.dirty:
+            if self._buffers.pop(victim, None) is not None:
+                if victim in self._dirty:
                     # re-dirtied while its flush was in flight; the write
                     # is lost with the buffer (pre-existing semantics)
-                    self._dirty.pop(victim, None)
+                    del self._dirty[victim]
                     if not self._dirty:
                         self._earliest_dirty = float("inf")
                 self.stats.evictions += 1
@@ -287,20 +273,20 @@ class BufferCache:
         if not self._buffers:
             return None
         window = max(4, len(self._buffers) // 4)
+        dirty = self._dirty
         oldest = None
-        for i, (blockno, buf) in enumerate(self._buffers.items()):
+        for i, blockno in enumerate(self._buffers):
             if i == 0:
                 oldest = blockno
             if i >= window:
                 break
-            if not buf.dirty:
+            if blockno not in dirty:
                 return blockno
         return oldest
 
     def _flush(self, blocknos: Iterable[int]):
-        buffers = self._buffers
-        dirty = [b for b in blocknos
-                 if b in buffers and buffers[b].dirty]
+        marked = self._dirty
+        dirty = [b for b in blocknos if b in marked]
         if len(dirty) == 1:
             # the dominant bdflush case: one aged log block, no run
             # merging possible — skip the sort and the runs generator
@@ -313,11 +299,9 @@ class BufferCache:
                                             origin="bcache-wb")
             self.stats.writeback_requests += 1
             for blockno in range(start, start + count):
-                buf = buffers.get(blockno)
-                if buf is not None and buf.dirty:
-                    buf.dirty = False
-                    del self._dirty[blockno]
-                    if not self._dirty:
+                if blockno in marked:
+                    del marked[blockno]
+                    if not marked:
                         self._earliest_dirty = float("inf")
                 self.stats.writebacks += 1
 

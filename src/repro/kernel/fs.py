@@ -14,6 +14,7 @@ not bytes.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -27,6 +28,9 @@ DIRECT_BLOCKS = 12
 POINTERS_PER_INDIRECT = 256
 #: directory entries per block
 DENTRIES_PER_BLOCK = 32
+#: typecode of the block-number arrays: 4-byte ints, as on disk (block
+#: numbers of the 500 MB disk stay far below 2**31)
+BLOCK_TYPECODE = "i"
 
 
 class FsError(Exception):
@@ -35,14 +39,15 @@ class FsError(Exception):
 
 @dataclass
 class Inode:
-    """On-disk file metadata plus its block map."""
+    """On-disk file metadata plus its block map (4-byte block numbers)."""
 
     ino: int
     zone: str
     is_dir: bool = False
     size_bytes: int = 0
-    blocks: List[int] = field(default_factory=list)
-    indirect_blocks: List[int] = field(default_factory=list)
+    blocks: array = field(default_factory=lambda: array(BLOCK_TYPECODE))
+    indirect_blocks: array = field(
+        default_factory=lambda: array(BLOCK_TYPECODE))
 
     @property
     def nblocks(self) -> int:
@@ -61,7 +66,7 @@ class _ZoneAllocator:
     def __init__(self, start_block: int, nblocks: int):
         self.start = start_block
         self.end = start_block + nblocks
-        self._free: List[int] = []      # returned blocks, reused first
+        self._free = array(BLOCK_TYPECODE)  # returned blocks, reused first
         self._next = start_block
 
     @property
@@ -399,16 +404,18 @@ class FileSystem:
     def restore_state(self, state: dict) -> None:
         for name, z in state["zones"].items():
             zone = self._zones[name]
-            zone._free = [int(b) for b in z["free"]]
+            zone._free = array(BLOCK_TYPECODE, [int(b) for b in z["free"]])
             zone._next = int(z["next"])
         self._inodes = {}
         for ino, rec in state["inodes"].items():
             inode = Inode(ino=int(ino), zone=rec["zone"],
                           is_dir=bool(rec["is_dir"]),
                           size_bytes=int(rec["size_bytes"]),
-                          blocks=[int(b) for b in rec["blocks"]],
-                          indirect_blocks=[int(b)
-                                           for b in rec["indirect"]])
+                          blocks=array(BLOCK_TYPECODE,
+                                       [int(b) for b in rec["blocks"]]),
+                          indirect_blocks=array(
+                              BLOCK_TYPECODE,
+                              [int(b) for b in rec["indirect"]]))
             self._inodes[inode.ino] = inode
         # directory records alias the freshly-built inode objects
         self._dirs = {int(ino): _Dir(self._inodes[int(ino)],

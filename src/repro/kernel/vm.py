@@ -21,7 +21,7 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.driver import InstrumentedIDEDriver
 
@@ -54,30 +54,47 @@ class VMStats:
 
 @dataclass
 class AddressSpace:
-    """Per-process page bookkeeping.
+    """Per-process page bookkeeping, in flat arrays indexed by page id.
 
-    ``file_pages`` maps a virtual page id to ``(start_sector, nsectors)``
-    on disk, for pages backed by a program image or data file.
-    ``swapped`` holds pages with a *valid* copy in their swap slot — the
+    ``file_pages`` holds the start sector on disk of each page backed by
+    a program image or data file, ``-1`` for anonymous pages; every
+    file-backed page spans the VM's ``sectors_per_page``.
+    ``swapped`` marks pages with a *valid* copy in their swap slot — the
     swap-cache semantics of real kernels: the copy survives a swap-in and
     is only invalidated when the resident page is re-dirtied, so a clean
     re-eviction is free and the next touch swap-ins again.
     ``slots`` (kept by the VM) maps a page id to its swap slot, ``-1``
     for none, and ``slot_order`` lists the assigned slots in the order
-    they were assigned, which is the order the VM frees them in.
+    they were assigned, which is the order the VM frees them in.  Only a
+    page with a slot can have a swap copy, so ``swapped`` grows with
+    ``slots`` and is always as long.
     """
 
     name: str
-    file_pages: Dict[int, Tuple[int, int]] = field(default_factory=dict)
-    swapped: set = field(default_factory=set)
     #: the high bits of this space's frame keys (``index << PAGE_BITS``)
     base: int = 0
     #: resident set size in pages, kept by the VM
     rss: int = 0
-    slots: array = field(default_factory=lambda: array("l"), init=False,
-                         repr=False)
-    slot_order: array = field(default_factory=lambda: array("l"),
+    file_pages: array = field(default_factory=lambda: array("i"),
                               init=False, repr=False)
+    swapped: bytearray = field(default_factory=bytearray, init=False,
+                               repr=False)
+    slots: array = field(default_factory=lambda: array("i"), init=False,
+                         repr=False)
+    slot_order: array = field(default_factory=lambda: array("i"),
+                              init=False, repr=False)
+
+    def map_file_page(self, page: int, sector: int) -> None:
+        """Back ``page`` by the disk page starting at ``sector``."""
+        pages = self.file_pages
+        if page >= len(pages):
+            pages.extend(array("i", [-1]) * (page + 1 - len(pages)))
+        pages[page] = sector
+
+    def has_swap_copy(self, page: int) -> bool:
+        """Does ``page`` have a valid copy in its swap slot?"""
+        swapped = self.swapped
+        return page < len(swapped) and swapped[page] == 1
 
 
 class VirtualMemory:
@@ -100,7 +117,7 @@ class VirtualMemory:
         # LRU of resident pages: ``space.base | page`` -> dirty flag
         self._frames: "OrderedDict[int, bool]" = OrderedDict()
         # freed swap slots, reused last-freed first
-        self._free_slots = array("l")
+        self._free_slots = array("i")
         self._next_slot = 0
         # index (``base >> PAGE_BITS``) -> space, in creation order
         self._spaces: Dict[int, AddressSpace] = {}
@@ -120,15 +137,20 @@ class VirtualMemory:
         return aspace
 
     def destroy_space(self, aspace: AddressSpace) -> None:
-        """Process exit: free its frames and swap slots (no I/O)."""
+        """Process exit: free its frames and swap slots (no I/O).
+
+        The frame table is rebuilt from the surviving pages, so the hash
+        table it grew to at its high-water mark goes with the space.
+        """
         index = aspace.base >> PAGE_BITS
-        for key in [k for k in self._frames if k >> PAGE_BITS == index]:
-            del self._frames[key]
+        self._frames = OrderedDict(
+            (key, dirty) for key, dirty in self._frames.items()
+            if key >> PAGE_BITS != index)
         self._free_slots.extend(aspace.slot_order)
         aspace.rss = 0
-        aspace.swapped.clear()
-        aspace.slots = array("l")
-        aspace.slot_order = array("l")
+        aspace.swapped = bytearray()
+        aspace.slots = array("i")
+        aspace.slot_order = array("i")
         self._spaces.pop(index, None)
 
     @property
@@ -203,7 +225,9 @@ class VirtualMemory:
         if write:
             frames[key] = True
             # Re-dirtying invalidates the swap copy (swap cache).
-            aspace.swapped.discard(page_id)
+            swapped = aspace.swapped
+            if page_id < len(swapped):
+                swapped[page_id] = 0
         return True
 
     def access(self, aspace: AddressSpace, page_id: int, write: bool = False):
@@ -217,19 +241,22 @@ class VirtualMemory:
         while len(self._frames) >= self.frames_total:
             yield from self._evict_one()
         self._kick_reclaimer()
-        # Bring the page in.
-        if page_id in aspace.swapped:
+        # Bring the page in (the bitmap and sector lookups inlined: a
+        # 16-node ``combined`` run faults about 300k times).
+        swapped = aspace.swapped
+        pages = aspace.file_pages
+        if page_id < len(swapped) and swapped[page_id]:
             slot = aspace.slots[page_id]
             self.stats.swap_ins += 1
             yield self.driver.read_sectors(self._slot_sector(slot),
                                            self.sectors_per_page,
                                            origin=f"swapin:{aspace.name}")
             if write:
-                aspace.swapped.discard(page_id)
-        elif page_id in aspace.file_pages:
-            sector, nsectors = aspace.file_pages[page_id]
+                swapped[page_id] = 0
+        elif page_id < len(pages) and pages[page_id] >= 0:
             self.stats.demand_loads += 1
-            yield self.driver.read_sectors(sector, nsectors,
+            yield self.driver.read_sectors(pages[page_id],
+                                           self.sectors_per_page,
                                            origin=f"demand:{aspace.name}")
         else:
             self.stats.zero_fills += 1
@@ -262,11 +289,14 @@ class VirtualMemory:
         for key in self._frames:
             resident[key >> PAGE_BITS].append(key & _PAGE_MASK)
         s = self.stats
+        n = self.sectors_per_page
         return {
             "spaces": [{"name": a.name,
-                        "file_pages": [[p, sec, n] for p, (sec, n)
-                                       in sorted(a.file_pages.items())],
-                        "swapped": sorted(a.swapped),
+                        "file_pages": [[p, sec, n] for p, sec
+                                       in enumerate(a.file_pages)
+                                       if sec >= 0],
+                        "swapped": [p for p, copy in enumerate(a.swapped)
+                                    if copy],
                         "resident": sorted(resident[index])}
                        for index, a in self._spaces.items()],
             "frames": [[names[key >> PAGE_BITS], key & _PAGE_MASK, dirty]
@@ -286,9 +316,12 @@ class VirtualMemory:
         base_of: Dict[str, int] = {}
         for sp in state["spaces"]:
             aspace = self.create_space(sp["name"])
-            aspace.file_pages = {int(p): (int(sec), int(n))
-                                 for p, sec, n in sp["file_pages"]}
-            aspace.swapped = set(sp["swapped"])
+            for p, sec, n in sp["file_pages"]:
+                if int(n) != self.sectors_per_page:
+                    raise ValueError(
+                        f"file page of {n} sectors in a VM of "
+                        f"{self.sectors_per_page}-sector pages")
+                aspace.map_file_page(int(p), int(sec))
             aspace.rss = len(sp["resident"])
             base_of[aspace.name] = aspace.base
         self._frames = OrderedDict(
@@ -297,7 +330,12 @@ class VirtualMemory:
         for name, page, slot in state["slots"]:
             self._assign_slot(self._spaces[base_of[name] >> PAGE_BITS],
                               int(page), int(slot))
-        self._free_slots = array("l", [int(s) for s in state["free_slots"]])
+        # a swap copy sits in its page's slot, so its bit already exists
+        for sp in state["spaces"]:
+            swapped = self._spaces[base_of[sp["name"]] >> PAGE_BITS].swapped
+            for page in sp["swapped"]:
+                swapped[int(page)] = 1
+        self._free_slots = array("i", [int(s) for s in state["free_slots"]])
         self._next_slot = int(state["next_slot"])
         self.stats = VMStats(**{k: int(v)
                                 for k, v in state["stats"].items()})
@@ -310,12 +348,16 @@ class VirtualMemory:
         victim = self._spaces[key >> PAGE_BITS]
         victim.rss -= 1
         if dirty:
-            slot = self._ensure_slot(victim, key & _PAGE_MASK)
+            page = key & _PAGE_MASK
+            slot = self._ensure_slot(victim, page)
+            # taken before the write: a space destroyed meanwhile drops
+            # this bitmap, and the copy with it
+            swapped = victim.swapped
             self.stats.swap_outs += 1
             yield self.driver.write_sectors(self._slot_sector(slot),
                                             self.sectors_per_page,
                                             origin=f"swapout:{victim.name}")
-            victim.swapped.add(key & _PAGE_MASK)
+            swapped[page] = 1
         # Clean pages are simply dropped: if their swap copy is still
         # valid the next touch swap-ins; file-backed pages demand-load
         # again; pure anonymous pages zero-fill again.
@@ -338,7 +380,9 @@ class VirtualMemory:
     def _assign_slot(aspace: AddressSpace, page: int, slot: int) -> None:
         slots = aspace.slots
         if page >= len(slots):
-            slots.extend([-1] * (page + 1 - len(slots)))
+            grow = page + 1 - len(slots)
+            slots.extend(array("i", [-1]) * grow)
+            aspace.swapped.extend(bytes(grow))
         slots[page] = slot
         aspace.slot_order.append(slot)
 

@@ -55,7 +55,7 @@ def test_detects_block_outside_zone(sim, fs):
 def test_detects_missing_indirect_accounting(sim, fs):
     a = drive(sim, fs.create("/a"))
     drive(sim, fs.truncate_extend(a, (DIRECT_BLOCKS + 5) * 1024))
-    a.indirect_blocks.clear()            # corrupt: drop the indirect block
+    del a.indirect_blocks[:]             # corrupt: drop the indirect block
     assert any("indirect" in p for p in fs.fsck())
 
 

@@ -49,7 +49,7 @@ def test_resident_hit_costs_nothing(vm_rig):
 def test_demand_load_reads_4kb_from_file_location(vm_rig):
     sim, vm, transport = vm_rig
     aspace = vm.create_space("app")
-    aspace.file_pages[0] = (32_000, 8)  # file-backed page at sector 32000
+    aspace.map_file_page(0, 32_000)  # file-backed page at sector 32000
     drive(sim, vm.access(aspace, 0))
     arr = traces(transport)
     assert len(arr) == 1
@@ -72,7 +72,7 @@ def test_dirty_eviction_writes_to_swap_and_swapin_reads_back(vm_rig):
     layout = LayoutConfig()
     assert writes["sector"][0] >= layout.swap_start
     assert writes["size_kb"][0] == 4.0
-    assert 0 in aspace.swapped
+    assert aspace.has_swap_copy(0)
     # Touch page 0 again: swap-in read from the same slot.
     drive(sim, vm.access(aspace, 0))
     arr = traces(transport)
@@ -99,7 +99,7 @@ def test_global_lru_evicts_across_spaces(vm_rig):
     for page in range(4):
         drive(sim, vm.access(a, page, write=True))
     drive(sim, vm.access(b, 0, write=True))  # pressure from b evicts a's LRU
-    assert 0 in a.swapped
+    assert a.has_swap_copy(0)
     assert b.rss == 1
 
 
@@ -107,7 +107,7 @@ def test_touch_range_demand_loads_sequentially(vm_rig):
     sim, vm, transport = vm_rig
     aspace = vm.create_space("app")
     for i in range(3):
-        aspace.file_pages[i] = (40_000 + i * 8, 8)
+        aspace.map_file_page(i, 40_000 + i * 8)
     drive(sim, vm.touch_range(aspace, 0, 3))
     arr = traces(transport)
     assert len(arr) == 3

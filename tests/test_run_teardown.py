@@ -134,6 +134,18 @@ def test_a_serial_sweep_frees_every_point(runs):
     assert_freed(built, pairs, 3)
 
 
+def test_a_cluster_with_a_pious_service_is_freed(runs):
+    built, pairs = runs
+    sim = Simulator()
+    cluster = BeowulfCluster(sim, nnodes=2, seed=1)
+    pious = weakref.ref(cluster.make_pious())
+    sim.run(until=10.0)
+    sim.close()
+    del sim, cluster
+    assert pious() is None
+    assert_freed(built, pairs, 1)
+
+
 def test_a_failed_run_is_freed(runs):
     built, pairs = runs
     runner = ExperimentRunner(scenario=SHORT.with_overrides(

@@ -65,7 +65,7 @@ class Rig:
                 space = self.vm.create_space(name)
                 # the low pages are file-backed: they demand-load
                 for p in range(0, PAGES, 3):
-                    space.file_pages[p] = (10_000 + 8 * (who * PAGES + p), 8)
+                    space.map_file_page(p, 10_000 + 8 * (who * PAGES + p))
                 self.spaces[name] = space
         elif space is None:
             return

@@ -40,6 +40,10 @@ class TupleKeyedSpace:
         """Resident set size in pages."""
         return len(self.resident)
 
+    def map_file_page(self, page: int, sector: int) -> None:
+        """Back ``page`` by the 4 KB (8-sector) disk page at ``sector``."""
+        self.file_pages[page] = (sector, 8)
+
 
 class TupleKeyedVM:
     """Global frame pool + swap for one node."""

@@ -1,13 +1,15 @@
 #!/usr/bin/env python
-"""Measure the wall-time overhead of the observability layer.
+"""Measure the time overhead of the observability layer.
 
 Runs the wavelet experiment with and without ``obs`` instrumentation and
-compares best-of-N wall times.  The obs layer is designed to be free
-when disabled (the hot paths guard every instrument behind one attribute
-test) and cheap when enabled (histograms are one ``frexp`` per
-observation; most metrics are harvested once at end of run) — CI fails
-the build if an instrumented run costs more than ``--threshold`` times
-an uninstrumented one.
+compares best-of-N process CPU times (``time.process_time``: time the
+process spends descheduled on a shared host does not count, so the
+ratio holds steady where wall-clock ratios spread past the bound).  The
+obs layer is designed to be free when disabled (the hot paths guard
+every instrument behind one attribute test) and cheap when enabled
+(histograms are one ``frexp`` per observation; most metrics are
+harvested once at end of run) — CI fails the build if an instrumented
+run costs more than ``--threshold`` times an uninstrumented one.
 
 Usage::
 
@@ -17,20 +19,20 @@ Usage::
 from __future__ import annotations
 
 import argparse
-from time import perf_counter
+from time import process_time
 
 from repro.core import ExperimentRunner
 
 
 def _one_run(nnodes: int, seed: int, obs: bool) -> float:
     runner = ExperimentRunner(nnodes=nnodes, seed=seed, obs=obs)
-    t0 = perf_counter()
+    t0 = process_time()
     runner.run("wavelet")
-    return perf_counter() - t0
+    return process_time() - t0
 
 
 def measure(nnodes: int = 2, seed: int = 1, repeats: int = 3) -> dict:
-    """Best-of-N wall seconds for plain vs instrumented wavelet runs.
+    """Best-of-N CPU seconds for plain vs instrumented wavelet runs.
 
     One warm-up run first, then the variants *interleaved* so slow
     drifts of a shared machine hit both sides equally; best-of-N
