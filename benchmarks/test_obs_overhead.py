@@ -3,7 +3,7 @@
 Mirrors the CI smoke step (``tools/obs_overhead.py``): the obs layer
 must be close to free.  The assertion bound here is looser than the CI
 threshold because pytest-run machines are noisier than a dedicated
-best-of-N comparison; the tool remains the authoritative gate.
+paired comparison; the tool remains the authoritative gate.
 """
 
 import sys
@@ -19,10 +19,10 @@ from conftest import BENCH_NODES, BENCH_SEED  # noqa: E402
 
 
 def test_obs_overhead_within_bound():
-    result = measure(nnodes=BENCH_NODES, seed=BENCH_SEED, repeats=3)
+    result = measure(nnodes=BENCH_NODES, seed=BENCH_SEED)
     print(f"\nplain {result['plain_s'] * 1000:.1f} ms, "
           f"instrumented {result['instrumented_s'] * 1000:.1f} ms, "
-          f"ratio {result['ratio']:.3f}")
+          f"median ratio {result['ratio']:.3f}")
     # generous noise margin; tools/obs_overhead.py enforces 1.10 in CI
     assert result["ratio"] < 1.25
 

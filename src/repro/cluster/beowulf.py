@@ -116,7 +116,3 @@ class BeowulfCluster:
             node.kernel.driver.reset_clock()
             node.kernel.transport.drain_now()
             node.kernel.transport.user_buffer.clear()
-
-    def shutdown_daemons(self) -> None:
-        for node in self.nodes:
-            node.kernel.shutdown_daemons()

@@ -43,7 +43,6 @@ class ProcTraceTransport:
         #: lifetime records moved to user space (survives buffer clears)
         self.records_drained = 0
         self._ring: Deque[tuple] = deque()
-        self._running = True
         self._wakeup = None
         sim.process(self._drain_loop(), name="proc-trace-drain")
 
@@ -106,21 +105,13 @@ class ProcTraceTransport:
         self.user_buffer.clear()
         self.user_buffer.append_array(state["user_buffer"])
 
-    def stop(self) -> None:
-        """Stop the periodic drain (final drain still possible manually)."""
-        self._running = False
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
-
     def _drain_loop(self):
         # Lazy loop: sleeps on an event while the ring is empty so an idle
         # transport does not keep the simulation alive.
-        while self._running:
+        while True:
             if not self._ring:
                 self._wakeup = self.sim.event()
                 yield self._wakeup
                 self._wakeup = None
-                if not self._running:
-                    return
             yield self.sim.timeout(self.drain_interval)
             self.drain_now()

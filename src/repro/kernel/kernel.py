@@ -136,7 +136,6 @@ class NodeKernel:
                 rng=streams.stream("housekeeping"),
                 message_rate=housekeeping_message_rate,
                 owner=prefix)
-        self._bdflush_on = True
         sim.process(self._bdflush(), name=f"bdflush:{node_id}")
 
         self.apps_running = 0
@@ -230,19 +229,6 @@ class NodeKernel:
         if state["housekeeping"] is not None:
             self.housekeeping.restore_state(state["housekeeping"])
 
-    def shutdown_daemons(self) -> None:
-        """Stop periodic daemons so the simulation can drain."""
-        self.syslog.stop()
-        self.daemonlog.stop()
-        self.wtmplog.stop()
-        self.instlog.stop()
-        self.update.stop()
-        if self.housekeeping is not None:
-            self.housekeeping.stop()
-        self.transport.stop()
-        self.vm.stop_reclaimer()
-        self._bdflush_on = False
-
     # -- daemons ---------------------------------------------------------------
     def _bdflush(self):
         sim = self.sim
@@ -250,7 +236,7 @@ class NodeKernel:
         interval = self.node_config.bdflush_interval
         age = self.node_config.bdflush_age
         owner = f"node{self.node_id}:bdflush"
-        while self._bdflush_on:
+        while True:
             yield sim.tick(owner, lambda: interval)
             # ``has_aged_dirty`` is the quiescent-tick fast path: most
             # ticks have nothing old enough, and skipping the generator

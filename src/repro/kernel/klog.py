@@ -18,13 +18,28 @@ from __future__ import annotations
 
 import math
 import weakref
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.kernel.fs import FileSystem
 from repro.kernel.syscalls import FileHandle
 from repro.sim import Simulator
+
+#: seconds between the in-place utmp/state-file rewrites
+_STATE_REWRITE_INTERVAL = 4.0
+
+
+def _open_or_create(fs: FileSystem, path: str, zone: str):
+    """Generator: a handle on ``path``, created in ``zone`` (parent
+    directories first) if it does not exist yet."""
+    if fs.exists(path):
+        return FileHandle(fs, fs.lookup(path))
+    parent = path.rsplit("/", 1)[0]
+    if parent:
+        yield from fs.makedirs(parent)
+    inode = yield from fs.create(path, zone=zone)
+    return FileHandle(fs, inode)
 
 
 class SysLogger:
@@ -47,8 +62,6 @@ class SysLogger:
         #: weak proxy (the load holds its loggers); every flush catches
         #: it up first
         self.chatter: Optional["HousekeepingLoad"] = None
-        self._handle: Optional[FileHandle] = None
-        self._running = True
         sim.process(self._setup_and_flush(), name=f"syslog:{path}")
 
     def log(self, nbytes: int) -> None:
@@ -65,19 +78,9 @@ class SysLogger:
             self.chatter.catch_up(self.sim.now)
         return self._bytes_logged
 
-    def stop(self) -> None:
-        self._running = False
-
     def _setup_and_flush(self):
-        if not self.fs.exists(self.path):
-            parent = self.path.rsplit("/", 1)[0]
-            if parent:
-                yield from self.fs.makedirs(parent)
-            inode = yield from self.fs.create(self.path, zone=self.zone)
-        else:
-            inode = self.fs.lookup(self.path)
-        self._handle = FileHandle(self.fs, inode)
-        while self._running:
+        handle = yield from _open_or_create(self.fs, self.path, self.zone)
+        while True:
             yield self.sim.tick(self.owner, lambda: self.flush_interval)
             chatter = self.chatter
             if chatter is not None:
@@ -85,7 +88,7 @@ class SysLogger:
                 chatter.catch_up(now, now - self.flush_interval)
             if self._pending_bytes:
                 n, self._pending_bytes = self._pending_bytes, 0
-                yield from self._handle.append(n)
+                yield from handle.append(n)
 
     # -- checkpoint state surface ---------------------------------------
     def snapshot_state(self) -> dict:
@@ -109,14 +112,10 @@ class UpdateDaemon:
         self.buffer_age = buffer_age
         self.owner = owner
         self.syncs = 0
-        self._running = True
         sim.process(self._loop(), name="update")
 
-    def stop(self) -> None:
-        self._running = False
-
     def _loop(self):
-        while self._running:
+        while True:
             yield self.sim.tick(self.owner, lambda: self.interval)
             yield from self.fs.sync_metadata()
             yield from self.fs.cache.flush_aged(self.buffer_age)
@@ -148,8 +147,8 @@ class HousekeepingLoad:
     no chatter.
     """
 
-    def __init__(self, sim: Simulator, fs: FileSystem, logger,
-                 rng: np.random.Generator,
+    def __init__(self, sim: Simulator, fs: FileSystem,
+                 loggers: Sequence[SysLogger], rng: np.random.Generator,
                  message_rate: float = 1.0,
                  mean_message_bytes: float = 120.0,
                  lookup_interval: float = 7.0,
@@ -160,18 +159,14 @@ class HousekeepingLoad:
             raise ValueError("message rate must be >= 0")
         self.sim = sim
         self.fs = fs
-        # one logger or several (messages spread across daemons' files)
-        self.loggers = list(logger) if isinstance(logger, (list, tuple)) \
-            else [logger]
-        self.logger = self.loggers[0]
+        # messages spread across the daemons' files
+        self.loggers = list(loggers)
         self.rng = rng
         self.message_rate = message_rate
         self.mean_message_bytes = mean_message_bytes
         self.lookup_interval = lookup_interval
         self.lookup_blocks = lookup_blocks
         self.owner = owner
-        #: seconds between in-place utmp/state-file rewrites (0 disables)
-        self.state_rewrite_interval = 4.0
         self._messages = 0
         self.lookups = 0
         self.state_rewrites = 0
@@ -182,8 +177,6 @@ class HousekeepingLoad:
         self._logs = [lg.log for lg in self.loggers]
         self._exponential = self.rng.exponential
         self._mean_gap = 1.0 / message_rate if message_rate > 0 else 0.0
-        #: set by :meth:`stop`: the next message is the last
-        self._last = False
         now = sim.now
         #: when the next message's per-message tick would have been
         #: queued (the tie rule of :meth:`catch_up`)
@@ -194,7 +187,6 @@ class HousekeepingLoad:
         chatter = weakref.proxy(self)
         for lg in self.loggers:
             lg.chatter = chatter
-        self._running = True
         sim.process(self._table_lookups(), name="klog-lookups")
         sim.process(self._state_rewrites(), name="klog-utmp")
 
@@ -203,12 +195,6 @@ class HousekeepingLoad:
         """Messages logged so far (caught up to now)."""
         self.catch_up(self.sim.now)
         return self._messages
-
-    def stop(self) -> None:
-        """Stop the daemons; the message already due after now still lands."""
-        self._running = False
-        self.catch_up(self.sim.now)
-        self._last = True
 
     def catch_up(self, now: float,
                  flush_scheduled: Optional[float] = None) -> None:
@@ -232,9 +218,6 @@ class HousekeepingLoad:
             size = int(exponential(mean_bytes))
             logs[pick()](16 if size < 16 else size)
             self._messages += 1
-            if self._last:
-                t = math.inf
-                break
             self._scheduled_at = t
             t = t + float(exponential(self._mean_gap))
         self.next_message = t
@@ -243,20 +226,10 @@ class HousekeepingLoad:
         # utmp-style state files: a fixed slot rewritten in place, so the
         # disk sees the *same* 1 KB block over and over -- the horizontal
         # lines of the paper's Figure 1.
-        from repro.kernel.syscalls import FileHandle
-        if self.state_rewrite_interval <= 0:
-            return
-        path = "/var/run/utmp"
-        if not self.fs.exists(path):
-            parent = path.rsplit("/", 1)[0]
-            yield from self.fs.makedirs(parent)
-            inode = yield from self.fs.create(path, zone="log")
-        else:
-            inode = self.fs.lookup(path)
-        handle = FileHandle(self.fs, inode)
+        handle = yield from _open_or_create(self.fs, "/var/run/utmp", "log")
         owner = f"{self.owner}:utmp"
-        while self._running:
-            yield self.sim.tick(owner, lambda: self.state_rewrite_interval)
+        while True:
+            yield self.sim.tick(owner, lambda: _STATE_REWRITE_INTERVAL)
             handle.seek(0)
             yield from handle.write(256)
             self.state_rewrites += 1
@@ -265,7 +238,7 @@ class HousekeepingLoad:
         # Re-reads the first inode-table blocks; hot, so almost always hits.
         first = self.fs._inode_table_first
         owner = f"{self.owner}:lookups"
-        while self._running:
+        while True:
             yield self.sim.tick(owner, lambda: self.lookup_interval)
             yield from self.fs.cache.read_range(first, self.lookup_blocks)
             self.lookups += 1

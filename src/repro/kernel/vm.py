@@ -182,22 +182,13 @@ class VirtualMemory:
         self._reclaimer_on = True
         sim.process(self._kswapd(sim), name="kswapd")
 
-    def stop_reclaimer(self) -> None:
-        self._reclaimer_on = False
-        if self._reclaim_wakeup is not None \
-                and not self._reclaim_wakeup.triggered:
-            self._reclaim_wakeup.succeed()
-
     def _kswapd(self, sim):
-        while self._reclaimer_on:
+        while True:
             if self.frames_free >= self._reclaim_low or not self._frames:
                 self._reclaim_wakeup = sim.event()
                 yield self._reclaim_wakeup
                 self._reclaim_wakeup = None
-                if not self._reclaimer_on:
-                    return
-            while (self._reclaimer_on and self._frames
-                   and self.frames_free < self._reclaim_high):
+            while self._frames and self.frames_free < self._reclaim_high:
                 yield from self._evict_one()
                 self.stats.background_evictions += 1
 

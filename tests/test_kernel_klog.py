@@ -25,7 +25,6 @@ def test_syslogger_creates_file_and_flushes(sim, fs):
     sim.run(until=3.0)
     assert fs.exists("/var/log/messages")
     assert fs.lookup("/var/log/messages").size_bytes == 500
-    logger.stop()
 
 
 def test_syslogger_batches_between_flushes(sim, fs):
@@ -36,7 +35,6 @@ def test_syslogger_batches_between_flushes(sim, fs):
     inode = fs.lookup("/var/log/m")
     assert inode.size_bytes == 1000
     assert inode.nblocks == 1  # one 1 KB block covers all ten messages
-    logger.stop()
 
 
 def test_syslogger_zone_controls_placement(sim, fs):
@@ -51,21 +49,17 @@ def test_syslogger_zone_controls_placement(sim, fs):
     high_block = fs.lookup("/var/log/iotrace").blocks[0]
     assert low_block < fs.layout.swap_start // 2
     assert high_block >= fs.layout.highlog_start // 2
-    low.stop()
-    high.stop()
 
 
 def test_syslogger_rejects_empty_payload(sim, fs):
     logger = SysLogger(sim, fs, "/var/log/m")
     with pytest.raises(ValueError):
         logger.log(0)
-    logger.stop()
 
 
 def test_update_daemon_syncs_metadata_periodically(sim, fs):
     update = UpdateDaemon(sim, fs, interval=10.0, buffer_age=5.0)
     sim.run(until=35.0)
-    update.stop()
     assert update.syncs == 3
     arr = traces(fs)
     writes = arr[arr["write"] == 1]
@@ -76,12 +70,10 @@ def test_update_daemon_syncs_metadata_periodically(sim, fs):
 
 def test_housekeeping_generates_write_dominated_load(sim, fs):
     logger = SysLogger(sim, fs, "/var/log/messages", flush_interval=5.0)
-    update = UpdateDaemon(sim, fs, interval=30.0, buffer_age=5.0)
-    hk = HousekeepingLoad(sim, fs, logger, rng=np.random.default_rng(0),
+    UpdateDaemon(sim, fs, interval=30.0, buffer_age=5.0)
+    hk = HousekeepingLoad(sim, fs, [logger], rng=np.random.default_rng(0),
                           message_rate=2.0)
     sim.run(until=300.0)
-    for daemon in (logger, update, hk):
-        daemon.stop()
     arr = traces(fs)
     assert len(arr) > 0
     write_frac = (arr["write"] == 1).mean()
@@ -92,11 +84,9 @@ def test_housekeeping_generates_write_dominated_load(sim, fs):
 
 def test_housekeeping_lookups_mostly_hit_cache(sim, fs):
     logger = SysLogger(sim, fs, "/var/log/messages")
-    hk = HousekeepingLoad(sim, fs, logger, rng=np.random.default_rng(0),
+    hk = HousekeepingLoad(sim, fs, [logger], rng=np.random.default_rng(0),
                           message_rate=1.0, lookup_interval=2.0)
     sim.run(until=100.0)
-    logger.stop()
-    hk.stop()
     arr = traces(fs)
     reads = arr[arr["write"] == 0]
     # first lookup misses; subsequent ones are cache hits
@@ -107,6 +97,5 @@ def test_housekeeping_rejects_bad_rate(sim, fs):
     # rate 0 is valid (no chatter); only a negative rate is nonsense
     logger = SysLogger(sim, fs, "/var/log/m")
     with pytest.raises(ValueError):
-        HousekeepingLoad(sim, fs, logger, rng=np.random.default_rng(0),
+        HousekeepingLoad(sim, fs, [logger], rng=np.random.default_rng(0),
                          message_rate=-1.0)
-    logger.stop()

@@ -28,12 +28,12 @@ LOGS = ("/var/log/messages", "/var/log/daemon", "/var/log/wtmp")
 class LoopHousekeeping(HousekeepingLoad):
     """Reference chatter: the per-message ``klog-chatter`` process."""
 
-    def __init__(self, sim, fs, logger, rng, message_rate=1.0, **kwargs):
+    def __init__(self, sim, fs, loggers, rng, message_rate=1.0, **kwargs):
         # spawned first, as the original constructor did; the body reads
         # its attributes only once the process starts
         sim.process(self._chatter(), name="klog-chatter")
         self._loop_rate = message_rate
-        super().__init__(sim, fs, logger, rng, message_rate=0.0, **kwargs)
+        super().__init__(sim, fs, loggers, rng, message_rate=0.0, **kwargs)
 
     def _chatter(self):
         tick = self.sim.tick
@@ -44,7 +44,7 @@ class LoopHousekeeping(HousekeepingLoad):
         logs = [logger.log for logger in self.loggers]
         pick = self._pick
         delay = lambda: float(exponential(mean_gap))  # noqa: E731
-        while self._running:
+        while True:
             yield tick(owner, delay)
             size = int(exponential(mean_bytes))
             logs[pick()](16 if size < 16 else size)
@@ -53,8 +53,9 @@ class LoopHousekeeping(HousekeepingLoad):
 
 def node(seed, rate, hk_cls, until=150.0):
     """A disk, buffer cache, filesystem, three flushing logs, the update
-    daemon and one housekeeping load, run to ``until`` and stopped;
-    returns everything worth comparing."""
+    daemon and one housekeeping load, run to ``until`` (where the
+    message count is read) and 12 s on; returns everything worth
+    comparing."""
     sim = Simulator()
     disk = Disk(sim, rng=np.random.default_rng(seed))
     transport = ProcTraceTransport(sim, drain_interval=0.25)
@@ -65,13 +66,11 @@ def node(seed, rate, hk_cls, until=150.0):
     loggers = [SysLogger(sim, fs, path, flush_interval=5.0,
                          owner=f"syslog:{path}")
                for path in LOGS]
-    update = UpdateDaemon(sim, fs, interval=30.0, buffer_age=5.0)
+    UpdateDaemon(sim, fs, interval=30.0, buffer_age=5.0)
     rng = np.random.default_rng(seed)
     hk = hk_cls(sim, fs, loggers, rng=rng, message_rate=rate)
     sim.run(until=until)
     messages = hk.messages
-    for daemon in (*loggers, update, hk):
-        daemon.stop()
     sim.run(until=until + 12.0)
     transport.drain_now()
     return {
@@ -130,7 +129,7 @@ def test_message_tied_with_a_flush(cls, gaps, flushed):
     fs = FileSystem(BufferCache(sim, driver, capacity_blocks=256,
                                 sectors_per_block=2))
     logger = SysLogger(sim, fs, LOGS[0], flush_interval=5.0)
-    hk = cls(sim, fs, logger, rng=ScriptedRng(gaps, mean_gap=1.0),
+    hk = cls(sim, fs, [logger], rng=ScriptedRng(gaps, mean_gap=1.0),
              message_rate=1.0)
     sim.run(until=12.0)
     assert fs.lookup(LOGS[0]).size_bytes == flushed
@@ -148,7 +147,7 @@ def test_zero_rate_means_no_chatter():
     logger = SysLogger(sim, fs, LOGS[0], flush_interval=5.0)
     rng = np.random.default_rng(3)
     before = rng.bit_generator.state
-    hk = HousekeepingLoad(sim, fs, logger, rng=rng, message_rate=0.0)
+    hk = HousekeepingLoad(sim, fs, [logger], rng=rng, message_rate=0.0)
     sim.run(until=60.0)
     assert hk.messages == 0 and logger.bytes_logged == 0
     assert rng.bit_generator.state == before
