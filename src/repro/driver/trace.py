@@ -9,8 +9,9 @@ figures plot request sizes, derived from the sector count) and the node id
 
 from __future__ import annotations
 
+import bisect
+import mmap
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -25,15 +26,33 @@ TRACE_DTYPE = np.dtype([
 ])
 
 
+def mapped_records(count: int) -> np.ndarray:
+    """An uninitialised record array of ``count`` rows in its own
+    private anonymous page mapping (empty: an ordinary empty array).
+
+    Dropping the array's last reference unmaps its pages, so they go
+    back to the OS at once.  A heap array of the same size would come
+    from the brk heap, whose freed pages stay resident while any live
+    object sits above them.
+    """
+    if not count:
+        return np.empty(0, dtype=TRACE_DTYPE)
+    pages = mmap.mmap(-1, count * TRACE_DTYPE.itemsize,
+                      flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(pages, dtype=TRACE_DTYPE)
+
+
 def merge_by_time(parts) -> np.ndarray:
     """Concatenate record arrays and stable-sort them by ``time`` (equal
     times keep their order across and within ``parts``) — the one time
     merge of per-node traces.
 
     The merge sorts the times alone, then scatters each record of
-    ``parts`` (a sequence) straight to its sorted place in the result,
-    so it never holds a second copy of the records: at most the result
-    plus one int64 index, or three int64 columns while it sorts.
+    ``parts`` (a sequence) straight to its sorted place in the result
+    (a :func:`mapped_records` array), so it copies every record once:
+    until it returns it holds ``parts`` and the result, plus one int64
+    index, or three int64 columns while it sorts.  The caller frees
+    ``parts`` by dropping them.
     """
     count = sum(len(part) for part in parts)
     times = np.concatenate([part["time"] for part in parts]) if parts \
@@ -44,7 +63,7 @@ def merge_by_time(parts) -> np.ndarray:
     place = np.empty(count, dtype=np.intp)
     place[order] = np.arange(count)
     del order
-    merged = np.empty(count, dtype=TRACE_DTYPE)
+    merged = mapped_records(count)
     at = 0
     for part in parts:
         merged[place[at:at + len(part)]] = part
@@ -53,9 +72,14 @@ def merge_by_time(parts) -> np.ndarray:
 
 
 def time_window(records: np.ndarray, t0: float, t1: float) -> np.ndarray:
-    """The ``[t0, t1)`` rows of time-sorted ``records``, as a view."""
+    """The ``[t0, t1)`` rows of time-sorted ``records``, as a view.
+
+    Bisects the strided ``time`` view in place: ``np.searchsorted``
+    would first copy the column to a contiguous array.
+    """
     times = records["time"]
-    return records[np.searchsorted(times, t0):np.searchsorted(times, t1)]
+    return records[bisect.bisect_left(times, t0):
+                   bisect.bisect_left(times, t1)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,6 +114,8 @@ class TraceBuffer:
     before it (the first holds ``initial_capacity``) and at most
     :data:`BLOCK_RECORDS`.  So a buffer holds at most one block of
     slack, and no append ever holds an old and a new copy at once.
+    Each block is a :func:`mapped_records` array, so the blocks the
+    end-of-run merge drops go back to the OS.
     :meth:`blocks` hands the written records to the end-of-run merge as
     they lie; :meth:`to_array` joins them into one array.
     """
@@ -113,15 +139,10 @@ class TraceBuffer:
         if blocks and self._fill < len(blocks[-1]):
             return blocks[-1]
         size = min(max(self._len, self._first), BLOCK_RECORDS)
-        block = np.empty(size, dtype=TRACE_DTYPE)
+        block = mapped_records(size)
         blocks.append(block)
         self._fill = 0
         return block
-
-    def append(self, record: TraceRecord) -> None:
-        self._free_block()[self._fill] = record.as_tuple()
-        self._fill += 1
-        self._len += 1
 
     def append_array(self, records: np.ndarray) -> None:
         """Bulk append a structured array, a block's room at a time."""
@@ -137,16 +158,6 @@ class TraceBuffer:
             self._fill = fill + take
             self._len += take
             at += take
-
-    def extend(self, records) -> None:
-        """Append many records at once (vectorised via a staging array)."""
-        if isinstance(records, np.ndarray):
-            self.append_array(records)
-            return
-        rows = [r.as_tuple() if isinstance(r, TraceRecord) else tuple(r)
-                for r in records]
-        if rows:
-            self.append_array(np.array(rows, dtype=TRACE_DTYPE))
 
     def blocks(self) -> list:
         """The records written so far, in order, one array per block
@@ -165,13 +176,6 @@ class TraceBuffer:
         if self._len:
             np.concatenate(self.blocks(), out=records)
         return records
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        for block in self.blocks():
-            for row in block:
-                yield TraceRecord(float(row["time"]), int(row["sector"]),
-                                  bool(row["write"]), int(row["pending"]),
-                                  float(row["size_kb"]), int(row["node"]))
 
     def clear(self) -> None:
         """Drop every record and the storage that held them."""

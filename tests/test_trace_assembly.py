@@ -9,17 +9,24 @@ straddle block edges.  The assembly must also hold one copy of the
 trace: its allocation peak stays within the merged records, one int64
 index and one column, and it leaves the node buffers empty.  A node
 buffer holds its records plus at most one block of slack, and never
-copies them while it fills.
+copies them while it fills.  Node buffer blocks and the merged trace
+live in their own page mappings, so dropping them returns their pages,
+and the ``[0, duration)`` window copies nothing.
 """
 
+import mmap
 import tempfile
 import tracemalloc
+import weakref
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import BeowulfCluster
 from repro.driver import TRACE_DTYPE, TraceBuffer
+from repro.driver import trace as trace_module
 from repro.driver.trace import BLOCK_RECORDS, merge_by_time, time_window
 from repro.sim import Simulator
 from repro.store import RunCatalog
@@ -45,6 +52,53 @@ def as_parts(rows_per_part, sort=False):
             part = part[np.argsort(part["time"], kind="stable")]
         parts.append(part)
     return parts
+
+
+class Footprint:
+    """Heap bytes (``tracemalloc``) plus the bytes ``mapped_records``
+    maps, from the start of :func:`footprint`: ``tracemalloc`` does not
+    see page mappings.  A mapping counts from when it is made and is
+    never uncounted, so ``held`` and ``peak`` are upper bounds."""
+
+    def __init__(self):
+        self.mapped = 0
+        self.start = tracemalloc.get_traced_memory()[0]
+        #: the largest heap-plus-mapped total before the latest mapping
+        self._peak = self.start
+        #: bytes held at the end, and the peak; set when it ends
+        self.held = self.peak = None
+
+    def note_mapping(self, nbytes: int) -> None:
+        self._peak = max(self._peak,
+                         self.mapped + tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        self.mapped += nbytes
+
+    def finish(self) -> None:
+        current, peak = tracemalloc.get_traced_memory()
+        self.held = current + self.mapped - self.start
+        self.peak = max(self._peak, self.mapped + peak) - self.start
+
+
+@contextmanager
+def footprint():
+    """Measure the heap plus mapped bytes of the ``with`` body."""
+    mapped_records = trace_module.mapped_records
+
+    def counted(count):
+        records = mapped_records(count)
+        usage.note_mapping(records.nbytes)
+        return records
+
+    tracemalloc.start()
+    try:
+        usage = Footprint()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trace_module, "mapped_records", counted)
+            yield usage
+            usage.finish()
+    finally:
+        tracemalloc.stop()
 
 
 def window(records, t0, t1):
@@ -130,23 +184,19 @@ def test_blocks_hold_the_records_in_order(batches, first_block):
 def test_a_buffer_holds_one_block_of_slack_per_node():
     nodes, count, batch = 2, 5 * BLOCK_RECORDS + 777, 37
     rows = np.zeros(batch, dtype=TRACE_DTYPE)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
+    with footprint() as usage:
         buffers = [TraceBuffer() for _ in range(nodes)]
         for _ in range(count // batch):
             for buffer in buffers:
                 buffer.append_array(rows)  # as the /proc drain does
-        held, peak = (m - start for m in tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
+    assert usage.mapped > 0  # the blocks are mapped, and counted
     records = nodes * (count // batch) * batch * TRACE_DTYPE.itemsize
     slack = nodes * BLOCK_RECORDS * TRACE_DTYPE.itemsize
     # array headers, the block lists and one staged batch
     overhead = 16 * 1024
-    assert held <= records + slack + overhead
+    assert usage.held <= records + slack + overhead
     # no growth copies: the peak is what is held, plus one batch
-    assert peak <= records + slack + overhead
+    assert usage.peak <= records + slack + overhead
 
 
 def test_assembly_holds_one_copy_of_the_trace():
@@ -159,16 +209,73 @@ def test_assembly_holds_one_copy_of_the_trace():
     count = sum(len(node.kernel.transport.user_buffer)
                 for node in cluster.nodes)
     assert count > 1000
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
+    with footprint() as usage:
         trace = time_window(cluster.gather_traces(), 0, 1500.0)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
     one_trace = count * TRACE_DTYPE.itemsize
     int64_index = one_column = count * 8
-    assert peak <= one_trace + int64_index + one_column
+    assert usage.mapped == one_trace  # the merged trace is mapped
+    assert usage.peak <= one_trace + int64_index + one_column
     assert 0 < len(trace) < count
     assert all(len(node.kernel.transport.user_buffer) == 0
                for node in cluster.nodes)
+
+
+def mapping_of(records: np.ndarray):
+    """The ``mmap`` under ``records`` (through views), else ``None``."""
+    base = records
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base.obj if isinstance(base, memoryview) else None
+
+
+def test_gathered_blocks_go_back_to_the_os():
+    sim = Simulator()
+    cluster = BeowulfCluster(sim, nnodes=2, seed=0)
+    sim.run(until=600.0)
+    for node in cluster.nodes:
+        node.kernel.transport.drain_now()
+    blocks = [weakref.ref(mapping_of(block)) for node in cluster.nodes
+              for block in node.kernel.transport.user_buffer.blocks()]
+    assert len(blocks) >= 2 and all(ref() is not None for ref in blocks)
+    merged = cluster.gather_traces()
+    assert isinstance(mapping_of(merged), mmap.mmap)
+    assert len(merged) > 0
+    # the parts are dropped: every block's mapping is gone
+    assert all(ref() is None for ref in blocks)
+
+
+def test_mapped_records_of_no_rows_is_an_ordinary_array():
+    empty = trace_module.mapped_records(0)
+    assert empty.dtype is TRACE_DTYPE and len(empty) == 0
+    assert mapping_of(empty) is None
+
+
+def test_time_window_copies_nothing():
+    records = np.zeros(100_000, dtype=TRACE_DTYPE)
+    records["time"] = np.arange(len(records)) * 0.01
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        window = time_window(records, 100.0, 900.0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
+    assert window.base is records
+    assert len(window) == 80_000
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5, 4.0]),
+                max_size=30),
+       st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 2.5, 4.0, 4.5, 9.0]),
+       st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 2.5, 4.0, 4.5, 9.0]))
+def test_time_window_matches_searchsorted(times, t0, t1):
+    # runs of equal times, and bounds before, inside, on and past them
+    records = np.zeros(len(times), dtype=TRACE_DTYPE)
+    records["time"] = sorted(times)
+    records["sector"] = np.arange(len(times))
+    column = np.ascontiguousarray(records["time"])
+    lo, hi = np.searchsorted(column, t0), np.searchsorted(column, t1)
+    assert time_window(records, t0, t1).tobytes() == \
+        records[lo:hi].tobytes()
