@@ -552,7 +552,7 @@ class GapStats(Accumulator):
             db -= mean
             means[pairs] = mean
             m2s[pairs] = da * da + db * db
-        for size in np.unique(sizes[sizes > 2]).tolist():
+        for size in np.flatnonzero(np.bincount(sizes[sizes > 2])).tolist():
             rows = np.flatnonzero(sizes == size)
             block = gaps[offsets[rows, None] + np.arange(size)]
             mean = block.mean(axis=1)

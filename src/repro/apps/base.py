@@ -296,9 +296,9 @@ class ESSApplication:
     def _mint_pages(self, npages: int) -> int:
         """Reserve ``npages`` fresh page ids; returns the first.
 
-        The VM packs a page id into the low bits of its frame key, so an
-        id at or past :data:`~repro.kernel.vm.PAGE_LIMIT` would alias the
-        next address space: refuse it here, once per region.
+        An id at or past :data:`~repro.kernel.vm.PAGE_LIMIT` lies outside
+        the simulated address space, whose per-page arrays the VM keeps
+        dense: refuse it here, once per region.
         """
         start = self._next_page
         if start + npages > PAGE_LIMIT:

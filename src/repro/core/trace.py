@@ -83,7 +83,8 @@ class TraceDataset:
         return self._where((s >= lo) & (s < hi))
 
     def nodes(self) -> np.ndarray:
-        return np.unique(self._records["node"])
+        present = np.bincount(self._records["node"])
+        return np.flatnonzero(present).astype(np.uint16)
 
     def merged_with(self, other: "TraceDataset") -> "TraceDataset":
         return TraceDataset(merge_by_time([self._records, other._records]))

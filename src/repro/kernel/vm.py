@@ -19,18 +19,15 @@ pressure pages out another's — the combined experiment's amplified paging.
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.driver import InstrumentedIDEDriver
 
-#: bits of a frame key that hold the page id: the VM keys a page by one
-#: int, ``space.base | page``, so page ids must stay below ``PAGE_LIMIT``
-#: (the applications check where they mint them)
-PAGE_BITS = 32
-PAGE_LIMIT = 1 << PAGE_BITS
-_PAGE_MASK = PAGE_LIMIT - 1
+#: pages in an address space: the simulated i386's 4 GB of 4 KB pages.
+#: Every per-page array of a space is dense up to its highest page id,
+#: so the applications refuse ids at or past this where they mint them.
+PAGE_LIMIT = 1 << 20
 
 
 class OutOfSwap(Exception):
@@ -68,13 +65,16 @@ class AddressSpace:
     they were assigned, which is the order the VM frees them in.  Only a
     page with a slot can have a swap copy, so ``swapped`` grows with
     ``slots`` and is always as long.
+    ``frames`` (kept by the VM) maps a page id to the frame holding it,
+    ``0`` for a page not resident.
     """
 
     name: str
-    #: the high bits of this space's frame keys (``index << PAGE_BITS``)
-    base: int = 0
+    #: this space's index in its VM's frame table, in creation order
+    index: int = 0
     #: resident set size in pages, kept by the VM
     rss: int = 0
+    frames: array = field(default_factory=lambda: array("I"), repr=False)
     file_pages: array = field(default_factory=lambda: array("i"),
                               init=False, repr=False)
     swapped: bytearray = field(default_factory=bytearray, init=False,
@@ -114,12 +114,15 @@ class VirtualMemory:
         self.swap_start, swap_sectors = layout.zone("swap")
         self.swap_slots = swap_sectors // self.sectors_per_page
         self.stats = VMStats()
-        # LRU of resident pages: ``space.base | page`` -> dirty flag
-        self._frames: "OrderedDict[int, bool]" = OrderedDict()
+        # Frame numbers are machine words: a table outgrows frames_total
+        # only by the faults in flight, so it fits in unsigned shorts
+        # while frames_total stays below half their range.
+        self._frame_type = "H" if frames_total < 1 << 15 else "I"
+        self._reset_frames()
         # freed swap slots, reused last-freed first
         self._free_slots = array("i")
         self._next_slot = 0
-        # index (``base >> PAGE_BITS``) -> space, in creation order
+        # index -> space, in creation order
         self._spaces: Dict[int, AddressSpace] = {}
         self._next_space = 0
         # background reclaimer state (attach_reclaimer)
@@ -128,38 +131,62 @@ class VirtualMemory:
         self._reclaim_wakeup = None
         self._reclaimer_on = False
 
+    def _reset_frames(self) -> None:
+        """An empty frame table, in arrays indexed by frame number.
+
+        Frame ``f`` holds page ``_page[f]`` of the space indexed
+        ``_space[f]``, dirty if ``_dirty[f]``.  ``_prev`` and ``_next``
+        link the resident frames into the LRU order around frame 0, a
+        sentinel: ``_next[0]`` is the least recently used frame and
+        ``_prev[0]`` the most recently used.  Freed frame numbers are
+        reused from ``_free_frames``, last freed first.
+        """
+        self._space = array("I", [0])
+        self._page = array("I", [0])
+        self._dirty = bytearray(1)
+        self._prev = array(self._frame_type, [0])
+        self._next = array(self._frame_type, [0])
+        self._free_frames = array(self._frame_type)
+        self._resident = 0
+
     # -- address-space management ------------------------------------------
     def create_space(self, name: str) -> AddressSpace:
         index = self._next_space
         self._next_space += 1
-        aspace = AddressSpace(name=name, base=index << PAGE_BITS)
+        aspace = AddressSpace(name=name, index=index,
+                              frames=array(self._frame_type))
         self._spaces[index] = aspace
         return aspace
 
     def destroy_space(self, aspace: AddressSpace) -> None:
         """Process exit: free its frames and swap slots (no I/O).
 
-        The frame table is rebuilt from the surviving pages, so the hash
-        table it grew to at its high-water mark goes with the space.
+        The other spaces' pages keep their LRU order.  Once no page is
+        resident, the frame table goes back to empty arrays, so what it
+        grew to at its high-water mark goes with the last space.
         """
-        index = aspace.base >> PAGE_BITS
-        self._frames = OrderedDict(
-            (key, dirty) for key, dirty in self._frames.items()
-            if key >> PAGE_BITS != index)
+        for frame in aspace.frames:
+            if frame:
+                self._unlink(frame)
+                self._free_frames.append(frame)
+                self._resident -= 1
+        if not self._resident:
+            self._reset_frames()
         self._free_slots.extend(aspace.slot_order)
         aspace.rss = 0
+        aspace.frames = array(self._frame_type)
         aspace.swapped = bytearray()
         aspace.slots = array("i")
         aspace.slot_order = array("i")
-        self._spaces.pop(index, None)
+        self._spaces.pop(aspace.index, None)
 
     @property
     def frames_used(self) -> int:
-        return len(self._frames)
+        return self._resident
 
     @property
     def frames_free(self) -> int:
-        return self.frames_total - len(self._frames)
+        return self.frames_total - self._resident
 
     # -- background reclaim (kswapd) -----------------------------------------
     def attach_reclaimer(self, sim, low_fraction: float = 0.02,
@@ -184,11 +211,11 @@ class VirtualMemory:
 
     def _kswapd(self, sim):
         while True:
-            if self.frames_free >= self._reclaim_low or not self._frames:
+            if self.frames_free >= self._reclaim_low or not self._resident:
                 self._reclaim_wakeup = sim.event()
                 yield self._reclaim_wakeup
                 self._reclaim_wakeup = None
-            while self._frames and self.frames_free < self._reclaim_high:
+            while self._resident and self.frames_free < self._reclaim_high:
                 yield from self._evict_one()
                 self.stats.background_evictions += 1
 
@@ -207,14 +234,29 @@ class VirtualMemory:
         dirty mark): returns ``False`` with zero side effects when the
         page is not resident, and the caller falls back to ``access``.
         """
-        frames = self._frames
-        key = aspace.base | page_id
-        if key not in frames:
+        frames = aspace.frames
+        if page_id >= len(frames):
+            return False
+        frame = frames[page_id]
+        if not frame:
             return False
         self.stats.hits += 1
-        frames.move_to_end(key)
+        prev = self._prev
+        succ = self._next
+        last = prev[0]
+        if frame != last:
+            # _unlink and _link_last inlined: a 16-node ``single-apps``
+            # pass hits about 505k times
+            before = prev[frame]
+            after = succ[frame]
+            succ[before] = after
+            prev[after] = before
+            succ[last] = frame
+            prev[frame] = last
+            succ[frame] = 0
+            prev[0] = frame
         if write:
-            frames[key] = True
+            self._dirty[frame] = 1
             # Re-dirtying invalidates the swap copy (swap cache).
             swapped = aspace.swapped
             if page_id < len(swapped):
@@ -225,11 +267,10 @@ class VirtualMemory:
         """Touch one page; a generator that performs fault I/O if needed."""
         if self.note_access(aspace, page_id, write):
             return
-        key = aspace.base | page_id
         self.stats.faults += 1
-        if len(self._frames) >= self.frames_total:
+        if self._resident >= self.frames_total:
             self.stats.direct_reclaims += 1
-        while len(self._frames) >= self.frames_total:
+        while self._resident >= self.frames_total:
             yield from self._evict_one()
         self._kick_reclaimer()
         # Bring the page in (the bitmap and sector lookups inlined: a
@@ -251,8 +292,7 @@ class VirtualMemory:
                                            origin=f"demand:{aspace.name}")
         else:
             self.stats.zero_fills += 1
-        self._frames[key] = write
-        aspace.rss += 1
+        self._install(aspace, page_id, write)
 
     def touch_range(self, aspace: AddressSpace, first_page: int,
                     npages: int, write: bool = False):
@@ -276,9 +316,6 @@ class VirtualMemory:
         space per application instance).
         """
         names = {index: a.name for index, a in self._spaces.items()}
-        resident = {index: [] for index in self._spaces}
-        for key in self._frames:
-            resident[key >> PAGE_BITS].append(key & _PAGE_MASK)
         s = self.stats
         n = self.sectors_per_page
         return {
@@ -288,10 +325,11 @@ class VirtualMemory:
                                        if sec >= 0],
                         "swapped": [p for p, copy in enumerate(a.swapped)
                                     if copy],
-                        "resident": sorted(resident[index])}
-                       for index, a in self._spaces.items()],
-            "frames": [[names[key >> PAGE_BITS], key & _PAGE_MASK, dirty]
-                       for key, dirty in self._frames.items()],
+                        "resident": [p for p, frame in enumerate(a.frames)
+                                     if frame]}
+                       for a in self._spaces.values()],
+            "frames": [[names[self._space[f]], self._page[f],
+                        bool(self._dirty[f])] for f in self._lru_order()],
             "slots": sorted([a.name, page, slot]
                             for a in self._spaces.values()
                             for page, slot in enumerate(a.slots)
@@ -304,7 +342,7 @@ class VirtualMemory:
     def restore_state(self, state: dict) -> None:
         self._spaces = {}
         self._next_space = 0
-        base_of: Dict[str, int] = {}
+        self._reset_frames()
         for sp in state["spaces"]:
             aspace = self.create_space(sp["name"])
             for p, sec, n in sp["file_pages"]:
@@ -313,17 +351,14 @@ class VirtualMemory:
                         f"file page of {n} sectors in a VM of "
                         f"{self.sectors_per_page}-sector pages")
                 aspace.map_file_page(int(p), int(sec))
-            aspace.rss = len(sp["resident"])
-            base_of[aspace.name] = aspace.base
-        self._frames = OrderedDict(
-            (base_of[name] | int(page), bool(dirty))
-            for name, page, dirty in state["frames"])
+        by_name = {a.name: a for a in self._spaces.values()}
+        for name, page, dirty in state["frames"]:
+            self._install(by_name[name], int(page), bool(dirty))
         for name, page, slot in state["slots"]:
-            self._assign_slot(self._spaces[base_of[name] >> PAGE_BITS],
-                              int(page), int(slot))
+            self._assign_slot(by_name[name], int(page), int(slot))
         # a swap copy sits in its page's slot, so its bit already exists
         for sp in state["spaces"]:
-            swapped = self._spaces[base_of[sp["name"]] >> PAGE_BITS].swapped
+            swapped = by_name[sp["name"]].swapped
             for page in sp["swapped"]:
                 swapped[int(page)] = 1
         self._free_slots = array("i", [int(s) for s in state["free_slots"]])
@@ -332,14 +367,69 @@ class VirtualMemory:
                                 for k, v in state["stats"].items()})
 
     # -- internals ------------------------------------------------------------
+    def _install(self, aspace: AddressSpace, page: int, dirty: bool) -> None:
+        """Make ``page`` resident at the most recently used end.
+
+        A page made resident meanwhile by another fault keeps its place
+        and takes ``dirty``.
+        """
+        frames = aspace.frames
+        if page < len(frames) and frames[page]:
+            self._dirty[frames[page]] = dirty
+            return
+        if self._free_frames:
+            frame = self._free_frames.pop()
+            self._space[frame] = aspace.index
+            self._page[frame] = page
+            self._dirty[frame] = dirty
+        else:
+            frame = len(self._page)
+            self._space.append(aspace.index)
+            self._page.append(page)
+            self._dirty.append(dirty)
+            self._prev.append(0)
+            self._next.append(0)
+        self._link_last(frame)
+        if page >= len(frames):
+            frames.extend(array(self._frame_type, [0]) *
+                          (page + 1 - len(frames)))
+        frames[page] = frame
+        self._resident += 1
+        aspace.rss += 1
+
+    def _unlink(self, frame: int) -> None:
+        before = self._prev[frame]
+        after = self._next[frame]
+        self._next[before] = after
+        self._prev[after] = before
+
+    def _link_last(self, frame: int) -> None:
+        """Link ``frame`` in at the most recently used end."""
+        last = self._prev[0]
+        self._next[last] = frame
+        self._prev[frame] = last
+        self._next[frame] = 0
+        self._prev[0] = frame
+
+    def _lru_order(self):
+        """Resident frame numbers, least recently used first."""
+        succ = self._next
+        frame = succ[0]
+        while frame:
+            yield frame
+            frame = succ[frame]
+
     def _evict_one(self):
-        key, dirty = next(iter(self._frames.items()))
-        del self._frames[key]
-        self.stats.evictions += 1
-        victim = self._spaces[key >> PAGE_BITS]
+        frame = self._next[0]
+        self._unlink(frame)
+        self._free_frames.append(frame)
+        self._resident -= 1
+        page = self._page[frame]
+        victim = self._spaces[self._space[frame]]
+        victim.frames[page] = 0
         victim.rss -= 1
-        if dirty:
-            page = key & _PAGE_MASK
+        self.stats.evictions += 1
+        if self._dirty[frame]:
             slot = self._ensure_slot(victim, page)
             # taken before the write: a space destroyed meanwhile drops
             # this bitmap, and the copy with it

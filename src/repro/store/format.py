@@ -209,7 +209,7 @@ def summarize(records: np.ndarray, offset: int,
         t1=float(records["time"].max()),
         s0=int(records["sector"].min()),
         s1=int(records["sector"].max()),
-        nodes=tuple(int(n) for n in np.unique(records["node"])),
+        nodes=tuple(np.flatnonzero(np.bincount(records["node"])).tolist()),
         writes=int(np.count_nonzero(records["write"])),
         raw=raw, comp=comp, crc=crc)
 

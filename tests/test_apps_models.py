@@ -197,7 +197,7 @@ def test_app_on_bare_kernel_without_pvm():
     assert app.stats.finished_at > app.stats.started_at
 
 
-def test_page_ids_stop_below_the_packed_key_limit():
+def test_page_ids_stop_below_the_address_space_limit():
     from repro.kernel import NodeKernel
     from repro.kernel.vm import PAGE_LIMIT
     from tests.conftest import drive
@@ -214,7 +214,7 @@ def test_page_ids_stop_below_the_packed_key_limit():
     with pytest.raises(ValueError):
         app.map_binary()
     assert app._next_page == PAGE_LIMIT - 1
-    # the last valid page and the next space's first page stay apart
+    # the last valid page and another space's first page stay apart
     other = kernel.vm.create_space("other")
     for space, page in ((app.aspace, PAGE_LIMIT - 1), (other, 0)):
         drive(sim, kernel.vm.access(space, page, write=True),

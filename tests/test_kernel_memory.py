@@ -1,13 +1,14 @@
 """What the kernel's page and block bookkeeping costs in memory.
 
 The VM, the filesystem and the buffer cache keep one entry per page or
-block of a run: swap copies, file-backed pages, inode block maps, zone
-free lists and cached buffers.  Each is a flat container of machine
-words, so its cost per page or block is bounded here with
-``tracemalloc``, counting only what the kernel module itself allocated.
-A finished application also leaves no frame table behind.
+block of a run: resident frames, swap copies, file-backed pages, inode
+block maps, zone free lists and cached buffers.  Each is a flat
+container of machine words, so its cost per page or block is bounded
+here with ``tracemalloc``, counting only what the kernel module itself
+allocated.  A finished application also leaves no frame table behind.
 """
 
+import random
 import tracemalloc
 
 import pytest
@@ -59,10 +60,34 @@ def test_swap_bookkeeping_costs_about_nine_bytes_a_page(sim, traced):
     # every page comes in dirty and pushes the one before it to swap
     drive(sim, vm.touch_range(aspace, 0, N, write=True))
     assert vm.stats.swap_outs == N - 1
-    # slot map and slot order (4 bytes each) plus the copy bitmap (1)
+    # slot map and slot order (4 bytes each), the copy bitmap (1) and
+    # the page -> frame map (2)
     assert (held_by(vm_module) - before) / N < 12
     assert all(aspace.has_swap_copy(p) for p in range(N - 1))
     assert not aspace.has_swap_copy(N - 1)
+
+
+def test_a_resident_frame_costs_under_24_bytes(sim, traced):
+    frames = 2304                       # a 16 MB node's user frames
+    vm = VirtualMemory(NullDriver(sim), frames_total=frames)
+    aspace = vm.create_space("app")
+    rng = random.Random(1)
+    before = held_by(vm_module)
+
+    def fill_and_churn():
+        yield from vm.touch_range(aspace, 0, frames)
+        # clean touches over twice as many pages: hits and evictions,
+        # and no swap bookkeeping
+        for page in rng.choices(range(2 * frames), k=4 * frames):
+            yield from vm.access(aspace, page)
+
+    drive(sim, fill_and_churn())
+    assert vm.frames_used == aspace.rss == frames
+    assert vm.stats.hits > frames and vm.stats.evictions > frames
+    assert vm.stats.swap_outs == 0
+    # space index, page, dirty byte and two LRU links (13 bytes a frame)
+    # plus the space's page -> frame map (2 bytes a page)
+    assert (held_by(vm_module) - before) / frames < 24
 
 
 def test_file_backed_pages_cost_four_bytes_a_page(sim, traced):
@@ -113,6 +138,6 @@ def test_a_finished_app_leaves_no_frame_table(traced):
     assert all(vm.stats.swap_outs > 0 for vm in vms)
     assert all(vm.frames_used == 0 for vm in vms)
     # what stays is mostly the free-slot list, 4 bytes a slot (about
-    # 2,700 slots a node here); a frame table left at its high-water
-    # mark of 2,304 frames would hold over 100 KiB a node
+    # 2,700 slots a node here); frame tables left at their high-water
+    # mark of 2,304 frames and more would hold about 70 KiB more
     assert held_by(vm_module) < 64 * 1024
