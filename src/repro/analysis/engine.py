@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 import zlib
 from contextlib import ExitStack
@@ -52,6 +51,7 @@ from repro.analysis.pipelines import (
     RunContext,
     make_pipelines,
 )
+from repro.durable import publish
 from repro.store.catalog import RunCatalog
 from repro.store.format import TracePredicate
 from repro.store.reader import TraceReader
@@ -464,20 +464,14 @@ class AnalysisEngine:
         # Concurrency-safe by construction: re-read the file so entries
         # another process stored since our load survive (each entry
         # carries its own signature, so stale ones are re-checked on the
-        # next load rather than trusted), write to a per-process temp
-        # name, and publish with an atomic rename.  Two racing writers
-        # each produce a complete, valid file; last one wins.
+        # next load rather than trusted) and publish the file whole.  Two
+        # racing writers each produce a complete, valid file; last one
+        # wins.
         entries = dict(cached)
         entries.update(self._load_cache(path))
         entries.update(fresh)
         payload = {"format": ANALYSIS_FORMAT, "entries": entries}
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(json.dumps(payload, indent=2))
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():     # failed mid-write: don't leave litter
-                tmp.unlink()
+        publish(path, json.dumps(payload, indent=2))
 
 
 def _predicate_key(predicates: dict) -> str:

@@ -13,24 +13,22 @@ from repro.apps.base import AppStats, ESSApplication
 from repro.apps.ppm import PPMApplication, PPMParams
 from repro.apps.wavelet import WaveletApplication, WaveletParams
 from repro.apps.nbody import NBodyApplication, NBodyParams
-from repro.registry import Registry
 
 
 class WorkloadEntry(NamedTuple):
-    """One registered application workload: model class + params class."""
+    """One application workload: model class + params class."""
 
     app_cls: Type[ESSApplication]
     params_cls: type
 
 
-#: plugin registry of application workloads, selected by name in
-#: scenario workload mixes; register new entries as
-#: ``WORKLOADS.register("myapp", WorkloadEntry(MyApp, MyParams))``
-WORKLOADS = Registry("workload")
-WORKLOADS.register("ppm", WorkloadEntry(PPMApplication, PPMParams))
-WORKLOADS.register("wavelet", WorkloadEntry(WaveletApplication,
-                                            WaveletParams))
-WORKLOADS.register("nbody", WorkloadEntry(NBodyApplication, NBodyParams))
+#: application workloads, selected by name in scenario workload mixes;
+#: add one as ``WORKLOADS["myapp"] = WorkloadEntry(MyApp, MyParams)``
+WORKLOADS = {
+    "nbody": WorkloadEntry(NBodyApplication, NBodyParams),
+    "ppm": WorkloadEntry(PPMApplication, PPMParams),
+    "wavelet": WorkloadEntry(WaveletApplication, WaveletParams),
+}
 
 __all__ = [
     "AppStats",

@@ -19,14 +19,13 @@ The envelope is deliberately boring::
 :func:`loads` runs an older version through :mod:`repro.migrate`.
 The checksum makes a torn write (crash mid-checkpoint) detectable: the
 loader raises :class:`CheckpointError` instead of unpickling garbage.
-Writes go through a temp file + ``os.replace`` so a ``.ckpt`` path is
+Writes go through :func:`repro.durable.publish` so a ``.ckpt`` path is
 always either the previous complete checkpoint or the new one.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 import struct
 import zlib
@@ -36,6 +35,7 @@ from typing import Any, Union
 import numpy as np
 
 from repro import migrate
+from repro.durable import publish
 
 MAGIC = b"RPROCKP1"
 FORMAT_VERSION = migrate.CHECKPOINT
@@ -139,15 +139,7 @@ def loads(blob: bytes) -> dict:
 
 def save_checkpoint(tree: dict, path: Union[str, Path]) -> int:
     """Write ``tree`` to ``path`` atomically; returns the byte size."""
-    path = Path(path)
-    blob = dumps(tree)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return len(blob)
+    return publish(path, dumps(tree))
 
 
 def load_checkpoint(path: Union[str, Path]) -> dict:

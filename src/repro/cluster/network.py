@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.obs.registry import FOLD_EVERY
 from repro.sim import Resource, Simulator
 
 #: Ethernet II maximum payload in bytes
@@ -36,18 +37,18 @@ class _NetInstruments:
     Lifetime totals (``net.messages`` etc.) are harvested from
     :class:`NetworkStats` once per run by the obs recorder; the live
     histogram here adds the per-frame wire-time *distribution*, which
-    totals can't reconstruct.  One pre-bound ``observe`` per channel, so
-    recording a frame is a plain call.
+    totals can't reconstruct.  One child histogram per channel, folded
+    every :data:`~repro.obs.registry.FOLD_EVERY` frames.
     """
 
-    __slots__ = ("frame_seconds", "observe_frame")
+    __slots__ = ("frame_seconds", "frame_channels")
 
     def __init__(self, registry, channels: int):
         self.frame_seconds = registry.histogram(
             "net.frame_seconds",
             "wire time per frame, including contention jitter")
-        self.observe_frame = [self.frame_seconds.child(f"ch{i}").observe
-                              for i in range(channels)]
+        self.frame_channels = [self.frame_seconds.child(f"ch{i}")
+                               for i in range(channels)]
 
 
 class EthernetNetwork:
@@ -130,8 +131,8 @@ class EthernetNetwork:
         channel = self._next_channel
         segment = self._segments[channel]
         self._next_channel = (channel + 1) % len(self._segments)
-        observe_frame = (None if self._obs is None
-                         else self._obs.observe_frame[channel])
+        frames = (None if self._obs is None
+                  else self._obs.frame_channels[channel])
         start = self.sim.now
         remaining = nbytes
         yield self.sim.timeout(self.latency)
@@ -144,8 +145,10 @@ class EthernetNetwork:
                 if segment.queue_length > 0:
                     duration += float(self.rng.exponential(duration * 0.2))
                 yield self.sim.timeout(duration)
-                if observe_frame is not None:
-                    observe_frame(duration)
+                if frames is not None:
+                    frames.observe(duration)
+                    if len(frames.raw) >= FOLD_EVERY:
+                        frames.fold()
                 self.stats.frames += 1
                 self.stats.busy_time += duration
                 self.channel_frames[channel] += 1

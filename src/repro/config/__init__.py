@@ -2,7 +2,7 @@
 
 ``repro.config`` turns every construction-time choice the stack makes
 into data: a :class:`Scenario` describes the cluster, node hardware,
-disk stack (scheduler / drive cache by registry name), driver
+disk stack (scheduler / drive cache by name), driver
 transport, workload mix, and experiment protocol, round-trips through
 TOML and JSON, and validates with errors that name the exact offending
 path.  ``repro.config.sweep`` expands grid specs over a base scenario

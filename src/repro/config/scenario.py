@@ -6,9 +6,10 @@ tunables, disk geometry, queue discipline, on-drive cache, driver
 transport, workload mix, and experiment durations — as a frozen
 dataclass tree that round-trips through TOML and JSON, validates with
 precise error paths (``scenario.node.disk.scheduler.kind: unknown disk
-scheduler 'foo'``), and resolves swappable components through the
-plugin registries (:data:`repro.disk.SCHEDULERS`,
-:data:`repro.disk.DRIVE_CACHES`, :data:`repro.apps.WORKLOADS`).
+scheduler 'foo'``), and resolves swappable components by name through
+the name tables (:data:`repro.disk.SCHEDULERS`,
+:data:`repro.disk.DRIVE_CACHES`, :data:`repro.disk.VOLUME_POLICIES`,
+:data:`repro.apps.WORKLOADS`).
 
 The default ``Scenario()`` is exactly the paper's machine: 16 nodes of
 486DX4-100 class hardware, 500 MB IDE disks behind a C-LOOK elevator
@@ -32,7 +33,6 @@ from typing import get_args, get_origin, get_type_hints
 from repro.disk import (DRIVE_CACHES, SCHEDULERS, SECTOR_BYTES, Disk,
                         DiskGeometry, DiskServiceModel, NullDriveCache,
                         VOLUME_POLICIES)
-from repro.registry import UnknownComponentError
 
 
 class ConfigError(ValueError):
@@ -136,30 +136,34 @@ def _check(condition: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
+def _check_name(table: Mapping[str, Any], kind: str, name: str,
+                path: str) -> None:
+    """Reject a ``name`` that is not a key of ``table`` (``kind`` parts)."""
+    if name not in table:
+        raise ConfigError(path, f"unknown {kind} {name!r}; "
+                                f"choose from {sorted(table)}")
+
+
 # -- the tree -----------------------------------------------------------------
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Which request-queue discipline the disk drains (by registry name)."""
+    """Which request-queue discipline the disk drains (by name)."""
 
     kind: str = "clook"
 
     def validate(self, path: str) -> None:
-        if self.kind not in SCHEDULERS:
-            raise ConfigError(f"{path}.kind",
-                              str(UnknownComponentError(
-                                  SCHEDULERS.kind, self.kind,
-                                  SCHEDULERS.names())))
+        _check_name(SCHEDULERS, "disk scheduler", self.kind, f"{path}.kind")
 
     def build(self):
-        return SCHEDULERS.create(self.kind)
+        return SCHEDULERS[self.kind]()
 
 
 @dataclass(frozen=True)
 class DriveCacheConfig:
-    """On-drive segment buffer geometry (by registry kind).
+    """On-drive segment buffer geometry (by kind name).
 
     ``nsegments = 0`` with the default ``segmented`` kind resolves to
-    the registered ``none`` cache — so a sweep axis over segment counts
+    the ``none`` cache — so a sweep axis over segment counts
     naturally includes the cacheless baseline.
     """
 
@@ -169,11 +173,7 @@ class DriveCacheConfig:
     lookahead_sectors: int = 32
 
     def validate(self, path: str) -> None:
-        if self.kind not in DRIVE_CACHES:
-            raise ConfigError(f"{path}.kind",
-                              str(UnknownComponentError(
-                                  DRIVE_CACHES.kind, self.kind,
-                                  DRIVE_CACHES.names())))
+        _check_name(DRIVE_CACHES, "drive cache", self.kind, f"{path}.kind")
         _check(self.nsegments >= 0, f"{path}.nsegments",
                f"must be >= 0, got {self.nsegments}")
         _check(self.segment_sectors >= 1, f"{path}.segment_sectors",
@@ -184,8 +184,8 @@ class DriveCacheConfig:
     def build(self):
         if self.kind == "segmented" and self.nsegments == 0:
             return NullDriveCache()
-        return DRIVE_CACHES.create(
-            self.kind, nsegments=self.nsegments,
+        return DRIVE_CACHES[self.kind](
+            nsegments=self.nsegments,
             segment_sectors=self.segment_sectors,
             lookahead_sectors=self.lookahead_sectors)
 
@@ -222,11 +222,8 @@ class VolumeConfig:
     stripe_kb: int = 8
 
     def validate(self, path: str, ndisks: int = 1) -> None:
-        if self.policy not in VOLUME_POLICIES:
-            raise ConfigError(f"{path}.policy",
-                              str(UnknownComponentError(
-                                  VOLUME_POLICIES.kind, self.policy,
-                                  VOLUME_POLICIES.names())))
+        _check_name(VOLUME_POLICIES, "volume policy", self.policy,
+                    f"{path}.policy")
         _check(self.stripe_kb >= 1, f"{path}.stripe_kb",
                f"must be >= 1, got {self.stripe_kb}")
         if self.policy == "single":
@@ -240,9 +237,8 @@ class VolumeConfig:
 
     def build(self, disks, name: str = "md0"):
         """The logical volume over already-built member ``disks``."""
-        return VOLUME_POLICIES.create(
-            self.policy, disks, stripe_sectors=self.stripe_sectors,
-            name=name)
+        return VOLUME_POLICIES[self.policy](
+            disks, stripe_sectors=self.stripe_sectors, name=name)
 
 
 @dataclass(frozen=True)
@@ -539,7 +535,7 @@ class WorkloadConfig:
     """Which applications run, and per-application parameter overrides.
 
     ``mix`` drives the ``combined``/``serial`` experiments (every name
-    must be registered in :data:`repro.apps.WORKLOADS`); ``params`` maps
+    must be a key of :data:`repro.apps.WORKLOADS`); ``params`` maps
     application name to field overrides of its params dataclass, e.g.
     ``{"ppm": {"steps": 12}}``.
     """
@@ -552,18 +548,10 @@ class WorkloadConfig:
         _check(len(self.mix) >= 1, f"{path}.mix",
                "workload mix must name at least one application")
         for i, name in enumerate(self.mix):
-            if name not in WORKLOADS:
-                raise ConfigError(f"{path}.mix[{i}]",
-                                  str(UnknownComponentError(
-                                      WORKLOADS.kind, name,
-                                      WORKLOADS.names())))
+            _check_name(WORKLOADS, "workload", name, f"{path}.mix[{i}]")
         for app, overrides in self.params.items():
-            if app not in WORKLOADS:
-                raise ConfigError(f"{path}.params.{app}",
-                                  str(UnknownComponentError(
-                                      WORKLOADS.kind, app,
-                                      WORKLOADS.names())))
-            params_cls = WORKLOADS.get(app).params_cls
+            _check_name(WORKLOADS, "workload", app, f"{path}.params.{app}")
+            params_cls = WORKLOADS[app].params_cls
             known = {f.name for f in fields(params_cls)}
             if not isinstance(overrides, Mapping):
                 raise ConfigError(f"{path}.params.{app}",

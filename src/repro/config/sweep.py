@@ -21,6 +21,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from repro.config.scenario import ConfigError, Scenario
+from repro.durable import publish
 
 #: short axis names accepted in grid specs, mapped to scenario paths
 #: (the disk aliases use ``disks[*]`` so they cover every member of a
@@ -87,7 +88,7 @@ def expand_grid(base: Scenario,
                 ) -> List[SweepPoint]:
     """The cross product of all axes, applied over ``base``.
 
-    Every point's scenario is validated eagerly, so a bad registry name
+    Every point's scenario is validated eagerly, so a bad component name
     or out-of-range value fails before any simulation starts.
 
     ``node_overrides`` makes the grid heterogeneous: a mapping of node
@@ -188,7 +189,6 @@ def _sweep_worker(args: tuple
     half-run ones from their checkpoint — preempt/restart costs only the
     unfinished tails.
     """
-    import os
     from time import perf_counter
 
     from repro.core.experiments import ExperimentRunner
@@ -216,10 +216,8 @@ def _sweep_worker(args: tuple
         from repro.obs.recorder import events_per_second
         eps = events_per_second(result.obs, wall)
     if done is not None:
-        tmp = done.with_suffix(".tmp")
-        tmp.write_text(json.dumps({"metrics": result.metrics.to_dict(),
-                                   "run_id": run_id}))
-        os.replace(tmp, done)
+        publish(done, json.dumps({"metrics": result.metrics.to_dict(),
+                                  "run_id": run_id}))
         if ckpt.exists():
             ckpt.unlink()
     return result.metrics.to_dict(), run_id, eps

@@ -245,11 +245,11 @@ class ExperimentRunner:
         """Instantiate a workload model configured for this cluster.
 
         The model and its params class come from the
-        :data:`~repro.apps.WORKLOADS` registry; scenario
+        :data:`~repro.apps.WORKLOADS` table; scenario
         ``workload.params`` overrides are applied on top of the
         cluster-derived defaults.
         """
-        entry = WORKLOADS.get(app_name)
+        entry = WORKLOADS[app_name]
         kwargs = {"nnodes": self.scenario.cluster.nnodes}
         kwargs.update(self.scenario.workload.params_for(app_name))
         params = entry.params_cls(**kwargs)

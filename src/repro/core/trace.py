@@ -14,7 +14,6 @@ from typing import Union
 import numpy as np
 
 from repro.driver import TRACE_DTYPE
-from repro.driver.trace import merge_by_time
 
 
 class TraceDataset:
@@ -85,9 +84,6 @@ class TraceDataset:
     def nodes(self) -> np.ndarray:
         present = np.bincount(self._records["node"])
         return np.flatnonzero(present).astype(np.uint16)
-
-    def merged_with(self, other: "TraceDataset") -> "TraceDataset":
-        return TraceDataset(merge_by_time([self._records, other._records]))
 
     # -- persistence ----------------------------------------------------------
     def save(self, path: Union[str, Path]) -> Path:

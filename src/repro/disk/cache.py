@@ -16,12 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.registry import Registry
-
-#: plugin registry of drive-cache models; factories accept the
-#: ``DriveCacheConfig`` geometry keywords they care about
-DRIVE_CACHES = Registry("drive cache")
-
 
 @dataclass
 class _Segment:
@@ -36,7 +30,6 @@ class _Segment:
         return sector < self.end and self.start < sector + nsectors
 
 
-@DRIVE_CACHES.register("segmented")
 class DriveCache:
     """Segmented on-drive read cache."""
 
@@ -122,7 +115,6 @@ class DriveCache:
         return min(self._segments, key=lambda s: s.last_used)
 
 
-@DRIVE_CACHES.register("none")
 class NullDriveCache:
     """A drive with its buffer disabled: every read misses.
 
@@ -167,3 +159,11 @@ class NullDriveCache:
 
     def invalidate(self, sector: int, nsectors: int) -> int:
         return 0
+
+
+#: drive-cache models by scenario kind; factories accept the
+#: ``DriveCacheConfig`` geometry keywords they care about
+DRIVE_CACHES = {
+    "none": NullDriveCache,
+    "segmented": DriveCache,
+}

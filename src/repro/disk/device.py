@@ -10,6 +10,7 @@ import numpy as np
 from repro.disk.request import IORequest
 from repro.disk.scheduler import CLookScheduler
 from repro.disk.service import DiskServiceModel
+from repro.obs.registry import FOLD_EVERY
 from repro.sim import BatchedDraws, Event, Simulator
 
 
@@ -62,6 +63,12 @@ class _DiskInstruments:
         self.observe_queue_depth = self.queue_depth.observe
         self.observe_seek = self.seek_cylinders.observe
         self.observe_service = self.service_time.observe
+
+    def fold(self) -> None:
+        """Fold the buffered observations (bounds a long run's buffers)."""
+        self.queue_depth.fold()
+        self.seek_cylinders.fold()
+        self.service_time.fold()
 
 
 class Disk:
@@ -251,7 +258,9 @@ class Disk:
         read miss fills a segment (plus look-ahead, which rides the same
         rotation for half a revolution); a write is write-through and
         invalidates overlapping segments.  With obs enabled the request's
-        seek distance and service time are recorded.
+        seek distance and service time are recorded; the histograms fold
+        every :data:`~repro.obs.registry.FOLD_EVERY` submits, so their
+        buffers stay bounded.
         """
         request = self._in_service = self.scheduler.next(self._head_sector)
         service = self.service
@@ -277,6 +286,8 @@ class Disk:
         if obs is not None:
             obs.observe_service(duration)
             obs.requests.value += 1
+            if len(obs.queue_depth.raw) >= FOLD_EVERY:
+                obs.fold()
         self._duration = duration
         sim = self.sim
         sim._enqueue_at(sim.now + duration, self)

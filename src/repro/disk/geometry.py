@@ -58,10 +58,6 @@ class DiskGeometry:
     def total_sectors(self) -> int:
         return self.cylinders * self.sectors_per_cylinder
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.total_sectors * SECTOR_BYTES
-
     def cylinder_of(self, sector: int) -> int:
         """Cylinder holding flat ``sector``."""
         self._check(sector)

@@ -5,10 +5,10 @@ order; :class:`CLookScheduler` models that.  FIFO and SSTF are provided for
 ablation experiments (how much does queue ordering matter for the observed
 latencies?).
 
-Every discipline registers itself in :data:`SCHEDULERS`, so scenario
-files and the replay/sweep machinery select disciplines by name
-(``"clook"``, ``"fifo"``, ``"sstf"``, ``"scan"``); third-party
-disciplines plug in via ``SCHEDULERS.register``.
+:data:`SCHEDULERS` maps each discipline's name to its class, so
+scenario files and the replay/sweep machinery select disciplines by
+name (``"clook"``, ``"fifo"``, ``"sstf"``, ``"scan"``); a third-party
+discipline plugs in as ``SCHEDULERS["myqueue"] = MyQueue``.
 
 Picking and batch draining
 --------------------------
@@ -40,10 +40,6 @@ from operator import attrgetter
 from typing import Deque, List, Optional
 
 from repro.disk.request import IORequest
-from repro.registry import Registry
-
-#: plugin registry of queue disciplines; factories take no arguments
-SCHEDULERS = Registry("disk scheduler")
 
 #: arrival-order sort key used by ``requeue`` implementations
 _ARRIVAL = attrgetter("seq")
@@ -72,7 +68,6 @@ def drain_via_next(scheduler, head_sector: int, limit: int) -> List[IORequest]:
     return batch
 
 
-@SCHEDULERS.register("fifo")
 class FIFOScheduler:
     """Serve requests strictly in arrival order."""
 
@@ -106,7 +101,6 @@ class FIFOScheduler:
         return list(self._queue)
 
 
-@SCHEDULERS.register("sstf")
 class SSTFScheduler:
     """Shortest-seek-time-first: greedy nearest-sector selection.
 
@@ -149,7 +143,6 @@ class SSTFScheduler:
         return list(self._queue)
 
 
-@SCHEDULERS.register("scan")
 class ScanScheduler:
     """Bidirectional LOOK (the textbook "elevator"): sweep up, then down.
 
@@ -218,7 +211,6 @@ class ScanScheduler:
         return list(self._queue)
 
 
-@SCHEDULERS.register("clook")
 class CLookScheduler:
     """Circular LOOK elevator: sweep upward, then jump to the lowest waiter.
 
@@ -261,3 +253,12 @@ class CLookScheduler:
 
     def pending(self) -> List[IORequest]:
         return sorted(self._queue, key=_ARRIVAL)
+
+
+#: queue disciplines by scenario name; factories take no arguments
+SCHEDULERS = {
+    "clook": CLookScheduler,
+    "fifo": FIFOScheduler,
+    "scan": ScanScheduler,
+    "sstf": SSTFScheduler,
+}

@@ -3,7 +3,7 @@
 A :class:`LogicalVolume` presents a single contiguous sector address
 space backed by one or more simulated :class:`~repro.disk.device.Disk`
 objects, the way Linux ``md`` layers a striped or mirrored array over
-IDE drives.  Policies live in the :data:`VOLUME_POLICIES` registry so a
+IDE drives.  :data:`VOLUME_POLICIES` maps policy names to classes so a
 :class:`~repro.config.Scenario` can select them by name:
 
 ``single``
@@ -36,11 +36,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.disk.request import IORequest
-from repro.registry import Registry
 from repro.sim import Event
-
-#: registry of volume policies selectable via ``node.volume.policy``
-VOLUME_POLICIES = Registry("volume policy")
 
 #: one physical extent: (member disk index, local sector, sector count)
 Extent = Tuple[int, int, int]
@@ -96,8 +92,8 @@ def raid0_extents(sector: int, nsectors: int, ndisks: int,
 def capacity_sectors(policy: str, disk_sectors: Sequence[int],
                      stripe_sectors: int = 16) -> int:
     """Logical capacity of ``policy`` over members of the given sizes."""
-    cls = VOLUME_POLICIES.get(policy)
-    return cls.capacity(tuple(disk_sectors), stripe_sectors)
+    return VOLUME_POLICIES[policy].capacity(tuple(disk_sectors),
+                                            stripe_sectors)
 
 
 def join_parts(sim, request: IORequest, parts) -> Event:
@@ -234,7 +230,6 @@ class LogicalVolume:
         return join_parts(self.sim, request, subs)
 
 
-@VOLUME_POLICIES.register("single")
 class SingleVolume(LogicalVolume):
     """Pass-through over exactly one disk (the paper's node)."""
 
@@ -254,7 +249,6 @@ class SingleVolume(LogicalVolume):
         return ((0, sector, nsectors),)
 
 
-@VOLUME_POLICIES.register("concat")
 class ConcatVolume(LogicalVolume):
     """Members appended end to end (linear mode)."""
 
@@ -269,7 +263,6 @@ class ConcatVolume(LogicalVolume):
             sector, nsectors, [d.total_sectors for d in self.disks])
 
 
-@VOLUME_POLICIES.register("raid0")
 class Raid0Volume(LogicalVolume):
     """Round-robin striping in ``stripe_sectors`` units."""
 
@@ -287,7 +280,6 @@ class Raid0Volume(LogicalVolume):
                              self.stripe_sectors)
 
 
-@VOLUME_POLICIES.register("raid1")
 class Raid1Volume(LogicalVolume):
     """Mirroring: write everywhere, read round-robin."""
 
@@ -304,3 +296,12 @@ class Raid1Volume(LogicalVolume):
         mirror = self._next_mirror
         self._next_mirror = (mirror + 1) % len(self.disks)
         return ((mirror, sector, nsectors),)
+
+
+#: volume policies selectable via ``node.volume.policy``
+VOLUME_POLICIES = {
+    "concat": ConcatVolume,
+    "raid0": Raid0Volume,
+    "raid1": Raid1Volume,
+    "single": SingleVolume,
+}

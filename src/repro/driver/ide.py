@@ -123,24 +123,7 @@ class InstrumentedIDEDriver:
         """The driver's write handler: trace then submit."""
         return self._handle(sector, nsectors, is_write=True, origin=origin)
 
-    def read_bytes(self, offset: int, nbytes: int, origin: Any = None) -> Event:
-        """Byte-addressed convenience wrapper (sector-aligned rounding)."""
-        sector, nsectors = self._byte_span(offset, nbytes)
-        return self.read_sectors(sector, nsectors, origin=origin)
-
-    def write_bytes(self, offset: int, nbytes: int, origin: Any = None) -> Event:
-        sector, nsectors = self._byte_span(offset, nbytes)
-        return self.write_sectors(sector, nsectors, origin=origin)
-
     # -- internals ---------------------------------------------------------
-    @staticmethod
-    def _byte_span(offset: int, nbytes: int) -> tuple[int, int]:
-        if nbytes < 1:
-            raise ValueError("nbytes must be >= 1")
-        first = offset // SECTOR_BYTES
-        last = (offset + nbytes - 1) // SECTOR_BYTES
-        return first, last - first + 1
-
     def _handle(self, sector: int, nsectors: int, is_write: bool,
                 origin: Any) -> Event:
         if self._retrying:

@@ -12,8 +12,6 @@ from __future__ import annotations
 import weakref
 from typing import Generator, Optional
 
-import numpy as np
-
 from repro.disk import Disk
 from repro.driver import InstrumentedIDEDriver, ProcTraceTransport
 from repro.kernel.buffercache import BufferCache
@@ -144,11 +142,6 @@ class NodeKernel:
     def disk(self) -> Disk:
         """The first physical disk (the whole device under ``single``)."""
         return self.disks[0]
-
-    # -- instrumentation plumbing ------------------------------------------
-    def trace_array(self) -> np.ndarray:
-        self.transport.drain_now()
-        return self.transport.user_buffer.to_array()
 
     # -- file API -------------------------------------------------------------
     def effective_readahead_kb(self) -> int:

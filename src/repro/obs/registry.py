@@ -25,6 +25,9 @@ from typing import Dict, Optional
 
 _frexp = math.frexp
 
+#: raw observations a histogram buffers before its call site folds them
+FOLD_EVERY = 4096
+
 
 class Counter:
     """A monotonically increasing value (events processed, bytes moved)."""
@@ -109,8 +112,12 @@ class Histogram:
 
     The hot path is deliberately an append: observations buffer raw in
     :attr:`raw` (``observe`` *is* ``raw.append`` after the first lookup)
-    and fold into count/sum/min/max/buckets lazily when any statistic is
-    read.  Instrumented call sites pay one list append per observation.
+    and fold into count/sum/min/max/buckets when any statistic is read,
+    or when a call site sees :data:`FOLD_EVERY` of them buffered and
+    calls :meth:`fold` — so a long run holds a bounded buffer.
+    Instrumented call sites pay one list append per observation.  The
+    running sum continues across folds, so where the folds fall does
+    not change any statistic.
     """
 
     kind = "histogram"
@@ -134,7 +141,7 @@ class Histogram:
         self._underflow = 0
         self._children: Optional[Dict[str, "Histogram"]] = None
 
-    def _fold(self) -> None:
+    def fold(self) -> None:
         """Fold buffered raw observations into the running statistics."""
         raw = self.raw
         if not raw:
@@ -144,7 +151,7 @@ class Histogram:
         self._min = min(self._min, min(values))
         self._max = max(self._max, max(values))
         self._count += len(values)
-        self._sum += float(sum(values))
+        self._sum = sum(values, self._sum)
         buckets = self._buckets
         frexp = _frexp
         underflow = 0
@@ -159,39 +166,39 @@ class Histogram:
 
     @property
     def count(self) -> int:
-        self._fold()
+        self.fold()
         return self._count
 
     @property
     def sum(self) -> float:
-        self._fold()
+        self.fold()
         return self._sum
 
     @property
     def min(self) -> float:
-        self._fold()
+        self.fold()
         return self._min
 
     @property
     def max(self) -> float:
-        self._fold()
+        self.fold()
         return self._max
 
     @property
     def buckets(self) -> Dict[int, int]:
         """Positive-value tallies only; see :attr:`underflow` for v <= 0."""
-        self._fold()
+        self.fold()
         return self._buckets
 
     @property
     def underflow(self) -> int:
         """Observations that were zero or negative."""
-        self._fold()
+        self.fold()
         return self._underflow
 
     @property
     def mean(self) -> float:
-        self._fold()
+        self.fold()
         return self._sum / self._count if self._count else 0.0
 
     def child(self, label: str) -> "Histogram":
@@ -205,7 +212,7 @@ class Histogram:
 
     # -- snapshot -----------------------------------------------------------
     def _value_snapshot(self) -> dict:
-        self._fold()
+        self.fold()
         out = {"count": self._count, "sum": _num(self._sum)}
         if self._count:
             out["min"] = _num(self._min)
@@ -342,7 +349,7 @@ class MetricsRegistry:
 def _instrument_state(m) -> dict:
     """One instrument's complete state as a plain tree (recursive)."""
     if m.kind == "histogram":
-        m._fold()
+        m.fold()
         state: dict = {"kind": "histogram", "help": m.help,
                        "count": m._count, "sum": m._sum,
                        "min": m._min, "max": m._max,

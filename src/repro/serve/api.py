@@ -50,6 +50,7 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 from urllib.parse import parse_qs, urlsplit
 
+from repro.obs.registry import FOLD_EVERY
 from repro.serve.errors import AuthError, ServeError
 from repro.serve.jobs import (
     ACTIVE_STATES,
@@ -409,8 +410,11 @@ class _Handler(BaseHTTPRequestHandler):
                 {"error": f"{type(exc).__name__}: {exc}"}, status=500)
         finally:
             registry.counter("serve.requests").child(route).inc()
-            registry.histogram("serve.request_seconds").child(route) \
-                .observe(time.perf_counter() - started)
+            seconds = registry.histogram("serve.request_seconds") \
+                .child(route)
+            seconds.observe(time.perf_counter() - started)
+            if len(seconds.raw) >= FOLD_EVERY:
+                seconds.fold()
 
     def _send_json(self, payload, status: int = 200,
                    headers: Optional[dict] = None) -> None:

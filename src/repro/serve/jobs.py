@@ -17,9 +17,10 @@ dependency states on disk**, never from in-memory bookkeeping, so it
 is exactly as crash-safe as the job files themselves.
 
 The :class:`JobStore` keeps every job as ``jobs/<id>.json`` under the
-service root.  All writes go through a per-process temp file and
-``os.replace``, so a crash at any instant leaves either the old state or
-the new state on disk — never a torn file.  Two processes legitimately
+service root.  All writes go through :func:`repro.durable.publish`
+(a temp file, fsync and ``os.replace``), so a crash at any instant
+leaves either the old state or the new state on disk — never a torn
+file.  Two processes legitimately
 write job files (the daemon owns submission/cancellation, the spawned
 worker owns the running→terminal edge); atomic whole-file replacement is
 what makes that safe.
@@ -41,6 +42,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.durable import publish
 from repro.serve.errors import DependencyCycle
 from repro.serve.events import EventLog
 
@@ -204,9 +206,7 @@ class JobStore:
         """Atomically (re)write one job's state file."""
         self.root.mkdir(parents=True, exist_ok=True)
         path = self._path(job.id)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(job.to_dict(), indent=2))
-        os.replace(tmp, path)
+        publish(path, json.dumps(job.to_dict(), indent=2))
         return path
 
     def load(self, job_id: str) -> Job:

@@ -23,12 +23,12 @@ run interrupted before it is stored leaves nothing in the catalog.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro import migrate
+from repro.durable import publish
 from repro.driver.trace import merge_by_time
 from repro.store.format import DEFAULT_CHUNK_RECORDS
 from repro.store.reader import TraceReader
@@ -118,11 +118,9 @@ class RunCapture:
             if getattr(result, "obs", None):
                 manifest["obs"] = result.obs
         path = self.directory / MANIFEST_NAME
-        # Write-then-rename so a concurrent reader (or a second writer
+        # Published whole, so a concurrent reader (or a second writer
         # racing into the same catalog) never sees a partial manifest.
-        tmp = path.with_name(MANIFEST_NAME + ".tmp")
-        tmp.write_text(json.dumps(manifest, indent=2))
-        os.replace(tmp, path)
+        publish(path, json.dumps(manifest, indent=2))
         self.finalized = True
         return path
 
@@ -214,11 +212,6 @@ class RunCatalog:
         manifest = self.manifest(run_id)
         return {int(nid): self.root / run_id / fname
                 for nid, fname in manifest["traces"].items()}
-
-    def open_traces(self, run_id: str) -> Dict[int, TraceReader]:
-        """One lazy :class:`TraceReader` per node file."""
-        return {nid: TraceReader(path)
-                for nid, path in self.trace_paths(run_id).items()}
 
     def load_dataset(self, run_id: str, **predicates):
         """All nodes' matching records, time-merged, as a ``TraceDataset``.

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.driver import TRACE_DTYPE
 from repro.driver.trace import merge_by_time
-from repro.store.catalog import MANIFEST_NAME, RunCatalog
+from repro.store.catalog import RunCatalog
 from repro.store.format import StoreFormatError
 from repro.store.reader import TraceReader
 from repro.store.writer import TraceWriter
@@ -95,10 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs = sub.add_parser(
         "obs", help="dump or compare run observability snapshots")
     p_obs.add_argument("paths", nargs="+", type=Path,
-                       help="run directories (manifest.json), experiment "
-                            "directories (experiment.json), or raw "
-                            "snapshot .json files; two paths print a "
-                            "delta column")
+                       help="catalog run directories or raw snapshot "
+                            ".json files; two paths print a delta column")
     p_obs.add_argument("--json", action="store_true",
                        help="emit the snapshots as one JSON object "
                             "instead of a table")
@@ -393,19 +391,14 @@ def _print_analysis(run_id: str, out: dict, filtered: bool) -> None:
 
 
 def _load_snapshot(path: Path) -> dict:
-    """An obs snapshot from a run dir, experiment dir, or JSON file."""
+    """An obs snapshot from a catalog run directory or a JSON file."""
     import json
     if path.is_dir():
-        for meta_name, kind in ((MANIFEST_NAME, "run"),
-                                ("experiment.json", "experiment")):
-            meta_path = path / meta_name
-            if meta_path.is_file():
-                obs = json.loads(meta_path.read_text()).get("obs")
-                if not obs:
-                    raise ValueError(
-                        f"{kind} was recorded without --obs")
-                return obs
-        raise FileNotFoundError(str(path / MANIFEST_NAME))
+        run_dir = path.resolve()
+        obs = RunCatalog(run_dir.parent).obs_snapshot(run_dir.name)
+        if not obs:
+            raise ValueError("run was recorded without --obs")
+        return obs
     data = json.loads(path.read_text())
     if isinstance(data.get("obs"), dict):
         return data["obs"]

@@ -1,6 +1,6 @@
 """Streaming trace sink with bounded memory.
 
-``TraceWriter`` accepts records one at a time or in bulk arrays, spills a
+``TraceWriter`` accepts records in structured arrays, spills a
 compressed chunk to disk every ``chunk_records`` records, and never holds
 more than one chunk of pending records in memory (plus the transient
 compression buffer of the chunk being spilled — "≤ 2 chunks resident").
@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from repro.driver import TRACE_DTYPE, TraceRecord
+from repro.driver import TRACE_DTYPE
 from repro.store.format import (
     DEFAULT_CHUNK_RECORDS,
     DEFAULT_COMPRESSION,
@@ -64,17 +64,6 @@ class TraceWriter:
         return sum(meta.raw for meta in self.chunks)
 
     # -- appending ----------------------------------------------------------
-    def append(self, record) -> None:
-        """Add one record (a :class:`TraceRecord` or a field tuple)."""
-        self._check_open()
-        if isinstance(record, TraceRecord):
-            record = record.as_tuple()
-        self._pending[self._fill] = record
-        self._fill += 1
-        if self._fill == self.chunk_records:
-            self._spill(self._pending)
-            self._fill = 0
-
     def append_array(self, records: np.ndarray) -> None:
         """Bulk-append a structured array; spills chunk by chunk.
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.core.trace import TraceDataset
 from repro.disk import Disk, DiskServiceModel, IORequest
-# the shared plugin registry (historically a module-level dict here);
-# schedulers registered anywhere in the process are replayable by name
+# the shared name table: a scheduler added to it anywhere in the
+# process is replayable by name
 from repro.disk.scheduler import SCHEDULERS
 from repro.sim import Simulator
 
@@ -89,7 +89,7 @@ def replay_trace(trace, scheduler: str = "clook",
                              "drive_cache; pass one or the other")
     elif scheduler not in SCHEDULERS:
         raise ValueError(f"unknown scheduler {scheduler!r}; "
-                         f"choose from {sorted(SCHEDULERS.names())}")
+                         f"choose from {sorted(SCHEDULERS)}")
     if len(trace) == 0:
         raise ValueError("empty trace")
     if time_scale <= 0:
@@ -107,7 +107,7 @@ def replay_trace(trace, scheduler: str = "clook",
     else:
         service = service or DiskServiceModel()
         disks = [Disk(sim, service=service,
-                      scheduler=SCHEDULERS.create(scheduler),
+                      scheduler=SCHEDULERS[scheduler](),
                       rng=np.random.default_rng(seed), cache=drive_cache)]
         device = disks[0]
         total_sectors = service.geometry.total_sectors
@@ -156,4 +156,4 @@ def compare_schedulers(trace, time_scale: float = 1.0,
     """Replay under every scheduler; returns {name: ReplayReport}."""
     return {name: replay_trace(trace, scheduler=name, seed=seed,
                                service=service, time_scale=time_scale)
-            for name in SCHEDULERS}
+            for name in sorted(SCHEDULERS)}

@@ -182,7 +182,7 @@ def _run(device_cls, scheduler_name, workload, seed,
         sim.restore_clock(clock)
     disk = device_cls(sim,
                       service=MODEL,
-                      scheduler=SCHEDULERS.create(scheduler_name),
+                      scheduler=SCHEDULERS[scheduler_name](),
                       rng=np.random.default_rng(seed),
                       media_error_rate=media_error_rate,
                       obs=obs)
@@ -197,7 +197,7 @@ def _run_volume(device_cls, volume_cls, scheduler_name, workload, seed):
     each member's physical completions and stats."""
     sim = Simulator()
     members = [device_cls(sim, service=MODEL,
-                          scheduler=SCHEDULERS.create(scheduler_name),
+                          scheduler=SCHEDULERS[scheduler_name](),
                           rng=np.random.default_rng(seed + i),
                           media_error_rate=0.2, name=f"hd{i}")
                for i in range(2)]
@@ -221,7 +221,7 @@ def _run_volume(device_cls, volume_cls, scheduler_name, workload, seed):
 @pytest.mark.parametrize("engine", [pytest.param(None, id="current"),
                                     pytest.param("heap", id="heap"),
                                     pytest.param("calendar", id="calendar")])
-@pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS.names()))
+@pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
 @settings(max_examples=25, deadline=None)
 @given(workload=_requests, seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_batched_server_matches_scalar(scheduler_name, engine, workload, seed):
@@ -234,7 +234,7 @@ def test_batched_server_matches_scalar(scheduler_name, engine, workload, seed):
     assert batched == scalar
 
 
-@pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS.names()))
+@pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
 @settings(max_examples=10, deadline=None)
 @given(workload=_requests, seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_batched_server_matches_scalar_with_media_errors(scheduler_name,
@@ -248,7 +248,7 @@ def test_batched_server_matches_scalar_with_media_errors(scheduler_name,
     assert batched == scalar
 
 
-@pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS.names()))
+@pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
 @settings(max_examples=10, deadline=None)
 @given(workload=_requests, seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_instrumented_server_matches_scalar(scheduler_name, workload, seed):
@@ -269,7 +269,7 @@ def test_instrumented_server_matches_scalar(scheduler_name, workload, seed):
 
 @pytest.mark.parametrize("volume_cls", [Raid0Volume, Raid1Volume],
                          ids=["raid0", "raid1"])
-@pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS.names()))
+@pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
 @settings(max_examples=10, deadline=None)
 @given(workload=_requests, seed=st.integers(min_value=0, max_value=2**32 - 2))
 def test_volume_fanout_matches_scalar_members(scheduler_name, volume_cls,
@@ -286,7 +286,7 @@ def test_every_registered_scheduler_supports_batching():
     # drain/requeue stay part of the discipline contract although the
     # device no longer calls them: the traced benchmark's layer table
     # names them on every discipline
-    for name in SCHEDULERS.names():
-        scheduler = SCHEDULERS.create(name)
+    for name in sorted(SCHEDULERS):
+        scheduler = SCHEDULERS[name]()
         assert callable(scheduler.drain), name
         assert callable(scheduler.requeue), name

@@ -75,7 +75,9 @@ def test_unknown_volume_policy_lists_the_menu():
     with pytest.raises(ConfigError) as err:
         Scenario().with_override("node.volume.policy", "raid6").validate()
     assert err.value.path == "scenario.node.volume.policy"
-    assert "raid0" in str(err.value)
+    assert str(err.value) == (
+        "scenario.node.volume.policy: unknown volume policy 'raid6'; "
+        "choose from ['concat', 'raid0', 'raid1', 'single']")
 
 
 def test_single_policy_rejects_multiple_disks():

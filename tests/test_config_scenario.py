@@ -1,4 +1,4 @@
-"""Scenario tree: round-trips, validation paths, registry resolution."""
+"""Scenario tree: round-trips, validation paths, component resolution."""
 
 import dataclasses
 import json
@@ -109,14 +109,18 @@ def test_unknown_scheduler_names_exact_path():
         Scenario().with_override("node.disk.scheduler.kind",
                                  "elevator3000").validate()
     assert err.value.path == "scenario.node.disks[0].scheduler.kind"
-    assert "elevator3000" in str(err.value)
-    assert "clook" in str(err.value)   # the menu is listed
+    assert str(err.value) == (
+        "scenario.node.disks[0].scheduler.kind: unknown disk scheduler "
+        "'elevator3000'; choose from ['clook', 'fifo', 'scan', 'sstf']")
 
 
 def test_unknown_drive_cache_names_exact_path():
     with pytest.raises(ConfigError) as err:
         Scenario().with_override("node.disk.cache.kind", "dram").validate()
     assert err.value.path == "scenario.node.disks[0].cache.kind"
+    assert str(err.value) == (
+        "scenario.node.disks[0].cache.kind: unknown drive cache 'dram'; "
+        "choose from ['none', 'segmented']")
 
 
 def test_unknown_workload_names_exact_path():
@@ -124,6 +128,19 @@ def test_unknown_workload_names_exact_path():
         Scenario().with_override("workload.mix",
                                  ("ppm", "doom")).validate()
     assert err.value.path == "scenario.workload.mix[1]"
+    assert str(err.value) == (
+        "scenario.workload.mix[1]: unknown workload 'doom'; "
+        "choose from ['nbody', 'ppm', 'wavelet']")
+
+
+def test_unknown_workload_params_app_names_exact_path():
+    with pytest.raises(ConfigError) as err:
+        Scenario.from_dict(
+            {"workload": {"params": {"quake": {"steps": 3}}}}).validate()
+    assert err.value.path == "scenario.workload.params.quake"
+    assert str(err.value) == (
+        "scenario.workload.params.quake: unknown workload 'quake'; "
+        "choose from ['nbody', 'ppm', 'wavelet']")
 
 
 def test_out_of_range_field_names_exact_path():
@@ -194,7 +211,7 @@ def test_fingerprint_ignores_name_and_seed_but_not_stack():
                               "fifo").fingerprint() != base.fingerprint()
 
 
-# -- registry-backed component selection --------------------------------------
+# -- component selection by name ----------------------------------------------
 def test_zero_segments_resolves_to_null_cache():
     cache = DriveCacheConfig(nsegments=0).build()
     assert isinstance(cache, NullDriveCache)
@@ -202,9 +219,9 @@ def test_zero_segments_resolves_to_null_cache():
 
 
 def test_registries_expose_builtins():
-    assert set(SCHEDULERS.names()) >= {"clook", "fifo", "scan", "sstf"}
-    assert set(DRIVE_CACHES.names()) >= {"segmented", "none"}
-    assert isinstance(SCHEDULERS.create("fifo"), FIFOScheduler)
+    assert list(SCHEDULERS) == ["clook", "fifo", "scan", "sstf"]
+    assert list(DRIVE_CACHES) == ["none", "segmented"]
+    assert isinstance(SCHEDULERS["fifo"](), FIFOScheduler)
 
 
 # -- retired engine knob ------------------------------------------------------

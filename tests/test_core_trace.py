@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import TraceDataset
+from repro.driver.trace import merge_by_time
 
 
 @pytest.fixture
@@ -57,7 +58,7 @@ def test_sector_range(ds):
 def test_merge_sorts_by_time():
     a = TraceDataset.from_records([(5.0, 1, 0, 1, 1.0, 0)])
     b = TraceDataset.from_records([(2.0, 2, 1, 1, 1.0, 1)])
-    merged = a.merged_with(b)
+    merged = TraceDataset(merge_by_time([a.records, b.records]))
     assert list(merged.time) == [2.0, 5.0]
 
 

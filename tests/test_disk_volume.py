@@ -151,9 +151,8 @@ def _mkdisks(sim, n, capacity_mb=100):
 
 
 def test_registry_carries_all_policies():
-    assert set(VOLUME_POLICIES.names()) >= \
-        {"single", "concat", "raid0", "raid1"}
-    assert VOLUME_POLICIES.get("raid0") is Raid0Volume
+    assert list(VOLUME_POLICIES) == ["concat", "raid0", "raid1", "single"]
+    assert VOLUME_POLICIES["raid0"] is Raid0Volume
 
 
 def test_single_volume_requires_one_disk():

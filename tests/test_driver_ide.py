@@ -98,12 +98,10 @@ def test_reset_clock_offsets_timestamps(rig):
     assert arr["time"][0] == pytest.approx(0.0)
 
 
-def test_byte_interface_rounds_to_sectors(rig):
+def test_sector_handlers_trace_sector_and_size(rig):
     sim, disk, transport, driver = rig
-    # 1 byte at offset 513 touches exactly sector 1
-    driver.write_bytes(513, 1)
-    # 1024 bytes spanning a sector boundary touches 3 sectors
-    driver.read_bytes(256, 1024)
+    driver.write_sectors(1, 1)
+    driver.read_sectors(0, 3)
     sim.run(until=10)
     transport.drain_now()
     arr = transport.user_buffer.to_array()
@@ -111,10 +109,10 @@ def test_byte_interface_rounds_to_sectors(rig):
     assert arr["size_kb"].tolist() == [0.5, 1.5]
 
 
-def test_byte_interface_rejects_empty(rig):
+def test_sector_handlers_reject_empty(rig):
     _, _, _, driver = rig
     with pytest.raises(ValueError):
-        driver.read_bytes(0, 0)
+        driver.read_sectors(0, 0)
 
 
 def test_ring_overflow_drops_and_counts():

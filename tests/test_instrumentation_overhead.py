@@ -32,7 +32,9 @@ def run_app(appcls, trace_on, seed=5, **app_kw):
     cluster.reset_trace_clocks()
     node.kernel.spawn(app.run(), name=app.name)
     sim.run(until=3000.0)
-    return app.stats.duration, len(node.kernel.trace_array())
+    transport = node.kernel.transport
+    transport.drain_now()
+    return app.stats.duration, len(transport.user_buffer.to_array())
 
 
 @pytest.mark.parametrize("appcls", [PPMApplication, WaveletApplication])

@@ -9,6 +9,12 @@ from repro.sim import RandomStreams
 from tests.conftest import drive
 
 
+def _trace(node):
+    """Every record the node's driver has traced so far."""
+    node.transport.drain_now()
+    return node.transport.user_buffer.to_array()
+
+
 @pytest.fixture
 def node(sim):
     return NodeKernel(sim, streams=RandomStreams(seed=1), node_id=0)
@@ -66,7 +72,7 @@ def test_bdflush_follows_node_config_interval_and_age(sim):
         yield from handle.write(1024)
 
     drive(sim, writer(), until=10.0)
-    writes = node.trace_array()
+    writes = _trace(node)
     assert len(writes)
     assert 3.0 <= writes["time"].min() < 4.0
 
@@ -80,7 +86,7 @@ def test_invalid_node_config_given_to_kernel_raises(sim):
 
 def test_baseline_run_produces_write_dominated_trace(sim, node):
     sim.run(until=600.0)
-    arr = node.trace_array()
+    arr = _trace(node)
     assert len(arr) > 10
     assert (arr["write"] == 1).mean() > 0.9
     # 1 KB is the dominant request size (block I/O)
@@ -90,14 +96,14 @@ def test_baseline_run_produces_write_dominated_trace(sim, node):
 
 def test_baseline_rate_is_order_one_per_second(sim, node):
     sim.run(until=1000.0)
-    arr = node.trace_array()
+    arr = _trace(node)
     rate = len(arr) / 1000.0
     assert 0.2 < rate < 3.0  # paper: 0.9 req/s
 
 
 def test_baseline_touches_low_and_high_sectors(sim, node):
     sim.run(until=600.0)
-    arr = node.trace_array()
+    arr = _trace(node)
     layout = node.node_config.layout
     assert (arr["sector"] < layout.swap_start).any()
     assert (arr["sector"] >= layout.highlog_start).any()
@@ -140,7 +146,7 @@ def test_set_trace_level_off_silences_trace(sim, node):
     from repro.driver import HDIO_SET_TRACE, TraceLevel
     node.driver.ioctl(HDIO_SET_TRACE, TraceLevel.OFF)
     sim.run(until=120.0)
-    assert len(node.trace_array()) == 0
+    assert len(_trace(node)) == 0
 
 
 def test_trace_timestamps_relative_to_reset(sim, node):
@@ -152,7 +158,7 @@ def test_trace_timestamps_relative_to_reset(sim, node):
 
     sim.process(scenario())
     sim.run(until=300.0)
-    arr = node.trace_array()
+    arr = _trace(node)
     assert len(arr) > 0
     assert arr["time"].min() >= 0.0
     assert arr["time"].max() <= 250.0
@@ -162,8 +168,8 @@ def test_two_nodes_are_independent(sim):
     n0 = NodeKernel(sim, streams=RandomStreams(seed=1), node_id=0)
     n1 = NodeKernel(sim, streams=RandomStreams(seed=2), node_id=1)
     sim.run(until=300.0)
-    a0 = n0.trace_array()
-    a1 = n1.trace_array()
+    a0 = _trace(n0)
+    a1 = _trace(n1)
     assert set(a0["node"]) == {0}
     assert set(a1["node"]) == {1}
     # different seeds -> different arrival patterns

@@ -49,7 +49,8 @@ def test_stored_trace_matches_gathered_trace(sunk_run):
     ``result.trace``, in order."""
     root, runner, result = sunk_run
     catalog = RunCatalog(root)
-    readers = catalog.open_traces("baseline")
+    readers = {nid: TraceReader(path)
+               for nid, path in catalog.trace_paths("baseline").items()}
     assert set(readers) == {0, 1}
     for node_id, reader in readers.items():
         with reader:
@@ -154,7 +155,8 @@ def test_save_writes_a_file_for_every_node(tmp_path):
     manifest = catalog.manifest("idle")
     assert set(manifest["traces"]) == {"0", "1"}
     assert manifest["records"] == 3
-    readers = catalog.open_traces("idle")
+    readers = {nid: TraceReader(path)
+               for nid, path in catalog.trace_paths("idle").items()}
     for node_id, expected in ((0, 3), (1, 0)):
         with readers[node_id] as reader:
             assert len(reader.read()) == expected

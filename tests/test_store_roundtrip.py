@@ -52,11 +52,13 @@ def test_roundtrip_is_bit_exact_across_chunks(tmp_path):
 
 def test_append_single_records_and_tuples(tmp_path):
     path = tmp_path / "t.rpt"
+    rows = [TraceRecord(1.0, 10, True, 2, 4.0, node=1).as_tuple(),
+            (2.0, 20, 0, 1, 1.0, 0),
+            TraceRecord(3.0, 30, False, 0, 2.0, node=2).as_tuple(),
+            (4.0, 40, 1, 5, 8.0, 3)]
     with TraceWriter(path, chunk_records=3) as writer:
-        writer.append(TraceRecord(1.0, 10, True, 2, 4.0, node=1))
-        writer.append((2.0, 20, 0, 1, 1.0, 0))
-        writer.append(TraceRecord(3.0, 30, False, 0, 2.0, node=2))
-        writer.append((4.0, 40, 1, 5, 8.0, 3))
+        for row in rows:
+            writer.append_array(np.array([row], dtype=TRACE_DTYPE))
     arr = read_trace(path)
     assert len(arr) == 4
     assert list(arr["sector"]) == [10, 20, 30, 40]
@@ -82,7 +84,8 @@ def test_writer_rejects_wrong_dtype_and_use_after_close(tmp_path):
     writer.close()
     writer.close()  # idempotent
     with pytest.raises(ValueError):
-        writer.append(TraceRecord(1.0, 1, True, 0, 1.0))
+        writer.append_array(np.array(
+            [TraceRecord(1.0, 1, True, 0, 1.0).as_tuple()], dtype=TRACE_DTYPE))
 
 
 def test_reader_rejects_non_store_files(tmp_path):

@@ -89,7 +89,7 @@ def _drain_wall(workload, seed: int) -> float:
     sim = Simulator()
     disk = Disk(sim,
                 service=DiskServiceModel(),
-                scheduler=SCHEDULERS.create("clook"),
+                scheduler=SCHEDULERS["clook"](),
                 rng=np.random.default_rng(seed))
 
     def submitter():

@@ -8,10 +8,11 @@ descheduled on a shared host does not count).  A slow drift of the
 host's load cancels within a pair, and the median drops the pairs a
 sudden change split.  The obs layer is designed to be free when
 disabled (the hot paths guard every instrument behind one attribute
-test) and cheap when enabled (histograms are one ``frexp`` per
-observation; most metrics are harvested once at end of run) — CI fails
-the build if an instrumented run costs more than ``--threshold`` times
-an uninstrumented one.
+test) and cheap when enabled (a histogram observation is one list
+append, folded into log2 buckets a few thousand at a time; most
+metrics are harvested once at end of run) — CI fails the build if an
+instrumented run costs more than ``--threshold`` times an
+uninstrumented one.
 
 Usage::
 
