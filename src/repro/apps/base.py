@@ -25,12 +25,18 @@ import numpy as np
 from repro.cluster.beowulf import ClusterNode
 from repro.kernel import NodeKernel
 from repro.kernel.vm import PAGE_LIMIT, AddressSpace
+from repro.sim.rng import draw_page_touches
 
 
 #: sustained double-precision rate assumed for the 486DX4-100 reference
 #: CPU, in Mflop/s.  Calibrated so the derived solo run times land near the
 #: paper's figures (PPM ~230 s, N-body ~240 s).
 REF_MFLOPS = 2.0
+
+#: most slices whose page touches :meth:`ESSApplication.compute` draws
+#: at once (a default 0.25 s slice makes it 1024 simulated seconds),
+#: which bounds its arrays for any phase length
+_PHASE_SLICES = 4096
 
 
 @dataclass
@@ -322,40 +328,53 @@ class ESSApplication:
         under memory pressure generates the implicit 4 KB paging traffic;
         evicted text pages are re-demand-loaded from the program image,
         which is why paging reads are not bounded by paging writes.
+        Bad arguments (a non-positive slice, a negative touch count, an
+        empty region) raise :class:`ValueError` before any time passes.
         """
         if seconds < 0:
             raise ValueError("negative compute time")
+        if not slice_seconds > 0:
+            # a zero slice would never use up ``seconds``
+            raise ValueError("slice_seconds must be positive")
+        if touches_per_slice < 0 or code_touches < 0:
+            raise ValueError("negative touch count")
+        for r in (region, code_region):
+            if r is not None and r[1] < 1:
+                raise ValueError(f"empty page region {r}")
         cpu = self.kernel.cpu
         vm = self.kernel.vm
         # resident touches take the plain-call hit path; only a fault
-        # drives the ``access`` generator
+        # drives a generator
         hit = vm.note_access
+        fault = vm.fault
         aspace = self.aspace
-        rng = self.rng
+        stats = self.stats
         remaining = seconds
         while remaining > 0:
-            chunk = min(slice_seconds, remaining)
-            yield from cpu.execute(chunk)
-            self.stats.compute_seconds += chunk
-            remaining -= chunk
-            if region is not None and touches_per_slice > 0:
-                start, npages = region
-                pages = rng.integers(start, start + npages,
-                                     size=touches_per_slice).tolist()
-                dirty = (rng.random(touches_per_slice)
-                         < dirty_fraction).tolist()
-                for page, write in zip(pages, dirty):
-                    if not hit(aspace, page, write):
-                        yield from vm.access(aspace, page, write=write)
-                self.stats.pages_touched += touches_per_slice
-            if code_region is not None and code_touches > 0:
-                start, npages = code_region
-                pages = rng.integers(start, start + npages,
-                                     size=code_touches).tolist()
-                for page in pages:
-                    if not hit(aspace, page):
-                        yield from vm.access(aspace, page, write=False)
-                self.stats.pages_touched += code_touches
+            chunks = []
+            while remaining > 0 and len(chunks) < _PHASE_SLICES:
+                chunk = min(slice_seconds, remaining)
+                chunks.append(chunk)
+                remaining -= chunk
+            # the phase's touches in one read of the bit stream; nothing
+            # else draws from ``self.rng`` while this body runs
+            pages, dirty, code = draw_page_touches(
+                self.rng, len(chunks), region, touches_per_slice,
+                dirty_fraction, code_region, code_touches)
+            for i, chunk in enumerate(chunks):
+                yield from cpu.execute(chunk)
+                stats.compute_seconds += chunk
+                if pages is not None:
+                    for page, write in zip(pages[i].tolist(),
+                                           dirty[i].tolist()):
+                        if not hit(aspace, page, write):
+                            yield from fault(aspace, page, write)
+                    stats.pages_touched += touches_per_slice
+                if code is not None:
+                    for page in code[i].tolist():
+                        if not hit(aspace, page):
+                            yield from fault(aspace, page)
+                    stats.pages_touched += code_touches
 
     # -- file I/O helpers ------------------------------------------------
     def read_file(self, handle, nbytes: int, chunk: int = 8192):

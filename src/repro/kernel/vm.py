@@ -265,8 +265,16 @@ class VirtualMemory:
 
     def access(self, aspace: AddressSpace, page_id: int, write: bool = False):
         """Touch one page; a generator that performs fault I/O if needed."""
-        if self.note_access(aspace, page_id, write):
-            return
+        if not self.note_access(aspace, page_id, write):
+            yield from self.fault(aspace, page_id, write)
+
+    def fault(self, aspace: AddressSpace, page_id: int, write: bool = False):
+        """Generator: bring in a page that :meth:`note_access` found
+        non-resident (reclaiming a frame first if none is free).
+
+        Callers that already tried ``note_access`` call this directly,
+        so a fault does not look the page up twice.
+        """
         self.stats.faults += 1
         if self._resident >= self.frames_total:
             self.stats.direct_reclaims += 1
@@ -297,8 +305,10 @@ class VirtualMemory:
     def touch_range(self, aspace: AddressSpace, first_page: int,
                     npages: int, write: bool = False):
         """Touch ``npages`` consecutive pages (demand-loading a region)."""
+        hit = self.note_access
         for page_id in range(first_page, first_page + npages):
-            yield from self.access(aspace, page_id, write=write)
+            if not hit(aspace, page_id, write):
+                yield from self.fault(aspace, page_id, write)
 
     # -- checkpoint state surface ---------------------------------------
     def space_by_name(self, name: str) -> AddressSpace:

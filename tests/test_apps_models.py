@@ -239,3 +239,37 @@ def test_multinode_apps_communicate():
     assert sent > 0
     nb = runner.run("nbody")
     assert sum(s.messages_sent for s in nb.app_stats["nbody"]) > 0
+
+
+class _CountingCPU:
+    """Stands in for the node CPU: every execute yields once."""
+
+    def __init__(self):
+        self.executed = []
+
+    def execute(self, seconds):
+        self.executed.append(seconds)
+        yield seconds
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"slice_seconds": 0},
+    {"slice_seconds": -0.25},
+    {"slice_seconds": float("nan")},
+    {"region": (10, 0)},
+    {"region": (0, 8), "touches_per_slice": -1},
+    {"code_region": (0, 0)},
+    {"code_region": (0, 8), "code_touches": -2},
+])
+def test_compute_rejects_bad_arguments_before_time_passes(kwargs):
+    from repro.kernel import NodeKernel
+    sim = Simulator()
+    kernel = NodeKernel(sim, node_id=0)
+    kernel.cpu = cpu = _CountingCPU()
+    app = PPMApplication(kernel, params=PPMParams(steps=2))
+    gen = app.compute(1.0, **kwargs)
+    with pytest.raises(ValueError):
+        # bounded: a generator that never checks would spin forever
+        for _ in range(50):
+            next(gen)
+    assert cpu.executed == [] and app.stats.compute_seconds == 0
