@@ -63,7 +63,6 @@ def capture_state(sim: Simulator, cluster, apps=None, obs=None,
     application object with ``snapshot_token()``; ``obs`` is the live
     :class:`~repro.obs.registry.MetricsRegistry` (or None).
     """
-    pious = getattr(cluster, "pious", None)
     tree = {
         "meta": dict(meta or {}),
         "clock": sim.clock_state(),
@@ -72,7 +71,6 @@ def capture_state(sim: Simulator, cluster, apps=None, obs=None,
             "streams": cluster.streams.snapshot_state(),
             "network": cluster.network.snapshot_state(),
             "pvm": cluster.pvm.snapshot_state(),
-            "pious": None if pious is None else pious.snapshot_state(),
             "nodes": [node.kernel.snapshot_state()
                       for node in cluster.nodes],
         },
@@ -109,10 +107,6 @@ def restore_cluster_state(cluster, tree: dict) -> None:
             f"{len(cluster.nodes)}")
     for node, node_state in zip(cluster.nodes, sub["nodes"]):
         node.kernel.restore_state(node_state)
-    if sub["pious"] is not None:
-        if cluster.pious is None:
-            cluster.make_pious()
-        cluster.pious.restore_state(sub["pious"])
 
 
 def verify_restored_queue(sim: Simulator, tree: dict) -> None:

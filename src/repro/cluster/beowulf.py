@@ -65,8 +65,6 @@ class BeowulfCluster:
         self.network = scenario.network.build(
             sim, rng=streams.stream("ethernet"), obs=obs)
         self.pvm = PVM(sim, self.network)
-        #: the parallel file service, once :meth:`make_pious` built it
-        self.pious = None
         rate = cluster_cfg.housekeeping_message_rate
         self.nodes: List[ClusterNode] = [
             ClusterNode(sim, node_id, scenario.node_config_for(node_id),
@@ -74,21 +72,6 @@ class BeowulfCluster:
                         housekeeping=cluster_cfg.housekeeping,
                         housekeeping_message_rate=rate, obs=obs)
             for node_id in range(cluster_cfg.nnodes)]
-
-    def make_pious(self, storage_dir: str = "/pious"):
-        """Build the PIOUS parallel file service from the scenario.
-
-        Stripe unit and data-server placement come from
-        ``scenario.pious`` (every node serves under the defaults); the
-        service is kept on ``self.pious`` so observability can harvest
-        its counters.
-        """
-        from repro.cluster.pious import PIOUS
-        cfg = self.scenario.pious
-        self.pious = PIOUS(self, stripe_kb=cfg.stripe_kb,
-                           servers=cfg.server_ids(len(self.nodes)),
-                           storage_dir=storage_dir)
-        return self.pious
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -11,7 +11,6 @@ in the driver traces exactly like local I/O does.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -105,9 +104,7 @@ class PIOUS:
                  storage_dir: str = "/pious"):
         if stripe_kb < 1:
             raise ValueError("stripe unit must be >= 1 KB")
-        #: a weak proxy: the cluster keeps its service on
-        #: ``cluster.pious``, and the caller keeps the cluster
-        self.cluster = weakref.proxy(cluster)
+        self.cluster = cluster
         self.stripe_bytes = stripe_kb * 1024
         self.storage_dir = storage_dir
         self.server_ids = list(servers) if servers is not None else \
@@ -115,14 +112,6 @@ class PIOUS:
         self._files: Dict[str, _StripeMap] = {}
         self._reply_seq = 0
         self.requests_served = 0
-        #: lifetime per-data-server counters (for ObsRecorder harvest)
-        self.requests_by_server: Dict[int, int] = {
-            node_id: 0 for node_id in self.server_ids}
-        self.bytes_served = 0
-        #: per-server open partial-file handles, keyed by node then file
-        #: name — kept on the service (not server-local) so the handles'
-        #: positions and readahead windows are part of the state surface
-        self._server_handles: Dict[int, Dict[str, object]] = {}
         for node_id in self.server_ids:
             node = cluster.nodes[node_id]
             cluster.sim.process(self._server(node),
@@ -147,52 +136,11 @@ class PIOUS:
         self._reply_seq += 1
         return PIOUS_REPLY_BASE + self._reply_seq
 
-    # -- checkpoint state surface ---------------------------------------
-    def snapshot_state(self) -> dict:
-        return {
-            "files": {name: {"stripe_bytes": m.stripe_bytes,
-                             "servers": list(m.servers)}
-                      for name, m in sorted(self._files.items())},
-            "reply_seq": self._reply_seq,
-            "requests_served": self.requests_served,
-            "requests_by_server": {str(k): v for k, v in
-                                   self.requests_by_server.items()},
-            "bytes_served": self.bytes_served,
-            "server_handles": {
-                str(node_id): {name: handle.snapshot_state()
-                               for name, handle in sorted(handles.items())}
-                for node_id, handles in sorted(
-                    self._server_handles.items())},
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._files = {
-            name: _StripeMap(name, int(spec["stripe_bytes"]),
-                             [int(s) for s in spec["servers"]])
-            for name, spec in state["files"].items()}
-        self._reply_seq = int(state["reply_seq"])
-        self.requests_served = int(state["requests_served"])
-        self.requests_by_server = {int(k): int(v) for k, v in
-                                   state["requests_by_server"].items()}
-        self.bytes_served = int(state["bytes_served"])
-        # Reopen each server's partial files against the (already
-        # restored) node filesystems — kernel.open is pure — then put
-        # back the positions and readahead windows.
-        self._server_handles = {}
-        for key, handles in state["server_handles"].items():
-            node_id = int(key)
-            kernel = self.cluster.nodes[node_id].kernel
-            restored = self._server_handles.setdefault(node_id, {})
-            for name, hstate in handles.items():
-                handle = kernel.open(f"{self.storage_dir}/{name}.part")
-                handle.restore_state(hstate)
-                restored[name] = handle
-
     # -- data server -------------------------------------------------------
     def _server(self, node: ClusterNode):
         kernel = node.kernel
         pvm = self.cluster.pvm
-        handles = self._server_handles.setdefault(node.node_id, {})
+        handles: Dict[str, object] = {}
         yield from kernel.fs.makedirs(self.storage_dir)
         while True:
             message = yield from pvm.recv(node.node_id, tag=PIOUS_REQ_TAG)
@@ -217,7 +165,5 @@ class PIOUS:
                         min(chunk, handle.size - local_offset))
                 reply_bytes = _REQ_BYTES + chunk
             self.requests_served += 1
-            self.requests_by_server[node.node_id] += 1
-            self.bytes_served += chunk
             yield from pvm.send(node.node_id, client, reply_tag,
                                 reply_bytes)

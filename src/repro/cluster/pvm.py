@@ -137,8 +137,8 @@ class PVM:
         mid-body, and the checkpoint protocol only holds applications at
         body boundaries — every participant of a barrier in a completed
         body has already run through it.  Receive waiters are likewise
-        not state; the only quiescent waiters are daemon server loops
-        (PIOUS), which re-park themselves on restore.
+        not state: at a body boundary no application is parked in a
+        receive.
         """
         if self._barriers:
             pending = {name: [n for n, _ in arrivals]

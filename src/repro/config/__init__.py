@@ -19,7 +19,6 @@ from repro.config.scenario import (
     LayoutConfig,
     NetworkConfig,
     NodeConfig,
-    PiousConfig,
     Scenario,
     SchedulerConfig,
     VMConfig,
@@ -49,7 +48,6 @@ __all__ = [
     "LayoutConfig",
     "NetworkConfig",
     "NodeConfig",
-    "PiousConfig",
     "Scenario",
     "SchedulerConfig",
     "SweepAxis",

@@ -27,12 +27,13 @@ import math
 import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Sequence, Tuple, Union
 from typing import get_args, get_origin, get_type_hints
 
 from repro.disk import (DRIVE_CACHES, SCHEDULERS, SECTOR_BYTES, Disk,
                         DiskGeometry, DiskServiceModel, NullDriveCache,
                         VOLUME_POLICIES)
+from repro.disk.volume import capacity_sectors
 
 
 class ConfigError(ValueError):
@@ -307,11 +308,39 @@ class LayoutConfig:
     highlog_start: int = 1_000_000
     highlog_sectors: int = 16_384
 
-    def validate(self, path: str) -> None:
+    ZONES = ("metadata", "log", "binary", "data", "swap", "highlog")
+
+    def validate(self, path: str, block_sectors: int, volume_sectors: int,
+                 volume: str) -> None:
+        """Zones are non-negative, start on a block boundary, end within
+        the ``volume`` of ``volume_sectors`` and do not overlap; a bad
+        zone is reported at its ``<zone>_start``."""
         for f in fields(self):
             value = getattr(self, f.name)
             _check(value >= 0, f"{path}.{f.name}",
                    f"must be >= 0, got {value}")
+        # in disk order (ties in declaration order): a zone that starts
+        # inside an earlier one is the one reported
+        spans = sorted((self.zone(name)[0], i, name)
+                       for i, name in enumerate(self.ZONES))
+        last = None
+        for start, _, name in spans:
+            end = start + self.zone(name)[1]
+            where = f"{path}.{name}_start"
+            _check(start % block_sectors == 0, where,
+                   f"{name} zone must start on a block boundary (a "
+                   f"multiple of {block_sectors} sectors), got {start}")
+            _check(end <= volume_sectors, where,
+                   f"{name} zone [{start}, {end}) ends past the end of "
+                   f"the {volume} volume ({volume_sectors} sectors)")
+            if end == start:
+                continue
+            if last is not None:
+                other, other_start, other_end = last
+                _check(start >= other_end, where,
+                       f"{name} zone [{start}, {end}) overlaps the {other} "
+                       f"zone [{other_start}, {other_end})")
+            last = (name, start, end)
 
     def zone(self, name: str) -> Tuple[int, int]:
         """(start_sector, nsectors) of a named zone."""
@@ -414,7 +443,14 @@ class NodeConfig:
             disk.validate(f"{path}.disks[{i}]")
         self.volume.validate(f"{path}.volume", ndisks=len(self.disks))
         self.driver.validate(f"{path}.driver")
-        self.layout.validate(f"{path}.layout")
+        self.layout.validate(
+            f"{path}.layout", block_sectors=self.sectors_per_block,
+            volume_sectors=capacity_sectors(
+                self.volume.policy,
+                [DiskGeometry.from_capacity_mb(d.capacity_mb).total_sectors
+                 for d in self.disks],
+                self.volume.stripe_sectors),
+            volume=self.volume.policy)
 
     def build_volume(self, sim, rngs, node_id: int = 0, obs=None):
         """The node's volume ``md<node_id>`` over freshly built members.
@@ -480,38 +516,6 @@ class NetworkConfig:
                                latency=self.latency,
                                channels=self.channels, mtu=self.mtu,
                                rng=rng, obs=obs)
-
-
-@dataclass(frozen=True)
-class PiousConfig:
-    """PIOUS striping: stripe unit and data-server placement.
-
-    ``nservers = 0`` (the historical default) runs a data server on
-    every node; otherwise ``nservers`` consecutive nodes starting at
-    ``first_server`` (wrapping modulo the cluster size) serve.
-    """
-
-    stripe_kb: int = 8
-    nservers: int = 0
-    first_server: int = 0
-
-    def validate(self, path: str, nnodes: Optional[int] = None) -> None:
-        _check(self.stripe_kb >= 1, f"{path}.stripe_kb",
-               f"must be >= 1, got {self.stripe_kb}")
-        _check(self.nservers >= 0, f"{path}.nservers",
-               f"must be >= 0 (0 = all nodes), got {self.nservers}")
-        _check(self.first_server >= 0, f"{path}.first_server",
-               f"must be >= 0, got {self.first_server}")
-        if nnodes is not None:
-            _check(self.nservers <= nnodes, f"{path}.nservers",
-                   f"cluster has only {nnodes} nodes, got {self.nservers}")
-            _check(self.first_server < nnodes, f"{path}.first_server",
-                   f"cluster has only {nnodes} nodes, "
-                   f"got {self.first_server}")
-
-    def server_ids(self, nnodes: int) -> list:
-        count = nnodes if self.nservers == 0 else self.nservers
-        return [(self.first_server + i) % nnodes for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -592,7 +596,6 @@ class Scenario:
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     node: NodeConfig = field(default_factory=NodeConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
-    pious: PiousConfig = field(default_factory=PiousConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
     #: heterogeneous clusters: node id (decimal string) -> overrides of
@@ -606,7 +609,6 @@ class Scenario:
         self.cluster.validate("scenario.cluster")
         self.node.validate("scenario.node")
         self.network.validate("scenario.network")
-        self.pious.validate("scenario.pious", nnodes=self.cluster.nnodes)
         self.workload.validate("scenario.workload")
         self.experiment.validate("scenario.experiment")
         for key in self.node_overrides:

@@ -43,8 +43,6 @@ GRID_ALIASES: Dict[str, str] = {
     "volume_stripe_kb": "node.volume.stripe_kb",
     "network_channels": "network.channels",
     "network_bandwidth_bps": "network.bandwidth_bps",
-    "pious_stripe_kb": "pious.stripe_kb",
-    "pious_nservers": "pious.nservers",
 }
 
 

@@ -14,9 +14,9 @@ written under another naming is never found and its run re-runs.
 """
 
 #: the checkpoint envelope version the writer stamps
-CHECKPOINT = 5
+CHECKPOINT = 6
 #: the run-manifest version the writer stamps
-MANIFEST = 5
+MANIFEST = 6
 MANIFEST_FORMAT = f"repro-run-v{MANIFEST}"
 
 _MANIFEST_VERSIONS = {f"repro-run-v{n}": n for n in range(1, MANIFEST + 1)}
@@ -64,6 +64,12 @@ def checkpoint(tree: dict, version: int) -> dict:
         for node in tree.get("cluster", {}).get("nodes", ()):
             for disk in node["disks"]:
                 disk["stats"].pop("latencies", None)
+    if version < 6:
+        # v5 and older scenarios carried a pious block (PIOUS striping
+        # knobs no experiment read), and trees the service's state,
+        # always null as the runner never built it
+        tree["meta"]["scenario"].pop("pious", None)
+        tree.get("cluster", {}).pop("pious", None)
     return tree
 
 
@@ -88,5 +94,7 @@ def manifest(data: dict) -> dict:
         data.pop("config", None)
     if version < 5 and data.get("scenario") is not None:
         _drop_l1_cache(data["scenario"])
+    if version < 6 and data.get("scenario") is not None:
+        data["scenario"].pop("pious", None)
     data["format"] = MANIFEST_FORMAT
     return data

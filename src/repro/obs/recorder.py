@@ -45,8 +45,8 @@ class ObsRecorder:
         the pre-volume scheme); multi-disk nodes additionally get a
         ``physdisk.*{hdb3}`` family keyed by physical device name, and
         every node reports its volume's logical/physical request fan-out.
-        The cluster-wide fabric (Ethernet segments, PVM, PIOUS servers)
-        is harvested once per run under ``net.* / pvm.* / pious.*``.
+        The cluster-wide fabric (Ethernet segments, PVM) is harvested
+        once per run under ``net.* / pvm.*``.
         """
         reg = self.registry
         for node in cluster.nodes:
@@ -121,14 +121,6 @@ class ObsRecorder:
             reg.counter("net.busy_seconds").child(f"ch{channel}").inc(
                 network.channel_busy_time[channel])
         reg.counter("pvm.sends").inc(cluster.pvm.sends)
-        pious = cluster.pious            # None until make_pious() ran
-        if pious is not None:
-            reg.counter("pious.requests_served").inc(pious.requests_served)
-            reg.counter("pious.bytes_served").inc(pious.bytes_served)
-            for server_id, count in sorted(
-                    pious.requests_by_server.items()):
-                reg.counter("pious.requests_served").child(
-                    str(server_id)).inc(count)
 
     def collect_capture(self, capture) -> None:
         """Harvest a stored run's per-node writers (records, chunks,

@@ -1,7 +1,7 @@
-"""Fabric configuration: network, PIOUS, multi-disk nodes, volumes.
+"""Fabric configuration: network, multi-disk nodes, volumes.
 
-The scenario tree's new axes — ``network.*``, ``pious.*``,
-``node.disks[*]`` and ``node.volume.*`` — with their validation paths,
+The scenario tree's new axes — ``network.*``, ``node.disks[*]`` and
+``node.volume.*`` — with their validation paths,
 serialization round trips, the builders that realise them, and the v2
 manifest carrying them into stored runs.
 """
@@ -11,12 +11,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.cluster.beowulf import BeowulfCluster
+from repro.cluster import PIOUS, BeowulfCluster
 from repro.config import (
     ConfigError,
     NetworkConfig,
     NodeConfig,
-    PiousConfig,
     Scenario,
     VolumeConfig,
 )
@@ -38,8 +37,6 @@ def test_default_fabric_matches_the_prototype():
     scenario = Scenario().validate()
     assert scenario.network == NetworkConfig(
         channels=2, bandwidth_bps=10e6, latency=0.3e-3, mtu=1500)
-    assert scenario.pious == PiousConfig(stripe_kb=8, nservers=0,
-                                         first_server=0)
     assert scenario.node.volume == VolumeConfig(policy="single",
                                                 stripe_kb=8)
     assert len(scenario.node.disks) == 1
@@ -50,7 +47,7 @@ def test_fingerprint_distinguishes_ablated_fabrics():
     base = Scenario()
     prints = {base.fingerprint(),
               base.with_override("network.channels", 1).fingerprint(),
-              base.with_override("pious.stripe_kb", 64).fingerprint(),
+              base.with_override("network.mtu", 9000).fingerprint(),
               Scenario.from_dict(RAID0_DICT).fingerprint()}
     assert len(prints) == 4
 
@@ -61,8 +58,6 @@ def test_fingerprint_distinguishes_ablated_fabrics():
     ("network.bandwidth_bps", 0.0),
     ("network.latency", -1.0),
     ("network.mtu", 0),
-    ("pious.stripe_kb", 0),
-    ("pious.nservers", -1),
     ("node.volume.stripe_kb", 0),
 ])
 def test_fabric_range_errors_name_exact_path(path, value):
@@ -85,23 +80,6 @@ def test_single_policy_rejects_multiple_disks():
         Scenario.from_dict({"node": {"disks": [{}, {}]}}).validate()
     assert err.value.path == "scenario.node.volume.policy"
     assert "exactly one disk, got 2" in str(err.value)
-
-
-def test_pious_placement_bounds_checked_against_cluster():
-    with pytest.raises(ConfigError) as err:
-        Scenario().with_overrides({"cluster.nnodes": 4,
-                                   "pious.nservers": 5}).validate()
-    assert err.value.path == "scenario.pious.nservers"
-    with pytest.raises(ConfigError) as err:
-        Scenario().with_overrides({"cluster.nnodes": 4,
-                                   "pious.first_server": 4}).validate()
-    assert err.value.path == "scenario.pious.first_server"
-
-
-def test_pious_server_ids_wrap_round_the_cluster():
-    cfg = PiousConfig(nservers=3, first_server=2)
-    assert cfg.server_ids(4) == [2, 3, 0]
-    assert PiousConfig().server_ids(3) == [0, 1, 2]
 
 
 # -- the legacy single-disk spelling ------------------------------------------
@@ -134,7 +112,6 @@ def test_multi_disk_scenario_round_trips_toml_and_json():
     scenario = Scenario.from_dict(RAID0_DICT).with_overrides({
         "network.channels": 1,
         "network.mtu": 9000,
-        "pious.nservers": 2,
         "node.disks[1].capacity_mb": 540,
     })
     assert Scenario.from_toml(scenario.to_toml()) == scenario
@@ -173,8 +150,8 @@ def test_kernel_builds_the_configured_volume():
 def test_replay_builds_the_same_members_as_the_kernel(monkeypatch):
     """`replay_trace(scenario=)` and `NodeKernel` share one builder."""
     scenario = Scenario.from_dict({"node": {
-        "disks": [{"capacity_mb": 200},
-                  {"capacity_mb": 300, "scheduler": {"kind": "fifo"},
+        "disks": [{"capacity_mb": 300},
+                  {"capacity_mb": 400, "scheduler": {"kind": "fifo"},
                    "cache": {"nsegments": 2, "segment_sectors": 32}}],
         "volume": {"policy": "raid0"}}}).validate()
     built = []
@@ -240,15 +217,15 @@ def test_cluster_kwargs_override_the_scenario():
     assert len(BeowulfCluster(Simulator(), scenario=scenario)) == 4
 
 
-def test_make_pious_follows_scenario_placement():
-    scenario = Scenario().with_overrides({
-        "cluster.nnodes": 4, "pious.stripe_kb": 16,
-        "pious.nservers": 2, "pious.first_server": 1}).validate()
-    cluster = BeowulfCluster(Simulator(), scenario=scenario)
-    pious = cluster.make_pious()
-    assert cluster.pious is pious
+def test_pious_serves_from_the_nodes_it_is_given():
+    sim = Simulator()
+    cluster = BeowulfCluster(sim, nnodes=4)
+    pious = PIOUS(cluster, stripe_kb=16, servers=[1, 2])
     assert pious.server_ids == [1, 2]
     assert pious.stripe_bytes == 16 * 1024
+    assert sorted(p.name for p in sim._processes
+                  if p.name.startswith("pious-server:")) == \
+        ["pious-server:1", "pious-server:2"]
 
 
 # -- the v2 manifest carries the fabric ---------------------------------------
@@ -264,7 +241,7 @@ def test_manifest_round_trips_fabric_blocks(tmp_path):
     manifest = catalog.manifest(run_id)
     blob = manifest["scenario"]
     assert blob["network"]["channels"] == 1
-    assert blob["pious"]["stripe_kb"] == 8
+    assert "pious" not in blob
     assert blob["node"]["volume"]["policy"] == "raid0"
     assert len(blob["node"]["disks"]) == 2
     # and it rebuilds into the very scenario that ran

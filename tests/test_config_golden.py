@@ -52,7 +52,7 @@ def _assert_golden(metrics, name):
 
 #: ``golden_scenario().fingerprint()``, as the runner resolved it when
 #: it still took ``baseline_duration=`` as a keyword
-GOLDEN_FINGERPRINT = "888dcd7fd02d"
+GOLDEN_FINGERPRINT = "afdaae47389d"
 
 
 @pytest.fixture(scope="module")

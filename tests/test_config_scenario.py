@@ -47,7 +47,7 @@ def test_default_disk_stack_builds_historical_components():
 
 def test_default_fingerprint_is_pinned():
     """Stored checkpoints and analysis caches are keyed by it."""
-    assert Scenario().fingerprint() == "080f2666ae01"
+    assert Scenario().fingerprint() == "ccf002217bde"
 
 
 def test_buffer_cache_must_leave_a_user_frame():
@@ -278,6 +278,107 @@ def test_stored_l1_cache_knob_is_dropped_on_load():
     with pytest.raises(ConfigError) as err:
         base.with_override("node[1].l1_cache_kb", 8)
     assert err.value.path == "scenario.node[1].l1_cache_kb"
+
+
+# -- retired PIOUS striping block ---------------------------------------------
+def test_stored_pious_block_is_dropped_on_load():
+    # checkpoints and manifests (both v5) written while the scenario had
+    # a pious block that no experiment read carry it (a checkpoint also
+    # a null cluster.pious); migration drops both, and a scenario file,
+    # --set or --grid naming it fails at its exact path
+    base = Scenario().with_override("cluster.nnodes", 2)
+    stored = dict(base.to_dict(), pious={"stripe_kb": 16, "nservers": 1,
+                                         "first_server": 1})
+    tree = migrate.checkpoint(
+        {"ticks": {}, "clock": {"now": 0.0, "seq": 0},
+         "cluster": {"pious": None, "nodes": []},
+         "meta": {"scenario": json.loads(json.dumps(stored))}}, version=5)
+    assert tree["meta"]["scenario"] == base.to_dict()
+    assert tree["cluster"] == {"nodes": []}
+    manifest = migrate.manifest({"format": "repro-run-v5",
+                                 "scenario": json.loads(json.dumps(stored))})
+    assert manifest["scenario"] == base.to_dict()
+    toml = base.to_toml() + "\n[pious]\nstripe_kb = 16\n"
+    for load, text in ((Scenario.from_json, json.dumps(stored)),
+                       (Scenario.from_toml, toml)):
+        with pytest.raises(ConfigError) as err:
+            load(text)
+        assert err.value.path == "scenario.pious"
+    with pytest.raises(ConfigError) as err:
+        base.with_override("pious.stripe_kb", 16)
+    assert err.value.path == "scenario.pious"
+
+
+def test_pious_grid_aliases_are_gone():
+    from repro.config import expand_grid, parse_axis_spec
+    for spec in ("pious_stripe_kb=16", "pious_nservers=2"):
+        with pytest.raises(ConfigError) as err:
+            expand_grid(Scenario(), [parse_axis_spec(spec)])
+        name = spec.partition("=")[0]
+        assert err.value.path == f"scenario.{name}"
+        assert str(err.value).startswith(
+            f"scenario.{name}: unknown field; valid fields: ")
+
+
+# -- disk layout --------------------------------------------------------------
+@pytest.mark.parametrize("path,value,where,message", [
+    pytest.param(
+        "node.layout.highlog_start", 2_000_000, "layout.highlog_start",
+        "highlog zone [2000000, 2016384) ends past the end of the single "
+        "volume (1024128 sectors)", id="highlog_start"),
+    pytest.param(
+        "node.layout.swap_start", 44_000, "layout.swap_start",
+        "swap zone [44000, 175072) overlaps the log zone [44000, 52192)",
+        id="swap_start"),
+    pytest.param(
+        "node.disks[0].capacity_mb", 100, "layout.data_start",
+        "data zone [96000, 216000) ends past the end of the single volume "
+        "(205632 sectors)", id="capacity_mb"),
+    pytest.param(
+        "node.layout.metadata_start", 1, "layout.metadata_start",
+        "metadata zone must start on a block boundary (a multiple of 2 "
+        "sectors), got 1", id="metadata_start"),
+    pytest.param(
+        "node.layout.log_start", 250_000, "layout.log_start",
+        "log zone [250000, 258192) overlaps the swap zone [240000, 371072)",
+        id="log_start"),
+])
+def test_bad_disk_layout_fails_at_validate(path, value, where, message):
+    with pytest.raises(ConfigError) as err:
+        Scenario().with_override(path, value).validate()
+    assert (err.value.path, str(err.value)) == (
+        f"scenario.node.{where}", f"scenario.node.{where}: {message}")
+    # a per-node override is held to the same layout rule
+    sub = path.removeprefix("node.")
+    with pytest.raises(ConfigError) as err:
+        Scenario().with_override(f"node[1].{sub}", value).validate()
+    assert err.value.path == f"scenario.node_overrides.1.{where}"
+
+
+def test_bad_disk_layout_fails_before_a_run_starts():
+    from repro.core import ExperimentRunner
+    bad = Scenario().with_overrides({"cluster.nnodes": 1,
+                                     "node.layout.highlog_start": 2_000_000})
+    with pytest.raises(ConfigError) as err:
+        ExperimentRunner(scenario=bad).run("baseline", duration=10.0)
+    assert err.value.path == "scenario.node.layout.highlog_start"
+
+
+def test_layout_fits_the_volume_its_policy_builds():
+    # raid0 over 200 + 300 MB members holds 2 x 410,256 sectors, short of
+    # the default highlog zone; concat holds their sum, which fits
+    raid0 = Scenario.from_dict({"node": {
+        "disks": [{"capacity_mb": 200}, {"capacity_mb": 300}],
+        "volume": {"policy": "raid0"}}}, validate=False)
+    with pytest.raises(ConfigError) as err:
+        raid0.validate()
+    assert str(err.value) == (
+        "scenario.node.layout.highlog_start: highlog zone [1000000, "
+        "1016384) ends past the end of the raid0 volume (820512 sectors)")
+    raid0.with_override("node.volume.policy", "concat").validate()
+    # an empty zone holds no sectors, so it overlaps nothing
+    Scenario().with_override("node.layout.swap_sectors", 0).with_override(
+        "node.layout.swap_start", 44_000).validate()
 
 
 def test_unknown_event_queue_names_exact_path():

@@ -97,7 +97,7 @@ def test_runner_reproducible():
 def test_hard_limit_enforced():
     runner = ExperimentRunner(nnodes=1, seed=1, scenario=Scenario()
                               .with_overrides({"experiment.hard_limit": 5.0}))
-    with pytest.raises(RuntimeError, match="hard limit"):
+    with pytest.raises(RuntimeError, match=r"exceeded the 5\.0s hard limit"):
         runner.run("ppm")
 
 

@@ -78,7 +78,6 @@ PUBLIC_API = {
         "LayoutConfig",
         "NetworkConfig",
         "NodeConfig",
-        "PiousConfig",
         "Scenario",
         "SchedulerConfig",
         "SweepAxis",

@@ -15,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.cluster import BeowulfCluster
+from repro.cluster import PIOUS, BeowulfCluster
 from repro.config import Scenario, parse_axis_spec, run_sweep
 from repro.core import ExperimentRunner
 from repro.disk import DiskServiceModel, IORequest
@@ -138,7 +138,7 @@ def test_a_cluster_with_a_pious_service_is_freed(runs):
     built, pairs = runs
     sim = Simulator()
     cluster = BeowulfCluster(sim, nnodes=2, seed=1)
-    pious = weakref.ref(cluster.make_pious())
+    pious = weakref.ref(PIOUS(cluster))
     sim.run(until=10.0)
     sim.close()
     del sim, cluster

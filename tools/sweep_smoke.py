@@ -9,10 +9,10 @@ disk stack (scheduler x drive-cache segments) and cluster fabric
 * every grid point landed in the run catalog as its own run;
 * each manifest is the current version and carries the fully-resolved
   scenario block with that point's overrides applied, including the
-  fabric blocks (``network``, ``pious``, ``node.disks``,
-  ``node.volume``);
-* the JSON results file round-trips and the ablated stacks produced
-  different scenario fingerprints;
+  fabric blocks (``network``, ``node.disks``, ``node.volume``), and
+  rebuilds into a scenario whose dict is that block;
+* the JSON results file round-trips, and the ablated stacks produced
+  different scenario fingerprints, in the JSON and in the manifests;
 * every finished run was freed by reference counting.  The grids'
   points run in a process pool, so the smoke also runs a one-point
   sweep and a single experiment through the CLI in this process; with
@@ -37,6 +37,7 @@ import tempfile
 from pathlib import Path
 
 from repro.cli import main as cli_main
+from repro.config import Scenario
 from repro.migrate import MANIFEST_FORMAT
 from repro.store import RunCatalog
 
@@ -100,6 +101,7 @@ def run_smoke(duration: float, workdir: Path) -> int:
     fabric_sink = workdir / "fabric-runs"
     catalog, runs = _run_sweep_cli(fabric_sink, workdir / "fabric.json",
                                    duration, FABRIC_AXES)
+    fingerprints = set()
     for run_id in runs:
         scenario = catalog.manifest(run_id)["scenario"]
         overrides = dict(pair.split("=") for pair in
@@ -108,13 +110,12 @@ def run_smoke(duration: float, workdir: Path) -> int:
             int(overrides["network.channels"]), run_id
         assert scenario["node"]["volume"]["policy"] == \
             overrides["node.volume.policy"], run_id
-        assert "pious" in scenario, f"{run_id}: no pious block"
         # the manifest scenario rebuilds byte-for-byte
-        from repro.config import Scenario
         rebuilt = Scenario.from_dict(scenario)
-        assert rebuilt.network.channels == scenario["network"]["channels"]
-        assert rebuilt.node.volume.policy == \
-            scenario["node"]["volume"]["policy"]
+        assert rebuilt.to_dict() == scenario, run_id
+        fingerprints.add(rebuilt.fingerprint())
+    assert len(fingerprints) == len(runs), \
+        f"fabric runs share a fingerprint: {sorted(fingerprints)}"
     print(f"sweep smoke OK: 4 stack runs in {sink} and 4 fabric runs "
           f"in {fabric_sink}, all with distinct fingerprints")
 
