@@ -31,6 +31,6 @@ __version__ = "1.1.0"
 
 #: the top-level package deliberately exports nothing but its version —
 #: every public symbol lives in a subpackage (``repro.core``,
-#: ``repro.config``, ``repro.serve``, ...); tests/test_public_api.py
+#: ``repro.config``, ``repro.store``, ...); tests/test_public_api.py
 #: snapshots this so the surface only changes on purpose
 __all__ = ["__version__"]

@@ -402,19 +402,6 @@ class AnalysisEngine:
                 for run_id in runs}
 
     # -- internals ----------------------------------------------------------
-    def signature(self, run_id: str) -> str:
-        """The cache signature of a whole run, as stored in its entries.
-
-        Derived from every trace file's chunk index plus the run's
-        scenario block — the exact value cache validity is judged
-        against, so it doubles as an HTTP ETag seed for
-        ``repro.serve``: a repeated query with an unchanged signature
-        can be answered 304 without touching a chunk.
-        """
-        manifest = self.catalog.manifest(run_id)
-        _, signature = self._scan(run_id, manifest)
-        return signature
-
     def _scan(self, run_id: str,
               manifest: dict) -> Tuple[List[FileInfo], str]:
         """Index-scan a run's files; returns (infos, cache signature)."""

@@ -102,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--obs", action="store_true",
                         help="record runtime observability metrics "
                              "(simulator, disks, caches, trace path) and "
-                             "print the snapshot per experiment")
+                             "print the snapshot per experiment (not "
+                             "with 'sweep')")
     parser.add_argument("--profile", action="store_true",
                         help="run the experiments under cProfile and "
                              "print the top functions by cumulative "
@@ -223,6 +224,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.profile_out:
         args.profile = True
     if args.experiment == "sweep":
+        if args.obs:
+            print("--obs does not apply to the 'sweep' experiment",
+                  file=sys.stderr)
+            raise SystemExit(2)
         return _run_sweep(args)
     if args.grid:
         print("--grid only applies to the 'sweep' experiment",

@@ -314,11 +314,20 @@ class LayoutConfig:
                  volume: str) -> None:
         """Zones are non-negative, start on a block boundary, end within
         the ``volume`` of ``volume_sectors`` and do not overlap; a bad
-        zone is reported at its ``<zone>_start``."""
+        zone is reported at its ``<zone>_start``.  The metadata zone
+        must also hold the filesystem's superblock, block bitmap and
+        inode table."""
+        from repro.kernel.fs import metadata_blocks
         for f in fields(self):
             value = getattr(self, f.name)
             _check(value >= 0, f"{path}.{f.name}",
                    f"must be >= 0, got {value}")
+        need = metadata_blocks()
+        _check(self.metadata_sectors // block_sectors >= need,
+               f"{path}.metadata_sectors",
+               f"metadata zone of {self.metadata_sectors} sectors cannot "
+               f"hold the superblock, block bitmap and inode table "
+               f"({need * block_sectors} sectors)")
         # in disk order (ties in declaration order): a zone that starts
         # inside an earlier one is the one reported
         spans = sorted((self.zone(name)[0], i, name)

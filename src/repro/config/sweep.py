@@ -17,7 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import (Any, Callable, Dict, List, Mapping, Optional,
+from typing import (Any, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from repro.config.scenario import ConfigError, Scenario
@@ -171,14 +171,12 @@ def checkpoint_path(directory, scenario: Scenario, experiment: str,
     return Path(directory) / f"{run_key(scenario, experiment, duration)}.ckpt"
 
 
-def _sweep_worker(args: tuple
-                  ) -> Tuple[dict, Optional[str], Optional[float]]:
-    """Run, resume or recall one run (top-level so it pickles across
-    processes) — the one unit behind sweep points and serve jobs.
+def _sweep_worker(args: tuple) -> Tuple[dict, Optional[str]]:
+    """Run, resume or recall one sweep point (top-level so it pickles
+    across processes).
 
-    Returns the run's summary metrics, the catalog run id it was
-    captured under (``None`` when no sink is set), and the simulator's
-    achieved events/sec (``None`` without ``obs`` or when recalled).
+    Returns the run's summary metrics and the catalog run id it was
+    captured under (``None`` when no sink is set).
 
     With checkpointing on, each run owns two files under the checkpoint
     directory: :func:`checkpoint_path` (the live checkpoint, overwritten
@@ -187,11 +185,9 @@ def _sweep_worker(args: tuple
     half-run ones from their checkpoint — preempt/restart costs only the
     unfinished tails.
     """
-    from time import perf_counter
-
     from repro.core.experiments import ExperimentRunner
 
-    scenario_dict, name, duration, sink, obs, every, ckdir = args
+    scenario_dict, name, duration, sink, every, ckdir = args
     scenario = Scenario.from_dict(scenario_dict)
 
     ckpt = done = None
@@ -200,25 +196,19 @@ def _sweep_worker(args: tuple
         done = ckpt.with_suffix(".done.json")
         if done.exists():
             data = json.loads(done.read_text())
-            return data["metrics"], data.get("run_id"), None
+            return data["metrics"], data.get("run_id")
 
-    runner = ExperimentRunner(scenario=scenario, sink=sink, obs=obs)
-    wall = perf_counter()
+    runner = ExperimentRunner(scenario=scenario, sink=sink)
     result = runner.run(name, duration=duration, checkpoint_every=every,
                         checkpoint=ckpt)
-    wall = perf_counter() - wall
     run_dir = getattr(runner, "last_run_dir", None)
     run_id = run_dir.name if run_dir else None
-    eps = None
-    if obs:
-        from repro.obs.recorder import events_per_second
-        eps = events_per_second(result.obs, wall)
     if done is not None:
         publish(done, json.dumps({"metrics": result.metrics.to_dict(),
                                   "run_id": run_id}))
         if ckpt.exists():
             ckpt.unlink()
-    return result.metrics.to_dict(), run_id, eps
+    return result.metrics.to_dict(), run_id
 
 
 def run_sweep(base: Scenario, axes: Sequence[SweepAxis],
@@ -229,26 +219,17 @@ def run_sweep(base: Scenario, axes: Sequence[SweepAxis],
               sink: Optional[str] = None,
               node_overrides: Optional[
                   Mapping[Any, Mapping[str, Any]]] = None,
-              obs: bool = False,
-              on_point: Optional[Callable[..., Any]] = None,
               checkpoint_every: Optional[float] = None,
               checkpoint_dir: Optional[str] = None
               ) -> List[SweepResult]:
-    """Run ``experiment`` at every grid point; returns one result each.
+    """Run ``experiment`` at every grid point; returns one result each,
+    in grid order.
 
     Points fan out across a process pool (``workers`` defaults to the
     pool's own sizing) unless ``parallel=False``, which runs them
     sequentially in-process — handy under profilers and in tests.
     ``node_overrides`` passes through to :func:`expand_grid` for
     heterogeneous (per-node) grids.
-
-    ``on_point(done, total, result, events_per_sec)`` fires in the
-    calling process as each grid point completes (in grid order), with
-    ``done`` counting completed points — this is what streams live
-    sweep progress out of ``repro.serve`` workers.  ``obs=True`` runs
-    every point with an :class:`~repro.obs.ObsRecorder` so the
-    callback's ``events_per_sec`` is real (results stay bit-identical;
-    the snapshot additionally lands in each point's run manifest).
 
     ``checkpoint_every`` makes every point capture a resumable
     checkpoint at that simulated-seconds cadence under
@@ -265,33 +246,22 @@ def run_sweep(base: Scenario, axes: Sequence[SweepAxis],
     if checkpoint_every is not None:
         ckdir = str(checkpoint_dir) if checkpoint_dir is not None \
             else "checkpoints"
-    jobs = [(p.scenario.to_dict(), experiment, duration, sink, obs,
+    jobs = [(p.scenario.to_dict(), experiment, duration, sink,
              checkpoint_every, ckdir)
             for p in points]
-
-    results: List[SweepResult] = []
-
-    def collect(point: SweepPoint, raw: tuple) -> None:
-        metrics, run_id, eps = raw
-        result = SweepResult(label=point.label, overrides=point.overrides,
-                             fingerprint=point.scenario.fingerprint(),
-                             metrics=metrics, run_id=run_id)
-        results.append(result)
-        if on_point is not None:
-            on_point(len(results), len(points), result, eps)
 
     if parallel and len(points) > 1:
         import multiprocessing as mp
         ctx = mp.get_context("spawn")
         nworkers = min(workers or ctx.cpu_count(), len(jobs))
         with ctx.Pool(processes=nworkers) as pool:
-            for point, raw in zip(points,
-                                  pool.imap(_sweep_worker, jobs)):
-                collect(point, raw)
+            raws = pool.map(_sweep_worker, jobs)
     else:
-        for point, job in zip(points, jobs):
-            collect(point, _sweep_worker(job))
-    return results
+        raws = [_sweep_worker(job) for job in jobs]
+    return [SweepResult(label=point.label, overrides=point.overrides,
+                        fingerprint=point.scenario.fingerprint(),
+                        metrics=metrics, run_id=run_id)
+            for point, (metrics, run_id) in zip(points, raws)]
 
 
 # -- presentation -------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Publish a file whole: a reader sees the old bytes or the new, never a mix.
 
 Every durable file the package writes outside the trace store (run
-manifests, checkpoints, sweep ``.done.json`` markers, serve job files,
-the analysis cache) goes through :func:`publish`.  It writes a temp file
-beside the target, named per process and thread so two writers of one
-path never share it, flushes and fsyncs it, then renames it over the
-target.  If any step fails the temp file is removed and the old target
-is left as it was.
+manifests, checkpoints, sweep ``.done.json`` markers, the analysis
+cache) goes through :func:`publish`.  It writes a temp file beside the
+target, named per process and thread so two writers of one path never
+share it, flushes and fsyncs it, then renames it over the target.  If
+any step fails the temp file is removed and the old target is left as
+it was.
 
 The module imports nothing from the rest of ``repro``, so any layer can
 use it.

@@ -28,6 +28,10 @@ DIRECT_BLOCKS = 12
 POINTERS_PER_INDIRECT = 256
 #: directory entries per block
 DENTRIES_PER_BLOCK = 32
+#: block-bitmap blocks between the superblock and the inode table
+BITMAP_BLOCKS = 64
+#: inodes in the inode table (fixed when the filesystem is made)
+MAX_INODES = 4096
 #: typecode of the block-number arrays: 4-byte ints, as on disk (block
 #: numbers of the 500 MB disk stay far below 2**31)
 BLOCK_TYPECODE = "i"
@@ -35,6 +39,12 @@ BLOCK_TYPECODE = "i"
 
 class FsError(Exception):
     """Filesystem-level failure (missing path, no space, ...)."""
+
+
+def metadata_blocks(max_inodes: int = MAX_INODES) -> int:
+    """Blocks the metadata zone must hold: the superblock, the block
+    bitmap and an inode table of ``max_inodes`` inodes."""
+    return 1 + BITMAP_BLOCKS + -(-max_inodes // INODES_PER_BLOCK)
 
 
 @dataclass
@@ -92,7 +102,7 @@ class FileSystem:
     """Zoned mini-ext2 with real metadata I/O through the buffer cache."""
 
     def __init__(self, cache: BufferCache, layout=None,
-                 block_kb: int = 1, max_inodes: int = 4096,
+                 block_kb: int = 1, max_inodes: int = MAX_INODES,
                  atime_updates: bool = False):
         if layout is None:
             from repro.config import LayoutConfig
@@ -113,10 +123,8 @@ class FileSystem:
         meta_blocks = meta_sectors // spb
         # metadata layout: [superblock][block bitmap][inode table]
         self.superblock_block = self._meta_first_block
-        self._bitmap_blocks = 64
-        self._inode_table_first = self._meta_first_block + 1 + self._bitmap_blocks
-        inode_table_blocks = -(-max_inodes // INODES_PER_BLOCK)
-        if 1 + self._bitmap_blocks + inode_table_blocks > meta_blocks:
+        self._inode_table_first = self._meta_first_block + 1 + BITMAP_BLOCKS
+        if metadata_blocks(max_inodes) > meta_blocks:
             raise FsError("metadata zone too small for inode table")
 
         self._zones: Dict[str, _ZoneAllocator] = {}
@@ -160,7 +168,7 @@ class FileSystem:
 
     def _dirty_bitmap(self, block: int):
         bitmap_block = (self._meta_first_block + 1
-                        + (block // (self.block_kb * 8192)) % self._bitmap_blocks)
+                        + (block // (self.block_kb * 8192)) % BITMAP_BLOCKS)
         yield from self.cache.write_block(bitmap_block)
 
     # -- path handling --------------------------------------------------------

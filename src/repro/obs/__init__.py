@@ -25,10 +25,7 @@ from repro.obs.registry import (
     bucket_edge,
     bucket_of,
 )
-from repro.obs.recorder import (
-    ObsRecorder,
-    events_per_second,
-)
+from repro.obs.recorder import ObsRecorder
 from repro.obs.render import (
     compare_snapshots,
     flatten_snapshot,
@@ -46,7 +43,6 @@ __all__ = [
     "bucket_edge",
     "bucket_of",
     "compare_snapshots",
-    "events_per_second",
     "flatten_snapshot",
     "render_snapshot_table",
 ]

@@ -157,21 +157,3 @@ class ObsRecorder:
     def snapshot(self) -> dict:
         return self.registry.snapshot()
 
-
-def events_per_second(snapshot: Optional[dict],
-                      wall_seconds: float) -> Optional[float]:
-    """The simulator's achieved event rate from an obs snapshot.
-
-    ``snapshot`` is an :meth:`ObsRecorder.snapshot` dict (e.g.
-    ``ExperimentResult.obs``); returns ``sim.events_processed`` divided
-    by the wall-clock seconds the run took, or ``None`` when the run
-    carried no observability.  This is what ``repro.serve`` workers
-    stamp into live ``point`` progress events.
-    """
-    if not snapshot or wall_seconds <= 0:
-        return None
-    events = (snapshot.get("sim.events_processed") or {}).get("value")
-    if not events:
-        return None
-    return round(float(events) / wall_seconds, 1)
-

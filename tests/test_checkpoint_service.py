@@ -1,26 +1,18 @@
-"""Checkpointing at the service layers: sweeps, serve jobs, and the CLI.
+"""Checkpointing at the service layers: sweeps and the CLI.
 
 A preempted sweep must restart where it stopped (done markers skip
-finished points, live checkpoints resume interrupted ones), and a serve
-job whose worker dies mid-sweep must resume without re-running the
-points it already finished.  A run only ever picks up the files of the
-very same run: another seed, duration or experiment runs afresh.
+finished points, live checkpoints resume interrupted ones), without
+re-running or re-storing the points it already finished.  A run only
+ever picks up the files of the very same run: another seed, duration or
+experiment runs afresh.
 """
 
 import numpy as np
-import pytest
 
 from repro.config import Scenario, parse_axis_spec, run_sweep
 from repro.config.sweep import checkpoint_path, expand_grid
 from repro.core.experiments import ExperimentRunner
-from repro.serve.jobs import JobStore
 from repro.store import RunCatalog
-from repro.serve.pool import (
-    CHECKPOINTS_DIR,
-    JOBS_DIR,
-    catalog_root,
-    execute_job,
-)
 
 BASE = {
     "cluster": {"nnodes": 2},
@@ -113,107 +105,43 @@ def test_sweep_of_another_experiment_reruns_its_points(tmp_path):
     assert all(m["label"] == "ppm" for m in metrics_of(ppm))
 
 
-class WorkerDied(Exception):
-    pass
+def test_sweep_with_a_sink_reruns_only_the_point_without_a_marker(
+        tmp_path):
+    # a sweep killed after its first point leaves that point's done
+    # marker and no marker for the other: the restarted sweep recalls
+    # the finished point (same run id, no new run) and runs the other
+    # once, storing exactly what the runner stores for that scenario
+    ck, sink = tmp_path / "ck", tmp_path / "runs"
 
+    def run():
+        return run_sweep(Scenario.from_dict(BASE),
+                         [parse_axis_spec(s) for s in GRID],
+                         duration=20.0, parallel=False, sink=str(sink),
+                         checkpoint_every=6.0, checkpoint_dir=str(ck))
 
-def test_serve_job_killed_mid_sweep_resumes_completed_points(tmp_path):
-    root = tmp_path
-    store = JobStore(root / JOBS_DIR)
-    job = store.create("sweep", {
-        "scenario": BASE, "experiment": "baseline", "duration": 20.0,
-        "grid": GRID, "parallel": False, "checkpoint_every": 6.0,
-    })
-    log = store.events(job.id)
-    seen = []
+    first = run()
+    before = set(RunCatalog(sink).runs())
+    assert len(before) == 2
+    _, lost = expand_grid(Scenario.from_dict(BASE),
+                          [parse_axis_spec(s) for s in GRID])
+    checkpoint_path(ck, lost.scenario, "baseline", 20.0) \
+        .with_suffix(".done.json").unlink()
 
-    def dying_progress(event, **data):
-        log.append(event, job=job.id, **data)
-        seen.append(data)
-        if event == "point" and data["k"] == 1:
-            raise WorkerDied("simulated worker death after first point")
+    second = run()
+    after = set(RunCatalog(sink).runs())
+    assert len(after) == 3
+    [new_run] = after - before
+    assert second[0].run_id == first[0].run_id
+    assert second[1].run_id == new_run
 
-    with pytest.raises(WorkerDied):
-        execute_job(job, root, progress=dying_progress)
-    first_run_id = seen[0]["run_id"]
-    ckdir = root / CHECKPOINTS_DIR / job.id
-    assert list(ckdir.glob("*.done.json"))  # durable progress survived
-
-    # recovery harvests the finished point's run id from the event log
-    assert store.completed_run_ids(job.id) == [first_run_id]
-
-    # the requeued job re-runs only the unfinished point
-    cat = catalog_root(root)
-    before = {p.name for p in cat.iterdir()} if cat.exists() else set()
-    events = []
-    outcome = execute_job(job, root,
-                          progress=lambda e, **d: events.append((e, d)))
-    new_runs = {p.name for p in cat.iterdir()} - before
-    assert len(new_runs) == 1, "finished point was re-executed"
-    assert len(outcome["summary"]) == 2
-    assert not ckdir.exists()  # checkpoints cleaned up on completion
-    skipped = [d for e, d in events if e == "point" and d["k"] == 1][0]
-    assert skipped["run_id"] == first_run_id
-
-
-def test_serve_experiment_job_resumes_from_checkpoint(tmp_path):
-    root = tmp_path
-    store = JobStore(root / JOBS_DIR)
-    spec = {"scenario": {"cluster": {"nnodes": 2}}, "experiment": "baseline",
-            "duration": 20.0, "checkpoint_every": 6.0}
-    job = store.create("experiment", spec)
-
-    # plant a mid-run checkpoint where a crashed worker would leave one
-    scenario = Scenario.from_dict(spec["scenario"])
-    ckpt = checkpoint_path(root / CHECKPOINTS_DIR / job.id, scenario,
-                           "baseline", 20.0)
-    reference = ExperimentRunner(scenario=scenario).run(
-        "baseline", duration=20.0, checkpoint_every=6.0, checkpoint=ckpt)
-    assert ckpt.exists()
-
-    outcome = execute_job(job, root)
-    assert outcome["summary"] == reference.metrics.to_dict()
-    assert not ckpt.parent.exists()
-
-
-def test_serve_experiment_job_equals_the_runner(tmp_path):
-    # an experiment job is a one-point sweep: same summary, same stored
-    # records as ExperimentRunner.run at the same cadence
-    root = tmp_path / "serve"
-    store = JobStore(root / JOBS_DIR)
-    spec = {"scenario": {"cluster": {"nnodes": 2}, "seed": 5},
-            "experiment": "baseline", "duration": 20.0,
-            "checkpoint_every": 6.0}
-    job = store.create("experiment", spec)
-    events = []
-    outcome = execute_job(job, root,
-                          progress=lambda e, **d: events.append((e, d)))
-
-    ref_root = tmp_path / "ref"
-    reference = ExperimentRunner(
-        scenario=Scenario.from_dict(spec["scenario"]), sink=ref_root,
-        obs=True).run("baseline", duration=20.0, checkpoint_every=6.0,
-                      checkpoint=tmp_path / "ref.ckpt")
-    assert outcome["summary"] == reference.metrics.to_dict()
-    [run_id] = outcome["run_ids"]
-    stored = RunCatalog(catalog_root(root)).load_dataset(run_id).records
-    assert np.array_equal(
-        stored, RunCatalog(ref_root).load_dataset("baseline").records)
-    [(event, point)] = events
-    assert (event, point["label"], point["k"], point["n"]) == \
-        ("point", "baseline", 1, 1)
-    assert point["run_id"] == run_id
-
-
-def test_serve_spec_can_disable_checkpointing(tmp_path):
-    root = tmp_path
-    store = JobStore(root / JOBS_DIR)
-    job = store.create("experiment", {
-        "scenario": {"cluster": {"nnodes": 2}}, "experiment": "baseline",
-        "duration": 20.0, "checkpoint_every": 0,
-    })
-    execute_job(job, root)
-    assert not (root / CHECKPOINTS_DIR / job.id).exists()
+    ref = RunCatalog(tmp_path / "ref")
+    reference = ExperimentRunner(scenario=lost.scenario, sink=ref).run(
+        "baseline", duration=20.0, checkpoint_every=6.0,
+        checkpoint=tmp_path / "ref.ckpt")
+    [ref_run] = ref.runs()
+    assert np.array_equal(RunCatalog(sink).load_dataset(new_run).records,
+                          ref.load_dataset(ref_run).records)
+    assert second[1].metrics == reference.metrics.to_dict()
 
 
 # -- CLI flags -----------------------------------------------------------------

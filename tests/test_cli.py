@@ -92,6 +92,22 @@ def test_cli_sweep_bad_axis_exits_2(capsys):
     assert "Traceback" not in err
 
 
+def test_cli_sweep_obs_is_a_usage_error(capsys, monkeypatch):
+    # a sweep records no observability, so --obs must not parse and
+    # then do nothing: it is refused before any point runs
+    import repro.config
+
+    def never(*args, **kwargs):
+        raise AssertionError("run_sweep called")
+
+    monkeypatch.setattr(repro.config, "run_sweep", never)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--obs", "--grid", "scheduler=fifo"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "--obs does not apply to the 'sweep' experiment\n"
+
+
 def test_cli_sweep_worker_failure_is_one_line(capsys, monkeypatch):
     import repro.config
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.config import LayoutConfig, Scenario
+from repro.config import ConfigError, LayoutConfig, Scenario
 from repro.core import ExperimentRunner
 from repro.disk import IORequest
 from repro.kernel import NodeKernel
@@ -113,10 +113,16 @@ def fill(kernel, zone: str, nbytes: int):
 @pytest.mark.parametrize("zone", LayoutConfig.ZONES)
 def test_zone_size_bounds_what_the_zone_holds(zone):
     if zone == "metadata":
-        # the superblock, bitmaps and inode table must fit the zone
+        # the superblock, bitmaps and inode table must fit the zone:
+        # a smaller one fails at validate, before a kernel is built
         small_zone_kernel(zone, 4096)
-        with pytest.raises(FsError, match="metadata zone too small"):
-            small_zone_kernel(zone, 128)
+        small_zone_kernel(zone, 1154)
+        with pytest.raises(ConfigError) as err:
+            small_zone_kernel(zone, 1152)
+        assert str(err.value) == (
+            "scenario.node.layout.metadata_sectors: metadata zone of 1152 "
+            "sectors cannot hold the superblock, block bitmap and inode "
+            "table (1154 sectors)")
     elif zone == "swap":
         # one user frame, and a swap zone of one 4 KB slot: the third
         # dirty page has nowhere to go

@@ -339,6 +339,10 @@ def test_pious_grid_aliases_are_gone():
         "metadata zone must start on a block boundary (a multiple of 2 "
         "sectors), got 1", id="metadata_start"),
     pytest.param(
+        "node.layout.metadata_sectors", 128, "layout.metadata_sectors",
+        "metadata zone of 128 sectors cannot hold the superblock, block "
+        "bitmap and inode table (1154 sectors)", id="metadata_sectors"),
+    pytest.param(
         "node.layout.log_start", 250_000, "layout.log_start",
         "log zone [250000, 258192) overlaps the swap zone [240000, 371072)",
         id="log_start"),

@@ -1,9 +1,9 @@
 """Every durable file is published whole, or not at all.
 
-Run manifests, checkpoints, sweep done markers, serve job files and the
-analysis cache all go through :func:`repro.durable.publish`.  When the
-final rename fails, the file that was there must survive byte for byte
-and the temp file beside it must be gone.
+Run manifests, checkpoints, sweep done markers and the analysis cache
+all go through :func:`repro.durable.publish`.  When the final rename
+fails, the file that was there must survive byte for byte and the temp
+file beside it must be gone.
 """
 
 import os
@@ -17,7 +17,6 @@ from repro.checkpoint import save_checkpoint
 from repro.config import Scenario, run_sweep
 from repro.config.sweep import checkpoint_path
 from repro.core.experiments import ExperimentRunner
-from repro.serve.jobs import JobStore
 from repro.store import RunCatalog
 from repro.store.catalog import MANIFEST_NAME
 
@@ -33,14 +32,6 @@ def _sweep_done_marker(tmp_path):
         run_sweep(base, [], duration=20.0, parallel=False,
                   checkpoint_every=10.0, checkpoint_dir=str(tmp_path))
     return target, write
-
-
-def _serve_job_file(tmp_path):
-    store = JobStore(tmp_path)
-    job = store.create("experiment")
-    target = store.save(job)
-    target.write_bytes(OLD)
-    return target, lambda: store.save(job)
 
 
 def _run_manifest(tmp_path):
@@ -67,7 +58,6 @@ def _analysis_cache(tmp_path):
 
 WRITERS = {
     "sweep-done-marker": _sweep_done_marker,
-    "serve-job-file": _serve_job_file,
     "run-manifest": _run_manifest,
     "checkpoint": _checkpoint,
     "analysis-cache": _analysis_cache,

@@ -42,31 +42,6 @@ PUBLIC_API = {
         "validate_tree",
         "verify_restored_queue",
     ],
-    "repro.serve": [
-        "ACTIVE_STATES",
-        "AnalysisAnswer",
-        "ApiError",
-        "AuthError",
-        "DEFAULT_CATALOG",
-        "DependencyCycle",
-        "EventLog",
-        "ExperimentService",
-        "Job",
-        "JobError",
-        "JobNotFound",
-        "JobStore",
-        "QuotaExceeded",
-        "STATES",
-        "ServeClient",
-        "ServeError",
-        "TERMINAL_STATES",
-        "Tenant",
-        "Tenants",
-        "WorkerPool",
-        "catalog_root",
-        "execute_job",
-        "render_jobs_table",
-    ],
     "repro.config": [
         "ClusterConfig",
         "ConfigError",
@@ -239,7 +214,6 @@ PUBLIC_API = {
         "bucket_edge",
         "bucket_of",
         "compare_snapshots",
-        "events_per_second",
         "flatten_snapshot",
         "render_snapshot_table",
     ],
@@ -281,14 +255,6 @@ def test_all_matches_snapshot(package):
     # and every promised name actually resolves
     for name in module.__all__:
         assert hasattr(module, name), f"{package}.{name} missing"
-
-
-def test_serve_exports_typed_errors():
-    import repro.serve as serve
-    for name in ("ServeError", "JobNotFound", "AuthError",
-                 "QuotaExceeded", "DependencyCycle"):
-        assert name in serve.__all__
-        assert issubclass(getattr(serve, name), serve.ServeError)
 
 
 def test_runner_keywords():

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import repro
 
-SKIP_MODULES = {"repro.cli", "repro.store.cli", "repro.serve.cli"}
+SKIP_MODULES = {"repro.cli", "repro.store.cli"}
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "docs" / "API.md"
 
 
