@@ -105,12 +105,12 @@ def test_sweep_of_another_experiment_reruns_its_points(tmp_path):
     assert all(m["label"] == "ppm" for m in metrics_of(ppm))
 
 
-def test_sweep_with_a_sink_reruns_only_the_point_without_a_marker(
-        tmp_path):
-    # a sweep killed after its first point leaves that point's done
-    # marker and no marker for the other: the restarted sweep recalls
-    # the finished point (same run id, no new run) and runs the other
-    # once, storing exactly what the runner stores for that scenario
+def kill_and_restart_sink_sweep(tmp_path):
+    """A 2-point checkpointed sweep with a sink, killed after its first
+    point: that point keeps its done marker, the other has none.  Runs
+    it, drops the second marker and runs it again; returns both results,
+    the catalog's run ids before and after the restart, the re-run
+    point and the sink."""
     ck, sink = tmp_path / "ck", tmp_path / "runs"
 
     def run():
@@ -121,19 +121,35 @@ def test_sweep_with_a_sink_reruns_only_the_point_without_a_marker(
 
     first = run()
     before = set(RunCatalog(sink).runs())
-    assert len(before) == 2
     _, lost = expand_grid(Scenario.from_dict(BASE),
                           [parse_axis_spec(s) for s in GRID])
     checkpoint_path(ck, lost.scenario, "baseline", 20.0) \
         .with_suffix(".done.json").unlink()
-
     second = run()
     after = set(RunCatalog(sink).runs())
+    return first, second, before, after, lost, sink
+
+
+def test_sweep_with_a_sink_reruns_only_the_point_without_a_marker(
+        tmp_path):
+    # the restarted sweep recalls the finished point (same run id, no
+    # new run) and runs the other once
+    first, second, before, after, _, _ = kill_and_restart_sink_sweep(
+        tmp_path)
+    assert len(before) == 2
     assert len(after) == 3
     [new_run] = after - before
     assert second[0].run_id == first[0].run_id
     assert second[1].run_id == new_run
 
+
+def test_sweep_point_rerun_with_a_sink_stores_what_the_runner_stores(
+        tmp_path):
+    # the re-run point stores exactly what the runner stores for that
+    # scenario at the same checkpoint cadence
+    _, second, before, after, lost, sink = kill_and_restart_sink_sweep(
+        tmp_path)
+    [new_run] = after - before
     ref = RunCatalog(tmp_path / "ref")
     reference = ExperimentRunner(scenario=lost.scenario, sink=ref).run(
         "baseline", duration=20.0, checkpoint_every=6.0,
